@@ -1,24 +1,21 @@
-//! Correlation-table microbench: the flat-arena layout against the
-//! preserved pre-arena reference layout, plus the batch-ingestion
-//! kernel, with bit-identity gates.
+//! Correlation-table microbench: each table's one step kernel driven
+//! per miss and in batches, with bit-identity gates.
 //!
-//! Three legs per algorithm (Base/Chain/Repl), all over the same seeded
+//! Two legs per algorithm (Base/Chain/Repl), both over the same seeded
 //! miss stream:
 //!
-//! * `reference` — the pre-rewrite boxed-row layout
-//!   ([`ulmt_core::table::reference`]), per-miss `process_miss`;
-//! * `arena` — the flat-arena layout, per-miss `process_miss`;
-//! * `arena_batch` — the flat-arena layout through the zero-alloc batch
-//!   kernel `process_misses` (the path `ulmt-service` shards ingest on).
-//!
-//! Plus a raw-allocation leg (`find_or_alloc` throughput in rows/sec,
-//! reference vs arena) isolating the table probe/replace path.
+//! * `per_miss` — `process_miss`, which builds one `StepResult` per miss
+//!   with the table touches the memory-processor model replays (the
+//!   simulator's path);
+//! * `batch` — `process_misses`, the same kernel with touch recording
+//!   compiled out and nothing allocated per step (the path `ulmt-service`
+//!   shards ingest on).
 //!
 //! Identity gates (exit 1 on failure): after replaying the stream, the
-//! arena table's fingerprint must equal the reference table's
-//! bit-for-bit, the batch kernel's table must equal the per-miss table,
-//! and every snapshot must survive the byte-codec round trip with its
-//! fingerprint intact.
+//! batch table's fingerprint must equal the per-miss table's
+//! bit-for-bit, both legs must emit the same prefetches and instruction
+//! totals, and every snapshot must survive the byte-codec round trip with
+//! its fingerprint intact.
 //!
 //! Environment:
 //!
@@ -36,9 +33,8 @@ use std::time::Instant;
 
 use ulmt_bench::io::atomic_write;
 use ulmt_core::algorithm::{StepSink, UlmtAlgorithm};
-use ulmt_core::table::reference::{RefBase, RefChain, RefReplicated, RefRowTable};
 use ulmt_core::table::{
-    AllocKind, Base, Chain, MruList, Replicated, RowTable, TableParams, TableSnapshot,
+    Base, Chain, CorrelationTable, Kind, Replicated, TableParams, TableSnapshot,
 };
 use ulmt_simcore::{LineAddr, Pcg32};
 
@@ -68,25 +64,32 @@ fn miss_stream(seed: u64, len: usize, lines: u64) -> Vec<LineAddr> {
         .collect()
 }
 
-/// Sink for the batch leg: counts and checksums without allocating, the
-/// way the service's ingest sink consumes steps.
+/// Order-sensitive checksum of everything a leg emits: each step's
+/// prefetches and phase instruction counts. Both legs fold the same
+/// values in the same order, so equal checksums mean equal outputs.
 #[derive(Default)]
-struct CountSink {
-    prefetches: u64,
-    insns: u64,
-    checksum: u64,
+struct Checksum(u64);
+
+impl Checksum {
+    fn fold(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
-impl StepSink for CountSink {
-    fn begin(&mut self, _miss: LineAddr) {}
+/// The batch leg's sink: checksums without allocating, the way the
+/// service's ingest sink consumes steps.
+impl StepSink for Checksum {
+    fn begin(&mut self, miss: LineAddr) {
+        self.fold(miss.raw());
+    }
 
     fn prefetch(&mut self, addr: LineAddr) {
-        self.prefetches += 1;
-        self.checksum ^= addr.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.fold(addr.raw());
     }
 
     fn end(&mut self, prefetch_insns: u64, learn_insns: u64) {
-        self.insns += prefetch_insns + learn_insns;
+        self.fold(prefetch_insns);
+        self.fold(learn_insns);
     }
 }
 
@@ -112,58 +115,43 @@ fn best_of(repeat: usize, obs: usize, mut run: impl FnMut() -> u64) -> Timing {
     }
 }
 
-fn per_miss_leg<A: UlmtAlgorithm>(
-    mut make: impl FnMut() -> A,
-    misses: &[LineAddr],
-    repeat: usize,
-) -> Timing {
-    best_of(repeat, misses.len(), || {
-        let mut alg = make();
-        let mut checksum = 0u64;
-        for &m in misses {
-            let step = alg.process_miss(m);
-            for &p in &step.prefetches {
-                checksum ^= p.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            }
-            checksum = checksum.wrapping_add(step.total_insns());
+/// Replays `misses` through `table` one `process_miss` at a time.
+fn per_miss<K: Kind>(table: &mut CorrelationTable<K>, misses: &[LineAddr]) -> u64 {
+    let mut sum = Checksum::default();
+    for &m in misses {
+        let step = table.process_miss(m);
+        sum.fold(m.raw());
+        for &p in &step.prefetches {
+            sum.fold(p.raw());
         }
-        checksum
-    })
+        sum.fold(step.prefetch_cost.insns);
+        sum.fold(step.learn_cost.insns);
+    }
+    sum.0
 }
 
-fn batch_leg<A: UlmtAlgorithm>(
-    mut make: impl FnMut() -> A,
-    misses: &[LineAddr],
-    repeat: usize,
-) -> Timing {
-    best_of(repeat, misses.len(), || {
-        let mut alg = make();
-        let mut sink = CountSink::default();
-        for chunk in misses.chunks(512) {
-            alg.process_misses(chunk, &mut sink);
-        }
-        sink.checksum.wrapping_add(sink.insns)
-    })
+/// Replays `misses` through `table` in service-sized batches.
+fn batched<K: Kind>(table: &mut CorrelationTable<K>, misses: &[LineAddr]) -> u64 {
+    let mut sum = Checksum::default();
+    for chunk in misses.chunks(512) {
+        table.process_misses(chunk, &mut sum);
+    }
+    sum.0
 }
 
 /// Everything measured and verified for one algorithm.
 struct AlgReport {
     name: &'static str,
-    reference: Timing,
-    arena: Timing,
-    arena_batch: Timing,
+    per_miss: Timing,
+    batch: Timing,
     fingerprint: u64,
     identical: bool,
     codec_ok: bool,
 }
 
 impl AlgReport {
-    fn speedup(&self) -> f64 {
-        self.arena.obs_per_sec / self.reference.obs_per_sec.max(1e-12)
-    }
-
     fn batch_speedup(&self) -> f64 {
-        self.arena_batch.obs_per_sec / self.reference.obs_per_sec.max(1e-12)
+        self.batch.obs_per_sec / self.per_miss.obs_per_sec.max(1e-12)
     }
 }
 
@@ -174,106 +162,38 @@ fn codec_round_trips(snap: &TableSnapshot) -> bool {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_algorithm<A, R>(
+fn run_algorithm<K: Kind>(
     name: &'static str,
-    make_arena: impl Fn() -> A,
-    make_ref: impl Fn() -> R,
-    fp_arena: impl Fn(&A) -> u64,
-    fp_ref: impl Fn(&R) -> u64,
-    snap_arena: impl Fn(&A) -> TableSnapshot,
+    make: impl Fn() -> CorrelationTable<K>,
     misses: &[LineAddr],
     repeat: usize,
-) -> AlgReport
-where
-    A: UlmtAlgorithm,
-    R: UlmtAlgorithm,
-{
-    let reference = per_miss_leg(&make_ref, misses, repeat);
-    let arena = per_miss_leg(&make_arena, misses, repeat);
-    let arena_batch = batch_leg(&make_arena, misses, repeat);
+) -> AlgReport {
+    let per_miss_leg = best_of(repeat, misses.len(), || per_miss(&mut make(), misses));
+    let batch_leg = best_of(repeat, misses.len(), || batched(&mut make(), misses));
 
     // Identity gate: replay once more on fresh tables and compare end
-    // states. Per-miss checksums already pin the emitted streams.
-    let mut a = make_arena();
-    let mut r = make_ref();
-    let mut b = make_arena();
-    let mut bsink = CountSink::default();
-    for &m in misses {
-        a.process_miss(m);
-        r.process_miss(m);
-    }
-    b.process_misses(misses, &mut bsink);
-    let fingerprint = fp_arena(&a);
-    let identical = fingerprint == fp_ref(&r)
-        && fingerprint == fp_arena(&b)
-        && reference.checksum == arena.checksum;
-    let codec_ok = codec_round_trips(&snap_arena(&a));
+    // states; the checksums already pin the emitted streams.
+    let (mut slow, mut fast) = (make(), make());
+    per_miss(&mut slow, misses);
+    batched(&mut fast, misses);
+    let fingerprint = slow.table_fingerprint();
     AlgReport {
         name,
-        reference,
-        arena,
-        arena_batch,
+        identical: fingerprint == fast.table_fingerprint()
+            && per_miss_leg.checksum == batch_leg.checksum,
+        codec_ok: codec_round_trips(&slow.snapshot()),
+        per_miss: per_miss_leg,
+        batch: batch_leg,
         fingerprint,
-        identical,
-        codec_ok,
     }
 }
 
-/// Raw `find_or_alloc` throughput (rows/sec): the probe/replace path in
-/// isolation, reference boxed rows vs the flat arena.
-fn alloc_legs(rows: usize, misses: &[LineAddr], repeat: usize) -> (Timing, Timing) {
-    let params = TableParams {
-        num_rows: rows,
-        assoc: 4,
-        num_succ: 4,
-        num_levels: 1,
-    };
-    fn kind_tag(kind: AllocKind) -> u64 {
-        match kind {
-            AllocKind::Existing => 1,
-            AllocKind::Fresh => 2,
-            AllocKind::Replaced => 3,
-        }
-    }
-    let reference = best_of(repeat, misses.len(), || {
-        let mut t = RefRowTable::new(&params, 20, MruList::new(params.num_succ));
-        let mut acc = 0u64;
-        for &m in misses {
-            let (_, kind) = t.find_or_alloc(m);
-            acc = acc.wrapping_add(kind_tag(kind));
-        }
-        acc
-    });
-    let arena = best_of(repeat, misses.len(), || {
-        let mut t = RowTable::new(&params, 20, 1);
-        let mut acc = 0u64;
-        for &m in misses {
-            let (_, kind) = t.find_or_alloc(m);
-            acc = acc.wrapping_add(kind_tag(kind));
-        }
-        acc
-    });
-    (reference, arena)
-}
-
-fn json_report(
-    reports: &[AlgReport],
-    alloc: &(Timing, Timing),
-    misses: usize,
-    rows: usize,
-    repeat: usize,
-    overall: f64,
-    target: f64,
-) -> String {
+fn json_report(reports: &[AlgReport], misses: usize, rows: usize, repeat: usize) -> String {
     let mut j = String::new();
     j.push_str("{\n");
     let _ = writeln!(j, "  \"misses\": {misses},");
     let _ = writeln!(j, "  \"rows\": {rows},");
     let _ = writeln!(j, "  \"repeat\": {repeat},");
-    let _ = writeln!(j, "  \"speedup_target\": {target},");
-    let _ = writeln!(j, "  \"overall_speedup\": {overall:.3},");
-    let _ = writeln!(j, "  \"speedup_ok\": {},", overall >= target);
     let _ = writeln!(
         j,
         "  \"identity_ok\": {},",
@@ -283,12 +203,10 @@ fn json_report(
     for (i, r) in reports.iter().enumerate() {
         let _ = writeln!(
             j,
-            "    {{\"name\": \"{}\", \"reference_obs_per_sec\": {:.0}, \"arena_obs_per_sec\": {:.0}, \"arena_batch_obs_per_sec\": {:.0}, \"speedup\": {:.3}, \"batch_speedup\": {:.3}, \"fingerprint\": \"{:016x}\", \"fingerprints_identical\": {}, \"codec_roundtrip_ok\": {}}}{}",
+            "    {{\"name\": \"{}\", \"per_miss_obs_per_sec\": {:.0}, \"batch_obs_per_sec\": {:.0}, \"batch_speedup\": {:.3}, \"fingerprint\": \"{:016x}\", \"fingerprints_identical\": {}, \"codec_roundtrip_ok\": {}}}{}",
             r.name,
-            r.reference.obs_per_sec,
-            r.arena.obs_per_sec,
-            r.arena_batch.obs_per_sec,
-            r.speedup(),
+            r.per_miss.obs_per_sec,
+            r.batch.obs_per_sec,
             r.batch_speedup(),
             r.fingerprint,
             r.identical,
@@ -296,15 +214,7 @@ fn json_report(
             if i + 1 < reports.len() { "," } else { "" }
         );
     }
-    j.push_str("  ],\n");
-    let _ = writeln!(
-        j,
-        "  \"alloc\": {{\"reference_rows_per_sec\": {:.0}, \"arena_rows_per_sec\": {:.0}, \"speedup\": {:.3}}}",
-        alloc.0.obs_per_sec,
-        alloc.1.obs_per_sec,
-        alloc.1.obs_per_sec / alloc.0.obs_per_sec.max(1e-12)
-    );
-    j.push_str("}\n");
+    j.push_str("  ]\n}\n");
     j
 }
 
@@ -329,72 +239,29 @@ fn main() {
         num_levels: 3,
     };
     let reports = vec![
-        run_algorithm(
-            "base",
-            || Base::new(base),
-            || RefBase::new(base),
-            |a| a.table_fingerprint(),
-            |r| r.table_fingerprint(),
-            |a| a.snapshot(),
-            &stream,
-            repeat,
-        ),
-        run_algorithm(
-            "chain",
-            || Chain::new(multi),
-            || RefChain::new(multi),
-            |a| a.table_fingerprint(),
-            |r| r.table_fingerprint(),
-            |a| a.snapshot(),
-            &stream,
-            repeat,
-        ),
-        run_algorithm(
-            "repl",
-            || Replicated::new(multi),
-            || RefReplicated::new(multi),
-            |a| a.table_fingerprint(),
-            |r| r.table_fingerprint(),
-            |a| a.snapshot(),
-            &stream,
-            repeat,
-        ),
+        run_algorithm("base", || Base::new(base), &stream, repeat),
+        run_algorithm("chain", || Chain::new(multi), &stream, repeat),
+        run_algorithm("repl", || Replicated::new(multi), &stream, repeat),
     ];
-
-    let alloc = alloc_legs(rows, &stream, repeat);
-
-    // Overall speedup: geometric mean of the batch-kernel speedups —
-    // the path the service actually ingests on.
-    let overall =
-        (reports.iter().map(|r| r.batch_speedup().ln()).sum::<f64>() / reports.len() as f64).exp();
-    let target = 1.5;
 
     for r in &reports {
         eprintln!(
-            "  {:<6} ref {:>12.0} obs/s | arena {:>12.0} ({:.2}x) | batch {:>12.0} ({:.2}x) | identity {}",
+            "  {:<6} per-miss {:>12.0} obs/s | batch {:>12.0} ({:.2}x) | identity {}",
             r.name,
-            r.reference.obs_per_sec,
-            r.arena.obs_per_sec,
-            r.speedup(),
-            r.arena_batch.obs_per_sec,
+            r.per_miss.obs_per_sec,
+            r.batch.obs_per_sec,
             r.batch_speedup(),
-            if r.identical && r.codec_ok { "ok" } else { "FAILED" }
+            if r.identical && r.codec_ok {
+                "ok"
+            } else {
+                "FAILED"
+            }
         );
     }
-    eprintln!(
-        "  alloc  ref {:>12.0} rows/s | arena {:>12.0} ({:.2}x)",
-        alloc.0.obs_per_sec,
-        alloc.1.obs_per_sec,
-        alloc.1.obs_per_sec / alloc.0.obs_per_sec.max(1e-12)
-    );
-    eprintln!("  overall batch speedup: {overall:.2}x (target {target}x)");
 
     let out = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_tables.json".to_string());
-    atomic_write(
-        &out,
-        &json_report(&reports, &alloc, misses, rows, repeat, overall, target),
-    )
-    .unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    atomic_write(&out, &json_report(&reports, misses, rows, repeat))
+        .unwrap_or_else(|e| panic!("writing {out}: {e}"));
     eprintln!("wrote {out}");
 
     if !reports.iter().all(|r| r.identical && r.codec_ok) {

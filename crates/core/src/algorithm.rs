@@ -108,13 +108,13 @@ pub trait UlmtAlgorithm {
     /// [`StepResult`] per miss.
     ///
     /// The default implementation forwards to
-    /// [`UlmtAlgorithm::process_miss`]; the table algorithms override it
-    /// with a fast path that skips table-touch recording and per-step
-    /// allocation while performing **identical** state transitions and
-    /// reporting identical instruction counts (held to account by unit
-    /// tests and the `arena_differential` suite). Table touches are a
-    /// memory-processor modeling concern; batched service ingestion only
-    /// consumes instruction costs, which is what makes the skip sound.
+    /// [`UlmtAlgorithm::process_miss`]. The correlation tables run their
+    /// one step kernel here too, with table-touch recording compiled out
+    /// and no per-step allocation, so both entry points perform the same
+    /// state transitions and report the same instruction counts. Table
+    /// touches are a memory-processor modeling concern; batched service
+    /// ingestion only consumes instruction costs, which is what makes
+    /// the skip sound.
     fn process_misses(&mut self, batch: &[LineAddr], sink: &mut dyn StepSink) {
         for &miss in batch {
             sink.begin(miss);

@@ -44,11 +44,13 @@ impl Cost {
     }
 
     /// Adds `n` executed instructions.
+    #[inline]
     pub fn add_insns(&mut self, n: u64) {
         self.insns += n;
     }
 
     /// Records a read of `bytes` bytes at `addr`.
+    #[inline]
     pub fn read(&mut self, addr: Addr, bytes: u64) {
         self.table_touches.push(TableTouch {
             addr,
@@ -58,6 +60,7 @@ impl Cost {
     }
 
     /// Records a write of `bytes` bytes at `addr`.
+    #[inline]
     pub fn write(&mut self, addr: Addr, bytes: u64) {
         self.table_touches.push(TableTouch {
             addr,

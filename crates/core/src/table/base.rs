@@ -7,14 +7,12 @@
 //! miss as the MRU immediate successor of the *previous* miss (reached
 //! through a retained row pointer, no search needed).
 
-use ulmt_simcore::{ConfigError, LineAddr, PageAddr};
+use ulmt_simcore::LineAddr;
 
-use crate::algorithm::{insn_cost, StepSink, UlmtAlgorithm};
-use crate::cost::StepResult;
+use crate::algorithm::insn_cost;
 
-use super::snapshot::{RowSnapshot, SnapshotError, SnapshotKind, TableSnapshot};
-use super::storage::{RowPtr, RowTable, TableStats};
-use super::TableParams;
+use super::correlation::{BaseKind, CorrelationTable, KernelSink, Kind};
+use super::storage::RowPtr;
 
 /// The conventional one-level correlation prefetcher.
 ///
@@ -35,241 +33,48 @@ use super::TableParams;
 /// let step = base.process_miss(LineAddr::new(1));
 /// assert_eq!(step.prefetches, vec![LineAddr::new(2)]);
 /// ```
-#[derive(Debug, Clone)]
-pub struct Base {
-    params: TableParams,
-    table: RowTable,
-    last: Option<RowPtr>,
-}
+pub type Base = CorrelationTable<BaseKind>;
 
-impl Base {
-    /// Creates an empty Base prefetcher.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` are invalid or `num_levels != 1` (Base stores a
-    /// single level of successors by definition).
-    pub fn new(params: TableParams) -> Self {
-        params.checked();
-        assert_eq!(
-            params.num_levels, 1,
-            "Base stores exactly one level of successors"
-        );
-        let row_bytes = params.flat_row_bytes();
-        Base {
-            table: RowTable::new(&params, row_bytes, 1),
-            params,
-            last: None,
-        }
-    }
-
-    /// Table parameters.
-    pub fn params(&self) -> &TableParams {
-        &self.params
-    }
-
-    /// Table behavior counters.
-    pub fn table_stats(&self) -> &TableStats {
-        self.table.stats()
-    }
-
-    /// Number of valid (learned) rows.
-    pub fn occupancy(&self) -> usize {
-        self.table.occupancy()
-    }
-
-    /// Shrinks or grows the table (Section 3.4 dynamic sizing).
-    pub fn resize(&mut self, num_rows: usize) {
-        let new_params = TableParams {
-            num_rows,
-            ..self.params
-        };
-        self.table.resize(&new_params);
-        self.params = new_params;
-        self.last = None;
-    }
-
-    /// Captures the learned rows and the retained learning pointer as a
-    /// portable [`TableSnapshot`]; only the behavior counters are
-    /// transient.
-    pub fn snapshot(&self) -> TableSnapshot {
-        TableSnapshot {
-            kind: SnapshotKind::Base,
-            params: self.params,
-            rows: self
-                .table
-                .live_rows_lru()
-                .into_iter()
-                .map(|(tag, row)| RowSnapshot {
-                    tag: tag.raw(),
-                    levels: vec![row.level(0).iter().map(|s| s.raw()).collect()],
-                })
-                .collect(),
-            learn_ctx: self
-                .last
-                .iter()
-                .map(|&ptr| self.table.tag_of(ptr).map(LineAddr::raw))
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a prefetcher from a snapshot taken by
-    /// [`Base::snapshot`]; the result fingerprints identically to the
-    /// captured table and — because the learning pointer is re-armed
-    /// from the snapshot's context — continues learning identically too.
-    pub fn from_snapshot(snap: &TableSnapshot) -> Result<Self, SnapshotError> {
-        snap.expect_kind(SnapshotKind::Base)?;
-        snap.params
-            .validate()
-            .map_err(SnapshotError::InvalidParams)?;
-        if snap.params.num_levels != 1 {
-            return Err(SnapshotError::InvalidParams(ConfigError::new(
-                "table",
-                "Base stores exactly one level of successors",
-            )));
-        }
-        let mut base = Base::new(snap.params);
-        for row in &snap.rows {
-            let (ptr, _) = base.table.find_or_alloc(LineAddr::new(row.tag));
-            if let Some(level) = row.levels.first() {
-                for &succ in level.iter().rev() {
-                    base.table.insert_mru(ptr, 0, LineAddr::new(succ));
-                }
-            }
-        }
-        base.last = snap.learn_ctx.first().map(|&e| base.table.ctx_ptr(e));
-        Ok(base)
-    }
-
-    /// Fingerprint of the learned contents (see
-    /// [`TableSnapshot::fingerprint`]).
-    pub fn table_fingerprint(&self) -> u64 {
-        self.snapshot().fingerprint()
-    }
-
-    /// Prefetching step: look up `miss` and emit all its stored successors
-    /// (MRU first).
-    fn prefetch_step(&mut self, miss: LineAddr, step: &mut StepResult) -> Option<RowPtr> {
-        step.prefetch_cost.add_insns(insn_cost::STEP_OVERHEAD);
-        for addr in self.table.probe_addrs(miss) {
-            step.prefetch_cost.read(addr, 4);
-            step.prefetch_cost.add_insns(insn_cost::PROBE_PER_WAY);
-        }
-        let ptr = self.table.lookup(miss)?;
-        let row_addr = self.table.row_addr(ptr);
-        step.prefetch_cost.read(row_addr, self.table.row_bytes());
+impl<K: Kind> CorrelationTable<K> {
+    /// Base's Prefetching step: look up `miss` and emit all its stored
+    /// successors, MRU first.
+    #[inline]
+    pub(super) fn base_prefetch<S: KernelSink + ?Sized>(
+        &mut self,
+        miss: LineAddr,
+        insns: &mut u64,
+        sink: &mut S,
+    ) -> Option<RowPtr> {
+        let ptr = self.search(miss, insns, sink)?;
         let row = self
-            .table
+            .rows
             .get(ptr)
             .expect("fresh pointer from lookup is valid");
         for &succ in row.level(0) {
-            step.prefetches.push(succ);
-            step.prefetch_cost.add_insns(insn_cost::PER_PREFETCH);
+            sink.prefetch(succ);
+            *insns += insn_cost::PER_PREFETCH;
         }
         Some(ptr)
     }
 
-    /// Learning step: insert `miss` as the MRU successor of the previous
-    /// miss (through the retained pointer — no search), then find or
-    /// allocate the row for `miss` and retain its pointer.
-    fn learn_step(&mut self, miss: LineAddr, found: Option<RowPtr>, step: &mut StepResult) {
-        step.learn_cost.add_insns(insn_cost::LEARN_OVERHEAD);
-        if let Some(last) = self.last {
-            if self.table.insert_mru(last, 0, miss) {
-                let addr = self.table.row_addr(last);
-                step.learn_cost.write(addr, self.table.row_bytes());
-                step.learn_cost.add_insns(insn_cost::PER_INSERT);
-            }
-        }
-        let ptr = match found {
-            Some(ptr) => ptr,
-            None => {
-                let (ptr, _) = self.table.find_or_alloc(miss);
-                let addr = self.table.row_addr(ptr);
-                step.learn_cost.write(addr, 4); // write the tag
-                step.learn_cost.add_insns(insn_cost::PER_ALLOC);
-                ptr
-            }
-        };
-        self.last = Some(ptr);
-    }
-}
-
-impl UlmtAlgorithm for Base {
-    fn name(&self) -> String {
-        "base".to_string()
-    }
-
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
-        let mut step = StepResult::new();
-        let found = self.prefetch_step(miss, &mut step);
-        self.learn_step(miss, found, &mut step);
-        step
-    }
-
-    /// Batch fast path: same state transitions and instruction counts as
-    /// [`Base::process_miss`] per element, but with the set-probe cost
-    /// hoisted out of the loop and no per-step [`StepResult`] or
-    /// table-touch vectors allocated.
-    fn process_misses(&mut self, batch: &[LineAddr], sink: &mut dyn StepSink) {
-        let probe_insns =
-            insn_cost::STEP_OVERHEAD + self.table.assoc() as u64 * insn_cost::PROBE_PER_WAY;
-        for &miss in batch {
-            sink.begin(miss);
-            let mut prefetch_insns = probe_insns;
-            let found = self.table.lookup(miss);
-            if let Some(ptr) = found {
-                let row = self
-                    .table
-                    .get(ptr)
-                    .expect("fresh pointer from lookup is valid");
-                for &succ in row.level(0) {
-                    sink.prefetch(succ);
-                    prefetch_insns += insn_cost::PER_PREFETCH;
-                }
-            }
-            let mut learn_insns = insn_cost::LEARN_OVERHEAD;
-            if let Some(last) = self.last {
-                if self.table.insert_mru(last, 0, miss) {
-                    learn_insns += insn_cost::PER_INSERT;
-                }
-            }
-            let ptr = match found {
-                Some(ptr) => ptr,
-                None => {
-                    let (ptr, _) = self.table.find_or_alloc(miss);
-                    learn_insns += insn_cost::PER_ALLOC;
-                    ptr
-                }
-            };
-            self.last = Some(ptr);
-            sink.end(prefetch_insns, learn_insns);
-        }
-    }
-
-    fn predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {
+    pub(super) fn base_predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {
         let mut out = vec![Vec::new(); levels];
         if levels == 0 {
             return out;
         }
-        if let Some(row) = self.table.peek(miss) {
+        if let Some(row) = self.rows.peek(miss) {
             out[0] = row.level(0).to_vec();
         }
         out
-    }
-
-    fn remap_page(&mut self, old: PageAddr, new: PageAddr) {
-        self.table.remap_page(old, new);
-    }
-
-    fn table_size_bytes(&self) -> u64 {
-        self.table.size_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::UlmtAlgorithm;
+    use crate::table::TableParams;
+    use ulmt_simcore::PageAddr;
 
     fn line(n: u64) -> LineAddr {
         LineAddr::new(n)
@@ -428,30 +233,5 @@ mod tests {
         base.process_miss(line(1));
         let step = base.process_miss(line(2));
         assert!(step.prefetches.is_empty() || !step.prefetches.is_empty());
-    }
-
-    #[test]
-    fn batch_kernel_matches_per_miss_path() {
-        use crate::algorithm::CollectSink;
-
-        let seq: Vec<LineAddr> = [10u64, 20, 30, 10, 40, 30, 20, 10, 50, 40, 30, 20]
-            .iter()
-            .map(|&n| line(n))
-            .collect();
-        let mut slow = small();
-        let mut expected = Vec::new();
-        let mut expected_insns = 0u64;
-        for &m in &seq {
-            let step = slow.process_miss(m);
-            expected.extend(step.prefetches.iter().copied());
-            expected_insns += step.total_insns();
-        }
-        let mut fast = small();
-        let mut sink = CollectSink::default();
-        fast.process_misses(&seq, &mut sink);
-        assert_eq!(sink.prefetches, expected);
-        assert_eq!(sink.total_insns(), expected_insns);
-        assert_eq!(fast.table_fingerprint(), slow.table_fingerprint());
-        assert_eq!(fast.table_stats(), slow.table_stats());
     }
 }

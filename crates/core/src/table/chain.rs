@@ -12,14 +12,12 @@
 //! extra associative search — hence Chain's high response time in
 //! Figure 10.
 
-use ulmt_simcore::{LineAddr, PageAddr};
+use ulmt_simcore::LineAddr;
 
-use crate::algorithm::{insn_cost, StepSink, UlmtAlgorithm};
-use crate::cost::StepResult;
+use crate::algorithm::insn_cost;
 
-use super::snapshot::{RowSnapshot, SnapshotError, SnapshotKind, TableSnapshot};
-use super::storage::{RowPtr, RowTable, TableStats};
-use super::TableParams;
+use super::correlation::{emit_once, ChainKind, CorrelationTable, KernelSink, Kind};
+use super::storage::RowPtr;
 
 /// Multi-level correlation prefetching over the conventional table.
 ///
@@ -40,226 +38,50 @@ use super::TableParams;
 /// let step = chain.process_miss(LineAddr::new(1));
 /// assert!(step.prefetches.starts_with(&[LineAddr::new(2), LineAddr::new(3)]));
 /// ```
-#[derive(Debug, Clone)]
-pub struct Chain {
-    params: TableParams,
-    table: RowTable,
-    last: Option<RowPtr>,
-}
+pub type Chain = CorrelationTable<ChainKind>;
 
-impl Chain {
-    /// Creates an empty Chain prefetcher.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` are invalid.
-    pub fn new(params: TableParams) -> Self {
-        params.checked();
-        let row_bytes = params.flat_row_bytes();
-        // Chain walks `num_levels` rows when prefetching but each row
-        // stores a single successor level, like Base.
-        Chain {
-            table: RowTable::new(&params, row_bytes, 1),
-            params,
-            last: None,
-        }
-    }
-
-    /// Table parameters.
-    pub fn params(&self) -> &TableParams {
-        &self.params
-    }
-
-    /// Table behavior counters.
-    pub fn table_stats(&self) -> &TableStats {
-        self.table.stats()
-    }
-
-    /// Number of valid (learned) rows.
-    pub fn occupancy(&self) -> usize {
-        self.table.occupancy()
-    }
-
-    /// Captures the learned rows and the retained learning pointer as a
-    /// portable [`TableSnapshot`]; only the behavior counters are
-    /// transient.
-    pub fn snapshot(&self) -> TableSnapshot {
-        TableSnapshot {
-            kind: SnapshotKind::Chain,
-            params: self.params,
-            rows: self
-                .table
-                .live_rows_lru()
-                .into_iter()
-                .map(|(tag, row)| RowSnapshot {
-                    tag: tag.raw(),
-                    levels: vec![row.level(0).iter().map(|s| s.raw()).collect()],
-                })
-                .collect(),
-            learn_ctx: self
-                .last
-                .iter()
-                .map(|&ptr| self.table.tag_of(ptr).map(LineAddr::raw))
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a prefetcher from a snapshot taken by
-    /// [`Chain::snapshot`]; the result fingerprints identically to the
-    /// captured table and — because the learning pointer is re-armed
-    /// from the snapshot's context — continues learning identically too.
-    pub fn from_snapshot(snap: &TableSnapshot) -> Result<Self, SnapshotError> {
-        snap.expect_kind(SnapshotKind::Chain)?;
-        snap.params
-            .validate()
-            .map_err(SnapshotError::InvalidParams)?;
-        let mut chain = Chain::new(snap.params);
-        for row in &snap.rows {
-            let (ptr, _) = chain.table.find_or_alloc(LineAddr::new(row.tag));
-            if let Some(level) = row.levels.first() {
-                for &succ in level.iter().rev() {
-                    chain.table.insert_mru(ptr, 0, LineAddr::new(succ));
-                }
-            }
-        }
-        chain.last = snap.learn_ctx.first().map(|&e| chain.table.ctx_ptr(e));
-        Ok(chain)
-    }
-
-    /// Fingerprint of the learned contents (see
-    /// [`TableSnapshot::fingerprint`]).
-    pub fn table_fingerprint(&self) -> u64 {
-        self.snapshot().fingerprint()
-    }
-}
-
-impl UlmtAlgorithm for Chain {
-    fn name(&self) -> String {
-        "chain".to_string()
-    }
-
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
-        let mut step = StepResult::new();
-
-        // Prefetching step: NumLevels row accesses, each a full
-        // associative search — this is what makes Chain's response slow.
-        step.prefetch_cost.add_insns(insn_cost::STEP_OVERHEAD);
+impl<K: Kind> CorrelationTable<K> {
+    /// Chain's Prefetching step: `NumLevels` row accesses along the MRU
+    /// path, each a full associative search — this is what makes Chain's
+    /// response slow. Returns the row of `miss` itself, if it has one.
+    #[inline]
+    pub(super) fn chain_prefetch<S: KernelSink + ?Sized>(
+        &mut self,
+        miss: LineAddr,
+        insns: &mut u64,
+        sink: &mut S,
+    ) -> Option<RowPtr> {
+        self.seen.clear();
         let mut cur = miss;
-        let mut found_first: Option<RowPtr> = None;
+        let mut found_first = None;
         for level in 0..self.params.num_levels {
-            for addr in self.table.probe_addrs(cur) {
-                step.prefetch_cost.read(addr, 4);
-                step.prefetch_cost.add_insns(insn_cost::PROBE_PER_WAY);
-            }
-            let Some(ptr) = self.table.lookup(cur) else {
+            let Some(ptr) = self.search(cur, insns, sink) else {
                 break;
             };
             if level == 0 {
                 found_first = Some(ptr);
             }
-            step.prefetch_cost
-                .read(self.table.row_addr(ptr), self.table.row_bytes());
             let row = self
-                .table
+                .rows
                 .get(ptr)
                 .expect("fresh pointer from lookup is valid");
-            let mru = row.mru(0);
             for &succ in row.level(0) {
-                if !step.prefetches.contains(&succ) {
-                    step.prefetches.push(succ);
-                }
-                step.prefetch_cost.add_insns(insn_cost::PER_PREFETCH);
+                emit_once(&mut self.seen, sink, succ);
+                *insns += insn_cost::PER_PREFETCH;
             }
-            match mru {
+            match row.mru(0) {
                 Some(next) => cur = next,
                 None => break,
             }
         }
-
-        // Learning step: identical to Base — insert the miss as MRU
-        // successor of the previous miss via the retained pointer.
-        step.learn_cost.add_insns(insn_cost::LEARN_OVERHEAD);
-        if let Some(last) = self.last {
-            if self.table.insert_mru(last, 0, miss) {
-                let addr = self.table.row_addr(last);
-                step.learn_cost.write(addr, self.table.row_bytes());
-                step.learn_cost.add_insns(insn_cost::PER_INSERT);
-            }
-        }
-        let ptr = match found_first {
-            Some(ptr) => ptr,
-            None => {
-                let (ptr, _) = self.table.find_or_alloc(miss);
-                step.learn_cost.write(self.table.row_addr(ptr), 4);
-                step.learn_cost.add_insns(insn_cost::PER_ALLOC);
-                ptr
-            }
-        };
-        self.last = Some(ptr);
-        step
+        found_first
     }
 
-    /// Batch fast path: the same MRU-path walk and learning as
-    /// [`Chain::process_miss`], with per-step de-duplication running over
-    /// a scratch buffer reused across the whole batch.
-    fn process_misses(&mut self, batch: &[LineAddr], sink: &mut dyn StepSink) {
-        let probe_insns = self.table.assoc() as u64 * insn_cost::PROBE_PER_WAY;
-        let mut seen: Vec<LineAddr> = Vec::new();
-        for &miss in batch {
-            sink.begin(miss);
-            seen.clear();
-            let mut prefetch_insns = insn_cost::STEP_OVERHEAD;
-            let mut cur = miss;
-            let mut found_first: Option<RowPtr> = None;
-            for level in 0..self.params.num_levels {
-                prefetch_insns += probe_insns;
-                let Some(ptr) = self.table.lookup(cur) else {
-                    break;
-                };
-                if level == 0 {
-                    found_first = Some(ptr);
-                }
-                let row = self
-                    .table
-                    .get(ptr)
-                    .expect("fresh pointer from lookup is valid");
-                let mru = row.mru(0);
-                for &succ in row.level(0) {
-                    if !seen.contains(&succ) {
-                        seen.push(succ);
-                        sink.prefetch(succ);
-                    }
-                    prefetch_insns += insn_cost::PER_PREFETCH;
-                }
-                match mru {
-                    Some(next) => cur = next,
-                    None => break,
-                }
-            }
-            let mut learn_insns = insn_cost::LEARN_OVERHEAD;
-            if let Some(last) = self.last {
-                if self.table.insert_mru(last, 0, miss) {
-                    learn_insns += insn_cost::PER_INSERT;
-                }
-            }
-            let ptr = match found_first {
-                Some(ptr) => ptr,
-                None => {
-                    let (ptr, _) = self.table.find_or_alloc(miss);
-                    learn_insns += insn_cost::PER_ALLOC;
-                    ptr
-                }
-            };
-            self.last = Some(ptr);
-            sink.end(prefetch_insns, learn_insns);
-        }
-    }
-
-    fn predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {
+    pub(super) fn chain_predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {
         let mut out = vec![Vec::new(); levels];
         let mut cur = miss;
         for level in out.iter_mut() {
-            let Some(row) = self.table.peek(cur) else {
+            let Some(row) = self.rows.peek(cur) else {
                 break;
             };
             *level = row.level(0).to_vec();
@@ -270,19 +92,13 @@ impl UlmtAlgorithm for Chain {
         }
         out
     }
-
-    fn remap_page(&mut self, old: PageAddr, new: PageAddr) {
-        self.table.remap_page(old, new);
-    }
-
-    fn table_size_bytes(&self) -> u64 {
-        self.table.size_bytes()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::UlmtAlgorithm;
+    use crate::table::TableParams;
 
     fn line(n: u64) -> LineAddr {
         LineAddr::new(n)
@@ -399,30 +215,5 @@ mod tests {
         let mut chain = small();
         let step = chain.process_miss(line(7));
         assert!(step.prefetches.is_empty());
-    }
-
-    #[test]
-    fn batch_kernel_matches_per_miss_path() {
-        use crate::algorithm::CollectSink;
-
-        let seq: Vec<LineAddr> = [1u64, 2, 3, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 2, 3]
-            .iter()
-            .map(|&n| line(n))
-            .collect();
-        let mut slow = small();
-        let mut expected = Vec::new();
-        let mut expected_insns = 0u64;
-        for &m in &seq {
-            let step = slow.process_miss(m);
-            expected.extend(step.prefetches.iter().copied());
-            expected_insns += step.total_insns();
-        }
-        let mut fast = small();
-        let mut sink = CollectSink::default();
-        fast.process_misses(&seq, &mut sink);
-        assert_eq!(sink.prefetches, expected);
-        assert_eq!(sink.total_insns(), expected_insns);
-        assert_eq!(fast.table_fingerprint(), slow.table_fingerprint());
-        assert_eq!(fast.table_stats(), slow.table_stats());
     }
 }

@@ -9,8 +9,7 @@
 
 mod base;
 mod chain;
-#[doc(hidden)]
-pub mod reference;
+mod correlation;
 mod replicated;
 mod snapshot;
 mod storage;
@@ -19,9 +18,67 @@ use ulmt_simcore::ConfigError;
 
 pub use base::Base;
 pub use chain::Chain;
+pub use correlation::{BaseKind, ChainKind, CorrelationTable, Kind, ReplKind};
 pub use replicated::Replicated;
-pub use snapshot::{RowSnapshot, SnapshotError, SnapshotKind, TableSnapshot};
+pub use snapshot::{RowSnapshot, SnapshotError, TableSnapshot};
 pub use storage::{AllocKind, MruList, RowPtr, RowRef, RowTable, TableStats};
+
+/// Which correlation algorithm a table runs (Figure 4). The code is the
+/// one stable tag both the `ULMTSNAP` snapshot format and the service's
+/// wire protocol carry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TableKind {
+    /// The conventional one-level table ([`Base`]).
+    Base,
+    /// Multi-level walking of the conventional table ([`Chain`]).
+    Chain,
+    /// The paper's Replicated table ([`Replicated`]).
+    Repl,
+}
+
+impl TableKind {
+    /// Stable one-byte tag.
+    pub fn code(self) -> u8 {
+        match self {
+            TableKind::Base => 0,
+            TableKind::Chain => 1,
+            TableKind::Repl => 2,
+        }
+    }
+
+    /// The kind tagged `code`, if any.
+    pub fn from_code(code: u8) -> Option<Self> {
+        match code {
+            0 => Some(TableKind::Base),
+            1 => Some(TableKind::Chain),
+            2 => Some(TableKind::Repl),
+            _ => None,
+        }
+    }
+
+    /// Human-readable name (matches the algorithms' `name()`).
+    pub fn name(self) -> &'static str {
+        match self {
+            TableKind::Base => "base",
+            TableKind::Chain => "chain",
+            TableKind::Repl => "repl",
+        }
+    }
+
+    /// Validates `params` for this algorithm: the geometry must be
+    /// consistent ([`TableParams::validate`]) and Base stores exactly one
+    /// level of successors.
+    pub fn validate(self, params: &TableParams) -> Result<(), ConfigError> {
+        params.validate()?;
+        if self == TableKind::Base && params.num_levels != 1 {
+            return Err(ConfigError::new(
+                "table",
+                "Base stores exactly one level of successors",
+            ));
+        }
+        Ok(())
+    }
+}
 
 /// Parameters of a correlation table and its algorithm (Table 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,9 +147,11 @@ impl TableParams {
     }
 
     /// Validates the parameters, returning the first inconsistency found
-    /// as a typed [`ConfigError`]: a zero dimension, `num_rows` not
-    /// divisible by `assoc`, or a set count that is not a power of two
-    /// (required by the trivial low-bits hash).
+    /// as a typed [`ConfigError`]: a zero dimension, `num_succ` or
+    /// `num_levels` above 255 (the arena and the snapshot format store
+    /// level lengths in a byte), `num_rows` not divisible by `assoc`, or
+    /// a set count that is not a power of two (required by the trivial
+    /// low-bits hash).
     pub fn validate(&self) -> Result<(), ConfigError> {
         let err = |reason: &str| Err(ConfigError::new("table", reason));
         if self.num_rows == 0 || self.assoc == 0 {
@@ -100,6 +159,9 @@ impl TableParams {
         }
         if self.num_succ == 0 || self.num_levels == 0 {
             return err("NumSucc/NumLevels must be positive");
+        }
+        if self.num_succ > 255 || self.num_levels > 255 {
+            return err("NumSucc/NumLevels must be at most 255");
         }
         if !self.num_rows.is_multiple_of(self.assoc) {
             return err("NumRows must be a multiple of Assoc");
@@ -184,5 +246,40 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(e.reason().contains("power of two"));
+    }
+
+    #[test]
+    fn validate_rejects_levels_or_successors_beyond_a_byte() {
+        let ok = TableParams {
+            num_succ: 255,
+            num_levels: 255,
+            ..TableParams::repl_default(64)
+        };
+        assert!(ok.validate().is_ok());
+        for params in [
+            TableParams {
+                num_succ: 256,
+                ..ok
+            },
+            TableParams {
+                num_levels: 256,
+                ..ok
+            },
+        ] {
+            let e = params.validate().unwrap_err();
+            assert!(e.reason().contains("at most 255"), "{e}");
+        }
+    }
+
+    #[test]
+    fn kind_codes_round_trip_and_base_keeps_one_level() {
+        for kind in [TableKind::Base, TableKind::Chain, TableKind::Repl] {
+            assert_eq!(TableKind::from_code(kind.code()), Some(kind));
+        }
+        assert_eq!(TableKind::from_code(3), None);
+        let deep = TableParams::repl_default(64);
+        assert!(TableKind::Repl.validate(&deep).is_ok());
+        let e = TableKind::Base.validate(&deep).unwrap_err();
+        assert!(e.reason().contains("exactly one level"));
     }
 }

@@ -12,16 +12,12 @@
 //! accurate (true MRU per level, whatever path produced them) and the
 //! response time is low (one search, one row, often one cache line).
 
-use std::collections::VecDeque;
+use ulmt_simcore::LineAddr;
 
-use ulmt_simcore::{LineAddr, PageAddr};
+use crate::algorithm::insn_cost;
 
-use crate::algorithm::{insn_cost, StepSink, UlmtAlgorithm};
-use crate::cost::StepResult;
-
-use super::snapshot::{RowSnapshot, SnapshotError, SnapshotKind, TableSnapshot};
-use super::storage::{RowPtr, RowTable, TableStats};
-use super::TableParams;
+use super::correlation::{emit_once, CorrelationTable, KernelSink, Kind, ReplKind};
+use super::storage::RowPtr;
 
 /// The Replicated multi-level correlation prefetcher.
 ///
@@ -43,250 +39,54 @@ use super::TableParams;
 /// assert_eq!(preds[0], vec![LineAddr::new(2)]);
 /// assert_eq!(preds[1], vec![LineAddr::new(3)]);
 /// ```
-#[derive(Debug, Clone)]
-pub struct Replicated {
-    params: TableParams,
-    table: RowTable,
-    /// Rows of the last, second-last, ... misses; front = most recent.
-    pointers: VecDeque<RowPtr>,
-}
+pub type Replicated = CorrelationTable<ReplKind>;
 
-impl Replicated {
-    /// Creates an empty Replicated prefetcher.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` are invalid.
-    pub fn new(params: TableParams) -> Self {
-        params.checked();
-        let row_bytes = params.repl_row_bytes();
-        // Replicated rows store all NumLevels successor levels inline.
-        Replicated {
-            table: RowTable::new(&params, row_bytes, params.num_levels),
-            pointers: VecDeque::with_capacity(params.num_levels),
-            params,
-        }
-    }
-
-    /// Table parameters.
-    pub fn params(&self) -> &TableParams {
-        &self.params
-    }
-
-    /// Table behavior counters.
-    pub fn table_stats(&self) -> &TableStats {
-        self.table.stats()
-    }
-
-    /// Number of valid (learned) rows.
-    pub fn occupancy(&self) -> usize {
-        self.table.occupancy()
-    }
-
-    /// Shrinks or grows the table (Section 3.4 dynamic sizing).
-    pub fn resize(&mut self, num_rows: usize) {
-        let new_params = TableParams {
-            num_rows,
-            ..self.params
-        };
-        self.table.resize(&new_params);
-        self.params = new_params;
-        self.pointers.clear();
-    }
-
-    /// Captures the learned rows and the retained learning pointers as a
-    /// portable [`TableSnapshot`]; only the behavior counters are
-    /// transient. Pointers to since-evicted rows are kept as tombstones
-    /// because the pointer *position* selects the level it learns at.
-    pub fn snapshot(&self) -> TableSnapshot {
-        TableSnapshot {
-            kind: SnapshotKind::Repl,
-            params: self.params,
-            rows: self
-                .table
-                .live_rows_lru()
-                .into_iter()
-                .map(|(tag, row)| RowSnapshot {
-                    tag: tag.raw(),
-                    levels: (0..row.levels())
-                        .map(|level| row.level(level).iter().map(|s| s.raw()).collect())
-                        .collect(),
-                })
-                .collect(),
-            learn_ctx: self
-                .pointers
-                .iter()
-                .map(|&ptr| self.table.tag_of(ptr).map(LineAddr::raw))
-                .collect(),
-        }
-    }
-
-    /// Rebuilds a prefetcher from a snapshot taken by
-    /// [`Replicated::snapshot`]; the result fingerprints identically to
-    /// the captured table and — because the learning pointers are
-    /// re-armed from the snapshot's context — continues learning
-    /// identically too.
-    pub fn from_snapshot(snap: &TableSnapshot) -> Result<Self, SnapshotError> {
-        snap.expect_kind(SnapshotKind::Repl)?;
-        snap.params
-            .validate()
-            .map_err(SnapshotError::InvalidParams)?;
-        let mut repl = Replicated::new(snap.params);
-        for row in &snap.rows {
-            let (ptr, _) = repl.table.find_or_alloc(LineAddr::new(row.tag));
-            for (level, succs) in row.levels.iter().enumerate().take(snap.params.num_levels) {
-                for &succ in succs.iter().rev() {
-                    repl.table.insert_mru(ptr, level, LineAddr::new(succ));
-                }
+impl<K: Kind> CorrelationTable<K> {
+    /// Replicated's Prefetching step: a single associative search and a
+    /// single row read emit every level's true-MRU successors. Learning
+    /// then inserts the miss at level i of the (i+1)-last miss's row
+    /// through the retained pointers — "these multiple learning updates
+    /// are inexpensive ... the rows to be updated are most likely still
+    /// in the cache" (Section 3.3.2).
+    #[inline]
+    pub(super) fn repl_prefetch<S: KernelSink + ?Sized>(
+        &mut self,
+        miss: LineAddr,
+        insns: &mut u64,
+        sink: &mut S,
+    ) -> Option<RowPtr> {
+        self.seen.clear();
+        let ptr = self.search(miss, insns, sink)?;
+        let row = self
+            .rows
+            .get(ptr)
+            .expect("fresh pointer from lookup is valid");
+        for level in 0..row.levels() {
+            for &succ in row.level(level) {
+                emit_once(&mut self.seen, sink, succ);
+                *insns += insn_cost::PER_PREFETCH;
             }
         }
-        for &entry in snap.learn_ctx.iter().take(snap.params.num_levels) {
-            repl.pointers.push_back(repl.table.ctx_ptr(entry));
-        }
-        Ok(repl)
+        Some(ptr)
     }
 
-    /// Fingerprint of the learned contents (see
-    /// [`TableSnapshot::fingerprint`]).
-    pub fn table_fingerprint(&self) -> u64 {
-        self.snapshot().fingerprint()
-    }
-}
-
-impl UlmtAlgorithm for Replicated {
-    fn name(&self) -> String {
-        "repl".to_string()
-    }
-
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
-        let mut step = StepResult::new();
-
-        // Prefetching step: a single associative search and a single row
-        // read emit every level's true-MRU successors.
-        step.prefetch_cost.add_insns(insn_cost::STEP_OVERHEAD);
-        for addr in self.table.probe_addrs(miss) {
-            step.prefetch_cost.read(addr, 4);
-            step.prefetch_cost.add_insns(insn_cost::PROBE_PER_WAY);
-        }
-        let found = self.table.lookup(miss);
-        if let Some(ptr) = found {
-            step.prefetch_cost
-                .read(self.table.row_addr(ptr), self.table.row_bytes());
-            let row = self
-                .table
-                .get(ptr)
-                .expect("fresh pointer from lookup is valid");
-            for level in 0..row.levels() {
-                for &succ in row.level(level) {
-                    if !step.prefetches.contains(&succ) {
-                        step.prefetches.push(succ);
-                    }
-                    step.prefetch_cost.add_insns(insn_cost::PER_PREFETCH);
-                }
-            }
-        }
-
-        // Learning step: insert the miss at level i of the row of the
-        // (i+1)-last miss, through the retained pointers — no searches.
-        // "these multiple learning updates are inexpensive ... the rows to
-        // be updated are most likely still in the cache" (Section 3.3.2).
-        step.learn_cost.add_insns(insn_cost::LEARN_OVERHEAD);
-        for i in 0..self.pointers.len() {
-            let ptr = self.pointers[i];
-            if self.table.insert_mru(ptr, i, miss) {
-                // Each level is a small slice of the row.
-                let addr = self.table.row_addr(ptr);
-                let level_bytes = 4 * self.params.num_succ as u64;
-                step.learn_cost.write(
-                    addr.offset((4 + i as u64 * level_bytes) as i64),
-                    level_bytes,
-                );
-                step.learn_cost.add_insns(insn_cost::PER_INSERT);
-            }
-        }
-        let ptr = match found {
-            Some(ptr) => ptr,
-            None => {
-                let (ptr, _) = self.table.find_or_alloc(miss);
-                step.learn_cost.write(self.table.row_addr(ptr), 4);
-                step.learn_cost.add_insns(insn_cost::PER_ALLOC);
-                ptr
-            }
-        };
-        self.pointers.push_front(ptr);
-        self.pointers.truncate(self.params.num_levels);
-        step
-    }
-
-    /// Batch fast path: one lookup and one inline row visit per miss,
-    /// pointer-based learning, no per-step allocations.
-    fn process_misses(&mut self, batch: &[LineAddr], sink: &mut dyn StepSink) {
-        let probe_insns =
-            insn_cost::STEP_OVERHEAD + self.table.assoc() as u64 * insn_cost::PROBE_PER_WAY;
-        let mut seen: Vec<LineAddr> = Vec::new();
-        for &miss in batch {
-            sink.begin(miss);
-            seen.clear();
-            let mut prefetch_insns = probe_insns;
-            let found = self.table.lookup(miss);
-            if let Some(ptr) = found {
-                let row = self
-                    .table
-                    .get(ptr)
-                    .expect("fresh pointer from lookup is valid");
-                for level in 0..row.levels() {
-                    for &succ in row.level(level) {
-                        if !seen.contains(&succ) {
-                            seen.push(succ);
-                            sink.prefetch(succ);
-                        }
-                        prefetch_insns += insn_cost::PER_PREFETCH;
-                    }
-                }
-            }
-            let mut learn_insns = insn_cost::LEARN_OVERHEAD;
-            for i in 0..self.pointers.len() {
-                let ptr = self.pointers[i];
-                if self.table.insert_mru(ptr, i, miss) {
-                    learn_insns += insn_cost::PER_INSERT;
-                }
-            }
-            let ptr = match found {
-                Some(ptr) => ptr,
-                None => {
-                    let (ptr, _) = self.table.find_or_alloc(miss);
-                    learn_insns += insn_cost::PER_ALLOC;
-                    ptr
-                }
-            };
-            self.pointers.push_front(ptr);
-            self.pointers.truncate(self.params.num_levels);
-            sink.end(prefetch_insns, learn_insns);
-        }
-    }
-
-    fn predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {
+    pub(super) fn repl_predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {
         let mut out = vec![Vec::new(); levels];
-        if let Some(row) = self.table.peek(miss) {
+        if let Some(row) = self.rows.peek(miss) {
             for (level, slot) in out.iter_mut().enumerate().take(row.levels()) {
                 *slot = row.level(level).to_vec();
             }
         }
         out
     }
-
-    fn remap_page(&mut self, old: PageAddr, new: PageAddr) {
-        self.table.remap_page(old, new);
-    }
-
-    fn table_size_bytes(&self) -> u64 {
-        self.table.size_bytes()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::UlmtAlgorithm;
+    use crate::table::TableParams;
+    use ulmt_simcore::PageAddr;
 
     fn line(n: u64) -> LineAddr {
         LineAddr::new(n)
@@ -460,30 +260,5 @@ mod tests {
         });
         assert!(l4.table_size_bytes() > l3.table_size_bytes());
         assert_eq!(l3.table_size_bytes(), 1024 * 28);
-    }
-
-    #[test]
-    fn batch_kernel_matches_per_miss_path() {
-        use crate::algorithm::CollectSink;
-
-        let seq: Vec<LineAddr> = [10u64, 20, 30, 10, 40, 30, 20, 10, 50, 40, 30, 20, 10]
-            .iter()
-            .map(|&n| line(n))
-            .collect();
-        let mut slow = small();
-        let mut expected = Vec::new();
-        let mut expected_insns = 0u64;
-        for &m in &seq {
-            let step = slow.process_miss(m);
-            expected.extend(step.prefetches.iter().copied());
-            expected_insns += step.total_insns();
-        }
-        let mut fast = small();
-        let mut sink = CollectSink::default();
-        fast.process_misses(&seq, &mut sink);
-        assert_eq!(sink.prefetches, expected);
-        assert_eq!(sink.total_insns(), expected_insns);
-        assert_eq!(fast.table_fingerprint(), slow.table_fingerprint());
-        assert_eq!(fast.table_stats(), slow.table_stats());
     }
 }

@@ -21,48 +21,7 @@ use std::hash::Hasher;
 
 use ulmt_simcore::{ConfigError, FxHasher};
 
-use super::TableParams;
-
-/// Which algorithm produced a snapshot. Restoring into a different
-/// algorithm is rejected: the row organizations are not interchangeable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotKind {
-    /// [`Base`](super::Base): one level of successors per row.
-    Base,
-    /// [`Chain`](super::Chain): one level of successors per row.
-    Chain,
-    /// [`Replicated`](super::Replicated): `NumLevels` levels per row.
-    Repl,
-}
-
-impl SnapshotKind {
-    /// Stable on-disk tag.
-    fn code(self) -> u8 {
-        match self {
-            SnapshotKind::Base => 0,
-            SnapshotKind::Chain => 1,
-            SnapshotKind::Repl => 2,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(SnapshotKind::Base),
-            1 => Some(SnapshotKind::Chain),
-            2 => Some(SnapshotKind::Repl),
-            _ => None,
-        }
-    }
-
-    /// Human-readable name (matches the algorithms' `name()`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SnapshotKind::Base => "base",
-            SnapshotKind::Chain => "chain",
-            SnapshotKind::Repl => "repl",
-        }
-    }
-}
+use super::{TableKind, TableParams};
 
 /// One live row: the miss tag plus its successor levels, each level in
 /// MRU-to-LRU order. Base and Chain always have exactly one level.
@@ -77,8 +36,9 @@ pub struct RowSnapshot {
 /// A complete, portable capture of a correlation table's learned state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSnapshot {
-    /// The producing algorithm.
-    pub kind: SnapshotKind,
+    /// The producing algorithm. Restoring into a different algorithm is
+    /// rejected: the row organizations are not interchangeable.
+    pub kind: TableKind,
     /// Geometry of the captured table.
     pub params: TableParams,
     /// Live rows in global LRU-to-MRU order (the canonical replay order).
@@ -109,12 +69,19 @@ pub enum SnapshotError {
     /// restoring it.
     KindMismatch {
         /// What the restoring algorithm is.
-        expected: SnapshotKind,
+        expected: TableKind,
         /// What the snapshot holds.
-        found: SnapshotKind,
+        found: TableKind,
     },
     /// The snapshot's table parameters are inconsistent.
     InvalidParams(ConfigError),
+    /// The snapshot's geometry differs from the table restoring it.
+    ParamsMismatch {
+        /// The restoring table's geometry.
+        expected: TableParams,
+        /// The snapshot's geometry.
+        found: TableParams,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -131,6 +98,10 @@ impl std::fmt::Display for SnapshotError {
                 expected.name()
             ),
             SnapshotError::InvalidParams(e) => write!(f, "invalid snapshot parameters: {e}"),
+            SnapshotError::ParamsMismatch { expected, found } => write!(
+                f,
+                "snapshot geometry {found:?} differs from the table's {expected:?}"
+            ),
         }
     }
 }
@@ -144,7 +115,7 @@ const VERSION: u16 = 2;
 
 impl TableSnapshot {
     /// Returns `Ok(())` if the snapshot was produced by `expected`.
-    pub fn expect_kind(&self, expected: SnapshotKind) -> Result<(), SnapshotError> {
+    pub fn expect_kind(&self, expected: TableKind) -> Result<(), SnapshotError> {
         if self.kind == expected {
             Ok(())
         } else {
@@ -233,7 +204,7 @@ impl TableSnapshot {
             return Err(SnapshotError::BadVersion(version));
         }
         let kind_code = r.u8()?;
-        let kind = SnapshotKind::from_code(kind_code).ok_or(SnapshotError::BadKind(kind_code))?;
+        let kind = TableKind::from_code(kind_code).ok_or(SnapshotError::BadKind(kind_code))?;
         let params = TableParams {
             num_rows: r.u32()? as usize,
             assoc: r.u32()? as usize,
@@ -242,7 +213,9 @@ impl TableSnapshot {
         };
         params.validate().map_err(SnapshotError::InvalidParams)?;
         let num_rows = r.u32()? as usize;
-        let mut rows = Vec::with_capacity(num_rows.min(params.num_rows));
+        // Each encoded row takes at least 9 bytes, so a lying row count
+        // cannot reserve more than the input could fill.
+        let mut rows = Vec::with_capacity(num_rows.min(r.remaining() / 9));
         for _ in 0..num_rows {
             let tag = r.u64()?;
             let num_levels = r.u8()? as usize;
@@ -279,6 +252,10 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
         if end > self.bytes.len() {
@@ -312,7 +289,7 @@ mod tests {
 
     fn sample() -> TableSnapshot {
         TableSnapshot {
-            kind: SnapshotKind::Repl,
+            kind: TableKind::Repl,
             params: TableParams::repl_default(64),
             rows: vec![
                 RowSnapshot {
@@ -379,6 +356,30 @@ mod tests {
     }
 
     #[test]
+    fn lying_row_count_is_a_typed_error() {
+        // A valid 2^31-row geometry whose header claims 2^32-1 rows but
+        // carries none: decoding must fail cleanly, not reserve for them.
+        let mut bytes = TableSnapshot {
+            params: TableParams {
+                num_rows: 1 << 31,
+                assoc: 1,
+                num_succ: 2,
+                num_levels: 3,
+            },
+            rows: Vec::new(),
+            learn_ctx: Vec::new(),
+            ..sample()
+        }
+        .to_bytes();
+        let count = MAGIC.len() + 2 + 1 + 4 * 4;
+        bytes[count..count + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            TableSnapshot::from_bytes(&bytes),
+            Err(SnapshotError::Truncated)
+        );
+    }
+
+    #[test]
     fn learning_context_rides_the_encoding_and_fingerprint() {
         let snap = sample();
         let decoded = TableSnapshot::from_bytes(&snap.to_bytes()).unwrap();
@@ -401,7 +402,7 @@ mod tests {
     #[test]
     fn kind_mismatch_reports_both_sides() {
         let snap = sample();
-        let e = snap.expect_kind(SnapshotKind::Base).unwrap_err();
+        let e = snap.expect_kind(TableKind::Base).unwrap_err();
         assert_eq!(
             e.to_string(),
             "snapshot holds a repl table, cannot restore into base"

@@ -15,8 +15,9 @@
 //! The arena is purely a host-performance change: every operation
 //! performs the same logical state transitions (and the same
 //! [`TableStats`] counts, LRU stamp sequence and snapshot bytes) as the
-//! historical one-`Vec`-per-row layout, which survives as
-//! [`reference`](super::reference) for differential testing.
+//! historical one-`Vec`-per-row layout, which survives as a
+//! differential-testing oracle in the crate's integration tests
+//! (`tests/support/reference.rs`).
 
 use ulmt_simcore::{Addr, LineAddr, PageAddr};
 
@@ -29,8 +30,8 @@ use super::TableParams;
 ///
 /// This owned list is the *semantic specification* of a successor level:
 /// [`RowTable`] stores the same lists inline in its flat arena (see the
-/// module docs) and the [`reference`](super::reference) tables store one
-/// `MruList` per level per row, exactly as the pre-arena layout did.
+/// module docs) and the test-only reference tables store one `MruList`
+/// per level per row, exactly as the pre-arena layout did.
 ///
 /// # Example
 ///
@@ -243,17 +244,20 @@ pub struct RowRef<'a> {
 
 impl<'a> RowRef<'a> {
     /// Number of stored successor levels.
+    #[inline]
     pub fn levels(&self) -> usize {
         self.lens.len()
     }
 
     /// Level `level`'s successors in MRU-to-LRU order.
+    #[inline]
     pub fn level(&self, level: usize) -> &'a [LineAddr] {
         let start = level * self.num_succ;
         &self.region[start..start + self.lens[level] as usize]
     }
 
     /// The MRU successor of `level`, if any.
+    #[inline]
     pub fn mru(&self, level: usize) -> Option<LineAddr> {
         self.level(level).first().copied()
     }
@@ -337,11 +341,13 @@ impl RowTable {
     }
 
     /// Associativity.
+    #[inline]
     pub fn assoc(&self) -> usize {
         self.assoc
     }
 
     /// Successor levels stored per row.
+    #[inline]
     pub fn levels(&self) -> usize {
         self.levels
     }
@@ -362,18 +368,21 @@ impl RowTable {
     }
 
     /// Memory address of the row behind `ptr`.
+    #[inline]
     pub fn row_addr(&self, ptr: RowPtr) -> Addr {
         self.base_addr
             .offset((ptr.slot as u64 * self.row_bytes) as i64)
     }
 
     /// Bytes per row.
+    #[inline]
     pub fn row_bytes(&self) -> u64 {
         self.row_bytes
     }
 
     /// Memory addresses of every way in `line`'s set, in probe order (the
     /// associative search touches each tag).
+    #[inline]
     pub fn probe_addrs(&self, line: LineAddr) -> impl Iterator<Item = Addr> + '_ {
         let start = self.set_of(line) * self.assoc;
         let row_bytes = self.row_bytes;
@@ -414,6 +423,7 @@ impl RowTable {
     /// struct-of-arrays layout that is a single cache line for any
     /// realistic associativity, where the old array-of-structs layout
     /// striped the tags across whole rows.
+    #[inline]
     pub fn lookup(&mut self, line: LineAddr) -> Option<RowPtr> {
         self.stats.lookups += 1;
         self.lru_clock += 1;
@@ -460,6 +470,7 @@ impl RowTable {
 
     /// Finds the row for `line`, allocating (and possibly replacing the
     /// set's LRU row) if absent.
+    #[inline]
     pub fn find_or_alloc(&mut self, line: LineAddr) -> (RowPtr, AllocKind) {
         if let Some(ptr) = self.lookup(line) {
             return (ptr, AllocKind::Existing);
@@ -501,6 +512,7 @@ impl RowTable {
     }
 
     /// Dereferences `ptr` if it is still valid (same generation).
+    #[inline]
     pub fn get(&self, ptr: RowPtr) -> Option<RowRef<'_>> {
         self.ptr_live(ptr).then(|| self.row_ref(ptr.slot))
     }
@@ -510,6 +522,7 @@ impl RowTable {
     ///
     /// This replaces the old `get_mut(ptr)` + `MruList::insert_mru` pair:
     /// the rotation happens directly on the row's inline arena slice.
+    #[inline]
     pub fn insert_mru(&mut self, ptr: RowPtr, level: usize, x: LineAddr) -> bool {
         if !self.ptr_live(ptr) {
             return false;

@@ -1,5 +1,5 @@
 //! Differential property tests: the flat-arena table layout against the
-//! preserved pre-arena reference layout (`ulmt_core::table::reference`).
+//! preserved pre-arena reference layout (`support::reference`).
 //!
 //! Seeded random miss streams — interleaved with `remap_page` and
 //! `resize` operations — are replayed through both implementations of
@@ -10,8 +10,10 @@
 //! fingerprints. This is the proof obligation of the arena rewrite: a
 //! pure layout change with zero observable drift.
 
+mod support;
+
+use support::reference::{RefBase, RefChain, RefReplicated};
 use ulmt_core::algorithm::{CollectSink, UlmtAlgorithm};
-use ulmt_core::table::reference::{RefBase, RefChain, RefReplicated};
 use ulmt_core::table::{Base, Chain, Replicated, TableParams, TableSnapshot};
 use ulmt_simcore::{LineAddr, PageAddr, Pcg32};
 
@@ -161,6 +163,22 @@ fn chain_matches_reference_with_remap() {
             false,
             |_, _| unreachable!("chain schedule has no resize"),
             |_, _| unreachable!("chain schedule has no resize"),
+            |a| a.snapshot(),
+            |r| r.snapshot(),
+        );
+    }
+}
+
+#[test]
+fn chain_matches_reference_with_remap_and_resize() {
+    for seed in [4u64, 12, 98] {
+        assert_differential(
+            Chain::new(params(3, 2)),
+            RefChain::new(params(3, 2)),
+            seed,
+            true,
+            |a, rows| a.resize(rows),
+            |r, rows| r.resize(rows),
             |a| a.snapshot(),
             |r| r.snapshot(),
         );

@@ -1,39 +1,12 @@
 //! Service and tenant configuration.
 
-use ulmt_core::table::{SnapshotKind, TableParams};
+use ulmt_core::table::TableParams;
 use ulmt_simcore::{ConfigError, Cycle, ServiceFaultConfig, TraceConfig};
 
-/// Which correlation algorithm a tenant runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableKind {
-    /// The conventional one-level table ([`ulmt_core::table::Base`]).
-    Base,
-    /// Multi-level walking of the conventional table
-    /// ([`ulmt_core::table::Chain`]).
-    Chain,
-    /// The paper's Replicated table ([`ulmt_core::table::Replicated`]).
-    Repl,
-}
-
-impl TableKind {
-    /// The snapshot tag this kind produces and restores.
-    pub fn snapshot_kind(self) -> SnapshotKind {
-        match self {
-            TableKind::Base => SnapshotKind::Base,
-            TableKind::Chain => SnapshotKind::Chain,
-            TableKind::Repl => SnapshotKind::Repl,
-        }
-    }
-
-    /// Human-readable name (matches the algorithms' `name()`).
-    pub fn name(self) -> &'static str {
-        match self {
-            TableKind::Base => "base",
-            TableKind::Chain => "chain",
-            TableKind::Repl => "repl",
-        }
-    }
-}
+/// Which correlation algorithm a tenant runs: core's
+/// [`ulmt_core::table::TableKind`], whose codes the wire protocol and
+/// the snapshot format share.
+pub use ulmt_core::table::TableKind;
 
 /// A per-tenant token-bucket admission quota, enforced by the tenant's
 /// [`Session`](crate::Session) *before* a batch reaches its queue.
@@ -165,16 +138,10 @@ impl TenantSpec {
     }
 
     /// Validates the spec: the geometry must be consistent and match the
-    /// algorithm (Base stores exactly one level), and the fairness knobs
-    /// must be positive.
+    /// algorithm ([`TableKind::validate`]), and the fairness knobs must be
+    /// positive.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.params.validate()?;
-        if self.kind == TableKind::Base && self.params.num_levels != 1 {
-            return Err(ConfigError::new(
-                "tenant",
-                "Base stores exactly one level of successors",
-            ));
-        }
+        self.kind.validate(&self.params)?;
         if self.weight == 0 {
             return Err(ConfigError::new(
                 "tenant",
@@ -549,7 +516,6 @@ mod tests {
             TenantSpec::repl(1024),
         ] {
             spec.checked();
-            assert_eq!(spec.kind.name(), spec.kind.snapshot_kind().name());
         }
     }
 

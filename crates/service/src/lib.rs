@@ -189,6 +189,67 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_other_geometry_and_keeps_serving() {
+        use ulmt_core::table::SnapshotError;
+
+        let service = PrefetchService::start(cfg(1));
+        let mut big = service.open(1, TenantSpec::repl(512)).unwrap();
+        big.submit(stream(1, 300)).unwrap().wait().unwrap();
+        let snap = big.snapshot().unwrap();
+        let mut small = service.open(2, TenantSpec::repl(256)).unwrap();
+        small.submit(stream(2, 100)).unwrap().wait().unwrap();
+        let before = small.fingerprint().unwrap();
+        match small.restore(snap) {
+            Err(ServiceError::Snapshot(SnapshotError::ParamsMismatch { expected, found })) => {
+                assert_eq!(expected.num_rows, 256);
+                assert_eq!(found.num_rows, 512);
+            }
+            other => panic!("expected a snapshot geometry mismatch, got {other:?}"),
+        }
+        assert_eq!(small.fingerprint().unwrap(), before);
+        // The shard still serves the tenant.
+        let reply = small.submit(stream(2, 100)).unwrap().wait().unwrap();
+        assert_eq!(reply.observed, 100);
+        service.shutdown();
+    }
+
+    #[test]
+    fn open_rejects_levels_or_successors_beyond_a_byte() {
+        let service = PrefetchService::start(cfg(1));
+        for (tenant, params) in [
+            (
+                1,
+                TableParams {
+                    num_succ: 256,
+                    ..TableParams::repl_default(64)
+                },
+            ),
+            (
+                2,
+                TableParams {
+                    num_levels: 256,
+                    ..TableParams::repl_default(64)
+                },
+            ),
+        ] {
+            match service.open(
+                tenant,
+                TenantSpec {
+                    params,
+                    ..TenantSpec::repl(64)
+                },
+            ) {
+                Err(ServiceError::InvalidSpec(e)) => assert!(e.reason().contains("255")),
+                other => panic!("expected InvalidSpec, got {other:?}"),
+            }
+        }
+        // The shard is still up.
+        let mut session = service.open(3, TenantSpec::repl(64)).unwrap();
+        session.submit(stream(3, 10)).unwrap().wait().unwrap();
+        service.shutdown();
+    }
+
+    #[test]
     fn backpressure_full_queue_hands_batch_back_and_counts_exactly() {
         let service = PrefetchService::start(ServiceConfig {
             shards: 1,

@@ -383,11 +383,7 @@ pub(crate) fn encode_hello(out: &mut Vec<u8>, tenant: u32, spec: &TenantSpec) {
     put_u32(out, MAGIC);
     put_u16(out, WIRE_VERSION);
     put_u32(out, tenant);
-    out.push(match spec.kind {
-        TableKind::Base => 0,
-        TableKind::Chain => 1,
-        TableKind::Repl => 2,
-    });
+    out.push(spec.kind.code());
     put_u64(out, spec.params.num_rows as u64);
     put_u32(out, spec.params.assoc as u32);
     put_u32(out, spec.params.num_succ as u32);
@@ -416,16 +412,9 @@ pub(crate) fn decode_hello(bytes: &[u8]) -> Result<(u32, TenantSpec), WireError>
         });
     }
     let tenant = p.u32()?;
-    let kind = match p.u8()? {
-        0 => TableKind::Base,
-        1 => TableKind::Chain,
-        2 => TableKind::Repl,
-        _ => {
-            return Err(WireError::BadPayload {
-                context: "unknown table kind",
-            })
-        }
-    };
+    let kind = TableKind::from_code(p.u8()?).ok_or(WireError::BadPayload {
+        context: "unknown table kind",
+    })?;
     let params = TableParams {
         num_rows: p.u64()? as usize,
         assoc: p.u32()? as usize,
@@ -603,10 +592,16 @@ pub(crate) fn encode_error(out: &mut Vec<u8>, e: &ServiceError) {
 /// Decodes an `Err` payload back into a [`ServiceError`].
 pub(crate) fn decode_error(bytes: &[u8]) -> Result<ServiceError, WireError> {
     let mut p = Payload::new(bytes, "Err");
+    let e = take_error(&mut p)?;
+    p.finish()?;
+    Ok(e)
+}
+
+/// Reads the fields [`encode_error`] writes.
+fn take_error(p: &mut Payload<'_>) -> Result<ServiceError, WireError> {
     let code = p.u8()?;
     let detail = p.u32()?;
     let message = p.string()?;
-    p.finish()?;
     Ok(match code {
         0 => ServiceError::Closed,
         1 => ServiceError::ShuttingDown,
@@ -663,19 +658,7 @@ pub(crate) fn decode_batch_reply(bytes: &[u8]) -> Result<BatchWire<'_>, WireErro
     let observed = p.u64()?;
     let flags = p.u8()?;
     let error = if flags & 4 != 0 {
-        let code = p.u8()?;
-        let detail = p.u32()?;
-        let message = p.string()?;
-        Some(match code {
-            0 => ServiceError::Closed,
-            1 => ServiceError::ShuttingDown,
-            2 => ServiceError::ShardDown(detail),
-            3 => ServiceError::Timeout,
-            4 => ServiceError::TenantExists(detail),
-            5 => ServiceError::UnknownTenant(detail),
-            6 => ServiceError::Busy,
-            _ => ServiceError::Remote(message),
-        })
+        Some(take_error(&mut p)?)
     } else {
         None
     };

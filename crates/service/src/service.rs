@@ -712,7 +712,9 @@ impl Session {
     }
 
     /// Replaces the tenant's table with a previously captured snapshot
-    /// (warm start). The snapshot must come from the same algorithm.
+    /// (warm start). The snapshot must come from the same algorithm and
+    /// the same geometry as the tenant's registered spec; anything else is
+    /// a typed [`SnapshotError`] and leaves the table untouched.
     pub fn restore(&mut self, snap: TableSnapshot) -> Result<(), ServiceError> {
         let (reply, rx) = channel();
         let tenant = self.tenant;

@@ -40,13 +40,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ulmt_core::algorithm::{StepSink, UlmtAlgorithm};
-use ulmt_core::table::{Base, Chain, Replicated, SnapshotError, SnapshotKind, TableSnapshot};
+use ulmt_core::table::{CorrelationTable, SnapshotError, TableSnapshot};
 use ulmt_simcore::{
     CancelToken, Cycle, FxHashMap, LineAddr, Server, ServiceFault, ServiceFaultPlan, TraceBuffer,
     TraceEvent,
 };
 
-use crate::config::{ServiceConfig, TableKind, TenantSpec};
+use crate::config::{ServiceConfig, TenantSpec};
 use crate::ingress::{Ingress, IngressBatch};
 use crate::journal::{JournalCoverage, ObservationJournal};
 use crate::metrics::{MetricsRegistry, ShardMetrics};
@@ -54,87 +54,6 @@ use crate::service::{BatchReply, ServiceError, ShardStats, TenantStats};
 use crate::supervisor::{
     lock, RecoveryReport, ShardCheckpoint, ShardSlot, ShardState, TenantCheckpoint,
 };
-
-/// A tenant's concrete table. The [`UlmtAlgorithm`] trait is not
-/// object-safe across threads (tables are plain data, the trait is not
-/// `Send`-bounded), so the shard holds this closed enum instead.
-enum TenantTable {
-    Base(Base),
-    Chain(Chain),
-    Repl(Replicated),
-}
-
-impl TenantTable {
-    fn new(spec: &TenantSpec) -> Self {
-        match spec.kind {
-            TableKind::Base => TenantTable::Base(Base::new(spec.params)),
-            TableKind::Chain => TenantTable::Chain(Chain::new(spec.params)),
-            TableKind::Repl => TenantTable::Repl(Replicated::new(spec.params)),
-        }
-    }
-
-    fn kind(&self) -> SnapshotKind {
-        match self {
-            TenantTable::Base(_) => SnapshotKind::Base,
-            TenantTable::Chain(_) => SnapshotKind::Chain,
-            TenantTable::Repl(_) => SnapshotKind::Repl,
-        }
-    }
-
-    /// Restores `snap` into a table of the *same* algorithm as `self`
-    /// — the tenant's registered kind, not whatever the snapshot says.
-    fn restored(&self, snap: &TableSnapshot) -> Result<Self, SnapshotError> {
-        snap.expect_kind(self.kind())?;
-        match self {
-            TenantTable::Base(_) => Base::from_snapshot(snap).map(TenantTable::Base),
-            TenantTable::Chain(_) => Chain::from_snapshot(snap).map(TenantTable::Chain),
-            TenantTable::Repl(_) => Replicated::from_snapshot(snap).map(TenantTable::Repl),
-        }
-    }
-
-    /// Runs the whole batch through the algorithm's zero-alloc batch
-    /// kernel ([`UlmtAlgorithm::process_misses`]); per-step effects are
-    /// delivered through `sink` instead of allocated `StepResult`s.
-    fn process_misses(&mut self, batch: &[LineAddr], sink: &mut dyn StepSink) {
-        match self {
-            TenantTable::Base(t) => t.process_misses(batch, sink),
-            TenantTable::Chain(t) => t.process_misses(batch, sink),
-            TenantTable::Repl(t) => t.process_misses(batch, sink),
-        }
-    }
-
-    fn snapshot(&self) -> TableSnapshot {
-        match self {
-            TenantTable::Base(t) => t.snapshot(),
-            TenantTable::Chain(t) => t.snapshot(),
-            TenantTable::Repl(t) => t.snapshot(),
-        }
-    }
-
-    fn fingerprint(&self) -> u64 {
-        match self {
-            TenantTable::Base(t) => t.table_fingerprint(),
-            TenantTable::Chain(t) => t.table_fingerprint(),
-            TenantTable::Repl(t) => t.table_fingerprint(),
-        }
-    }
-
-    fn occupancy(&self) -> usize {
-        match self {
-            TenantTable::Base(t) => t.occupancy(),
-            TenantTable::Chain(t) => t.occupancy(),
-            TenantTable::Repl(t) => t.occupancy(),
-        }
-    }
-
-    fn size_bytes(&self) -> u64 {
-        match self {
-            TenantTable::Base(t) => t.table_size_bytes(),
-            TenantTable::Chain(t) => t.table_size_bytes(),
-            TenantTable::Repl(t) => t.table_size_bytes(),
-        }
-    }
-}
 
 /// Receives the per-step effects of one batch straight from the table's
 /// batch kernel. The cadence is exactly the old per-miss loop: advance
@@ -165,16 +84,17 @@ impl StepSink for IngestSink<'_> {
     }
 }
 
-/// One tenant's state on its shard.
+/// One tenant's state on its shard: its table runs the algorithm the
+/// tenant registered, picked at run time.
 struct TenantState {
-    table: TenantTable,
+    table: CorrelationTable,
     stats: TenantStats,
 }
 
 impl TenantState {
-    fn new(tenant: u32, table: TenantTable) -> Self {
+    fn new(tenant: u32, spec: &TenantSpec) -> Self {
         TenantState {
-            table,
+            table: CorrelationTable::with_kind(spec.kind, spec.params),
             stats: TenantStats {
                 tenant,
                 ..TenantStats::default()
@@ -327,7 +247,7 @@ pub(crate) fn rebuild_shard(
     for &(tenant, ref spec) in specs {
         tenants
             .entry(tenant)
-            .or_insert_with(|| TenantState::new(tenant, TenantTable::new(spec)));
+            .or_insert_with(|| TenantState::new(tenant, spec));
     }
     let mut stats = ShardStats {
         shard,
@@ -344,7 +264,7 @@ pub(crate) fn rebuild_shard(
         server = Server::from_state(cp.server);
         for tc in &cp.tenants {
             if let Some(state) = tenants.get_mut(&tc.tenant) {
-                state.table = state.table.restored(&tc.snap)?;
+                state.table.restore(&tc.snap)?;
                 state.stats = tc.stats;
             }
             checkpoint_bytes += tc.snap.approx_bytes();
@@ -625,7 +545,7 @@ impl WorkerLoop<'_> {
                     Entry::Occupied(_) => Err(ServiceError::TenantExists(tenant)),
                     Entry::Vacant(vacant) => match spec.validate() {
                         Ok(()) => {
-                            vacant.insert(TenantState::new(tenant, TenantTable::new(&spec)));
+                            vacant.insert(TenantState::new(tenant, &spec));
                             // Queue registered before the ack, so an
                             // acked open can immediately submit.
                             self.ingress.register(tenant, spec.weight, spec.queue_depth);
@@ -663,13 +583,7 @@ impl WorkerLoop<'_> {
                 }
                 let result = match self.st.tenants.get_mut(&tenant) {
                     None => Err(ServiceError::UnknownTenant(tenant)),
-                    Some(state) => match state.table.restored(&snap) {
-                        Ok(table) => {
-                            state.table = table;
-                            Ok(())
-                        }
-                        Err(e) => Err(ServiceError::Snapshot(e)),
-                    },
+                    Some(state) => state.table.restore(&snap).map_err(ServiceError::Snapshot),
                 };
                 let restored = result.is_ok();
                 let _ = reply.send(result);
@@ -693,7 +607,7 @@ impl WorkerLoop<'_> {
                     .st
                     .tenants
                     .get(&tenant)
-                    .map(|s| s.table.fingerprint())
+                    .map(|s| s.table.table_fingerprint())
                     .ok_or(ServiceError::UnknownTenant(tenant));
                 let _ = reply.send(result);
             }
@@ -712,7 +626,7 @@ impl WorkerLoop<'_> {
                     .map(|s| {
                         let mut stats = s.stats;
                         stats.live_rows = s.table.occupancy() as u64;
-                        stats.table_bytes = s.table.size_bytes();
+                        stats.table_bytes = s.table.table_size_bytes();
                         stats
                     })
                     .ok_or(ServiceError::UnknownTenant(tenant));

@@ -322,6 +322,32 @@ fn snapshot_restore_and_remote_errors_are_typed() {
 }
 
 #[test]
+fn restore_of_other_geometry_is_rejected_over_the_wire() {
+    let server = server(1);
+    let mut big = NetClient::connect(server.local_addr(), 1, TenantSpec::repl(512)).unwrap();
+    big.submit(stream(1, 300)).unwrap();
+    while big.pending() > 0 {
+        big.reap().unwrap();
+    }
+    let snap = big.snapshot().unwrap();
+    let mut small = NetClient::connect(server.local_addr(), 2, TenantSpec::repl(256)).unwrap();
+    small.submit(stream(2, 100)).unwrap();
+    small.reap().unwrap();
+    let before = small.fingerprint().unwrap();
+    match small.restore(&snap) {
+        Err(ServiceError::Remote(msg)) => assert!(msg.contains("geometry"), "got {msg:?}"),
+        other => panic!("expected a remote snapshot error, got {other:?}"),
+    }
+    assert_eq!(small.fingerprint().unwrap(), before);
+    // The shard still serves the tenant.
+    small.submit(stream(2, 100)).unwrap();
+    assert_eq!(small.reap().unwrap().observed, 100);
+    big.goodbye();
+    small.goodbye();
+    server.shutdown();
+}
+
+#[test]
 fn bad_magic_is_rejected_before_any_state_is_touched() {
     let server = server(1);
     let mut peer = RawPeer::connect(&server);

@@ -8,7 +8,9 @@
 #   2. cargo clippy -D warnings  (skipped with a notice if clippy is not
 #                                 installed in this toolchain)
 #   3. cargo build --release  -- the tier-1 build
-#   4. cargo test -q          -- the tier-1 test suite
+#   4. cargo test -q          -- the tier-1 test suite; the root manifest's
+#                                `default-members` make it cover every
+#                                workspace crate, not just the facade
 #   5. cargo test --doc       -- every doc example compiles and runs
 #   6. trace validation       -- a traced fixed-seed faulted run whose
 #                                counters must re-derive bit-exactly from
@@ -46,12 +48,13 @@
 #                                (on both transports), and that the
 #                                enabled `--net` leg held >= 98% of the
 #                                disabled leg's throughput
-#   9. tables microbench smoke -- the flat-arena table layout against the
-#                                preserved reference layout on a tiny
-#                                profile: table fingerprints must be
-#                                bit-identical and every snapshot must
-#                                survive the byte-codec round trip (the
-#                                bin exits 1 on any mismatch)
+#   9. per-miss vs batch identity -- the `tables` microbench on a tiny
+#                                profile drives each table's step kernel
+#                                per miss and in batches: prefetches,
+#                                instruction counts and table fingerprints
+#                                must be bit-identical and every snapshot
+#                                must survive the byte-codec round trip
+#                                (the bin exits 1 on any mismatch)
 #  10. deprecation audit      -- the one-cycle deprecation window is
 #                                closed: no `#[deprecated]` item remains
 #                                anywhere in the tree, and nothing still
@@ -150,7 +153,7 @@ cargo test -q -p ulmt-service --lib \
     metrics::tests::exposition_is_parseable_name_value_lines >/dev/null \
     || { echo "metrics gate: exposition output failed to parse"; exit 1; }
 
-echo "== tables microbench smoke (arena vs reference identity, tiny profile)"
+echo "== per-miss vs batch identity (tables microbench, tiny profile)"
 ULMT_TABLE_MISSES=20000 ULMT_TABLE_ROWS=512 ULMT_REPEAT=1 \
     BENCH_OUT=target/BENCH_tables_smoke.json \
     cargo run -q --release -p ulmt-bench --bin tables
