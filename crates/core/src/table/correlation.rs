@@ -472,6 +472,7 @@ impl<K: Kind> UlmtAlgorithm for CorrelationTable<K> {
 mod tests {
     use super::*;
     use crate::table::{Base, Chain, Replicated};
+    use ulmt_simcore::Pcg32;
 
     fn line(n: u64) -> LineAddr {
         LineAddr::new(n)
@@ -508,42 +509,77 @@ mod tests {
         }
     }
 
+    /// A seeded random walk over a hot pool of lines (hits, MRU churn)
+    /// mixed with cold lines (allocations, set conflicts, evictions).
+    fn seeded_stream(seed: u64, len: usize, lines: u64) -> Vec<LineAddr> {
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let pool: Vec<u64> = (0..64).map(|_| rng.gen_range_u64(0..lines)).collect();
+        let mut cursor = 0usize;
+        (0..len)
+            .map(|_| {
+                if rng.gen_bool(0.75) {
+                    cursor = (cursor + rng.gen_range_usize(1..4)) % pool.len();
+                    line(pool[cursor])
+                } else {
+                    line(rng.gen_range_u64(0..lines))
+                }
+            })
+            .collect()
+    }
+
     /// Drives one table through `process_miss` and a twin through
     /// `process_misses` (with a resize halfway), then compares every
     /// step's prefetches and phase instruction counts, the table stats
-    /// and the fingerprint.
-    fn assert_paths_agree<K: Kind>(mut slow: CorrelationTable<K>, label: &str) {
-        let mut fast = slow.clone();
-        let seq: Vec<LineAddr> = [1u64, 2, 3, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 2, 3, 514, 2, 258]
+    /// and the fingerprint. After each half the stats must agree and
+    /// both tables' snapshots must survive the byte codec with their
+    /// fingerprints. Runs a short hand-written stream and a seeded one
+    /// long enough to evict.
+    fn assert_paths_agree<K: Kind>(table: CorrelationTable<K>, label: &str) {
+        let short: Vec<LineAddr> = [1u64, 2, 3, 1, 4, 3, 2, 1, 5, 4, 3, 2, 1, 2, 3, 514, 2, 258]
             .iter()
             .map(|&n| line(n))
             .collect();
-        let mut expected = Vec::new();
-        let mut log = StepLog::default();
-        for (half, rows) in [(&seq[..9], 64), (&seq[9..], 128)] {
-            for &m in half {
-                let step = slow.process_miss(m);
-                expected.push((
-                    step.prefetches,
-                    step.prefetch_cost.insns,
-                    step.learn_cost.insns,
-                ));
+        let long = seeded_stream(0x7AB1E5, 4000, 2048);
+        for (seq, must_evict) in [(short, false), (long, true)] {
+            let mut slow = table.clone();
+            let mut fast = table.clone();
+            let mut expected = Vec::new();
+            let mut log = StepLog::default();
+            let mut replacements = 0;
+            let (first, second) = seq.split_at(seq.len() / 2);
+            for (half, rows) in [(first, 64), (second, 128)] {
+                for &m in half {
+                    let step = slow.process_miss(m);
+                    expected.push((
+                        step.prefetches,
+                        step.prefetch_cost.insns,
+                        step.learn_cost.insns,
+                    ));
+                }
+                fast.process_misses(half, &mut log);
+                assert_eq!(fast.table_stats(), slow.table_stats(), "{label}: stats");
+                replacements += slow.table_stats().replacements;
+                for t in [&slow, &fast] {
+                    let bytes = t.snapshot().to_bytes();
+                    let back = TableSnapshot::from_bytes(&bytes).expect("codec round trip");
+                    assert_eq!(back.fingerprint(), t.table_fingerprint(), "{label}: codec");
+                }
+                slow.resize(rows);
+                fast.resize(rows);
             }
-            fast.process_misses(half, &mut log);
-            slow.resize(rows);
-            fast.resize(rows);
+            let len = seq.len();
+            assert_eq!(log.steps, expected, "{label}/{len}: per-step outputs");
+            assert!(
+                expected.iter().any(|(p, _, _)| !p.is_empty()),
+                "{label}/{len}: stream must exercise prefetching"
+            );
+            assert_eq!(
+                fast.table_fingerprint(),
+                slow.table_fingerprint(),
+                "{label}/{len}"
+            );
+            assert!(!must_evict || replacements > 0, "{label}/{len}: must evict");
         }
-        assert_eq!(log.steps, expected, "{label}: per-step outputs");
-        assert!(
-            expected.iter().any(|(p, _, _)| !p.is_empty()),
-            "{label}: stream must exercise prefetching"
-        );
-        assert_eq!(fast.table_stats(), slow.table_stats(), "{label}: stats");
-        assert_eq!(
-            fast.table_fingerprint(),
-            slow.table_fingerprint(),
-            "{label}"
-        );
     }
 
     #[test]

@@ -80,6 +80,17 @@ impl TableKind {
     }
 }
 
+/// Largest row arena, in host bytes, a table may need: 1 GiB.
+///
+/// Allocation failure aborts the process, so a geometry no machine can
+/// hold has to be refused while it is still a value — above all one a
+/// remote client names in its `Hello`. The bound is fixed, not an
+/// option, and sits far above every geometry the reproduction uses: the
+/// paper's largest tables (256K Replicated rows, Table 2) need about
+/// 18 MB and the Table 2 `NumRows` derivation stops at 4M
+/// one-successor rows, about 140 MB.
+pub const MAX_ARENA_BYTES: usize = 1 << 30;
+
 /// Parameters of a correlation table and its algorithm (Table 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableParams {
@@ -151,7 +162,7 @@ impl TableParams {
     /// `num_levels` above 255 (the arena and the snapshot format store
     /// level lengths in a byte), `num_rows` not divisible by `assoc`, or
     /// a set count that is not a power of two (required by the trivial
-    /// low-bits hash).
+    /// low-bits hash), or a row arena above [`MAX_ARENA_BYTES`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         let err = |reason: &str| Err(ConfigError::new("table", reason));
         if self.num_rows == 0 || self.assoc == 0 {
@@ -169,7 +180,31 @@ impl TableParams {
         if !self.num_sets().is_power_of_two() {
             return err("set count must be a power of two");
         }
+        if self
+            .arena_bytes()
+            .is_none_or(|bytes| bytes > MAX_ARENA_BYTES)
+        {
+            return err("row arena exceeds MAX_ARENA_BYTES (1 GiB)");
+        }
         Ok(())
+    }
+
+    /// Host bytes of the row arena when every row stores `num_levels`
+    /// successor levels (the Replicated layout, the largest of the
+    /// three): per row a tag, valid flag, generation and LRU stamp, and
+    /// per level one length byte plus `num_succ` successors. `None` if
+    /// the size overflows `usize`.
+    fn arena_bytes(&self) -> Option<usize> {
+        const ROW_META: usize = 3 * size_of::<u64>() + size_of::<bool>();
+        let per_level = self
+            .num_succ
+            .checked_mul(size_of::<u64>())?
+            .checked_add(1)?;
+        let per_row = self
+            .num_levels
+            .checked_mul(per_level)?
+            .checked_add(ROW_META)?;
+        self.num_rows.checked_mul(per_row)
     }
 
     /// Infallible assertion form of [`TableParams::validate`], used by the
@@ -246,6 +281,34 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(e.reason().contains("power of two"));
+    }
+
+    #[test]
+    fn validate_rejects_arenas_no_host_can_allocate() {
+        // Every field in range, but 2^40 rows of 255 x 255 successors
+        // is ~5.7e17 bytes; past ~2^48 rows the product wraps `usize`.
+        for num_rows in [1 << 40, 1 << 50, 1 << 62] {
+            let huge = TableParams {
+                num_rows,
+                assoc: 1,
+                num_succ: 255,
+                num_levels: 255,
+            };
+            assert!(huge.validate().unwrap_err().reason().contains("arena"));
+            assert!(TableKind::Repl.validate(&huge).is_err());
+        }
+        // Just past the bound with one successor per row: 2^26 rows of
+        // 34 bytes is over 1 GiB; 2^24 rows is well under it.
+        let rows = |num_rows| TableParams {
+            num_rows,
+            assoc: 1,
+            num_succ: 1,
+            num_levels: 1,
+        };
+        assert!(rows(1 << 26).validate().is_err());
+        assert!(rows(1 << 24).validate().is_ok());
+        // The paper's largest table stays far inside it.
+        assert!(TableParams::repl_default(256 * 1024).validate().is_ok());
     }
 
     #[test]

@@ -357,11 +357,11 @@ mod tests {
 
     #[test]
     fn lying_row_count_is_a_typed_error() {
-        // A valid 2^31-row geometry whose header claims 2^32-1 rows but
+        // A valid 2^20-row geometry whose header claims 2^32-1 rows but
         // carries none: decoding must fail cleanly, not reserve for them.
         let mut bytes = TableSnapshot {
             params: TableParams {
-                num_rows: 1 << 31,
+                num_rows: 1 << 20,
                 assoc: 1,
                 num_succ: 2,
                 num_levels: 3,

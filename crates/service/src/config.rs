@@ -49,21 +49,6 @@ impl AdmissionQuota {
     }
 }
 
-/// How a shard worker picks the next batch across its tenants' queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerPolicy {
-    /// Global arrival order, regardless of tenant — the behavior of the
-    /// pre-fairness shared queue, kept as the baseline the starvation
-    /// bench and the CI fingerprint-identity gate compare against.
-    Fifo,
-    /// Weighted deficit round-robin across tenants (see
-    /// [`crate::ingress`]): backlogged tenants get throughput
-    /// proportional to their [`TenantSpec::weight`], and a hot tenant
-    /// can no longer head-of-line block its neighbors.
-    #[default]
-    Drr,
-}
-
 /// Per-tenant table choice (which algorithm, what geometry) plus the
 /// tenant's fairness knobs (scheduling weight, queue depth, admission
 /// quota).
@@ -268,8 +253,6 @@ pub struct ServiceConfig {
     /// return [`TrySubmit::Full`](crate::TrySubmit::Full) for that
     /// tenant only — neighbors on the shard are unaffected.
     pub queue_depth: usize,
-    /// How the shard worker schedules across its tenants' queues.
-    pub scheduler: SchedulerPolicy,
     /// Deficit-round-robin quantum, in observations: the service credit
     /// a weight-1 tenant replenishes per scheduler rotation. Larger
     /// quanta approach per-tenant batching (fewer switches); smaller
@@ -291,7 +274,7 @@ pub struct ServiceConfig {
     /// Supervision, checkpointing and degraded-mode policy.
     pub supervision: SupervisionConfig,
     /// Deterministic service-level chaos injection (kill / wedge / slow
-    /// faults), for tests and the chaos bench leg. `None` in production.
+    /// faults), for tests. `None` in production.
     pub fault: Option<ServiceFaultConfig>,
     /// The always-on metrics plane (see [`crate::MetricsReport`]):
     /// per-shard counters and log2 histograms for batch size,
@@ -308,7 +291,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             shards: 2,
             queue_depth: 64,
-            scheduler: SchedulerPolicy::Drr,
             quantum_obs: 256,
             seed: 0x5EED,
             obs_cycles: 8,
@@ -560,6 +542,5 @@ mod tests {
             ..ServiceConfig::default()
         };
         assert!(cfg.validate().unwrap_err().reason().contains("quantum"));
-        assert_eq!(ServiceConfig::default().scheduler, SchedulerPolicy::Drr);
     }
 }

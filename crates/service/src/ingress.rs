@@ -11,19 +11,16 @@
 //! * **admission** is per-tenant: a full queue rejects only that
 //!   tenant's submissions, and
 //! * **service** is scheduled: the worker picks the next batch by
-//!   weighted deficit round-robin ([`SchedulerPolicy::Drr`]) or by
-//!   global arrival order ([`SchedulerPolicy::Fifo`], which reproduces
-//!   the old shared-queue behavior for baseline comparison).
+//!   weighted deficit round-robin.
 //!
 //! # Why fingerprints don't change
 //!
 //! The scheduler only reorders batches *across* tenants. Within one
 //! tenant the queue is FIFO and the worker always takes the head, so a
 //! tenant's observation stream reaches its table in submission order no
-//! matter the policy, the weights, or what its neighbors do. Table state
-//! is a pure function of that per-tenant stream — which is the service's
-//! existing determinism argument, now extended across scheduling
-//! policies.
+//! matter the weights or what its neighbors do. Table state is a pure
+//! function of that per-tenant stream — which is the service's
+//! determinism argument.
 //!
 //! # DRR invariants
 //!
@@ -57,7 +54,6 @@ use std::time::{Duration, Instant};
 
 use ulmt_simcore::{FxHashMap, LineAddr};
 
-use crate::config::SchedulerPolicy;
 use crate::service::BatchReply;
 
 /// One queued observation batch, with everything the worker needs to
@@ -79,8 +75,6 @@ pub(crate) struct IngressBatch {
     /// queue-wait histogram. `None` when metrics are disabled: the
     /// clock is never even read, so the disabled path costs nothing.
     pub enqueued_at: Option<Instant>,
-    /// Global arrival ticket (used by the FIFO policy).
-    ticket: u64,
 }
 
 struct TenantQueue {
@@ -103,7 +97,6 @@ struct IngressInner {
     /// Round-robin visit order (tenant registration order).
     round: Vec<u32>,
     cursor: usize,
-    next_ticket: u64,
     queued: usize,
     /// Set by [`Ingress::kick`] so a control message sent while the
     /// worker sleeps on the `work` condvar wakes it promptly.
@@ -133,7 +126,8 @@ enum TryEnqueue {
     Unknown(IngressParts),
 }
 
-/// The caller-supplied fields of a batch ([`Ingress`] assigns tickets).
+/// The caller-supplied fields of a batch ([`Ingress`] stamps the
+/// enqueue time).
 pub(crate) struct IngressParts {
     pub tenant: u32,
     pub obs: Vec<LineAddr>,
@@ -145,7 +139,6 @@ pub(crate) struct IngressParts {
 /// One worker epoch's ingestion front: per-tenant bounded queues, the
 /// scheduler state, and the condvars producers and the worker sleep on.
 pub(crate) struct Ingress {
-    policy: SchedulerPolicy,
     quantum: u64,
     default_depth: usize,
     /// Stamp each batch's enqueue time (metrics enabled)?
@@ -161,7 +154,6 @@ impl std::fmt::Debug for Ingress {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = guard(&self.inner);
         f.debug_struct("Ingress")
-            .field("policy", &self.policy)
             .field("tenants", &inner.round.len())
             .field("queued", &inner.queued)
             .field("closed", &inner.closed)
@@ -177,20 +169,14 @@ impl Ingress {
     /// An ingress without enqueue timestamping (tests only; the service
     /// always picks per its metrics config).
     #[cfg(test)]
-    pub fn new(policy: SchedulerPolicy, quantum_obs: usize, default_depth: usize) -> Self {
-        Self::with_stamp(policy, quantum_obs, default_depth, false)
+    pub fn new(quantum_obs: usize, default_depth: usize) -> Self {
+        Self::with_stamp(quantum_obs, default_depth, false)
     }
 
     /// Builds an ingress, with enqueue timestamping (the metrics
     /// plane's queue-wait source) switched on or off.
-    pub fn with_stamp(
-        policy: SchedulerPolicy,
-        quantum_obs: usize,
-        default_depth: usize,
-        stamp: bool,
-    ) -> Self {
+    pub fn with_stamp(quantum_obs: usize, default_depth: usize, stamp: bool) -> Self {
         Ingress {
-            policy,
             quantum: (quantum_obs as u64).max(1),
             default_depth: default_depth.max(1),
             stamp,
@@ -198,7 +184,6 @@ impl Ingress {
                 tenants: FxHashMap::default(),
                 round: Vec::new(),
                 cursor: 0,
-                next_ticket: 0,
                 queued: 0,
                 kicked: false,
                 closed: false,
@@ -240,9 +225,6 @@ impl Ingress {
         if t.q.len() >= t.depth {
             return TryEnqueue::Full(parts);
         }
-        let ticket = inner.next_ticket;
-        inner.next_ticket += 1;
-        let t = inner.tenants.get_mut(&parts.tenant).expect("checked above");
         t.q.push_back(IngressBatch {
             tenant: parts.tenant,
             obs: parts.obs,
@@ -250,7 +232,6 @@ impl Ingress {
             shed_cum: parts.shed_cum,
             reply: parts.reply,
             enqueued_at: stamp.then(Instant::now),
-            ticket,
         });
         t.enq += 1;
         inner.queued += 1;
@@ -308,10 +289,7 @@ impl Ingress {
         if inner.queued == 0 {
             return None;
         }
-        let batch = match self.policy {
-            SchedulerPolicy::Drr => Self::pick_drr(&mut inner, self.quantum),
-            SchedulerPolicy::Fifo => Self::pick_fifo(&mut inner),
-        };
+        let batch = Self::pick_drr(&mut inner, self.quantum);
         if batch.is_some() {
             drop(inner);
             self.space.notify_all();
@@ -368,22 +346,6 @@ impl Ingress {
                 return Some(b);
             }
         }
-    }
-
-    /// Global arrival order: the head batch with the smallest ticket —
-    /// exactly what the old shared queue would have served next.
-    fn pick_fifo(inner: &mut IngressInner) -> Option<IngressBatch> {
-        let id = inner
-            .tenants
-            .iter()
-            .filter_map(|(id, t)| t.q.front().map(|b| (b.ticket, *id)))
-            .min()?
-            .1;
-        let t = inner.tenants.get_mut(&id).expect("picked above");
-        let b = t.q.pop_front()?;
-        t.done += 1;
-        inner.queued -= 1;
-        Some(b)
     }
 
     /// Pops the head of one specific tenant's queue, bypassing the
@@ -535,7 +497,7 @@ mod tests {
 
     #[test]
     fn drr_interleaves_a_hot_tenant_with_a_light_one() {
-        let ing = Ingress::new(SchedulerPolicy::Drr, 64, 16);
+        let ing = Ingress::new(64, 16);
         ing.register(1, 1, None); // hot
         ing.register(2, 1, None); // light
         for _ in 0..4 {
@@ -549,7 +511,7 @@ mod tests {
 
     #[test]
     fn drr_weight_doubles_a_tenants_share() {
-        let ing = Ingress::new(SchedulerPolicy::Drr, 64, 16);
+        let ing = Ingress::new(64, 16);
         ing.register(1, 2, None); // hot, weight 2
         ing.register(2, 1, None);
         for _ in 0..4 {
@@ -561,44 +523,29 @@ mod tests {
     }
 
     #[test]
-    fn fifo_policy_reproduces_global_arrival_order() {
-        let ing = Ingress::new(SchedulerPolicy::Fifo, 64, 16);
+    fn drr_keeps_per_tenant_order_fifo() {
+        let ing = Ingress::new(16, 64);
         ing.register(1, 1, None);
-        ing.register(2, 1, None);
-        push(&ing, 1, 64);
-        push(&ing, 1, 64);
-        push(&ing, 2, 8);
-        push(&ing, 1, 64);
-        push(&ing, 2, 8);
-        assert_eq!(drain_order(&ing), vec![1, 1, 2, 1, 2]);
-    }
-
-    #[test]
-    fn per_tenant_order_is_fifo_under_both_policies() {
-        for policy in [SchedulerPolicy::Drr, SchedulerPolicy::Fifo] {
-            let ing = Ingress::new(policy, 16, 64);
-            ing.register(1, 1, None);
-            ing.register(2, 3, None);
-            for i in 0..10 {
-                let (mut p, rx) = parts(1, 4);
-                p.rejected_cum = i; // stamp submission order
-                assert!(matches!(ing.try_enqueue(p), Enqueue::Ok));
-                std::mem::forget(rx);
-                push(&ing, 2, 31);
-            }
-            let mut seen = Vec::new();
-            while let Some(b) = ing.next_batch() {
-                if b.tenant == 1 {
-                    seen.push(b.rejected_cum);
-                }
-            }
-            assert_eq!(seen, (0..10).collect::<Vec<u64>>());
+        ing.register(2, 3, None);
+        for i in 0..10 {
+            let (mut p, rx) = parts(1, 4);
+            p.rejected_cum = i; // stamp submission order
+            assert!(matches!(ing.try_enqueue(p), Enqueue::Ok));
+            std::mem::forget(rx);
+            push(&ing, 2, 31);
         }
+        let mut seen = Vec::new();
+        while let Some(b) = ing.next_batch() {
+            if b.tenant == 1 {
+                seen.push(b.rejected_cum);
+            }
+        }
+        assert_eq!(seen, (0..10).collect::<Vec<u64>>());
     }
 
     #[test]
     fn full_queue_rejects_only_its_own_tenant() {
-        let ing = Ingress::new(SchedulerPolicy::Drr, 64, 2);
+        let ing = Ingress::new(64, 2);
         ing.register(1, 1, Some(2));
         ing.register(2, 1, Some(2));
         push(&ing, 1, 4);
@@ -612,7 +559,7 @@ mod tests {
 
     #[test]
     fn unknown_tenant_and_closed_ingress_hand_the_batch_back() {
-        let ing = Ingress::new(SchedulerPolicy::Drr, 64, 4);
+        let ing = Ingress::new(64, 4);
         ing.register(1, 1, None);
         let (p, _rx) = parts(99, 3);
         match ing.try_enqueue(p) {
@@ -630,7 +577,7 @@ mod tests {
 
     #[test]
     fn barriers_track_enqueues_and_pops() {
-        let ing = Ingress::new(SchedulerPolicy::Drr, 64, 8);
+        let ing = Ingress::new(64, 8);
         ing.register(1, 1, None);
         ing.register(2, 1, None);
         push(&ing, 1, 2);
@@ -653,7 +600,7 @@ mod tests {
 
     #[test]
     fn enqueue_deadline_times_out_and_unblocks_on_space() {
-        let ing = std::sync::Arc::new(Ingress::new(SchedulerPolicy::Drr, 64, 1));
+        let ing = std::sync::Arc::new(Ingress::new(64, 1));
         ing.register(1, 1, Some(1));
         push(&ing, 1, 1);
         let (p, _rx) = parts(1, 1);
@@ -679,7 +626,7 @@ mod tests {
 
     #[test]
     fn wait_work_wakes_on_kick() {
-        let ing = std::sync::Arc::new(Ingress::new(SchedulerPolicy::Drr, 64, 4));
+        let ing = std::sync::Arc::new(Ingress::new(64, 4));
         let ing2 = std::sync::Arc::clone(&ing);
         let kicker = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));

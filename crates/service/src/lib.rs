@@ -16,7 +16,7 @@
 //!   format), getting back prefetch predictions and per-tenant stats;
 //! * ingestion queues are **bounded and per-tenant**: each tenant owns
 //!   a bounded queue on its shard, drained by a weighted
-//!   deficit-round-robin scheduler ([`SchedulerPolicy`]) so one hot
+//!   deficit-round-robin scheduler (weights via [`TenantSpec::weight`]) so one hot
 //!   tenant cannot starve its neighbors; a full queue surfaces as
 //!   [`TrySubmit::Full`] *to that tenant only*, with the batch handed
 //!   back — observations are never silently dropped, and rejections are
@@ -59,8 +59,7 @@ mod shard;
 mod supervisor;
 
 pub use config::{
-    AdmissionQuota, NetConfig, SchedulerPolicy, ServiceConfig, SupervisionConfig, TableKind,
-    TenantSpec,
+    AdmissionQuota, NetConfig, ServiceConfig, SupervisionConfig, TableKind, TenantSpec,
 };
 pub use metrics::{MetricsReport, ShardMetrics};
 pub use net::{NetClient, NetServer, NetSubmit, WireError};

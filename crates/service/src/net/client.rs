@@ -6,7 +6,7 @@
 //! control plane. The differences forced by the wire are explicit:
 //! acceptance is split from completion (an accepted batch is later
 //! collected with [`NetClient::reap`], enabling the same pipelined
-//! submission the bench drives in-process), and a backpressure NACK
+//! submission a caller drives in-process), and a backpressure NACK
 //! hands the caller's own `Vec` straight back — content and capacity
 //! untouched — because the server echoed the batch instead of keeping
 //! it.
@@ -285,8 +285,8 @@ impl NetClient {
     }
 
     /// Fingerprint of the tenant's learned table. Bit-identical to what
-    /// the in-process session reports for the same observation stream —
-    /// the determinism gate the `serve --net` bench leg enforces.
+    /// the in-process session reports for the same observation stream
+    /// (`network_path_fingerprints_match_in_process_and_offline`).
     pub fn fingerprint(&mut self) -> Result<u64, ServiceError> {
         self.out.clear();
         let kind = self.round_trip(FrameKind::Fingerprint)?;

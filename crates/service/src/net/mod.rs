@@ -19,7 +19,7 @@
 //!   works unchanged;
 //! * **determinism** — the bytes a client frames are the bytes the
 //!   shard learns from, so network-path table fingerprints are
-//!   bit-identical to in-process ones (gated by `serve --net`).
+//!   bit-identical to in-process ones (checked by the `net` tests).
 
 mod client;
 mod server;

@@ -16,8 +16,8 @@
 //! touched. Observation batches ride the existing
 //! [`ulmt_workloads::codec::encode_lines`] encoding verbatim, so the
 //! network path and the in-process path feed bit-identical observations
-//! into the tables (which is what makes the fingerprint-identity gate of
-//! the `serve --net` bench leg meaningful).
+//! into the tables (which is what makes the network path's
+//! fingerprint-identity test meaningful).
 //!
 //! All multi-byte integers are little-endian, matching the rest of the
 //! repo's codecs. Strings are `u32` length + UTF-8 bytes.

@@ -842,7 +842,7 @@ pub struct PauseGuard {
 ///
 /// A tenant's table state after a given observation stream is
 /// bit-identical (equal [`TableSnapshot::fingerprint`]) for any shard
-/// count, scheduler policy, weights, and any interleaving with other
+/// count, scheduling weights, and any interleaving with other
 /// tenants: the tenant's stream flows in order through its own bounded
 /// queue on exactly one shard — the scheduler decides only *when* a
 /// tenant's batches run, never their order — and observations only

@@ -3,14 +3,13 @@
 //!
 //! A shard's data plane is its [`Ingress`](crate::ingress::Ingress):
 //! per-tenant bounded queues drained by a weighted deficit-round-robin
-//! scheduler (or global-FIFO, for baseline comparison). Because a
-//! tenant's whole observation stream flows through exactly one
-//! per-tenant FIFO queue and each observation touches only that tenant's
-//! table, the table a tenant ends up with depends solely on its own
-//! stream — never on how many shards the service runs, which other
+//! scheduler. Because a tenant's whole observation stream flows through
+//! exactly one per-tenant FIFO queue and each observation touches only
+//! that tenant's table, the table a tenant ends up with depends solely
+//! on its own stream — never on how many shards the service runs, which other
 //! tenants share the shard, or how the scheduler interleaves them.
 //! That is the service's determinism argument, and the fingerprint
-//! checks in the tests and the `serve` benchmark hold it to account.
+//! checks in the tests hold it to account.
 //!
 //! Control-plane messages ([`ShardMsg`]) travel on a separate channel.
 //! Operations that used to rely on the shared queue's FIFO position for

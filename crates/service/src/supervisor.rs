@@ -411,7 +411,6 @@ fn spawn_worker(
 ) -> (SyncSender<ShardMsg>, Arc<Ingress>, JoinHandle<ShardExit>) {
     let (tx, rx) = sync_channel(cfg.queue_depth);
     let ingress = Arc::new(Ingress::with_stamp(
-        cfg.scheduler,
         cfg.quantum_obs,
         cfg.queue_depth,
         cfg.metrics,

@@ -6,9 +6,9 @@
 //!   tenant's queue space or starve its service slot;
 //! * **weighted fairness** — the deficit-round-robin scheduler serves
 //!   tenants proportionally to their configured weights;
-//! * **determinism** — scheduling policy and weights change only *when*
-//!   a tenant's batches are served, never their per-tenant order, so
-//!   table fingerprints are bit-identical across policies.
+//! * **determinism** — weights change only *when* a tenant's batches
+//!   are served, never their per-tenant order, so table fingerprints
+//!   are bit-identical across weights.
 //!
 //! Every test freezes the shard with a [`PauseGuard`], builds a known
 //! backlog, and resumes — the drain order is then fully deterministic
@@ -17,8 +17,8 @@
 use std::time::Duration;
 
 use ulmt_service::{
-    AdmissionQuota, PrefetchService, SchedulerPolicy, ServiceConfig, Session, SupervisionConfig,
-    TenantSpec, TrySubmit,
+    AdmissionQuota, PrefetchService, ServiceConfig, Session, SupervisionConfig, TenantSpec,
+    TrySubmit,
 };
 use ulmt_simcore::{LineAddr, TraceConfig, TraceEvent};
 
@@ -40,11 +40,10 @@ fn batches(tenant: u32, count: usize) -> Vec<Vec<LineAddr>> {
         .collect()
 }
 
-fn traced_cfg(scheduler: SchedulerPolicy, queue_depth: usize) -> ServiceConfig {
+fn traced_cfg(queue_depth: usize) -> ServiceConfig {
     ServiceConfig {
         shards: 1,
         queue_depth,
-        scheduler,
         // One batch costs exactly one quantum, so a weight-1 tenant is
         // served one batch per scheduler visit and a weight-w tenant w.
         quantum_obs: BATCH,
@@ -81,7 +80,7 @@ fn enqueue(session: &mut Session, obs: &[LineAddr]) -> ulmt_service::PendingBatc
 
 #[test]
 fn drr_serves_backlogged_tenants_in_weighted_round_robin_order() {
-    let service = PrefetchService::start(traced_cfg(SchedulerPolicy::Drr, 16));
+    let service = PrefetchService::start(traced_cfg(16));
     let mut hot = service
         .open(1, TenantSpec::repl(256).with_weight(2))
         .unwrap();
@@ -120,45 +119,8 @@ fn drr_serves_backlogged_tenants_in_weighted_round_robin_order() {
 }
 
 #[test]
-fn fifo_policy_reproduces_global_arrival_order() {
-    let service = PrefetchService::start(traced_cfg(SchedulerPolicy::Fifo, 16));
-    let mut a = service.open(1, TenantSpec::repl(256)).unwrap();
-    let mut b = service.open(2, TenantSpec::repl(256)).unwrap();
-    let mut c = service.open(3, TenantSpec::repl(256)).unwrap();
-
-    let sa = batches(1, 3);
-    let sb = batches(2, 2);
-    let sc = batches(3, 1);
-
-    let arrival = [1u32, 2, 3, 2, 1, 1];
-    let pause = service.pause_shard(0).unwrap();
-    let mut next = [0usize; 4];
-    let mut pending = Vec::new();
-    for &t in &arrival {
-        let (session, stream) = match t {
-            1 => (&mut a, &sa),
-            2 => (&mut b, &sb),
-            _ => (&mut c, &sc),
-        };
-        pending.push(enqueue(session, &stream[next[t as usize]]));
-        next[t as usize] += 1;
-    }
-    drop(pause);
-    for p in pending {
-        assert!(p.wait().unwrap().error.is_none());
-    }
-    service.drain().unwrap();
-
-    assert_eq!(
-        served_order(service),
-        arrival.to_vec(),
-        "FIFO emulation preserves global enqueue order across tenant queues"
-    );
-}
-
-#[test]
 fn queue_full_is_per_tenant_not_shared() {
-    let service = PrefetchService::start(traced_cfg(SchedulerPolicy::Drr, 8));
+    let service = PrefetchService::start(traced_cfg(8));
     let mut small = service
         .open(1, TenantSpec::repl(256).with_queue_depth(2))
         .unwrap();
@@ -196,7 +158,7 @@ fn queue_full_is_per_tenant_not_shared() {
 
 #[test]
 fn admission_quota_sheds_over_burst_and_counts_exactly() {
-    let service = PrefetchService::start(traced_cfg(SchedulerPolicy::Drr, 16));
+    let service = PrefetchService::start(traced_cfg(16));
     // Two burst tokens, trickle refill (5/s = one token per 200 ms): the
     // immediate submissions below outrun the refill deterministically.
     let mut s = service
@@ -241,13 +203,13 @@ fn admission_quota_sheds_over_burst_and_counts_exactly() {
 }
 
 #[test]
-fn fingerprints_are_identical_across_policies_and_weights() {
+fn fingerprints_are_identical_across_weights() {
     // Scheduling decides *when* each tenant's batches run, never their
     // per-tenant order — so the learned tables must be bit-identical
-    // whatever the policy or weights. Backlogs are built behind a pause
-    // so the two policies genuinely interleave tenants differently.
-    fn run(scheduler: SchedulerPolicy, hot_weight: u32) -> Vec<(u32, u64)> {
-        let service = PrefetchService::start(traced_cfg(scheduler, 32));
+    // whatever the weights. Backlogs are built behind a pause so the
+    // two weightings genuinely interleave tenants differently.
+    fn run(hot_weight: u32) -> Vec<(u32, u64)> {
+        let service = PrefetchService::start(traced_cfg(32));
         let mut hot = service
             .open(1, TenantSpec::repl(256).with_weight(hot_weight))
             .unwrap();
@@ -275,15 +237,5 @@ fn fingerprints_are_identical_across_policies_and_weights() {
         fps
     }
 
-    let baseline = run(SchedulerPolicy::Drr, 1);
-    assert_eq!(
-        run(SchedulerPolicy::Drr, 4),
-        baseline,
-        "weights must not change table contents"
-    );
-    assert_eq!(
-        run(SchedulerPolicy::Fifo, 1),
-        baseline,
-        "FIFO and DRR must learn identical tables"
-    );
+    assert_eq!(run(4), run(1), "weights must not change table contents");
 }

@@ -64,12 +64,17 @@ impl RawPeer {
 
     /// A syntactically valid Hello payload for `tenant`, repl(64).
     fn hello_payload(tenant: u32) -> Vec<u8> {
+        Self::repl_hello_payload(tenant, TableParams::repl_default(64))
+    }
+
+    /// A syntactically valid Hello payload for a Repl `tenant` with
+    /// geometry `params`, bypassing every client-side check.
+    fn repl_hello_payload(tenant: u32, params: TableParams) -> Vec<u8> {
         let mut p = Vec::new();
         p.extend_from_slice(&MAGIC.to_le_bytes());
         p.extend_from_slice(&WIRE_VERSION.to_le_bytes());
         p.extend_from_slice(&tenant.to_le_bytes());
         p.push(2); // TableKind::Repl
-        let params = TableParams::repl_default(64);
         p.extend_from_slice(&(params.num_rows as u64).to_le_bytes());
         p.extend_from_slice(&(params.assoc as u32).to_le_bytes());
         p.extend_from_slice(&(params.num_succ as u32).to_le_bytes());
@@ -362,6 +367,35 @@ fn bad_magic_is_rejected_before_any_state_is_touched() {
 }
 
 #[test]
+fn unallocatable_table_in_hello_is_typed_and_the_server_keeps_serving() {
+    let server = server(1);
+    let mut client = NetClient::connect(server.local_addr(), 1, TenantSpec::repl(64)).unwrap();
+    client.submit(lines(&[1, 2, 3, 1, 2])).unwrap();
+    assert_eq!(client.reap().unwrap().observed, 5);
+
+    // Each field is in range on its own, but the arena they multiply to
+    // (~5.7e17 bytes) is not: allocating it would abort the server.
+    let mut peer = RawPeer::connect(&server);
+    let huge = TableParams {
+        num_rows: 1 << 40,
+        assoc: 1,
+        num_succ: 255,
+        num_levels: 255,
+    };
+    peer.send(FrameKind::Hello, &RawPeer::repl_hello_payload(2, huge));
+    peer.expect_err_containing("arena");
+
+    // The other tenant is still served, and the refused one was never
+    // opened: a well-formed client can still claim it.
+    client.submit(lines(&[4, 5, 6])).unwrap();
+    assert_eq!(client.reap().unwrap().observed, 3);
+    let claimed = NetClient::connect(server.local_addr(), 2, TenantSpec::repl(64)).unwrap();
+    claimed.goodbye();
+    client.goodbye();
+    server.shutdown();
+}
+
+#[test]
 fn version_mismatch_is_typed() {
     let server = server(1);
     let mut peer = RawPeer::connect(&server);
@@ -539,6 +573,71 @@ fn disabled_metrics_answer_empty_over_the_wire() {
     assert!(report.shards.is_empty());
     client.goodbye();
     server.shutdown();
+}
+
+#[test]
+fn metrics_switch_does_not_change_what_is_learned() {
+    // The same interleaved multi-tenant streams, with the metrics plane
+    // on and off, in process and over the wire: all four runs must
+    // learn bit-identical tables.
+    let tenants: Vec<u32> = (0..4).collect();
+    let mut runs = Vec::new();
+    for metrics in [true, false] {
+        let cfg = ServiceConfig {
+            shards: 2,
+            metrics,
+            ..ServiceConfig::default()
+        };
+        let service = PrefetchService::start(cfg);
+        let mut sessions: Vec<_> = tenants
+            .iter()
+            .map(|&t| service.open(t, TenantSpec::repl(512)).unwrap())
+            .collect();
+        let mut pending = Vec::new();
+        for round in 0..4 {
+            for (session, &t) in sessions.iter_mut().zip(&tenants) {
+                let chunk = stream(t, 256)[round * 64..(round + 1) * 64].to_vec();
+                pending.push(session.submit(chunk).unwrap());
+            }
+        }
+        for p in pending {
+            assert!(p.wait().unwrap().error.is_none());
+        }
+        runs.push(
+            sessions
+                .iter_mut()
+                .map(|s| s.fingerprint().unwrap())
+                .collect::<Vec<_>>(),
+        );
+        drop(sessions);
+        service.shutdown();
+
+        let server = NetServer::bind(PrefetchService::start(cfg), NetConfig::loopback()).unwrap();
+        let mut clients: Vec<NetClient> = tenants
+            .iter()
+            .map(|&t| NetClient::connect(server.local_addr(), t, TenantSpec::repl(512)).unwrap())
+            .collect();
+        for round in 0..4 {
+            for (client, &t) in clients.iter_mut().zip(&tenants) {
+                let chunk = stream(t, 256)[round * 64..(round + 1) * 64].to_vec();
+                client.submit(chunk).unwrap();
+            }
+        }
+        let mut fps = Vec::new();
+        for mut client in clients {
+            while client.pending() > 0 {
+                assert!(client.reap().unwrap().error.is_none());
+            }
+            fps.push(client.fingerprint().unwrap());
+            client.goodbye();
+        }
+        runs.push(fps);
+        server.shutdown();
+    }
+    assert!(
+        runs.iter().all(|fps| *fps == runs[0]),
+        "metrics on/off x in-process/net fingerprints differ: {runs:?}"
+    );
 }
 
 /// A peer that stalls mid-frame cannot stretch shutdown past the read

@@ -343,9 +343,8 @@ pub struct ServiceFaultConfig {
     /// Maximum slow-consumer stall, in virtual cycles.
     pub max_slow_cycles: Cycle,
     /// Hot-tenant burst: this tenant's batches periodically turn
-    /// expensive (None = no bursts). Deterministic — no RNG draw — so a
-    /// starvation bench can reproduce the exact same hot-tenant pressure
-    /// under every scheduling policy it compares.
+    /// expensive (None = no bursts). Deterministic — no RNG draw — so
+    /// the same hot-tenant pressure reproduces exactly on every run.
     pub burst_tenant: Option<u32>,
     /// A burst starts every `burst_every`-th batch of the hot tenant
     /// (1-based count of that tenant's batches on its shard).

@@ -310,7 +310,7 @@ impl SweepResult {
     ///
     /// On an N-core machine this approaches N × the single-run
     /// throughput; the ratio against a serial sweep is the harness
-    /// speedup recorded in `BENCH_harness.json`.
+    /// speedup.
     pub fn cycles_per_wall_sec(&self) -> f64 {
         if self.wall_nanos == 0 {
             0.0
