@@ -15,8 +15,17 @@
 //! cargo run --release -p ulmt-bench --bin inspect -- trace [app] [out_dir]
 //! ULMT_FAULT_SEED=7 cargo run --release -p ulmt-bench --bin inspect -- trace mcf
 //! ```
+//!
+//! The `figures` leg regenerates the paper: the tables, figures and
+//! ablation report named by id (`table1`–`table5`, `fig5`–`fig11`,
+//! `ablation`), or all of them in EXPERIMENTS.md order without an id:
+//!
+//! ```text
+//! cargo run --release -p ulmt-bench --bin inspect -- figures [id...]
+//! ULMT_SCALE=small cargo run --release -p ulmt-bench --bin inspect -- figures fig7
+//! ```
 
-use ulmt_bench::{write_trace_chrome, write_trace_jsonl, Profile};
+use ulmt_bench::{paper, write_trace_chrome, write_trace_jsonl, Profile, Runner};
 use ulmt_simcore::{FaultConfig, TraceConfig};
 use ulmt_system::{validate_trace, Experiment, PrefetchScheme};
 use ulmt_workloads::App;
@@ -78,11 +87,26 @@ fn trace_leg(args: &[String]) {
     println!("wrote {chrome} (load in https://ui.perfetto.dev)");
 }
 
+/// Prints the selected artifacts from one shared runner. Exits non-zero
+/// on an unknown id or a failed write.
+fn figures_leg(ids: &[String]) {
+    let artifacts = paper::select(ids).unwrap_or_else(|e| {
+        eprintln!("figures: {e}");
+        std::process::exit(2);
+    });
+    let mut runner = Runner::new(Profile::from_env());
+    if let Err(e) = paper::print(&artifacts, &mut runner, &mut std::io::stdout().lock()) {
+        eprintln!("figures: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("trace") {
-        trace_leg(&args[1..]);
-        return;
+    match args.first().map(String::as_str) {
+        Some("trace") => return trace_leg(&args[1..]),
+        Some("figures") => return figures_leg(&args[1..]),
+        _ => {}
     }
     let app = args.first().and_then(|n| parse_app(n)).unwrap_or(App::Mcf);
     let profile = Profile::from_env();
@@ -93,17 +117,8 @@ fn main() {
         profile.name,
         spec.footprint_lines()
     );
-    let schemes = [
-        PrefetchScheme::NoPref,
-        PrefetchScheme::Conven4,
-        PrefetchScheme::Base,
-        PrefetchScheme::Chain,
-        PrefetchScheme::Repl,
-        PrefetchScheme::Conven4Repl,
-        PrefetchScheme::Custom,
-    ];
     let mut baseline = None;
-    for scheme in schemes {
+    for scheme in PrefetchScheme::FIGURE7 {
         let r = Experiment::new(profile.config, spec.clone())
             .scheme(scheme)
             .run();

@@ -15,7 +15,7 @@ fn pct(x: f64) -> String {
 }
 
 /// The algorithms compared in Figure 5, per level.
-fn fig5_algorithms(num_rows: usize) -> Vec<(String, Box<dyn UlmtAlgorithm>)> {
+fn fig5_algorithms(num_rows: usize) -> Vec<(&'static str, Box<dyn UlmtAlgorithm>)> {
     // "The experiments for the pair-based schemes use large tables ...
     // NumRows is 256 K, Assoc is 4, and NumSucc is 4."
     let params = TableParams {
@@ -24,39 +24,22 @@ fn fig5_algorithms(num_rows: usize) -> Vec<(String, Box<dyn UlmtAlgorithm>)> {
         num_succ: 4,
         num_levels: 3,
     };
-    let mk_seq4 = || Box::new(SeqUlmt::seq4());
+    let seq4 = || Box::new(SeqUlmt::seq4());
+    let base = || {
+        Box::new(Base::new(TableParams {
+            num_levels: 1,
+            ..params
+        }))
+    };
+    let repl = || Box::new(Replicated::new(params));
     vec![
-        (
-            "Seq1".into(),
-            Box::new(SeqUlmt::seq1()) as Box<dyn UlmtAlgorithm>,
-        ),
-        ("Seq4".into(), mk_seq4()),
-        (
-            "Base".into(),
-            Box::new(Base::new(TableParams {
-                num_levels: 1,
-                ..params
-            })),
-        ),
-        (
-            "Seq4+Base".into(),
-            Box::new(Combined::new(vec![
-                mk_seq4(),
-                Box::new(Base::new(TableParams {
-                    num_levels: 1,
-                    ..params
-                })),
-            ])),
-        ),
-        ("Chain".into(), Box::new(Chain::new(params))),
-        ("Repl".into(), Box::new(Replicated::new(params))),
-        (
-            "Seq4+Repl".into(),
-            Box::new(Combined::new(vec![
-                mk_seq4(),
-                Box::new(Replicated::new(params)),
-            ])),
-        ),
+        ("Seq1", Box::new(SeqUlmt::seq1()) as Box<dyn UlmtAlgorithm>),
+        ("Seq4", seq4()),
+        ("Base", base()),
+        ("Seq4+Base", Box::new(Combined::new(vec![seq4(), base()]))),
+        ("Chain", Box::new(Chain::new(params))),
+        ("Repl", repl()),
+        ("Seq4+Repl", Box::new(Combined::new(vec![seq4(), repl()]))),
     ]
 }
 
@@ -64,7 +47,7 @@ fn fig5_algorithms(num_rows: usize) -> Vec<(String, Box<dyn UlmtAlgorithm>)> {
 pub fn fig5(profile: &Profile) -> String {
     let mut out = String::new();
     out.push_str("Figure 5. % of L2 misses correctly predicted per level\n");
-    let mut per_alg: Vec<(String, Vec<[f64; 3]>)> = Vec::new();
+    let mut per_alg: Vec<(&str, Vec<[f64; 3]>)> = Vec::new();
     for app in App::ALL {
         eprintln!("  predicting {} ...", app.name());
         let spec = profile.workload(app);
@@ -91,7 +74,7 @@ pub fn fig5(profile: &Profile) -> String {
         out.push_str(&format!("{:>8}\n", "Avg"));
         for (name, rows) in &per_alg {
             // Base only stores one level of successors.
-            if level > 0 && (name == "Base" || name == "Seq4+Base") {
+            if level > 0 && (*name == "Base" || *name == "Seq4+Base") {
                 continue;
             }
             out.push_str(&format!("{name:<12}"));
@@ -384,7 +367,7 @@ mod tests {
         }
         let get = |n: &str| {
             accs.iter()
-                .find(|(a, _)| a == n)
+                .find(|(a, _)| *a == n)
                 .expect("algorithm exists")
                 .1
         };

@@ -1,4 +1,4 @@
-//! Small filesystem helpers for the bench binaries.
+//! Trace-file writers for the `inspect` binary.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -8,7 +8,7 @@ use ulmt_simcore::TraceBuffer;
 /// Writes `contents` to `path` atomically: the bytes go to a temporary
 /// sibling file (`<path>.tmp.<pid>`) which is persisted and then renamed
 /// over the destination. A crash, panic, or watchdog kill mid-write can
-/// therefore never leave a truncated or interleaved JSON report behind —
+/// therefore never leave a truncated or interleaved trace file behind —
 /// readers see either the old complete file or the new complete file.
 pub fn atomic_write(path: impl AsRef<Path>, contents: &str) -> std::io::Result<()> {
     let path = path.as_ref();

@@ -3,8 +3,12 @@
 //! Benchmark harness regenerating **every table and figure** of the ISCA
 //! 2002 ULMT paper.
 //!
-//! Each `benches/` target (run with `cargo bench`) prints one table or
-//! figure; the logic lives here so it is unit-testable at small scale.
+//! `cargo run --release -p ulmt-bench --bin inspect -- figures [id…]`
+//! prints the tables, figures and ablation report named by `id`
+//! (`table1`–`table5`, `fig5`–`fig11`, `ablation`; all of them without
+//! an id) from one shared [`Runner`], so each (app, scheme) pair is
+//! simulated once. The logic lives here so it is unit-testable at small
+//! scale.
 //!
 //! The machine/workload scale is selected with the `ULMT_SCALE`
 //! environment variable:
@@ -17,12 +21,14 @@
 //! footprint-to-cache ratios (and therefore the miss behavior) match the
 //! full-size system.
 
+pub mod ablation;
 pub mod figures;
 pub mod io;
+pub mod paper;
 pub mod profile;
 pub mod runner;
 pub mod tables;
 
-pub use io::{atomic_write, write_trace_chrome, write_trace_jsonl};
+pub use io::{write_trace_chrome, write_trace_jsonl};
 pub use profile::Profile;
 pub use runner::Runner;

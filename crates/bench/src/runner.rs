@@ -7,6 +7,12 @@ use ulmt_workloads::App;
 
 use crate::profile::Profile;
 
+fn simulate(profile: &Profile, app: App, scheme: PrefetchScheme) -> RunResult {
+    Experiment::new(profile.config, profile.workload(app))
+        .scheme(scheme)
+        .run()
+}
+
 /// Runs (app, scheme) simulations once and memoizes the results, since
 /// several figures share the same underlying runs.
 #[derive(Debug)]
@@ -34,24 +40,22 @@ impl Runner {
         let profile = &self.profile;
         self.cache.entry((app, scheme)).or_insert_with(|| {
             eprintln!("  running {} / {scheme} ...", app.name());
-            Experiment::new(profile.config, profile.workload(app))
-                .scheme(scheme)
-                .run()
+            simulate(profile, app, scheme)
         })
     }
 
-    /// Pre-fills the cache for any not-yet-run `(app, scheme)` pairs by
-    /// fanning the missing simulations across the `ulmt_system::runner`
-    /// worker pool. Results are identical to running them one by one
-    /// through [`Runner::run`] — the simulations are deterministic — so
-    /// the figure generators can warm their whole grid up front and then
-    /// read every result from the cache.
-    pub fn warm<I>(&mut self, pairs: I)
-    where
-        I: IntoIterator<Item = (App, PrefetchScheme)>,
-    {
+    /// Pre-fills the cache for every not-yet-run pair of the `apps` ×
+    /// `schemes` grid by fanning the missing simulations across the
+    /// `ulmt_system::runner` worker pool. Results are identical to running
+    /// them one by one through [`Runner::run`] — the simulations are
+    /// deterministic — so the figure generators can warm their whole grid
+    /// up front and then read every result from the cache.
+    pub fn warm_grid(&mut self, apps: &[App], schemes: &[PrefetchScheme]) {
         let mut missing: Vec<(App, PrefetchScheme)> = Vec::new();
-        for p in pairs {
+        for p in apps
+            .iter()
+            .flat_map(|&a| schemes.iter().map(move |&s| (a, s)))
+        {
             if !self.cache.contains_key(&p) && !missing.contains(&p) {
                 missing.push(p);
             }
@@ -64,23 +68,10 @@ impl Runner {
             missing.len(),
             ulmt_system::worker_count().min(missing.len())
         );
-        let profile = &self.profile;
         let results = ulmt_system::parallel_map(missing.clone(), |(app, scheme)| {
-            Experiment::new(profile.config, profile.workload(app))
-                .scheme(scheme)
-                .run()
+            simulate(&self.profile, app, scheme)
         });
-        for (key, r) in missing.into_iter().zip(results) {
-            self.cache.insert(key, r);
-        }
-    }
-
-    /// [`Runner::warm`] over the full `apps` × `schemes` grid.
-    pub fn warm_grid(&mut self, apps: &[App], schemes: &[PrefetchScheme]) {
-        self.warm(
-            apps.iter()
-                .flat_map(|&a| schemes.iter().map(move |&s| (a, s))),
-        );
+        self.cache.extend(missing.into_iter().zip(results));
     }
 
     /// Speedup of `scheme` over NoPref for `app`.

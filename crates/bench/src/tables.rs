@@ -88,8 +88,8 @@ pub fn derive_num_rows(workload: &WorkloadSpec) -> usize {
 /// Table 2: applications, derived `NumRows`, and table sizes in MB for
 /// Base (20 B/row), Chain (12 B/row) and Repl (28 B/row).
 ///
-/// Uses paper-scale workloads regardless of profile (the table is about
-/// the real footprints); pass `scale < 1.0` to test cheaply.
+/// Uses workloads at `scale`: `inspect -- figures` passes the profile's
+/// scale (mid by default), and `1.0` gives the paper's footprints.
 pub fn table2(scale: f64) -> String {
     let mut s = String::new();
     s.push_str("Table 2. Applications and correlation table sizes\n");

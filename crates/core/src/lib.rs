@@ -57,7 +57,6 @@
 
 pub mod adaptive;
 pub mod algorithm;
-pub mod conflict;
 pub mod cost;
 pub mod filter;
 pub mod multi;

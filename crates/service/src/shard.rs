@@ -437,7 +437,6 @@ impl WorkerLoop<'_> {
                 Some(ServiceFault::SlowConsumer(extra)) => self.st.now += extra,
                 None => {}
             }
-            self.st.now += plan.burst_stall(tenant);
         }
         let (dr, _ds) =
             apply_piggyback(&mut state.stats, &mut self.st.stats, rejected_cum, shed_cum);

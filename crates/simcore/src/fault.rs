@@ -342,17 +342,6 @@ pub struct ServiceFaultConfig {
     pub slow_consumer: f64,
     /// Maximum slow-consumer stall, in virtual cycles.
     pub max_slow_cycles: Cycle,
-    /// Hot-tenant burst: this tenant's batches periodically turn
-    /// expensive (None = no bursts). Deterministic — no RNG draw — so
-    /// the same hot-tenant pressure reproduces exactly on every run.
-    pub burst_tenant: Option<u32>,
-    /// A burst starts every `burst_every`-th batch of the hot tenant
-    /// (1-based count of that tenant's batches on its shard).
-    pub burst_every: u64,
-    /// Number of consecutive hot-tenant batches each burst covers.
-    pub burst_len: u64,
-    /// Extra virtual cycles each burst-covered batch costs the shard.
-    pub burst_cycles: Cycle,
 }
 
 impl ServiceFaultConfig {
@@ -366,10 +355,6 @@ impl ServiceFaultConfig {
             wedge_at_batch: 1,
             slow_consumer: 0.0,
             max_slow_cycles: 64,
-            burst_tenant: None,
-            burst_every: 8,
-            burst_len: 4,
-            burst_cycles: 0,
         }
     }
 
@@ -391,17 +376,6 @@ impl ServiceFaultConfig {
     pub fn slow(mut self, probability: f64, max_cycles: Cycle) -> Self {
         self.slow_consumer = probability;
         self.max_slow_cycles = max_cycles.max(1);
-        self
-    }
-
-    /// Make `tenant` a hot tenant: every `every`-th of its batches opens
-    /// a burst of `len` consecutive batches, each costing `cycles` extra
-    /// virtual cycles on its shard.
-    pub fn burst(mut self, tenant: u32, every: u64, len: u64, cycles: Cycle) -> Self {
-        self.burst_tenant = Some(tenant);
-        self.burst_every = every.max(1);
-        self.burst_len = len.max(1);
-        self.burst_cycles = cycles;
         self
     }
 
@@ -463,10 +437,6 @@ pub struct ServiceFaultCounts {
     pub slow_batches: u64,
     /// Total slow-consumer cycles injected.
     pub slow_cycles: u64,
-    /// Hot-tenant batches covered by a burst.
-    pub burst_batches: u64,
-    /// Total burst cycles injected.
-    pub burst_cycles: u64,
 }
 
 /// The per-worker-epoch view of a [`ServiceFaultConfig`] schedule.
@@ -480,10 +450,6 @@ pub struct ServiceFaultPlan {
     shard: u32,
     rng: Pcg32,
     counts: ServiceFaultCounts,
-    /// Batches of the hot tenant seen by this plan (per worker epoch;
-    /// the burst pattern is periodic, so an epoch boundary only shifts
-    /// its phase, never its duty cycle).
-    burst_seen: u64,
 }
 
 impl ServiceFaultPlan {
@@ -499,7 +465,6 @@ impl ServiceFaultPlan {
             shard,
             rng: Pcg32::seed_from_u64(stream_seed),
             counts: ServiceFaultCounts::default(),
-            burst_seen: 0,
         }
     }
 
@@ -535,26 +500,6 @@ impl ServiceFaultPlan {
             return Some(ServiceFault::SlowConsumer(c));
         }
         None
-    }
-
-    /// Hot-tenant burst hook: extra cycles one batch of `tenant` costs
-    /// (0 for every tenant but the configured hot one). Deterministic: of
-    /// every [`burst_every`](ServiceFaultConfig::burst_every) consecutive
-    /// hot-tenant batches, the first [`burst_len`](ServiceFaultConfig::burst_len)
-    /// cost [`burst_cycles`](ServiceFaultConfig::burst_cycles) extra.
-    pub fn burst_stall(&mut self, tenant: u32) -> Cycle {
-        if self.cfg.burst_tenant != Some(tenant) || self.cfg.burst_cycles == 0 {
-            return 0;
-        }
-        let pos = self.burst_seen % self.cfg.burst_every;
-        self.burst_seen += 1;
-        if pos < self.cfg.burst_len {
-            self.counts.burst_batches += 1;
-            self.counts.burst_cycles += self.cfg.burst_cycles;
-            self.cfg.burst_cycles
-        } else {
-            0
-        }
     }
 }
 
@@ -709,31 +654,6 @@ mod tests {
         let mut c = ServiceFaultPlan::new(cfg, 2, 1);
         let diverged = (1..=400).any(|seq| c.on_batch(seq, &state) != b.on_batch(seq, &state));
         assert!(diverged, "epochs should not replay the same slow stream");
-    }
-
-    #[test]
-    fn burst_hits_only_the_hot_tenant_on_a_fixed_period() {
-        let cfg = ServiceFaultConfig::disabled(0).burst(7, 4, 2, 100);
-        let mut plan = ServiceFaultPlan::new(cfg, 0, 0);
-        // Other tenants never stall and never advance the hot counter.
-        for _ in 0..10 {
-            assert_eq!(plan.burst_stall(3), 0);
-        }
-        // Hot tenant: of every 4 batches, the first 2 are expensive.
-        let stalls: Vec<Cycle> = (0..8).map(|_| plan.burst_stall(7)).collect();
-        assert_eq!(stalls, vec![100, 100, 0, 0, 100, 100, 0, 0]);
-        assert_eq!(plan.counts().burst_batches, 4);
-        assert_eq!(plan.counts().burst_cycles, 400);
-    }
-
-    #[test]
-    fn burst_disabled_is_free_for_everyone() {
-        let cfg = ServiceFaultConfig::disabled(0);
-        let mut plan = ServiceFaultPlan::new(cfg, 0, 0);
-        for t in 0..4 {
-            assert_eq!(plan.burst_stall(t), 0);
-        }
-        assert_eq!(plan.counts().burst_batches, 0);
     }
 
     #[test]

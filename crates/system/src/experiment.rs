@@ -38,20 +38,6 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Runs every scheme of Figure 7 on one workload and returns the
-    /// results in [`PrefetchScheme::FIGURE7`] order.
-    ///
-    /// The runs are independent, so they are fanned across the
-    /// [`crate::runner`] worker pool; results still come back in
-    /// `FIGURE7` order, identical to a serial sweep.
-    pub fn figure7(config: SystemConfig, workload: &WorkloadSpec) -> Vec<RunResult> {
-        let experiments: Vec<Experiment> = PrefetchScheme::FIGURE7
-            .iter()
-            .map(|&s| Experiment::new(config, workload.clone()).scheme(s))
-            .collect();
-        crate::runner::run_experiments(experiments).results
-    }
-
     /// Creates an experiment with the default scheme (`NoPref`).
     pub fn new(config: SystemConfig, workload: WorkloadSpec) -> Self {
         Experiment {

@@ -57,8 +57,8 @@ pub use miss_stream::{l2_miss_stream, l2_miss_stream_with};
 pub use multiprog::{MultiprogExperiment, TablePolicy};
 pub use result::{FaultReport, PrefetchEffect, RunResult, TwinDelta};
 pub use runner::{
-    parallel_map, parallel_map_with, run_experiments, run_experiments_resilient,
-    run_experiments_with, try_parallel_map_with, worker_count, JobFailure, JobOutcome, SweepResult,
+    parallel_map, parallel_map_with, run_experiments, run_experiments_with, try_parallel_map_with,
+    worker_count, JobFailure, SweepResult,
 };
 pub use scheme::PrefetchScheme;
 pub use sim::SystemSim;

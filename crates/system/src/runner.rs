@@ -37,7 +37,7 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::experiment::Experiment;
 use crate::result::RunResult;
@@ -91,15 +91,6 @@ pub fn worker_count() -> usize {
             }
         },
         Err(_) => cores,
-    }
-}
-
-/// Bounded retry budget for transient job failures: `ULMT_RETRIES` as a
-/// non-negative integer (capped at 8), default 1.
-pub fn retry_budget() -> u32 {
-    match std::env::var("ULMT_RETRIES") {
-        Ok(v) => v.trim().parse::<u32>().map(|n| n.min(8)).unwrap_or(1),
-        Err(_) => 1,
     }
 }
 
@@ -164,68 +155,22 @@ where
         .collect()
 }
 
-/// One job's outcome under the resilient harness: how many attempts it
-/// took and either its value or the final error message.
-#[derive(Debug, Clone)]
-pub struct JobOutcome<R> {
-    /// Attempts executed (1 = first try succeeded or failed terminally).
-    pub attempts: u32,
-    /// The job's value, or the error that exhausted its attempts.
-    pub result: Result<R, String>,
-}
-
-/// [`parallel_map_with`] with per-job panic isolation and bounded retry.
+/// [`parallel_map_with`] with per-job panic isolation.
 ///
-/// Each job runs under `catch_unwind`: a panicking job is retried up to
-/// `retries` more times (with a small backoff that grows with the attempt
-/// number — panics can be transient host conditions such as memory
-/// pressure), while a job that returns `Err` is treated as deterministic
-/// and fails immediately. Results come back in input order; one poisoned
-/// job can no longer take down the whole map.
-pub fn try_parallel_map_with<T, R, F>(
-    items: Vec<T>,
-    workers: usize,
-    retries: u32,
-    f: F,
-) -> Vec<JobOutcome<R>>
+/// Each job runs under `catch_unwind`: a panicking job yields
+/// `Err("panicked: ...")` and a job that returns `Err` keeps its error.
+/// Neither is retried, because every job is a deterministic simulation
+/// that would fail the same way again. Results come back in input order;
+/// one poisoned job cannot take down the whole map.
+pub fn try_parallel_map_with<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<Result<R, String>>
 where
-    T: Send + Clone,
+    T: Send,
     R: Send,
     F: Fn(T) -> Result<R, String> + Sync,
 {
     parallel_map_with(items, workers, |item: T| {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| f(item.clone())));
-            match caught {
-                Ok(Ok(value)) => {
-                    return JobOutcome {
-                        attempts,
-                        result: Ok(value),
-                    }
-                }
-                Ok(Err(e)) => {
-                    return JobOutcome {
-                        attempts,
-                        result: Err(e),
-                    }
-                }
-                Err(payload) => {
-                    let msg = panic_message(payload.as_ref());
-                    if attempts > retries {
-                        return JobOutcome {
-                            attempts,
-                            result: Err(format!("panicked: {msg}")),
-                        };
-                    }
-                    // Backoff-in-attempts: 10 ms, 20 ms, 40 ms, ... gives
-                    // transient host conditions room to clear without
-                    // stalling the pool noticeably.
-                    std::thread::sleep(Duration::from_millis(10u64 << (attempts - 1).min(6)));
-                }
-            }
-        }
+        std::panic::catch_unwind(AssertUnwindSafe(|| f(item)))
+            .unwrap_or_else(|payload| Err(format!("panicked: {}", panic_message(payload.as_ref()))))
     })
 }
 
@@ -259,8 +204,6 @@ pub struct JobFailure {
     pub app: String,
     /// Scheme label of the failed experiment.
     pub scheme: String,
-    /// Attempts executed before giving up.
-    pub attempts: u32,
     /// The final error (a typed [`crate::error::RunError`] rendered to
     /// text, or `panicked: ...` for an isolated panic).
     pub error: String,
@@ -278,12 +221,8 @@ pub struct JobFailure {
 pub struct SweepResult {
     /// One [`RunResult`] per *completed* experiment, in input order.
     pub results: Vec<RunResult>,
-    /// Experiments that failed after exhausting their retry budget, in
-    /// input order.
+    /// Experiments that failed, in input order.
     pub failed: Vec<JobFailure>,
-    /// Total retry attempts across all jobs (0 when every job succeeded
-    /// on its first try).
-    pub retried: u64,
     /// Wall-clock time of the whole sweep in nanoseconds.
     pub wall_nanos: u64,
     /// Workers the sweep ran with.
@@ -335,17 +274,16 @@ impl SweepResult {
         }
         for fail in &self.failed {
             s.push_str(&format!(
-                "  {:<8} {:<16} FAILED after {} attempt(s): {}\n",
-                fail.app, fail.scheme, fail.attempts, fail.error
+                "  {:<8} {:<16} FAILED: {}\n",
+                fail.app, fail.scheme, fail.error
             ));
         }
         s.push_str(&format!(
-            "sweep: {}/{} runs completed on {} workers ({} retried), {:.1} ms wall, \
+            "sweep: {}/{} runs completed on {} workers, {:.1} ms wall, \
              {:.0} simulated cycles/s\n",
             self.completed(),
             self.total_jobs(),
             self.workers,
-            self.retried,
             self.wall_nanos as f64 / 1e6,
             self.cycles_per_wall_sec()
         ));
@@ -353,52 +291,35 @@ impl SweepResult {
     }
 }
 
-/// Runs `experiments` on `workers` threads with `retries` retry attempts
-/// per job, collecting completed results in input order and itemizing
-/// failures instead of propagating them.
-pub fn run_experiments_resilient(
-    experiments: Vec<Experiment>,
-    workers: usize,
-    retries: u32,
-) -> SweepResult {
+/// Runs `experiments` on `workers` threads, collecting completed results
+/// in input order with sweep timing. Jobs are panic-isolated; a job that
+/// panics or fails (e.g. exceeds its cycle budget) lands in
+/// [`SweepResult::failed`] instead of aborting the others.
+pub fn run_experiments_with(experiments: Vec<Experiment>, workers: usize) -> SweepResult {
     let start = Instant::now();
     let labels: Vec<(String, String)> = experiments.iter().map(Experiment::labels).collect();
-    let outcomes = try_parallel_map_with(experiments, workers, retries, |e: Experiment| {
+    let outcomes = try_parallel_map_with(experiments, workers, |e: Experiment| {
         e.run_guarded().map_err(|err| err.to_string())
     });
     let mut results = Vec::new();
     let mut failed = Vec::new();
-    let mut retried = 0u64;
-    for (index, outcome) in outcomes.into_iter().enumerate() {
-        retried += u64::from(outcome.attempts.saturating_sub(1));
-        match outcome.result {
+    for (index, (outcome, (app, scheme))) in outcomes.into_iter().zip(labels).enumerate() {
+        match outcome {
             Ok(r) => results.push(r),
-            Err(error) => {
-                let (app, scheme) = labels[index].clone();
-                failed.push(JobFailure {
-                    index,
-                    app,
-                    scheme,
-                    attempts: outcome.attempts,
-                    error,
-                });
-            }
+            Err(error) => failed.push(JobFailure {
+                index,
+                app,
+                scheme,
+                error,
+            }),
         }
     }
     SweepResult {
         results,
         failed,
-        retried,
         wall_nanos: start.elapsed().as_nanos() as u64,
         workers,
     }
-}
-
-/// Runs `experiments` on `workers` threads, collecting results in input
-/// order with sweep timing. Jobs are panic-isolated and retried per
-/// [`retry_budget`]; failures land in [`SweepResult::failed`].
-pub fn run_experiments_with(experiments: Vec<Experiment>, workers: usize) -> SweepResult {
-    run_experiments_resilient(experiments, workers, retry_budget())
 }
 
 /// Runs `experiments` on the default worker pool.
@@ -458,8 +379,11 @@ mod tests {
 
     #[test]
     fn try_parallel_map_isolates_panics_and_counts_attempts() {
+        use std::sync::atomic::AtomicU32;
         let items: Vec<u32> = (0..6).collect();
-        let outcomes = try_parallel_map_with(items, 3, 0, |i: u32| {
+        let attempts: Vec<AtomicU32> = (0..6).map(|_| AtomicU32::new(0)).collect();
+        let outcomes = try_parallel_map_with(items, 3, |i: u32| {
+            attempts[i as usize].fetch_add(1, Ordering::SeqCst);
             if i == 2 {
                 panic!("job {i} exploded");
             }
@@ -472,36 +396,18 @@ mod tests {
         for (i, o) in outcomes.iter().enumerate() {
             match i {
                 2 => {
-                    let err = o.result.as_ref().unwrap_err();
+                    let err = o.as_ref().unwrap_err();
                     assert!(
                         err.contains("panicked") && err.contains("exploded"),
                         "{err}"
                     );
                 }
-                4 => {
-                    assert_eq!(o.result.as_ref().unwrap_err(), "job 4 refused");
-                    assert_eq!(o.attempts, 1, "typed errors must not be retried");
-                }
-                _ => assert_eq!(*o.result.as_ref().unwrap(), i as u32 * 10),
+                4 => assert_eq!(o.as_ref().unwrap_err(), "job 4 refused"),
+                _ => assert_eq!(*o.as_ref().unwrap(), i as u32 * 10),
             }
         }
-    }
-
-    #[test]
-    fn try_parallel_map_retries_transient_panics() {
-        use std::sync::atomic::AtomicU32;
-        let attempts_seen = AtomicU32::new(0);
-        let outcomes = try_parallel_map_with(vec![()], 1, 2, |_| {
-            // Fail the first two attempts, succeed on the third: a
-            // transient condition that clears under retry.
-            if attempts_seen.fetch_add(1, Ordering::SeqCst) < 2 {
-                panic!("transient");
-            }
-            Ok(42u32)
-        });
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(outcomes[0].attempts, 3);
-        assert_eq!(*outcomes[0].result.as_ref().unwrap(), 42);
+        // Panics and typed errors alike run exactly once: no retries.
+        assert!(attempts.iter().all(|a| a.load(Ordering::SeqCst) == 1));
     }
 
     /// The satellite acceptance test: a parallel sweep returns

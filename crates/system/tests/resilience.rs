@@ -4,10 +4,10 @@
 //! over-cycle-budget job still returns a `SweepResult` in which every
 //! *other* job is bit-identical (by fingerprint) to a fault-free serial
 //! run, with the failed jobs itemized — one bad experiment must never
-//! poison a figure sweep.
+//! poison a `run_experiments` sweep.
 
 use ulmt_simcore::FaultConfig;
-use ulmt_system::runner::{run_experiments_resilient, run_experiments_with};
+use ulmt_system::runner::run_experiments_with;
 use ulmt_system::{Experiment, PrefetchScheme, SystemConfig};
 use ulmt_workloads::{App, WorkloadSpec};
 
@@ -55,9 +55,7 @@ fn sweep_survives_panicking_and_runaway_jobs() {
             .cycle_budget(10),
     );
 
-    // No retries: the saboteurs are deterministic, retrying them only
-    // slows the test down.
-    let sweep = run_experiments_resilient(experiments, 4, 0);
+    let sweep = run_experiments_with(experiments, 4);
 
     // Both saboteurs are itemized with their labels and causes...
     assert_eq!(sweep.failed.len(), 2, "{:?}", sweep.failed);
@@ -99,27 +97,6 @@ fn sweep_survives_panicking_and_runaway_jobs() {
 }
 
 #[test]
-fn retries_are_counted_but_do_not_rescue_deterministic_failures() {
-    let poison = FaultConfig {
-        panic_after_observations: Some(5),
-        ..FaultConfig::disabled(1)
-    };
-    let experiments = vec![
-        Experiment::new(SystemConfig::small(), spec(App::Tree)).scheme(PrefetchScheme::NoPref),
-        Experiment::new(SystemConfig::small(), spec(App::Mcf))
-            .scheme(PrefetchScheme::Repl)
-            .faults(poison)
-            .twin(false),
-    ];
-    let sweep = run_experiments_resilient(experiments, 2, 2);
-    assert_eq!(sweep.completed(), 1);
-    assert_eq!(sweep.failed.len(), 1);
-    // A deterministic panic burns the whole retry budget (1 + 2 retries).
-    assert_eq!(sweep.failed[0].attempts, 3);
-    assert_eq!(sweep.retried, 2);
-}
-
-#[test]
 fn invalid_config_fails_without_retry_and_without_poisoning_the_sweep() {
     let mut bad = SystemConfig::small();
     bad.queues.observation = 0;
@@ -127,12 +104,9 @@ fn invalid_config_fails_without_retry_and_without_poisoning_the_sweep() {
         Experiment::new(bad, spec(App::Tree)).scheme(PrefetchScheme::Repl),
         Experiment::new(SystemConfig::small(), spec(App::Tree)).scheme(PrefetchScheme::Repl),
     ];
-    let sweep = run_experiments_resilient(experiments, 2, 3);
+    let sweep = run_experiments_with(experiments, 2);
     assert_eq!(sweep.completed(), 1);
     assert_eq!(sweep.failed.len(), 1);
-    // Typed config errors are deterministic: exactly one attempt.
-    assert_eq!(sweep.failed[0].attempts, 1);
-    assert_eq!(sweep.retried, 0);
     assert!(
         sweep.failed[0].error.contains("observation"),
         "{:?}",

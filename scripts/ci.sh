@@ -18,12 +18,17 @@
 #   6. trace validation       -- a traced fixed-seed faulted run whose
 #                                counters must re-derive bit-exactly from
 #                                the event stream (inspect's `trace` leg)
-#   7. perfbench builds       -- perfbench is its own Cargo workspace, so
+#   7. paper regeneration     -- every table, figure and the ablation
+#                                report at ULMT_SCALE=small through
+#                                `inspect -- figures` (output discarded;
+#                                ~45 s on 2 cores): the only end-to-end run
+#                                of the figure and ablation code
+#   8. perfbench builds       -- perfbench is its own Cargo workspace, so
 #                                step 4 never compiles it; this builds it
 #                                against the current crates and runs its
 #                                unit tests (build output stays under
 #                                target/, nothing is written in perfbench/)
-#   8. deprecation audit      -- the one-cycle deprecation window is
+#   9. deprecation audit      -- the one-cycle deprecation window is
 #                                closed: no `#[deprecated]` item remains
 #                                anywhere in the tree, and nothing still
 #                                references the removed pre-redesign
@@ -58,6 +63,9 @@ cargo test -q --workspace --doc
 echo "== trace validation (faulted, seed 7)"
 ULMT_FAULT_SEED=7 ULMT_SCALE=small \
     cargo run -q --release -p ulmt-bench --bin inspect -- trace mcf target/traces
+
+echo "== paper regeneration (small)"
+ULMT_SCALE=small cargo run -q --release -p ulmt-bench --bin inspect -- figures > /dev/null
 
 echo "== perfbench builds and its unit tests pass"
 CARGO_TARGET_DIR=target/perfbench \
