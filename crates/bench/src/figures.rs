@@ -44,46 +44,51 @@ fn fig5_algorithms(num_rows: usize) -> Vec<(&'static str, Box<dyn UlmtAlgorithm>
 }
 
 /// Figure 5: fraction of L2 misses correctly predicted at levels 1–3.
+/// The nine applications are predicted in parallel on the
+/// `ulmt_system::runner` worker pool.
 pub fn fig5(profile: &Profile) -> String {
     let mut out = String::new();
     out.push_str("Figure 5. % of L2 misses correctly predicted per level\n");
-    let mut per_alg: Vec<(&str, Vec<[f64; 3]>)> = Vec::new();
-    for app in App::ALL {
+    // Per application, in App::ALL order: each algorithm's accuracy per
+    // level, in fig5_algorithms order.
+    let per_app: Vec<Vec<(&str, [f64; 3])>> = ulmt_system::parallel_map(App::ALL.to_vec(), |app| {
         eprintln!("  predicting {} ...", app.name());
         let spec = profile.workload(app);
         let misses: Vec<_> = l2_miss_stream_with(&profile.config, &spec).collect();
         let num_rows = (4 * spec.footprint_lines() as usize).next_power_of_two();
-        for (i, (name, mut alg)) in fig5_algorithms(num_rows).into_iter().enumerate() {
-            let mut scorer = PredictionScorer::new(3);
-            for &m in &misses {
-                scorer.observe(alg.as_mut(), m);
-            }
-            if per_alg.len() <= i {
-                per_alg.push((name, Vec::new()));
-            }
-            per_alg[i]
-                .1
-                .push([scorer.accuracy(1), scorer.accuracy(2), scorer.accuracy(3)]);
-        }
-    }
+        fig5_algorithms(num_rows)
+            .into_iter()
+            .map(|(name, mut alg)| {
+                let mut scorer = PredictionScorer::new(3);
+                for &m in &misses {
+                    scorer.observe(alg.as_mut(), m);
+                }
+                (
+                    name,
+                    [scorer.accuracy(1), scorer.accuracy(2), scorer.accuracy(3)],
+                )
+            })
+            .collect()
+    });
     for level in 0..3 {
         out.push_str(&format!("\nLevel {}\n{:<12}", level + 1, "Algorithm"));
         for app in App::ALL {
             out.push_str(&format!("{:>8}", app.name()));
         }
         out.push_str(&format!("{:>8}\n", "Avg"));
-        for (name, rows) in &per_alg {
+        for (i, &(name, _)) in per_app[0].iter().enumerate() {
             // Base only stores one level of successors.
-            if level > 0 && (*name == "Base" || *name == "Seq4+Base") {
+            if level > 0 && (name == "Base" || name == "Seq4+Base") {
                 continue;
             }
             out.push_str(&format!("{name:<12}"));
             let mut sum = 0.0;
-            for acc in rows {
-                out.push_str(&format!("{:>8}", pct(acc[level])));
-                sum += acc[level];
+            for algs in &per_app {
+                let acc = algs[i].1[level];
+                out.push_str(&format!("{:>8}", pct(acc)));
+                sum += acc;
             }
-            out.push_str(&format!("{:>8}\n", pct(sum / rows.len() as f64)));
+            out.push_str(&format!("{:>8}\n", pct(sum / per_app.len() as f64)));
         }
     }
     out

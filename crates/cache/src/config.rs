@@ -86,18 +86,6 @@ impl CacheConfig {
         }
         Ok(())
     }
-
-    /// Infallible assertion form of [`CacheConfig::validate`], used by
-    /// constructors.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message if the geometry is invalid.
-    pub fn checked(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -107,38 +95,36 @@ mod tests {
     #[test]
     fn table3_geometries() {
         let l1 = CacheConfig::l1();
-        l1.checked();
+        assert!(l1.validate().is_ok());
         assert_eq!(l1.num_sets(), 256);
         assert_eq!(l1.num_lines(), 512);
 
         let l2 = CacheConfig::l2();
-        l2.checked();
+        assert!(l2.validate().is_ok());
         assert_eq!(l2.num_sets(), 2048);
         assert_eq!(l2.num_lines(), 8192);
 
         let mp = CacheConfig::memproc_l1();
-        mp.checked();
+        assert!(mp.validate().is_ok());
         assert_eq!(mp.num_sets(), 512);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn rejects_non_pow2_line() {
-        CacheConfig {
+        crate::Cache::new(CacheConfig {
             line_size: 48,
             ..CacheConfig::l1()
-        }
-        .checked();
+        });
     }
 
     #[test]
     #[should_panic(expected = "whole number of sets")]
     fn rejects_ragged_capacity() {
-        CacheConfig {
+        crate::Cache::new(CacheConfig {
             size_bytes: 1000,
             ..CacheConfig::l1()
-        }
-        .checked();
+        });
     }
 
     #[test]

@@ -196,7 +196,7 @@ impl Cache {
     ///
     /// Panics if the geometry is invalid (see [`CacheConfig::validate`]).
     pub fn new(cfg: CacheConfig) -> Self {
-        cfg.checked();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Cache {
             ways: vec![Way::invalid(); cfg.num_lines()],
             mshrs: MshrFile::new(cfg.mshrs),

@@ -12,8 +12,7 @@
 
 use ulmt_simcore::{LineAddr, PageAddr};
 
-use crate::algorithm::UlmtAlgorithm;
-use crate::cost::StepResult;
+use crate::algorithm::{union_predictions, Keep, PartSink, StepSink, UlmtAlgorithm};
 use crate::seq::SeqUlmt;
 use crate::table::{Replicated, TableParams};
 
@@ -124,35 +123,25 @@ impl UlmtAlgorithm for AdaptiveUlmt {
         "adaptive".to_string()
     }
 
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
+    fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
         self.update_window(miss);
-        match self.mode {
-            AdaptiveMode::SeqOnly => {
-                let step = self.seq.process_miss(miss);
-                // Repl keeps learning off the critical path: charge its
-                // learning cost but discard its prefetches.
-                let mut repl_step = self.repl.process_miss(miss);
-                let mut step = step;
-                repl_step.prefetches.clear();
-                step.learn_cost.merge(repl_step.learn_cost);
-                step
-            }
-            AdaptiveMode::ReplOnly => self.repl.process_miss(miss),
-            AdaptiveMode::Both => {
-                let mut step = self.seq.process_miss(miss);
-                step.merge(self.repl.process_miss(miss));
-                step
-            }
+        if self.mode == AdaptiveMode::ReplOnly {
+            return self.repl.step(miss, sink);
         }
+        let mut step = PartSink::open(miss, sink, false);
+        self.seq.step(miss, &mut step);
+        if self.mode == AdaptiveMode::SeqOnly {
+            // Repl keeps learning off the critical path: charge its
+            // learning step but discard its prefetching step.
+            step.keep = Keep::Learning;
+        }
+        self.repl.step(miss, &mut step);
+        step.close();
     }
 
     fn predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {
         let mut out = self.seq.predict(miss, levels);
-        for (level, mut preds) in self.repl.predict(miss, levels).into_iter().enumerate() {
-            let merged = &mut out[level];
-            preds.retain(|p| !merged.contains(p));
-            merged.extend(preds);
-        }
+        union_predictions(&mut out, self.repl.predict(miss, levels));
         out
     }
 

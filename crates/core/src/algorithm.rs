@@ -1,6 +1,6 @@
 //! The [`UlmtAlgorithm`] trait and algorithm combinators.
 
-use ulmt_simcore::{LineAddr, PageAddr};
+use ulmt_simcore::{Addr, LineAddr, PageAddr};
 
 use crate::cost::StepResult;
 
@@ -27,102 +27,78 @@ pub mod insn_cost {
     pub const PER_STREAM_CHECK: u64 = 2;
 }
 
-/// Receiver of the per-step outputs of a batch kernel
-/// ([`UlmtAlgorithm::process_misses`]).
+/// Receiver of one ULMT step's effects.
 ///
-/// For each observed miss the kernel calls [`StepSink::begin`], then
-/// [`StepSink::prefetch`] once per generated prefetch address (in issue
-/// order), then [`StepSink::end`] with the step's instruction costs. The
-/// sink owns whatever aggregation the caller needs (virtual clocks,
-/// utilization servers, prefetch buffers), so the kernel itself never
-/// allocates per step — this is what makes batched ingestion
-/// allocation-free in `ulmt-service`.
+/// [`UlmtAlgorithm::step`] frames each observed miss with one
+/// [`StepSink::begin`] and one [`StepSink::end`], which carries the
+/// instruction costs of the step's two phases. In between it reports
+/// every prefetch address (in issue order, duplicates suppressed), every
+/// table read of the Prefetching step and every table write of the
+/// Learning step (each in access order); only the order within each of
+/// these three streams is part of the contract.
 pub trait StepSink {
     /// A new observed miss is about to be processed.
     fn begin(&mut self, miss: LineAddr);
 
-    /// One prefetch address generated for the current miss, in issue
-    /// order (duplicates already suppressed, exactly like the
-    /// [`StepResult::prefetches`] of the per-miss path).
+    /// One prefetch address generated for the current miss.
     fn prefetch(&mut self, addr: LineAddr);
 
+    /// The Prefetching step read `bytes` bytes of the table at `addr`.
+    fn read(&mut self, _addr: Addr, _bytes: u64) {}
+
+    /// The Learning step wrote `bytes` bytes of the table at `addr`.
+    fn write(&mut self, _addr: Addr, _bytes: u64) {}
+
+    /// How this sink takes table touches; by default it ignores them.
+    fn touches(&mut self) -> Touches<'_> {
+        Touches::Ignored
+    }
+
     /// The current miss is done; `prefetch_insns` and `learn_insns` are
-    /// the instruction costs of its two phases — always equal to the
-    /// `prefetch_cost.insns` / `learn_cost.insns` the per-miss path would
-    /// have reported.
+    /// the instruction costs of its Prefetching and Learning steps.
     fn end(&mut self, prefetch_insns: u64, learn_insns: u64);
 }
 
-/// A [`StepSink`] that aggregates everything into plain vectors/counters.
-/// Convenient for tests and benchmarks.
-#[derive(Debug, Clone, Default)]
-pub struct CollectSink {
-    /// All prefetches, in issue order across the whole batch.
-    pub prefetches: Vec<LineAddr>,
-    /// Number of misses processed.
-    pub steps: u64,
-    /// Sum of prefetch-phase instructions.
-    pub prefetch_insns: u64,
-    /// Sum of learning-phase instructions.
-    pub learn_insns: u64,
-}
-
-impl CollectSink {
-    /// Total instructions across both phases.
-    pub fn total_insns(&self) -> u64 {
-        self.prefetch_insns + self.learn_insns
-    }
-}
-
-impl StepSink for CollectSink {
-    fn begin(&mut self, _miss: LineAddr) {
-        self.steps += 1;
-    }
-
-    fn prefetch(&mut self, addr: LineAddr) {
-        self.prefetches.push(addr);
-    }
-
-    fn end(&mut self, prefetch_insns: u64, learn_insns: u64) {
-        self.prefetch_insns += prefetch_insns;
-        self.learn_insns += learn_insns;
-    }
+/// How a [`StepSink`] takes table touches, and so how a correlation table
+/// runs its step kernel into it.
+#[derive(Debug)]
+pub enum Touches<'a> {
+    /// Not at all: the kernel compiles touch reporting out.
+    Ignored,
+    /// Through [`StepSink::read`] and [`StepSink::write`].
+    Reported,
+    /// Into this record, which the kernel fills with static dispatch.
+    Recorded(&'a mut StepResult),
 }
 
 /// A prefetching algorithm runnable as a User-Level Memory Thread.
 ///
 /// The ULMT sits in the infinite loop of Figure 2: *wait → Prefetching
-/// step → Learning step → wait*. [`UlmtAlgorithm::process_miss`] performs
-/// both steps for one observed miss and reports the generated prefetch
-/// addresses together with the per-step costs.
+/// step → Learning step → wait*. [`UlmtAlgorithm::step`] is one trip
+/// around that loop and the only method that processes a miss;
+/// [`UlmtAlgorithm::process_miss`] and [`UlmtAlgorithm::process_misses`]
+/// are built on it.
 pub trait UlmtAlgorithm {
     /// Short name used in reports (e.g. `"repl"`).
     fn name(&self) -> String;
 
     /// Handles one observed L2 miss (or, in Verbose mode, an observed
-    /// processor-side prefetch request): generates prefetches and learns.
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult;
+    /// processor-side prefetch request): generates prefetches and learns,
+    /// reporting both into `sink` as one `begin` … `end` frame (see
+    /// [`StepSink`]).
+    fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink);
 
-    /// Batch kernel: processes every miss of `batch` in order, streaming
-    /// the outputs into `sink` instead of materializing one
-    /// [`StepResult`] per miss.
-    ///
-    /// The default implementation forwards to
-    /// [`UlmtAlgorithm::process_miss`]. The correlation tables run their
-    /// one step kernel here too, with table-touch recording compiled out
-    /// and no per-step allocation, so both entry points perform the same
-    /// state transitions and report the same instruction counts. Table
-    /// touches are a memory-processor modeling concern; batched service
-    /// ingestion only consumes instruction costs, which is what makes
-    /// the skip sound.
+    /// [`UlmtAlgorithm::step`] into a fresh [`StepResult`].
+    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
+        let mut step = StepResult::new();
+        self.step(miss, &mut step);
+        step
+    }
+
+    /// [`UlmtAlgorithm::step`] for every miss of `batch`, in order.
     fn process_misses(&mut self, batch: &[LineAddr], sink: &mut dyn StepSink) {
         for &miss in batch {
-            sink.begin(miss);
-            let step = self.process_miss(miss);
-            for &p in &step.prefetches {
-                sink.prefetch(p);
-            }
-            sink.end(step.prefetch_cost.insns, step.learn_cost.insns);
+            self.step(miss, sink);
         }
     }
 
@@ -142,8 +118,108 @@ pub trait UlmtAlgorithm {
     }
 }
 
-/// Runs several algorithms back-to-back on every observed miss, merging
-/// their prefetches and costs.
+/// What a combinator keeps of one part's step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Keep {
+    /// The whole step.
+    All,
+    /// Its costs but not its prefetches: the part learns and pays, but
+    /// another part already covered the miss.
+    Costs,
+    /// Its Learning step only: the part learns off the critical path.
+    Learning,
+}
+
+/// The sink a combinator hands its parts: their prefetches and touches
+/// pass straight through to the caller's sink, filtered by `keep`, and
+/// their own `begin`/`end` fold into the combinator's one frame.
+pub(crate) struct PartSink<'a> {
+    out: &'a mut dyn StepSink,
+    /// What to keep of the part stepped next.
+    pub(crate) keep: Keep,
+    /// Prefetches issued in this step, if a repeat is to be dropped.
+    issued: Option<Vec<LineAddr>>,
+    /// Prefetches passed through so far.
+    pub(crate) prefetches: usize,
+    prefetch_insns: u64,
+    learn_insns: u64,
+}
+
+impl<'a> PartSink<'a> {
+    /// Opens the combinator's step for `miss` in `out`; with `dedupe`, a
+    /// prefetch already issued in the step is dropped.
+    pub(crate) fn open(miss: LineAddr, out: &'a mut dyn StepSink, dedupe: bool) -> Self {
+        out.begin(miss);
+        PartSink {
+            out,
+            keep: Keep::All,
+            issued: dedupe.then(Vec::new),
+            prefetches: 0,
+            prefetch_insns: 0,
+            learn_insns: 0,
+        }
+    }
+
+    /// Closes the step with the kept instruction costs of every part.
+    pub(crate) fn close(self) {
+        self.out.end(self.prefetch_insns, self.learn_insns);
+    }
+}
+
+impl StepSink for PartSink<'_> {
+    fn begin(&mut self, _miss: LineAddr) {}
+
+    fn prefetch(&mut self, addr: LineAddr) {
+        if self.keep != Keep::All {
+            return;
+        }
+        if let Some(issued) = &mut self.issued {
+            if issued.contains(&addr) {
+                return;
+            }
+            issued.push(addr);
+        }
+        self.prefetches += 1;
+        self.out.prefetch(addr);
+    }
+
+    fn read(&mut self, addr: Addr, bytes: u64) {
+        if self.keep != Keep::Learning {
+            self.out.read(addr, bytes);
+        }
+    }
+
+    fn write(&mut self, addr: Addr, bytes: u64) {
+        self.out.write(addr, bytes);
+    }
+
+    fn touches(&mut self) -> Touches<'_> {
+        match self.out.touches() {
+            Touches::Ignored => Touches::Ignored,
+            _ => Touches::Reported,
+        }
+    }
+
+    fn end(&mut self, prefetch_insns: u64, learn_insns: u64) {
+        if self.keep != Keep::Learning {
+            self.prefetch_insns += prefetch_insns;
+        }
+        self.learn_insns += learn_insns;
+    }
+}
+
+/// Adds each level of `preds` to the same level of `out`, skipping
+/// addresses `out` already predicts at that level.
+pub(crate) fn union_predictions(out: &mut [Vec<LineAddr>], preds: Vec<Vec<LineAddr>>) {
+    for (merged, mut preds) in out.iter_mut().zip(preds) {
+        preds.retain(|p| !merged.contains(p));
+        merged.extend(preds);
+    }
+}
+
+/// Runs several algorithms back-to-back on every observed miss, as one
+/// step: their prefetches in order with repeats dropped, and their costs
+/// summed.
 ///
 /// This is the paper's customization vehicle: the CG customization runs
 /// `Seq1+Repl` ("the ULMT is extended with a single-stream sequential
@@ -178,11 +254,6 @@ impl Combined {
         assert!(!parts.is_empty(), "Combined needs at least one algorithm");
         Combined { parts }
     }
-
-    /// The component algorithms.
-    pub fn parts(&self) -> &[Box<dyn UlmtAlgorithm>] {
-        &self.parts
-    }
 }
 
 impl std::fmt::Debug for Combined {
@@ -202,34 +273,21 @@ impl UlmtAlgorithm for Combined {
             .join("+")
     }
 
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
-        let mut step = StepResult::new();
+    fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
+        // Repeats are dropped while keeping first-issue order; the
+        // hardware Filter would drop them anyway, but dropping them here
+        // avoids charging the queue for them twice.
+        let mut step = PartSink::open(miss, sink, true);
         for part in &mut self.parts {
-            step.merge(part.process_miss(miss));
+            part.step(miss, &mut step);
         }
-        // De-duplicate prefetches while keeping first-issue order; the
-        // hardware Filter would drop the duplicates anyway, but dropping
-        // them here avoids charging the queue for them twice.
-        let mut seen = Vec::with_capacity(step.prefetches.len());
-        step.prefetches.retain(|&p| {
-            if seen.contains(&p) {
-                false
-            } else {
-                seen.push(p);
-                true
-            }
-        });
-        step
+        step.close();
     }
 
     fn predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {
         let mut out = vec![Vec::new(); levels];
         for part in &self.parts {
-            for (level, mut preds) in part.predict(miss, levels).into_iter().enumerate() {
-                let merged = &mut out[level];
-                preds.retain(|p| !merged.contains(p));
-                merged.extend(preds);
-            }
+            union_predictions(&mut out, part.predict(miss, levels));
         }
         out
     }
@@ -281,25 +339,20 @@ impl UlmtAlgorithm for SeqElseCorr {
         format!("{}+{}", self.seq.name(), self.corr.name())
     }
 
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
-        let mut step = self.seq.process_miss(miss);
-        let sequential = !step.prefetches.is_empty();
-        let mut corr_step = self.corr.process_miss(miss);
-        if sequential {
+    fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
+        let mut step = PartSink::open(miss, sink, false);
+        self.seq.step(miss, &mut step);
+        if step.prefetches > 0 {
             // The stream prefetcher covered it; the table only learns.
-            corr_step.prefetches.clear();
+            step.keep = Keep::Costs;
         }
-        step.merge(corr_step);
-        step
+        self.corr.step(miss, &mut step);
+        step.close();
     }
 
     fn predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {
         let mut out = self.seq.predict(miss, levels);
-        for (level, mut preds) in self.corr.predict(miss, levels).into_iter().enumerate() {
-            let merged = &mut out[level];
-            preds.retain(|p| !merged.contains(p));
-            merged.extend(preds);
-        }
+        union_predictions(&mut out, self.corr.predict(miss, levels));
         out
     }
 
@@ -321,10 +374,9 @@ impl UlmtAlgorithm for NullAlgorithm {
         "null".to_string()
     }
 
-    fn process_miss(&mut self, _miss: LineAddr) -> StepResult {
-        let mut step = StepResult::new();
-        step.prefetch_cost.add_insns(insn_cost::STEP_OVERHEAD);
-        step
+    fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
+        sink.begin(miss);
+        sink.end(insn_cost::STEP_OVERHEAD, 0);
     }
 
     fn predict(&self, _miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {

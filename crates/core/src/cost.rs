@@ -9,7 +9,9 @@
 //! processor model ([`ulmt-memproc`](../../memproc)) converts those into
 //! cycles using its clock ratio and its private cache.
 
-use ulmt_simcore::Addr;
+use ulmt_simcore::{Addr, LineAddr};
+
+use crate::algorithm::{StepSink, Touches};
 
 /// Work performed during one step (prefetching or learning).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -38,11 +40,6 @@ pub struct TableTouch {
 }
 
 impl Cost {
-    /// An empty cost.
-    pub fn new() -> Self {
-        Cost::default()
-    }
-
     /// Adds `n` executed instructions.
     #[inline]
     pub fn add_insns(&mut self, n: u64) {
@@ -68,17 +65,6 @@ impl Cost {
             is_write: true,
         });
     }
-
-    /// Merges `other` into `self`, preserving access order.
-    pub fn merge(&mut self, other: Cost) {
-        self.insns += other.insns;
-        self.table_touches.extend(other.table_touches);
-    }
-
-    /// Total bytes touched.
-    pub fn bytes_touched(&self) -> u64 {
-        self.table_touches.iter().map(|t| t.bytes).sum()
-    }
 }
 
 /// Everything an algorithm did for one observed miss.
@@ -86,7 +72,7 @@ impl Cost {
 pub struct StepResult {
     /// Prefetch addresses generated, in issue order (most critical first —
     /// the MRU level-1 successor leads).
-    pub prefetches: Vec<ulmt_simcore::LineAddr>,
+    pub prefetches: Vec<LineAddr>,
     /// Cost of the Prefetching step (defines the response time).
     pub prefetch_cost: Cost,
     /// Cost of the Learning step (response + learning = occupancy).
@@ -104,58 +90,97 @@ impl StepResult {
         self.prefetch_cost.insns + self.learn_cost.insns
     }
 
-    /// Merges another step performed immediately after this one (used by
-    /// [`Combined`](crate::algorithm::Combined) algorithms): prefetches are
-    /// appended and costs accumulate into the matching phases.
-    pub fn merge(&mut self, other: StepResult) {
-        self.prefetches.extend(other.prefetches);
-        self.prefetch_cost.merge(other.prefetch_cost);
-        self.learn_cost.merge(other.learn_cost);
+    /// Empties the step, keeping its buffers for the next one.
+    pub fn clear(&mut self) {
+        self.prefetches.clear();
+        for cost in [&mut self.prefetch_cost, &mut self.learn_cost] {
+            cost.insns = 0;
+            cost.table_touches.clear();
+        }
+    }
+}
+
+/// Records everything: a read is a Prefetching-step touch and a write a
+/// Learning-step touch. Steps accumulate, so a `StepResult` stepped over
+/// a batch holds the batch's prefetches, touches and instruction sums.
+impl StepSink for StepResult {
+    fn begin(&mut self, _miss: LineAddr) {}
+
+    #[inline]
+    fn prefetch(&mut self, addr: LineAddr) {
+        self.prefetches.push(addr);
+    }
+
+    #[inline]
+    fn read(&mut self, addr: Addr, bytes: u64) {
+        self.prefetch_cost.read(addr, bytes);
+    }
+
+    #[inline]
+    fn write(&mut self, addr: Addr, bytes: u64) {
+        self.learn_cost.write(addr, bytes);
+    }
+
+    fn touches(&mut self) -> Touches<'_> {
+        Touches::Recorded(self)
+    }
+
+    #[inline]
+    fn end(&mut self, prefetch_insns: u64, learn_insns: u64) {
+        self.prefetch_cost.add_insns(prefetch_insns);
+        self.learn_cost.add_insns(learn_insns);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ulmt_simcore::LineAddr;
 
     #[test]
     fn cost_accumulates() {
-        let mut c = Cost::new();
+        let mut c = Cost::default();
         c.add_insns(10);
         c.read(Addr::new(100), 20);
         c.write(Addr::new(200), 4);
         assert_eq!(c.insns, 10);
-        assert_eq!(c.bytes_touched(), 24);
+        assert_eq!(c.table_touches[0].bytes + c.table_touches[1].bytes, 24);
         assert_eq!(c.table_touches.len(), 2);
         assert!(c.table_touches[1].is_write);
     }
 
     #[test]
     fn merge_preserves_order() {
-        let mut a = Cost::new();
-        a.read(Addr::new(1), 4);
-        let mut b = Cost::new();
-        b.add_insns(5);
-        b.write(Addr::new(2), 8);
-        a.merge(b);
-        assert_eq!(a.insns, 5);
-        assert_eq!(a.table_touches[0].addr, Addr::new(1));
-        assert_eq!(a.table_touches[1].addr, Addr::new(2));
+        // Two steps into one StepResult: each phase keeps access order.
+        let mut s = StepResult::new();
+        s.read(Addr::new(1), 4);
+        s.end(0, 0);
+        s.read(Addr::new(2), 4);
+        s.write(Addr::new(3), 8);
+        s.end(0, 5);
+        assert_eq!(s.learn_cost.insns, 5);
+        let reads: Vec<_> = s
+            .prefetch_cost
+            .table_touches
+            .iter()
+            .map(|t| t.addr)
+            .collect();
+        assert_eq!(reads, vec![Addr::new(1), Addr::new(2)]);
+        assert!(s.prefetch_cost.table_touches.iter().all(|t| !t.is_write));
+        assert!(s.learn_cost.table_touches[0].is_write);
     }
 
     #[test]
     fn step_merge_combines_phases() {
         let mut s = StepResult::new();
-        s.prefetches.push(LineAddr::new(1));
-        s.prefetch_cost.add_insns(3);
-        let mut t = StepResult::new();
-        t.prefetches.push(LineAddr::new(2));
-        t.prefetch_cost.add_insns(4);
-        t.learn_cost.add_insns(7);
-        s.merge(t);
+        for (addr, prefetch, learn) in [(1, 3, 0), (2, 4, 7)] {
+            s.begin(LineAddr::new(9));
+            s.prefetch(LineAddr::new(addr));
+            s.end(prefetch, learn);
+        }
         assert_eq!(s.prefetches, vec![LineAddr::new(1), LineAddr::new(2)]);
         assert_eq!(s.prefetch_cost.insns, 7);
         assert_eq!(s.total_insns(), 14);
+        s.clear();
+        assert_eq!(s, StepResult::new());
     }
 }

@@ -14,10 +14,11 @@
 //!   Seq4) built on the shared [`stream::StreamDetector`];
 //! * the [`Filter`] module — the FIFO list that drops recently-issued
 //!   prefetch addresses (Section 3.2);
-//! * the [`UlmtAlgorithm`] trait with explicit *Prefetching step* /
-//!   *Learning step* cost accounting ([`Cost`], [`StepResult`]) from which
-//!   the memory-processor model derives response and occupancy times
-//!   (Figure 2 and Figure 10);
+//! * the [`UlmtAlgorithm`] trait, whose one [`step`] reports a miss's
+//!   prefetches, table touches and *Prefetching step* / *Learning step*
+//!   costs into a [`StepSink`]; the [`StepResult`] ([`Cost`]) it records
+//!   is what the memory-processor model turns into response and
+//!   occupancy times (Figure 2 and Figure 10);
 //! * customization support (Section 3.3.3): combination ([`Combined`],
 //!   e.g. `Seq1+Repl`), per-application parameters, [`adaptive`] on-the-fly
 //!   algorithm selection, and a [`profiling`] thread;
@@ -31,6 +32,8 @@
 //! [`SeqUlmt`]: seq::SeqUlmt
 //! [`Filter`]: filter::Filter
 //! [`Combined`]: algorithm::Combined
+//! [`step`]: UlmtAlgorithm::step
+//! [`StepSink`]: algorithm::StepSink
 //!
 //! # Example: far-ahead prefetching with the Replicated table
 //!

@@ -13,8 +13,7 @@
 
 use ulmt_simcore::{LineAddr, PageAddr};
 
-use crate::algorithm::UlmtAlgorithm;
-use crate::cost::StepResult;
+use crate::algorithm::{StepSink, UlmtAlgorithm};
 
 /// Routes observations to per-application algorithms by address region.
 pub struct RegionRoutedUlmt {
@@ -59,11 +58,6 @@ impl RegionRoutedUlmt {
     pub fn unrouted(&self) -> u64 {
         self.unrouted
     }
-
-    /// The per-application algorithms.
-    pub fn threads(&self) -> &[Box<dyn UlmtAlgorithm>] {
-        &self.threads
-    }
 }
 
 impl std::fmt::Debug for RegionRoutedUlmt {
@@ -80,14 +74,17 @@ impl UlmtAlgorithm for RegionRoutedUlmt {
         format!("per-app({})", self.threads.len())
     }
 
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
+    /// Steps the owning application's algorithm; a miss outside every
+    /// region is a step that costs nothing.
+    fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
         let region = self.region_of(miss);
         if region < self.threads.len() {
             self.routed[region] += 1;
-            self.threads[region].process_miss(miss)
+            self.threads[region].step(miss, sink);
         } else {
             self.unrouted += 1;
-            StepResult::new()
+            sink.begin(miss);
+            sink.end(0, 0);
         }
     }
 

@@ -16,8 +16,7 @@ use std::collections::HashMap;
 
 use ulmt_simcore::{LineAddr, PageAddr};
 
-use crate::algorithm::{insn_cost, UlmtAlgorithm};
-use crate::cost::StepResult;
+use crate::algorithm::{insn_cost, StepSink, UlmtAlgorithm};
 
 /// Number of L2 sets assumed when attributing misses to sets (Table 3:
 /// 512 KB, 4-way, 64 B lines → 2048 sets).
@@ -111,7 +110,8 @@ impl UlmtAlgorithm for ProfilingUlmt {
         "profile".to_string()
     }
 
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
+    fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
+        sink.begin(miss);
         self.total += 1;
         *self.page_misses.entry(miss.page()).or_insert(0) += 1;
         self.set_misses[(miss.raw() as usize) & (L2_SETS - 1)] += 1;
@@ -122,12 +122,9 @@ impl UlmtAlgorithm for ProfilingUlmt {
         }
         self.last = Some(miss);
 
-        let mut step = StepResult::new();
         // Profiling is all learning: histogram updates off the critical
         // path, no prefetches generated.
-        step.learn_cost
-            .add_insns(insn_cost::STEP_OVERHEAD + 2 * insn_cost::PER_INSERT);
-        step
+        sink.end(0, insn_cost::STEP_OVERHEAD + 2 * insn_cost::PER_INSERT);
     }
 
     fn predict(&self, _miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {

@@ -9,6 +9,7 @@
 use ulmt_simcore::LineAddr;
 
 use crate::algorithm::UlmtAlgorithm;
+use crate::cost::StepResult;
 use crate::table::{Base, Chain, Replicated, TableParams};
 
 /// One row of Table 1.
@@ -56,30 +57,22 @@ fn measure(alg: &mut dyn UlmtAlgorithm) -> (f64, f64) {
     // Train on a repeating sequence long enough to fill every level.
     let seq: Vec<LineAddr> = (0..8u64).map(|n| LineAddr::new(n * 129 + 7)).collect();
     for _ in 0..4 {
-        for &m in &seq {
-            alg.process_miss(m);
-        }
+        alg.process_misses(&seq, &mut StepResult::new());
     }
-    // Measure one steady-state pass.
-    let (mut pf_rows, mut ln_rows, mut steps) = (0usize, 0usize, 0usize);
-    for &m in &seq {
-        let step = alg.process_miss(m);
-        // Row accesses are the touches bigger than a bare 4-byte tag probe.
-        pf_rows += step
-            .prefetch_cost
-            .table_touches
-            .iter()
-            .filter(|t| t.bytes > 4)
-            .count();
-        ln_rows += step
-            .learn_cost
-            .table_touches
-            .iter()
-            .filter(|t| t.is_write)
-            .count();
-        steps += 1;
-    }
-    (pf_rows as f64 / steps as f64, ln_rows as f64 / steps as f64)
+    // Measure one steady-state pass, recorded into one step record.
+    let mut pass = StepResult::new();
+    alg.process_misses(&seq, &mut pass);
+    // Row accesses are the touches bigger than a bare 4-byte tag probe.
+    let reads = &pass.prefetch_cost.table_touches;
+    let pf_rows = reads.iter().filter(|t| t.bytes > 4).count();
+    let ln_rows = pass
+        .learn_cost
+        .table_touches
+        .iter()
+        .filter(|t| t.is_write)
+        .count();
+    let steps = seq.len() as f64;
+    (pf_rows as f64 / steps, ln_rows as f64 / steps)
 }
 
 /// Builds Table 1 for the given `num_levels` (the paper uses 3).

@@ -9,8 +9,7 @@
 
 use ulmt_simcore::LineAddr;
 
-use crate::algorithm::{insn_cost, UlmtAlgorithm};
-use crate::cost::StepResult;
+use crate::algorithm::{insn_cost, StepSink, UlmtAlgorithm};
 use crate::stream::StreamDetector;
 
 /// A sequential ULMT with `NumSeq` stream registers.
@@ -76,19 +75,18 @@ impl UlmtAlgorithm for SeqUlmt {
         format!("seq{}", self.detector.num_seq())
     }
 
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
-        let mut step = StepResult::new();
+    fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
+        sink.begin(miss);
+        let prefetches = self.detector.observe(miss);
+        for &p in &prefetches {
+            sink.prefetch(p);
+        }
         // All state fits in registers / a few cache lines: the cost is
         // purely computational and small.
-        step.prefetch_cost.add_insns(
-            insn_cost::STEP_OVERHEAD + insn_cost::PER_STREAM_CHECK * self.detector.num_seq() as u64,
-        );
-        let prefetches = self.detector.observe(miss);
-        step.prefetch_cost
-            .add_insns(insn_cost::PER_PREFETCH * prefetches.len() as u64);
-        step.prefetches = prefetches;
-        step.learn_cost.add_insns(insn_cost::LEARN_OVERHEAD);
-        step
+        let prefetch_insns = insn_cost::STEP_OVERHEAD
+            + insn_cost::PER_STREAM_CHECK * self.detector.num_seq() as u64
+            + insn_cost::PER_PREFETCH * prefetches.len() as u64;
+        sink.end(prefetch_insns, insn_cost::LEARN_OVERHEAD);
     }
 
     fn predict(&self, _miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {

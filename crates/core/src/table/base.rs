@@ -9,9 +9,9 @@
 
 use ulmt_simcore::LineAddr;
 
-use crate::algorithm::insn_cost;
+use crate::algorithm::{insn_cost, StepSink};
 
-use super::correlation::{BaseKind, CorrelationTable, KernelSink, Kind};
+use super::correlation::{BaseKind, CorrelationTable, Kind};
 use super::storage::RowPtr;
 
 /// The conventional one-level correlation prefetcher.
@@ -39,7 +39,7 @@ impl<K: Kind> CorrelationTable<K> {
     /// Base's Prefetching step: look up `miss` and emit all its stored
     /// successors, MRU first.
     #[inline]
-    pub(super) fn base_prefetch<S: KernelSink + ?Sized>(
+    pub(super) fn base_prefetch<S: StepSink + ?Sized>(
         &mut self,
         miss: LineAddr,
         insns: &mut u64,

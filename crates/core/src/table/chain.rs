@@ -14,9 +14,9 @@
 
 use ulmt_simcore::LineAddr;
 
-use crate::algorithm::insn_cost;
+use crate::algorithm::{insn_cost, StepSink};
 
-use super::correlation::{emit_once, ChainKind, CorrelationTable, KernelSink, Kind};
+use super::correlation::{emit_once, ChainKind, CorrelationTable, Kind};
 use super::storage::RowPtr;
 
 /// Multi-level correlation prefetching over the conventional table.
@@ -45,7 +45,7 @@ impl<K: Kind> CorrelationTable<K> {
     /// path, each a full associative search — this is what makes Chain's
     /// response slow. Returns the row of `miss` itself, if it has one.
     #[inline]
-    pub(super) fn chain_prefetch<S: KernelSink + ?Sized>(
+    pub(super) fn chain_prefetch<S: StepSink + ?Sized>(
         &mut self,
         miss: LineAddr,
         insns: &mut u64,

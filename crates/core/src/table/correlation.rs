@@ -8,19 +8,19 @@
 //! the Learning step itself, the snapshot/restore shell and the
 //! [`UlmtAlgorithm`] plumbing live here once.
 //!
-//! Each table therefore has exactly one step kernel.
-//! [`UlmtAlgorithm::process_miss`] runs it into a [`StepResult`], which
-//! records the table touches the memory-processor model replays;
-//! [`UlmtAlgorithm::process_misses`] runs the same kernel into a
-//! [`StepSink`], for which touch recording compiles away. The sink's type
-//! makes that choice, so the two paths cannot drift apart.
+//! Each table therefore has exactly one step kernel, behind
+//! [`UlmtAlgorithm::step`]. How the sink takes table touches
+//! ([`Touches`]) picks how it runs: statically into the
+//! [`StepResult`](crate::cost::StepResult) the memory-processor model
+//! replays, through the sink's touch calls, or, for a sink that ignores
+//! touches such as the prefetch service's, with touch reporting compiled
+//! away. The sink makes that choice, so the paths cannot drift apart.
 
 use std::fmt;
 
-use ulmt_simcore::{Addr, LineAddr, PageAddr};
+use ulmt_simcore::{LineAddr, PageAddr};
 
-use crate::algorithm::{insn_cost, StepSink, UlmtAlgorithm};
-use crate::cost::StepResult;
+use crate::algorithm::{insn_cost, StepSink, Touches, UlmtAlgorithm};
 
 use super::snapshot::{RowSnapshot, SnapshotError, TableSnapshot};
 use super::storage::{RowPtr, RowTable, TableStats};
@@ -101,61 +101,24 @@ impl Kind for ReplKind {
     }
 }
 
-/// Where the step kernel delivers one step's effects.
-///
-/// The Prefetching step only reads the table and the Learning step only
-/// writes it, so a read is a prefetch-phase touch and a write a
-/// learning-phase touch.
-pub(super) trait KernelSink {
-    fn begin(&mut self, miss: LineAddr);
-    fn prefetch(&mut self, addr: LineAddr);
-    fn read(&mut self, _addr: Addr, _bytes: u64) {}
-    fn write(&mut self, _addr: Addr, _bytes: u64) {}
-    fn end(&mut self, prefetch_insns: u64, learn_insns: u64);
-}
+/// A sink seen without its touch methods: a kernel run through it has
+/// its table-touch calls compiled away.
+struct NoTouch<'a>(&'a mut dyn StepSink);
 
-/// The per-miss path: everything, table touches included.
-impl KernelSink for StepResult {
-    #[inline]
-    fn begin(&mut self, _miss: LineAddr) {}
-
-    #[inline]
-    fn prefetch(&mut self, addr: LineAddr) {
-        self.prefetches.push(addr);
-    }
-
-    #[inline]
-    fn read(&mut self, addr: Addr, bytes: u64) {
-        self.prefetch_cost.read(addr, bytes);
-    }
-
-    #[inline]
-    fn write(&mut self, addr: Addr, bytes: u64) {
-        self.learn_cost.write(addr, bytes);
-    }
-
-    #[inline]
-    fn end(&mut self, prefetch_insns: u64, learn_insns: u64) {
-        self.prefetch_cost.add_insns(prefetch_insns);
-        self.learn_cost.add_insns(learn_insns);
-    }
-}
-
-/// The batch path: touches are the no-op defaults, so they compile away.
-impl<S: StepSink + ?Sized> KernelSink for S {
+impl StepSink for NoTouch<'_> {
     #[inline]
     fn begin(&mut self, miss: LineAddr) {
-        StepSink::begin(self, miss);
+        self.0.begin(miss);
     }
 
     #[inline]
     fn prefetch(&mut self, addr: LineAddr) {
-        StepSink::prefetch(self, addr);
+        self.0.prefetch(addr);
     }
 
     #[inline]
     fn end(&mut self, prefetch_insns: u64, learn_insns: u64) {
-        StepSink::end(self, prefetch_insns, learn_insns);
+        self.0.end(prefetch_insns, learn_insns);
     }
 }
 
@@ -344,7 +307,7 @@ impl<K: Kind> CorrelationTable<K> {
     /// The step kernel: one trip around the ULMT loop of Figure 2 for
     /// `miss` — the algorithm's Prefetching step, then the Learning step.
     #[inline]
-    fn step<S: KernelSink + ?Sized>(&mut self, miss: LineAddr, sink: &mut S) {
+    fn kernel<S: StepSink + ?Sized>(&mut self, miss: LineAddr, sink: &mut S) {
         sink.begin(miss);
         let mut prefetch_insns = insn_cost::STEP_OVERHEAD;
         let found = match self.kind() {
@@ -359,7 +322,7 @@ impl<K: Kind> CorrelationTable<K> {
     /// One associative search for `line`: a 4-byte tag probe per way,
     /// then a read of the matching row.
     #[inline]
-    pub(super) fn search<S: KernelSink + ?Sized>(
+    pub(super) fn search<S: StepSink + ?Sized>(
         &mut self,
         line: LineAddr,
         insns: &mut u64,
@@ -380,7 +343,7 @@ impl<K: Kind> CorrelationTable<K> {
     /// (`found` when the Prefetching step already looked it up) and
     /// retain it. Returns the step's instruction count.
     #[inline]
-    fn learn<S: KernelSink + ?Sized>(
+    fn learn<S: StepSink + ?Sized>(
         &mut self,
         miss: LineAddr,
         found: Option<RowPtr>,
@@ -421,7 +384,7 @@ impl<K: Kind> CorrelationTable<K> {
 
 /// Emits `succ` unless this step already emitted it.
 #[inline]
-pub(super) fn emit_once<S: KernelSink + ?Sized>(
+pub(super) fn emit_once<S: StepSink + ?Sized>(
     seen: &mut Vec<LineAddr>,
     sink: &mut S,
     succ: LineAddr,
@@ -437,17 +400,13 @@ impl<K: Kind> UlmtAlgorithm for CorrelationTable<K> {
         self.kind().name().to_string()
     }
 
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
-        let mut step = StepResult::new();
-        self.step(miss, &mut step);
-        step
-    }
-
-    /// The same step kernel as [`UlmtAlgorithm::process_miss`], with
-    /// table-touch recording compiled out and nothing allocated per step.
-    fn process_misses(&mut self, batch: &[LineAddr], sink: &mut dyn StepSink) {
-        for &miss in batch {
-            self.step(miss, sink);
+    /// Runs the step kernel as `sink` takes table touches: statically
+    /// into its record, through its touch calls, or through `NoTouch`.
+    fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
+        match sink.touches() {
+            Touches::Recorded(step) => self.kernel(miss, step),
+            Touches::Reported => self.kernel(miss, sink),
+            Touches::Ignored => self.kernel(miss, &mut NoTouch(sink)),
         }
     }
 

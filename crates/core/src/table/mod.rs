@@ -206,19 +206,6 @@ impl TableParams {
             .checked_add(ROW_META)?;
         self.num_rows.checked_mul(per_row)
     }
-
-    /// Infallible assertion form of [`TableParams::validate`], used by the
-    /// algorithm constructors.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message if the parameters are
-    /// invalid.
-    pub fn checked(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -250,13 +237,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple of Assoc")]
     fn checked_rejects_ragged() {
-        TableParams {
+        Base::new(TableParams {
             num_rows: 10,
             assoc: 4,
             num_succ: 2,
             num_levels: 1,
-        }
-        .checked();
+        });
     }
 
     #[test]

@@ -14,9 +14,9 @@
 
 use ulmt_simcore::LineAddr;
 
-use crate::algorithm::insn_cost;
+use crate::algorithm::{insn_cost, StepSink};
 
-use super::correlation::{emit_once, CorrelationTable, KernelSink, Kind, ReplKind};
+use super::correlation::{emit_once, CorrelationTable, Kind, ReplKind};
 use super::storage::RowPtr;
 
 /// The Replicated multi-level correlation prefetcher.
@@ -49,7 +49,7 @@ impl<K: Kind> CorrelationTable<K> {
     /// are inexpensive ... the rows to be updated are most likely still
     /// in the cache" (Section 3.3.2).
     #[inline]
-    pub(super) fn repl_prefetch<S: KernelSink + ?Sized>(
+    pub(super) fn repl_prefetch<S: StepSink + ?Sized>(
         &mut self,
         miss: LineAddr,
         insns: &mut u64,

@@ -309,7 +309,7 @@ impl RowTable {
     /// Panics if `params` are invalid, `levels` is zero, or `num_succ`
     /// exceeds the arena's 255-entry per-level length encoding.
     pub fn new(params: &TableParams, row_bytes: u64, levels: usize) -> Self {
-        params.checked();
+        params.validate().unwrap_or_else(|e| panic!("{e}"));
         assert!(levels > 0, "a row stores at least one successor level");
         assert!(
             params.num_succ <= u8::MAX as usize,
@@ -616,7 +616,7 @@ impl RowTable {
     /// implementation cloned every row into a scratch vector and then
     /// again into the new table).
     pub fn resize(&mut self, new_params: &TableParams) {
-        new_params.checked();
+        new_params.validate().unwrap_or_else(|e| panic!("{e}"));
         let order = self.live_slots_lru();
         let old = std::mem::replace(
             self,

@@ -13,7 +13,7 @@
 mod support;
 
 use support::reference::{RefBase, RefChain, RefReplicated};
-use ulmt_core::algorithm::{CollectSink, UlmtAlgorithm};
+use ulmt_core::algorithm::{StepSink, UlmtAlgorithm};
 use ulmt_core::table::{Base, Chain, Replicated, TableParams, TableSnapshot};
 use ulmt_simcore::{LineAddr, PageAddr, Pcg32};
 
@@ -236,12 +236,30 @@ fn batch_kernel_matches_reference_per_miss_path() {
     }
 
     fn run_batch<A: UlmtAlgorithm>(mut alg: A, misses: &[LineAddr]) -> (Vec<LineAddr>, u64, u64) {
-        let mut sink = CollectSink::default();
+        /// Sums a batch and wants no table touches, so the tables run
+        /// their touch-free kernel.
+        #[derive(Default)]
+        struct Totals(Vec<LineAddr>, u64, u64);
+
+        impl StepSink for Totals {
+            fn begin(&mut self, _miss: LineAddr) {}
+
+            fn prefetch(&mut self, addr: LineAddr) {
+                self.0.push(addr);
+            }
+
+            fn end(&mut self, prefetch_insns: u64, learn_insns: u64) {
+                self.1 += prefetch_insns;
+                self.2 += learn_insns;
+            }
+        }
+
+        let mut sink = Totals::default();
         // Uneven chunks so batch boundaries can't hide state carryover.
         for chunk in misses.chunks(97) {
             alg.process_misses(chunk, &mut sink);
         }
-        (sink.prefetches, sink.prefetch_insns, sink.learn_insns)
+        (sink.0, sink.1, sink.2)
     }
 
     assert_eq!(

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use ulmt_simcore::{Addr, LineAddr, PageAddr};
 
-use ulmt_core::algorithm::{insn_cost, UlmtAlgorithm};
+use ulmt_core::algorithm::{insn_cost, StepSink, UlmtAlgorithm};
 use ulmt_core::cost::StepResult;
 use ulmt_core::table::{
     AllocKind, MruList, RowSnapshot, TableKind, TableParams, TableSnapshot, TableStats,
@@ -23,6 +23,23 @@ use ulmt_core::table::{
 /// the production `RowTable` places its rows at the same address, which
 /// the compared table touches pin.
 const TABLE_BASE: u64 = 0x4000_0000;
+
+/// Replays a recorded step into `sink` as one `begin` … `end` frame.
+fn replay(step: StepResult, miss: LineAddr, sink: &mut dyn StepSink) {
+    sink.begin(miss);
+    for &p in &step.prefetches {
+        sink.prefetch(p);
+    }
+    let touches = step.prefetch_cost.table_touches.iter();
+    for t in touches.chain(&step.learn_cost.table_touches) {
+        if t.is_write {
+            sink.write(t.addr, t.bytes);
+        } else {
+            sink.read(t.addr, t.bytes);
+        }
+    }
+    sink.end(step.prefetch_cost.insns, step.learn_cost.insns);
+}
 
 /// A validated pointer into a [`RefRowTable`] (same contract as the
 /// arena's `RowPtr`, private to the reference layout).
@@ -56,7 +73,9 @@ pub struct RefRowTable<R> {
 
 impl<R: Clone> RefRowTable<R> {
     pub fn new(params: &TableParams, row_bytes: u64, template: R) -> Self {
-        params.checked();
+        if let Err(e) = params.validate() {
+            panic!("{e}");
+        }
         RefRowTable {
             num_sets: params.num_sets(),
             assoc: params.assoc,
@@ -235,7 +254,9 @@ impl<R: Clone> RefRowTable<R> {
     }
 
     pub fn resize(&mut self, new_params: &TableParams) {
-        new_params.checked();
+        if let Err(e) = new_params.validate() {
+            panic!("{e}");
+        }
         let mut live: Vec<(u64, LineAddr, R)> = self
             .slots
             .iter()
@@ -264,7 +285,9 @@ pub struct RefBase {
 
 impl RefBase {
     pub fn new(params: TableParams) -> Self {
-        params.checked();
+        if let Err(e) = params.validate() {
+            panic!("{e}");
+        }
         assert_eq!(params.num_levels, 1);
         let row_bytes = params.flat_row_bytes();
         RefBase {
@@ -304,14 +327,9 @@ impl RefBase {
                 .collect(),
         }
     }
-}
 
-impl UlmtAlgorithm for RefBase {
-    fn name(&self) -> String {
-        "ref-base".to_string()
-    }
-
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
+    /// One step, recorded into a fresh [`StepResult`].
+    fn record(&mut self, miss: LineAddr) -> StepResult {
         let mut step = StepResult::new();
         step.prefetch_cost.add_insns(insn_cost::STEP_OVERHEAD);
         for addr in self.table.probe_addrs(miss) {
@@ -352,6 +370,16 @@ impl UlmtAlgorithm for RefBase {
         self.last = Some(ptr);
         step
     }
+}
+
+impl UlmtAlgorithm for RefBase {
+    fn name(&self) -> String {
+        "ref-base".to_string()
+    }
+
+    fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
+        replay(self.record(miss), miss, sink);
+    }
 
     fn predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {
         let mut out = vec![Vec::new(); levels];
@@ -384,7 +412,9 @@ pub struct RefChain {
 
 impl RefChain {
     pub fn new(params: TableParams) -> Self {
-        params.checked();
+        if let Err(e) = params.validate() {
+            panic!("{e}");
+        }
         let row_bytes = params.flat_row_bytes();
         RefChain {
             table: RefRowTable::new(&params, row_bytes, MruList::new(params.num_succ)),
@@ -423,14 +453,9 @@ impl RefChain {
                 .collect(),
         }
     }
-}
 
-impl UlmtAlgorithm for RefChain {
-    fn name(&self) -> String {
-        "ref-chain".to_string()
-    }
-
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
+    /// One step, recorded into a fresh [`StepResult`].
+    fn record(&mut self, miss: LineAddr) -> StepResult {
         let mut step = StepResult::new();
         step.prefetch_cost.add_insns(insn_cost::STEP_OVERHEAD);
         let mut cur = miss;
@@ -485,6 +510,16 @@ impl UlmtAlgorithm for RefChain {
         self.last = Some(ptr);
         step
     }
+}
+
+impl UlmtAlgorithm for RefChain {
+    fn name(&self) -> String {
+        "ref-chain".to_string()
+    }
+
+    fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
+        replay(self.record(miss), miss, sink);
+    }
 
     fn predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {
         let mut out = vec![Vec::new(); levels];
@@ -536,7 +571,9 @@ pub struct RefReplicated {
 
 impl RefReplicated {
     pub fn new(params: TableParams) -> Self {
-        params.checked();
+        if let Err(e) = params.validate() {
+            panic!("{e}");
+        }
         let row_bytes = params.repl_row_bytes();
         RefReplicated {
             table: RefRowTable::new(
@@ -591,14 +628,9 @@ impl RefReplicated {
                 .collect(),
         }
     }
-}
 
-impl UlmtAlgorithm for RefReplicated {
-    fn name(&self) -> String {
-        "ref-repl".to_string()
-    }
-
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
+    /// One step, recorded into a fresh [`StepResult`].
+    fn record(&mut self, miss: LineAddr) -> StepResult {
         let mut step = StepResult::new();
         step.prefetch_cost.add_insns(insn_cost::STEP_OVERHEAD);
         for addr in self.table.probe_addrs(miss) {
@@ -647,6 +679,16 @@ impl UlmtAlgorithm for RefReplicated {
         self.pointers.push_front(ptr);
         self.pointers.truncate(self.params.num_levels);
         step
+    }
+}
+
+impl UlmtAlgorithm for RefReplicated {
+    fn name(&self) -> String {
+        "ref-repl".to_string()
+    }
+
+    fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
+        replay(self.record(miss), miss, sink);
     }
 
     fn predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {

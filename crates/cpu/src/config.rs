@@ -55,17 +55,6 @@ impl CpuConfig {
         }
         Ok(())
     }
-
-    /// Infallible assertion form of [`CpuConfig::validate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message if any parameter is zero.
-    pub fn checked(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -75,7 +64,6 @@ mod tests {
     #[test]
     fn table3_defaults() {
         let c = CpuConfig::default();
-        c.checked();
         assert!(c.validate().is_ok());
         assert!(CpuConfig {
             issue_width: 0,

@@ -63,18 +63,6 @@ impl DramConfig {
         }
         Ok(())
     }
-
-    /// Infallible assertion form of [`DramConfig::validate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message if any dimension is zero or
-    /// not a power of two where required.
-    pub fn checked(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Outcome of one DRAM core access.
@@ -128,7 +116,7 @@ impl Dram {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(cfg: DramConfig) -> Self {
-        cfg.checked();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Dram {
             open_rows: vec![None; cfg.num_banks()],
             cfg,

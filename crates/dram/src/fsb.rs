@@ -62,18 +62,6 @@ impl FsbConfig {
         }
         Ok(())
     }
-
-    /// Infallible assertion form of [`FsbConfig::validate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message if a bus phase takes zero
-    /// cycles.
-    pub fn checked(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// The front-side bus: a single FCFS resource with per-class accounting.

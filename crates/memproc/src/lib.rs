@@ -7,8 +7,11 @@
 //! chip or inside a DRAM chip. The core has no floating point — none of
 //! the ULMT algorithms need it.
 //!
-//! This crate turns the machine-independent [`Cost`](ulmt_core::cost::Cost)
-//! reported by an algorithm into **cycles**:
+//! [`MemProcessor`] steps its algorithm
+//! ([`UlmtAlgorithm::step`](ulmt_core::algorithm::UlmtAlgorithm::step))
+//! into one reused [`StepResult`](ulmt_core::cost::StepResult) per
+//! observed miss and turns the recorded machine-independent
+//! [`Cost`](ulmt_core::cost::Cost) of each phase into **cycles**:
 //!
 //! * instructions retire at the 2-issue 800 MHz rate (≈ 1 main-processor
 //!   cycle per instruction at best);

@@ -2,7 +2,7 @@
 
 use ulmt_cache::{AccessOutcome, Cache, CacheConfig};
 use ulmt_core::algorithm::UlmtAlgorithm;
-use ulmt_core::cost::Cost;
+use ulmt_core::cost::{Cost, StepResult};
 use ulmt_simcore::stats::Mean;
 use ulmt_simcore::{Addr, ConfigError, Cycle, LineAddr, SharedTracer, TraceEvent};
 
@@ -99,17 +99,6 @@ impl MemProcConfig {
                 format!("memory processor cache: {}", e.reason()),
             )
         })
-    }
-
-    /// Infallible assertion form of [`MemProcConfig::validate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message if a parameter is invalid.
-    pub fn checked(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
     }
 }
 
@@ -248,6 +237,8 @@ pub struct MemProcessor {
     busy_until: Cycle,
     stats: UlmtStats,
     tracer: Option<SharedTracer>,
+    /// The step being replayed, its buffers reused across observations.
+    step: StepResult,
 }
 
 impl std::fmt::Debug for MemProcessor {
@@ -270,6 +261,7 @@ impl MemProcessor {
             busy_until: 0,
             stats: UlmtStats::default(),
             tracer: None,
+            step: StepResult::new(),
         }
     }
 
@@ -329,7 +321,9 @@ impl MemProcessor {
             "ULMT is busy until {}",
             self.busy_until
         );
-        let step = self.algorithm.process_miss(miss);
+        let mut step = std::mem::take(&mut self.step);
+        step.clear();
+        self.algorithm.step(miss, &mut step);
 
         let mut t = now;
         self.replay_cost(&step.prefetch_cost, &mut t, mem);
@@ -353,8 +347,10 @@ impl MemProcessor {
             );
         }
 
+        let prefetches = std::mem::take(&mut step.prefetches);
+        self.step = step;
         UlmtStep {
-            prefetches: step.prefetches,
+            prefetches,
             response_done,
             occupancy_done,
         }

@@ -144,23 +144,12 @@ impl TenantSpec {
         }
         Ok(())
     }
-
-    /// Infallible assertion form of [`TenantSpec::validate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message if the spec is invalid.
-    pub fn checked(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Supervision, checkpointing and degraded-mode policy of a
 /// [`PrefetchService`](crate::PrefetchService).
 ///
-/// The recovery window math (see [`crate::journal`]): a shard
+/// The recovery window math: a shard
 /// checkpoints every [`checkpoint_every`](Self::checkpoint_every)
 /// accepted batches and journals the last
 /// [`journal_window`](Self::journal_window) of them, so
@@ -322,18 +311,6 @@ impl ServiceConfig {
         self.supervision.validate()?;
         Ok(())
     }
-
-    /// Infallible assertion form of [`ServiceConfig::validate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message if the configuration is
-    /// invalid.
-    pub fn checked(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Configuration of the TCP network front-end
@@ -401,18 +378,6 @@ impl NetConfig {
         }
         Ok(())
     }
-
-    /// Infallible assertion form of [`NetConfig::validate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message if the configuration is
-    /// invalid.
-    pub fn checked(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -422,8 +387,7 @@ mod tests {
     #[test]
     fn default_is_valid() {
         assert!(ServiceConfig::default().validate().is_ok());
-        ServiceConfig::default().checked();
-        NetConfig::default().checked();
+        assert!(NetConfig::default().validate().is_ok());
         assert_eq!(NetConfig::loopback(), NetConfig::default());
     }
 
@@ -497,7 +461,7 @@ mod tests {
             TenantSpec::chain(1024),
             TenantSpec::repl(1024),
         ] {
-            spec.checked();
+            spec.validate().unwrap();
         }
     }
 
@@ -518,7 +482,7 @@ mod tests {
             .with_weight(4)
             .with_queue_depth(8)
             .with_quota(AdmissionQuota::new(16, 100));
-        spec.checked();
+        spec.validate().unwrap();
         assert!(TenantSpec::repl(64)
             .with_weight(0)
             .validate()

@@ -34,7 +34,7 @@
 //! * the service is **self-healing**: a supervisor thread detects dead
 //!   (panicked) and wedged (alive but not consuming) shards, rebuilds
 //!   them from periodic checkpoints plus a bounded observation
-//!   [`journal`] replay — bit-identical when the journal window covers
+//!   journal replay — bit-identical when the journal window covers
 //!   the gap, explicitly [`Lossy`](RecoveryOutcome::Lossy) with an exact
 //!   dropped-batch count when it does not — and every restart is
 //!   recorded as a [`RecoveryReport`]. While a shard is down, sessions

@@ -3,7 +3,7 @@
 //!
 //! # Registry layout
 //!
-//! Each shard worker owns one [`MetricsRegistry`]: three monotone
+//! Each shard worker owns one `MetricsRegistry`: three monotone
 //! counters (accepted batches, observations, prefetches) plus three
 //! fixed-size [`Log2Histogram`]s — batch size (observations), queue
 //! wait (nanoseconds from enqueue to dequeue) and ingest latency

@@ -89,9 +89,9 @@ pub enum FrameKind {
     DrainOk = 0x89,
     /// Shutdown drain begun.
     ShutdownOk = 0x8A,
-    /// A typed [`ServiceError`], encoded via [`encode_error`].
+    /// A typed [`ServiceError`], encoded via `encode_error`.
     Err = 0x8B,
-    /// A [`MetricsReport`], encoded via [`encode_metrics`].
+    /// A [`MetricsReport`], encoded via `encode_metrics`.
     MetricsOk = 0x8C,
 }
 

@@ -314,7 +314,7 @@ impl PendingBatch {
 #[derive(Debug)]
 pub enum TrySubmit {
     /// The batch is in the shard's queue (or was shed with an immediate
-    /// ack — see [`BatchReply::shed`]); the handle yields the reply.
+    /// ack — see [`BatchReply::shed`](crate::BatchReply#structfield.shed)); the handle yields the reply.
     Enqueued(PendingBatch),
     /// The *tenant's* ingestion queue is full (or the shard is briefly
     /// unavailable). Admission is per-tenant: one tenant filling its
@@ -507,7 +507,7 @@ impl Session {
     /// Non-blocking submission of a batch of L2-miss line addresses.
     /// Never drops observations: a full queue hands the batch back as
     /// [`TrySubmit::Full`]. A down shard either sheds (immediate ack,
-    /// see [`BatchReply::shed`]) or hands the batch back as `Full`,
+    /// see [`BatchReply::shed`](crate::BatchReply#structfield.shed)) or hands the batch back as `Full`,
     /// per the service's
     /// [`shed_when_down`](crate::SupervisionConfig::shed_when_down)
     /// policy.
@@ -852,9 +852,9 @@ pub struct PauseGuard {
 ///
 /// A supervisor thread watches every shard for death (panic) and wedging
 /// (alive but not consuming). A failed shard is rebuilt from its last
-/// checkpoint plus a replay of the journaled batches past it — see
-/// [`crate::journal`] for the exact recovery contract — and every
-/// restart is recorded as a [`RecoveryReport`]. While a shard is down,
+/// checkpoint plus a replay of the journaled batches past it (see
+/// [`SupervisionConfig`](crate::SupervisionConfig) for when that
+/// replay is exact), and every restart is recorded as a [`RecoveryReport`]. While a shard is down,
 /// sessions shed or wait per
 /// [`SupervisionConfig::shed_when_down`](crate::SupervisionConfig::shed_when_down).
 ///
@@ -890,7 +890,7 @@ impl PrefetchService {
     ///
     /// Panics if `cfg` is invalid (see [`ServiceConfig::validate`]).
     pub fn start(cfg: ServiceConfig) -> Self {
-        cfg.checked();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let cancel = CancelToken::new();
         let slots: Vec<Arc<ShardSlot>> = (0..cfg.shards as u32)
             .map(|shard| Arc::new(ShardSlot::new(shard, &cfg)))

@@ -61,7 +61,7 @@ pub use fault::{
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::Pcg32;
 pub use server::{Server, ServerState};
-pub use trace::{SharedTracer, TraceBuffer, TraceConfig, TraceEvent, TraceSink};
+pub use trace::{SharedTracer, TraceBuffer, TraceConfig, TraceEvent};
 
 /// Global simulation time, measured in 1.6 GHz main-processor cycles.
 ///

@@ -13,8 +13,6 @@
 //! * [`TraceEvent`] — a small `Copy` enum, one variant per event class;
 //! * [`TraceBuffer`] — the cycle-stamped ring buffer with overwrite
 //!   accounting and the machine-readable exporters;
-//! * [`TraceSink`] — the sink trait; [`NullSink`] is the zero-cost
-//!   disabled implementation;
 //! * [`SharedTracer`] — a clonable `Rc<RefCell<TraceBuffer>>` handle the
 //!   system simulator distributes to the FSB and memory-processor models
 //!   so every component stamps into one ordered stream.
@@ -545,36 +543,6 @@ impl Default for TraceConfig {
     }
 }
 
-/// Destination of traced events.
-///
-/// The system simulator emits through `Option<SharedTracer>` handles, so
-/// the disabled path never constructs an event. The trait exists so tests
-/// and tools can supply alternative sinks (counting, filtering, etc.).
-pub trait TraceSink {
-    /// Records one event at simulated cycle `at`.
-    fn record(&mut self, at: Cycle, event: TraceEvent);
-
-    /// `false` if recorded events are discarded; callers may skip
-    /// constructing events entirely.
-    fn is_enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The zero-cost disabled sink: every call is an inlined no-op.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline(always)]
-    fn record(&mut self, _at: Cycle, _event: TraceEvent) {}
-
-    #[inline(always)]
-    fn is_enabled(&self) -> bool {
-        false
-    }
-}
-
 /// Cycle-stamped bounded ring buffer of traced events.
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuffer {
@@ -711,12 +679,6 @@ impl TraceBuffer {
     }
 }
 
-impl TraceSink for TraceBuffer {
-    fn record(&mut self, at: Cycle, event: TraceEvent) {
-        TraceBuffer::record(self, at, event);
-    }
-}
-
 /// A clonable handle to one shared [`TraceBuffer`].
 ///
 /// The system simulator installs clones of one handle into the FSB and
@@ -764,12 +726,6 @@ impl SharedTracer {
             &mut *buf,
             TraceBuffer::new(TraceConfig::with_capacity(capacity)),
         )
-    }
-}
-
-impl TraceSink for SharedTracer {
-    fn record(&mut self, at: Cycle, event: TraceEvent) {
-        SharedTracer::record(self, at, event);
     }
 }
 
@@ -866,13 +822,6 @@ mod tests {
         assert_eq!(buf.capacity(), 16);
         assert!(second.with(|b| b.is_empty()));
         assert_eq!(second.with(|b| b.capacity()), 16);
-    }
-
-    #[test]
-    fn null_sink_reports_disabled() {
-        let mut sink = NullSink;
-        assert!(!sink.is_enabled());
-        sink.record(0, TraceEvent::L2Miss { line: line(9) });
     }
 
     #[test]

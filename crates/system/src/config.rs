@@ -172,18 +172,6 @@ impl SystemConfig {
         Ok(())
     }
 
-    /// Infallible assertion form of [`SystemConfig::validate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`] message if the configuration is
-    /// inconsistent.
-    pub fn checked(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
-
     /// Contention-free demand round trip on a DRAM row hit, for
     /// validation against Table 3's 208 cycles.
     pub fn round_trip_row_hit(&self) -> Cycle {
@@ -316,13 +304,15 @@ mod tests {
 
     #[test]
     fn checked_accepts_valid_and_panics_with_message() {
-        SystemConfig::default().checked();
+        // The panicking constructor reports the `validate` message.
+        assert!(SystemConfig::default().validate().is_ok());
+        let spec = ulmt_workloads::WorkloadSpec::new(ulmt_workloads::App::Tree);
         let result = std::panic::catch_unwind(|| {
-            SystemConfig {
+            let cfg = SystemConfig {
                 filter_entries: 0,
                 ..SystemConfig::default()
-            }
-            .checked()
+            };
+            crate::SystemSim::new(cfg, &spec, crate::PrefetchScheme::NoPref);
         });
         let msg = *result.unwrap_err().downcast::<String>().expect("panic msg");
         assert!(msg.contains("Filter"), "{msg}");

@@ -127,7 +127,7 @@ impl MultiprogExperiment {
             .collect::<Vec<_>>()
             .join("+");
         let footprint: u64 = self.apps.iter().map(|a| a.footprint_lines()).sum();
-        SystemSim::from_parts_hinted(
+        SystemSim::try_from_parts_hinted(
             self.config,
             Box::new(trace),
             false,
@@ -137,6 +137,7 @@ impl MultiprogExperiment {
             apps,
             footprint,
         )
+        .unwrap_or_else(|e| panic!("invalid SystemConfig: {e}"))
         .run()
     }
 }

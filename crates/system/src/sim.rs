@@ -235,67 +235,10 @@ impl SystemSim {
     /// Builds a simulator from explicit parts: any workload trace, any
     /// (optional) memory processor. This is the hook for multiprogrammed
     /// runs and hand-rolled customizations that the [`PrefetchScheme`]
-    /// presets do not cover.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SystemConfig::validate`].
-    pub fn from_parts(
-        cfg: SystemConfig,
-        workload: Box<dyn Iterator<Item = TraceRecord>>,
-        conven4: bool,
-        memproc: Option<MemProcessor>,
-        verbose: bool,
-        scheme_label: String,
-        app_label: String,
-    ) -> Self {
-        Self::from_parts_hinted(
-            cfg,
-            workload,
-            conven4,
-            memproc,
-            verbose,
-            scheme_label,
-            app_label,
-            0,
-        )
-    }
-
-    /// [`SystemSim::from_parts`] plus a workload footprint hint (distinct
-    /// lines the trace is expected to touch, 0 for unknown) used to
-    /// pre-size the event queue and the hot-path address maps so the
-    /// steady state allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SystemConfig::validate`]; use
-    /// [`SystemSim::try_from_parts_hinted`] for a recoverable error.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts_hinted(
-        cfg: SystemConfig,
-        workload: Box<dyn Iterator<Item = TraceRecord>>,
-        conven4: bool,
-        memproc: Option<MemProcessor>,
-        verbose: bool,
-        scheme_label: String,
-        app_label: String,
-        footprint_hint: u64,
-    ) -> Self {
-        Self::try_from_parts_hinted(
-            cfg,
-            workload,
-            conven4,
-            memproc,
-            verbose,
-            scheme_label,
-            app_label,
-            footprint_hint,
-        )
-        .unwrap_or_else(|e| panic!("invalid SystemConfig: {e}"))
-    }
-
-    /// [`SystemSim::from_parts_hinted`] returning a typed [`ConfigError`]
-    /// instead of panicking on an invalid configuration.
+    /// presets do not cover. `footprint_hint` (distinct lines the trace
+    /// is expected to touch, 0 for unknown) pre-sizes the event queue and
+    /// the hot-path address maps so the steady state allocates nothing.
+    /// An invalid configuration is a typed [`ConfigError`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_from_parts_hinted(
         cfg: SystemConfig,
@@ -399,7 +342,8 @@ impl SystemSim {
     /// Installs a cycle-stamped event tracer. Clones of the handle are
     /// propagated into the FSB and memory-processor models so every
     /// component stamps into one time-ordered stream; the resulting
-    /// [`RunResult`] then carries the recorded [`TraceBuffer`]
+    /// [`RunResult`] then carries the recorded
+    /// [`TraceBuffer`](ulmt_simcore::TraceBuffer)
     /// (see [`RunResult::trace`](crate::RunResult)).
     pub fn set_tracer(&mut self, tracer: SharedTracer) {
         self.fsb.set_tracer(tracer.clone());

@@ -6,7 +6,7 @@ use ulmt_system::{PrefetchScheme, SystemConfig, SystemSim};
 use ulmt_workloads::{TraceRecord, WorkloadSpec};
 
 fn run_trace(records: Vec<TraceRecord>) -> ulmt_system::RunResult {
-    SystemSim::from_parts(
+    SystemSim::try_from_parts_hinted(
         SystemConfig::default(),
         Box::new(records.into_iter()),
         false,
@@ -14,7 +14,9 @@ fn run_trace(records: Vec<TraceRecord>) -> ulmt_system::RunResult {
         false,
         "NoPref".to_string(),
         "micro".to_string(),
+        0,
     )
+    .expect("valid config")
     .run()
 }
 
@@ -115,7 +117,7 @@ fn writeback_traffic_reaches_the_bus() {
     for i in 0..2048u64 {
         records.push(TraceRecord::store(Addr::new(i * 64), 4));
     }
-    let r = SystemSim::from_parts(
+    let r = SystemSim::try_from_parts_hinted(
         SystemConfig::small(),
         Box::new(records.into_iter()),
         false,
@@ -123,7 +125,9 @@ fn writeback_traffic_reaches_the_bus() {
         false,
         "NoPref".to_string(),
         "wb".to_string(),
+        0,
     )
+    .expect("valid config")
     .run();
     assert!(r.exec_cycles > 0);
     // Dirty evictions happened (the 32 KB L2 holds 512 lines).
@@ -155,7 +159,7 @@ fn verbose_mode_feeds_prefetch_requests_to_the_ulmt() {
             ulmt_memproc::MemProcConfig::default(),
             ulmt_core::AlgorithmSpec::repl(16 * 1024).build(),
         );
-        let r = SystemSim::from_parts(
+        let r = SystemSim::try_from_parts_hinted(
             SystemConfig::small(),
             Box::new(spec.build()),
             true,
@@ -163,7 +167,9 @@ fn verbose_mode_feeds_prefetch_requests_to_the_ulmt() {
             verbose,
             "x".to_string(),
             "CG".to_string(),
+            0,
         )
+        .expect("valid config")
         .run();
         r.ulmt.expect("ULMT ran").steps
     };

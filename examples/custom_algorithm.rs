@@ -8,15 +8,20 @@
 //! to the stock algorithms — exactly what a user of this library would do
 //! for their own workload.
 //!
+//! An algorithm implements one method, `step`, which reports a miss's
+//! prefetches, table touches and instruction costs into a [`StepSink`].
+//! This one wraps a stock Replicated table and, when a stride is locked,
+//! steps the table through a small sink of its own that swaps the
+//! table's prefetches for the stride run.
+//!
 //! ```text
 //! cargo run --release --example custom_algorithm
 //! ```
 
-use ulmt::core::algorithm::{insn_cost, UlmtAlgorithm};
-use ulmt::core::cost::StepResult;
+use ulmt::core::algorithm::{insn_cost, StepSink, Touches, UlmtAlgorithm};
 use ulmt::core::table::{Replicated, TableParams};
 use ulmt::memproc::{FixedLatencyMemory, MemProcConfig, MemProcLocation, MemProcessor};
-use ulmt::simcore::LineAddr;
+use ulmt::simcore::{Addr, LineAddr};
 
 /// A user-written ULMT: detects *arbitrary-stride* runs (the stock `Seq`
 /// only handles ±1) and falls back to a Replicated table for everything
@@ -46,7 +51,7 @@ impl UlmtAlgorithm for StrideAndCorrelate {
         "stride+repl".to_string()
     }
 
-    fn process_miss(&mut self, miss: LineAddr) -> StepResult {
+    fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
         // Stride detection: two consecutive equal deltas lock a stride.
         let mut locked = false;
         if let Some(last) = self.last {
@@ -64,16 +69,16 @@ impl UlmtAlgorithm for StrideAndCorrelate {
         // The correlation half always learns; it only prefetches when the
         // stride detector has no lock (same shape as the CG
         // customization).
-        let mut step = self.table.process_miss(miss);
         if locked {
-            step.prefetches.clear();
-            for k in 1..=self.depth {
-                step.prefetches.push(miss.offset(k * self.stride));
-            }
-            step.prefetch_cost
-                .add_insns(insn_cost::PER_PREFETCH * self.depth as u64);
+            let mut run = StrideRun {
+                sink,
+                stride: self.stride,
+                depth: self.depth,
+            };
+            self.table.step(miss, &mut run);
+        } else {
+            self.table.step(miss, sink);
         }
-        step
     }
 
     fn predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {
@@ -84,6 +89,46 @@ impl UlmtAlgorithm for StrideAndCorrelate {
             }
         }
         out
+    }
+}
+
+/// The table's step with its prefetches swapped for a stride run: the
+/// table's touches and learning pass through to `sink`, and the
+/// run's addresses are charged to the Prefetching step.
+struct StrideRun<'a> {
+    sink: &'a mut dyn StepSink,
+    stride: i64,
+    depth: i64,
+}
+
+impl StepSink for StrideRun<'_> {
+    fn begin(&mut self, miss: LineAddr) {
+        self.sink.begin(miss);
+        for k in 1..=self.depth {
+            self.sink.prefetch(miss.offset(k * self.stride));
+        }
+    }
+
+    fn prefetch(&mut self, _addr: LineAddr) {}
+
+    fn read(&mut self, addr: Addr, bytes: u64) {
+        self.sink.read(addr, bytes);
+    }
+
+    fn write(&mut self, addr: Addr, bytes: u64) {
+        self.sink.write(addr, bytes);
+    }
+
+    fn touches(&mut self) -> Touches<'_> {
+        match self.sink.touches() {
+            Touches::Ignored => Touches::Ignored,
+            _ => Touches::Reported,
+        }
+    }
+
+    fn end(&mut self, prefetch_insns: u64, learn_insns: u64) {
+        let run_insns = insn_cost::PER_PREFETCH * self.depth as u64;
+        self.sink.end(prefetch_insns + run_insns, learn_insns);
     }
 }
 

@@ -15,20 +15,23 @@
 #                                snapshot, chaos, net, metrics, weights,
 #                                per-miss vs batch) is a test here
 #   5. cargo test --doc       -- every doc example compiles and runs
-#   6. trace validation       -- a traced fixed-seed faulted run whose
+#   6. cargo doc -D warnings  -- the API docs build without a warning, so
+#                                an intra-doc link to a renamed or deleted
+#                                item fails here
+#   7. trace validation       -- a traced fixed-seed faulted run whose
 #                                counters must re-derive bit-exactly from
 #                                the event stream (inspect's `trace` leg)
-#   7. paper regeneration     -- every table, figure and the ablation
+#   8. paper regeneration     -- every table, figure and the ablation
 #                                report at ULMT_SCALE=small through
 #                                `inspect -- figures` (output discarded;
-#                                ~45 s on 2 cores): the only end-to-end run
+#                                ~30 s on 2 cores): the only end-to-end run
 #                                of the figure and ablation code
-#   8. perfbench builds       -- perfbench is its own Cargo workspace, so
+#   9. perfbench builds       -- perfbench is its own Cargo workspace, so
 #                                step 4 never compiles it; this builds it
 #                                against the current crates and runs its
 #                                unit tests (build output stays under
 #                                target/, nothing is written in perfbench/)
-#   9. deprecation audit      -- the one-cycle deprecation window is
+#  10. deprecation audit      -- the one-cycle deprecation window is
 #                                closed: no `#[deprecated]` item remains
 #                                anywhere in the tree, and nothing still
 #                                references the removed pre-redesign
@@ -59,6 +62,9 @@ cargo test -q
 
 echo "== cargo test --doc"
 cargo test -q --workspace --doc
+
+echo "== cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== trace validation (faulted, seed 7)"
 ULMT_FAULT_SEED=7 ULMT_SCALE=small \

@@ -70,18 +70,19 @@ pub use ulmt_simcore as simcore;
 pub use ulmt_system as system;
 pub use ulmt_workloads as workloads;
 
-/// The types most programs need, in one `use`.
-///
-/// Batch experiments: [`Experiment`], [`PrefetchScheme`],
-/// [`SystemConfig`], [`WorkloadSpec`], [`App`], [`RunResult`], plus the
-/// fault-injection ([`FaultConfig`]), tracing ([`TraceConfig`]) and
-/// cancellation ([`CancelToken`]) knobs.
-///
-/// Online serving: [`PrefetchService`], [`ServiceConfig`], [`Session`],
-/// [`TenantSpec`], [`TrySubmit`], plus the network front-end
-/// ([`NetServer`], [`NetClient`], [`NetConfig`]) and the metrics plane
-/// ([`MetricsReport`], [`ShardMetrics`]).
 pub mod prelude {
+    //! The types most programs need, in one `use`.
+    //!
+    //! Batch experiments: [`Experiment`], [`PrefetchScheme`],
+    //! [`SystemConfig`], [`WorkloadSpec`], [`App`], [`RunResult`], plus the
+    //! fault-injection ([`FaultConfig`]), tracing ([`TraceConfig`]) and
+    //! cancellation ([`CancelToken`]) knobs.
+    //!
+    //! Online serving: [`PrefetchService`], [`ServiceConfig`], [`Session`],
+    //! [`TenantSpec`], [`TrySubmit`], plus the network front-end
+    //! ([`NetServer`], [`NetClient`], [`NetConfig`]) and the metrics plane
+    //! ([`MetricsReport`], [`ShardMetrics`]).
+
     pub use ulmt_service::{
         MetricsReport, NetClient, NetConfig, NetServer, NetSubmit, PrefetchService, ServiceConfig,
         ServiceError, Session, ShardMetrics, TableKind, TenantSpec, TrySubmit,

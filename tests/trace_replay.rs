@@ -17,7 +17,7 @@ fn replayed_trace_reproduces_the_run_bit_for_bit() {
     // Capture, serialize, deserialize, replay.
     let bytes = codec::encode(spec.build()).expect("generator addresses are aligned");
     let replayed = codec::decode(&bytes).expect("roundtrip");
-    let result = SystemSim::from_parts(
+    let result = SystemSim::try_from_parts_hinted(
         SystemConfig::small(),
         Box::new(replayed.into_iter()),
         false,
@@ -25,7 +25,9 @@ fn replayed_trace_reproduces_the_run_bit_for_bit() {
         false,
         "NoPref".to_string(),
         "Gap-replay".to_string(),
+        0,
     )
+    .expect("valid config")
     .run();
 
     assert_eq!(result.exec_cycles, reference.exec_cycles);
