@@ -49,7 +49,8 @@ pub trait StepSink {
     /// The Learning step wrote `bytes` bytes of the table at `addr`.
     fn write(&mut self, _addr: Addr, _bytes: u64) {}
 
-    /// How this sink takes table touches; by default it ignores them.
+    /// How this sink takes table touches; by default it ignores them. The
+    /// answer must not change within a batch: a batch step asks once.
     fn touches(&mut self) -> Touches<'_> {
         Touches::Ignored
     }
@@ -95,7 +96,10 @@ pub trait UlmtAlgorithm {
         step
     }
 
-    /// [`UlmtAlgorithm::step`] for every miss of `batch`, in order.
+    /// [`UlmtAlgorithm::step`] for every miss of `batch`, in order. An
+    /// algorithm may override it only to hoist per-batch work out of the
+    /// loop (the correlation tables ask [`StepSink::touches`] once per
+    /// batch); the effects must be those of stepping each miss.
     fn process_misses(&mut self, batch: &[LineAddr], sink: &mut dyn StepSink) {
         for &miss in batch {
             self.step(miss, sink);

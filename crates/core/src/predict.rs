@@ -15,7 +15,20 @@ use std::collections::VecDeque;
 
 use ulmt_simcore::LineAddr;
 
-use crate::algorithm::UlmtAlgorithm;
+use crate::algorithm::{StepSink, UlmtAlgorithm};
+
+/// A sink that drops a step's prefetches and costs and, by the default
+/// [`StepSink::touches`], ignores its table touches: learning through it
+/// skips the touch recording prediction-only scoring has no use for.
+struct LearnOnly;
+
+impl StepSink for LearnOnly {
+    fn begin(&mut self, _miss: LineAddr) {}
+
+    fn prefetch(&mut self, _addr: LineAddr) {}
+
+    fn end(&mut self, _prefetch_insns: u64, _learn_insns: u64) {}
+}
 
 /// Scores per-level prediction accuracy of a [`UlmtAlgorithm`] over a miss
 /// stream.
@@ -76,7 +89,7 @@ impl PredictionScorer {
             }
         }
         // Learn (ignore any generated prefetches: prediction-only mode).
-        let _ = alg.process_miss(miss);
+        alg.step(miss, &mut LearnOnly);
         let preds = alg.predict(miss, self.levels);
         self.history.push_front(preds);
         self.history.truncate(self.levels);

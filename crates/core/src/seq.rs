@@ -77,15 +77,16 @@ impl UlmtAlgorithm for SeqUlmt {
 
     fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
         sink.begin(miss);
-        let prefetches = self.detector.observe(miss);
-        for &p in &prefetches {
+        let mut prefetches = 0;
+        self.detector.observe_with(miss, |p| {
+            prefetches += 1;
             sink.prefetch(p);
-        }
+        });
         // All state fits in registers / a few cache lines: the cost is
         // purely computational and small.
         let prefetch_insns = insn_cost::STEP_OVERHEAD
             + insn_cost::PER_STREAM_CHECK * self.detector.num_seq() as u64
-            + insn_cost::PER_PREFETCH * prefetches.len() as u64;
+            + insn_cost::PER_PREFETCH * prefetches;
         sink.end(prefetch_insns, insn_cost::LEARN_OVERHEAD);
     }
 

@@ -119,6 +119,14 @@ impl StreamDetector {
     /// Observes one miss and returns the lines to prefetch (empty most of
     /// the time).
     pub fn observe(&mut self, miss: LineAddr) -> Vec<LineAddr> {
+        let mut out = Vec::new();
+        self.observe_with(miss, |line| out.push(line));
+        out
+    }
+
+    /// [`StreamDetector::observe`] without the `Vec`: hands each line to
+    /// prefetch to `emit`, in issue order.
+    pub fn observe_with(&mut self, miss: LineAddr, mut emit: impl FnMut(LineAddr)) {
         self.lru_clock += 1;
         let clock = self.lru_clock;
 
@@ -134,18 +142,17 @@ impl StreamDetector {
             stream.lru = clock;
             // Issue only the lines beyond the current frontier.
             let target = miss.offset((self.offset + self.num_pref as i64) * stream.stride);
-            let mut out = Vec::new();
             let mut cur = stream.frontier.offset(stream.stride);
             // If the stream jumped past the frontier, restart from next.
             if cur.delta(stream.next) * stream.stride.signum() < 0 {
                 cur = stream.next;
             }
             while cur.delta(target) * stream.stride.signum() <= 0 {
-                out.push(cur);
+                emit(cur);
                 cur = cur.offset(stream.stride);
             }
             stream.frontier = target;
-            return out;
+            return;
         }
 
         // 2. Third miss in a ±1 sequence recognizes a new stream.
@@ -175,11 +182,10 @@ impl StreamDetector {
                 *victim = stream;
             }
             self.recognized += 1;
-            return (0..self.num_pref as i64)
-                .map(|i| stream.next.offset((self.offset + i) * stride))
-                .collect();
+            for i in 0..self.num_pref as i64 {
+                emit(stream.next.offset((self.offset + i) * stride));
+            }
         }
-        Vec::new()
     }
 
     /// Per-level predictions for Figure 5: level `k` (1-based) predicts

@@ -14,7 +14,9 @@
 //! [`StepResult`](crate::cost::StepResult) the memory-processor model
 //! replays, through the sink's touch calls, or, for a sink that ignores
 //! touches such as the prefetch service's, with touch reporting compiled
-//! away. The sink makes that choice, so the paths cannot drift apart.
+//! away. The sink makes that choice, once per call: a batch through
+//! [`UlmtAlgorithm::process_misses`] asks it once, not once per miss, and
+//! a single step is a batch of one. The paths cannot drift apart.
 
 use std::fmt;
 
@@ -319,6 +321,30 @@ impl<K: Kind> CorrelationTable<K> {
         sink.end(prefetch_insns, learn_insns);
     }
 
+    /// Runs the step kernel over `misses` as `sink` takes table touches,
+    /// asked once: statically into its record, through its touch calls,
+    /// or through `NoTouch`.
+    fn run(&mut self, misses: &[LineAddr], sink: &mut dyn StepSink) {
+        match sink.touches() {
+            Touches::Recorded(step) => {
+                for &miss in misses {
+                    self.kernel(miss, step);
+                }
+            }
+            Touches::Reported => {
+                for &miss in misses {
+                    self.kernel(miss, sink);
+                }
+            }
+            Touches::Ignored => {
+                let mut sink = NoTouch(sink);
+                for &miss in misses {
+                    self.kernel(miss, &mut sink);
+                }
+            }
+        }
+    }
+
     /// One associative search for `line`: a 4-byte tag probe per way,
     /// then a read of the matching row.
     #[inline]
@@ -400,14 +426,14 @@ impl<K: Kind> UlmtAlgorithm for CorrelationTable<K> {
         self.kind().name().to_string()
     }
 
-    /// Runs the step kernel as `sink` takes table touches: statically
-    /// into its record, through its touch calls, or through `NoTouch`.
     fn step(&mut self, miss: LineAddr, sink: &mut dyn StepSink) {
-        match sink.touches() {
-            Touches::Recorded(step) => self.kernel(miss, step),
-            Touches::Reported => self.kernel(miss, sink),
-            Touches::Ignored => self.kernel(miss, &mut NoTouch(sink)),
-        }
+        self.run(std::slice::from_ref(&miss), sink);
+    }
+
+    /// Asks `sink` how it takes touches once for the whole batch, not
+    /// once per miss.
+    fn process_misses(&mut self, batch: &[LineAddr], sink: &mut dyn StepSink) {
+        self.run(batch, sink);
     }
 
     fn predict(&self, miss: LineAddr, levels: usize) -> Vec<Vec<LineAddr>> {

@@ -9,6 +9,7 @@
 
 mod base;
 mod chain;
+mod checkpoint;
 mod correlation;
 mod replicated;
 mod snapshot;
@@ -18,6 +19,7 @@ use ulmt_simcore::ConfigError;
 
 pub use base::Base;
 pub use chain::Chain;
+pub use checkpoint::TableCheckpoint;
 pub use correlation::{BaseKind, ChainKind, CorrelationTable, Kind, ReplKind};
 pub use replicated::Replicated;
 pub use snapshot::{RowSnapshot, SnapshotError, TableSnapshot};

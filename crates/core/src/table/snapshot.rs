@@ -126,24 +126,6 @@ impl TableSnapshot {
         }
     }
 
-    /// Approximate in-memory size of the snapshot, in bytes. Used by the
-    /// service's checkpoint accounting to report how much learned state a
-    /// recovery checkpoint retains, without serializing it first.
-    pub fn approx_bytes(&self) -> u64 {
-        let rows: usize = self
-            .rows
-            .iter()
-            .map(|r| {
-                std::mem::size_of::<RowSnapshot>()
-                    + r.levels
-                        .iter()
-                        .map(|l| std::mem::size_of::<Vec<u64>>() + l.len() * 8)
-                        .sum::<usize>()
-            })
-            .sum();
-        (std::mem::size_of::<TableSnapshot>() + rows + self.learn_ctx.len() * 9) as u64
-    }
-
     /// A 64-bit fingerprint of the learned contents, computed over the
     /// canonical byte encoding. Two tables fingerprint equal iff they
     /// learned identical rows in an identical recency order — the

@@ -18,10 +18,41 @@
 //! historical one-`Vec`-per-row layout, which survives as a
 //! differential-testing oracle in the crate's integration tests
 //! (`tests/support/reference.rs`).
+//!
+//! # Dirty slots
+//!
+//! A per-slot dirty bitset records which slots changed since the table
+//! was last captured into a [`TableCheckpoint`]: a lookup hit's LRU
+//! bump, an allocation's victim and a successful MRU insertion each set
+//! their slot's bit. The Learning step writes only the rows behind its
+//! retained pointers plus the miss's own row (Section 3.3.2), so the
+//! dirty set of a checkpoint interval is bounded by the observations in
+//! it, not by `NumRows`, and so is the cost of bringing a checkpoint up
+//! to date. Operations that move slots wholesale ([`RowTable::resize`],
+//! [`RowTable::remap_page`], and a snapshot restore, which builds a new
+//! table) unsync the table instead, forcing the next capture to copy
+//! every slot.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ulmt_simcore::{Addr, LineAddr, PageAddr};
 
+use super::checkpoint::{SlotRecord, TableCheckpoint};
 use super::TableParams;
+
+/// [`TableCheckpoint`] index entry of a slot without a record. Slot
+/// indices fit a `u32` with room to spare: [`MAX_ARENA_BYTES`] bounds a
+/// table to fewer than 2^25 rows.
+///
+/// [`MAX_ARENA_BYTES`]: super::MAX_ARENA_BYTES
+pub(super) const NO_RECORD: u32 = u32::MAX;
+
+/// A sync token no table or checkpoint has used yet (never 0, which
+/// means "not synced").
+fn fresh_token() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// A fixed-capacity most-recently-used list of successor addresses.
 ///
@@ -292,6 +323,12 @@ pub struct RowTable {
     live: usize,
     lru_clock: u64,
     stats: TableStats,
+    /// One bit per slot: changed since the last capture (module docs).
+    dirty: Vec<u64>,
+    /// Token of the [`TableCheckpoint`] this table was last captured
+    /// into or restored from; 0 when no copy plus the dirty slots equals
+    /// the table.
+    synced: u64,
 }
 
 /// Default base address of the table in the memory processor's address
@@ -332,6 +369,8 @@ impl RowTable {
             live: 0,
             lru_clock: 0,
             stats: TableStats::default(),
+            dirty: vec![0; rows.div_ceil(64)],
+            synced: 0,
         }
     }
 
@@ -408,6 +447,11 @@ impl RowTable {
     }
 
     #[inline]
+    fn mark_dirty(&mut self, slot: usize) {
+        self.dirty[slot / 64] |= 1 << (slot % 64);
+    }
+
+    #[inline]
     fn row_ref(&self, slot: usize) -> RowRef<'_> {
         let start = slot * self.stride();
         RowRef {
@@ -431,6 +475,7 @@ impl RowTable {
         for i in self.set_range(line) {
             if self.valid[i] && self.tags[i] == line {
                 self.lrus[i] = clock;
+                self.mark_dirty(i);
                 self.stats.hits += 1;
                 return Some(RowPtr {
                     slot: i,
@@ -494,6 +539,7 @@ impl RowTable {
         self.valid[victim] = true;
         self.gens[victim] += 1;
         self.lrus[victim] = self.lru_clock;
+        self.mark_dirty(victim);
         // Re-initializing the row is zeroing its length bytes — the old
         // layout's `template.clone()` heap allocation is gone.
         self.lens[victim * self.levels..(victim + 1) * self.levels].fill(0);
@@ -517,8 +563,9 @@ impl RowTable {
         self.ptr_live(ptr).then(|| self.row_ref(ptr.slot))
     }
 
-    /// Inserts `x` as the MRU successor of `ptr`'s row at `level`.
-    /// Returns `false` (and does nothing) if the pointer is stale.
+    /// Inserts `x` as the MRU successor of `ptr`'s row at `level` and
+    /// marks the slot dirty. Returns `false` (and does nothing) if the
+    /// pointer is stale.
     ///
     /// This replaces the old `get_mut(ptr)` + `MruList::insert_mru` pair:
     /// the rotation happens directly on the row's inline arena slice.
@@ -532,6 +579,7 @@ impl RowTable {
         let len = self.lens[len_at] as usize;
         self.lens[len_at] =
             slice_insert_mru(&mut self.succ[start..start + self.num_succ], len, x) as u8;
+        self.mark_dirty(ptr.slot);
         true
     }
 
@@ -555,6 +603,11 @@ impl RowTable {
     /// Rows whose target set is full replace that set's LRU row, exactly
     /// like a fresh insertion. Returns the number of rows relocated.
     pub fn remap_page(&mut self, old: PageAddr, new: PageAddr) -> usize {
+        // The lookups and allocations below mark every slot they write,
+        // so the dirty bits alone would cover a remap; unsyncing is a
+        // guard that keeps a remap, which moves rows between sets, from
+        // depending on that.
+        self.synced = 0;
         let mut moved = 0;
         let stride = self.stride();
         // One scratch row reused across the whole page walk — the only
@@ -638,6 +691,145 @@ impl RowTable {
             self.lens[d * old.levels..(d + 1) * old.levels]
                 .copy_from_slice(&old.lens[src * old.levels..(src + 1) * old.levels]);
         }
+    }
+
+    /// Whether `slot` differs from a freshly built table's: valid, or
+    /// invalidated by [`RowTable::remap_page`] with its LRU stamp (which
+    /// still steers victim choice) left behind. Only these slots need a
+    /// checkpoint record.
+    #[inline]
+    fn stamped(&self, slot: usize) -> bool {
+        self.valid[slot] || self.lrus[slot] != 0
+    }
+
+    /// Brings `cp`'s slot records up to date and clears the dirty bits.
+    /// When `cp` plus the dirty slots equals this table (the sync tokens
+    /// match), only the dirty slots are copied; otherwise every stamped
+    /// slot is. Either way `cp` and this table share a fresh token
+    /// afterwards. The scalars (LRU clock, live count, stats) are copied
+    /// whole.
+    pub(super) fn capture_slots(&mut self, cp: &mut TableCheckpoint) {
+        let incremental = self.synced != 0 && self.synced == cp.token;
+        // Until the update completes, `cp` matches no table.
+        cp.token = 0;
+        if incremental {
+            for w in 0..self.dirty.len() {
+                let mut bits = std::mem::take(&mut self.dirty[w]);
+                while bits != 0 {
+                    let slot = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    // Only rebuilding the arena (a resize or a
+                    // restore) un-stamps a slot, and it clears the bits.
+                    debug_assert!(self.stamped(slot));
+                    self.put_record(cp, slot);
+                }
+            }
+        } else {
+            cp.records.clear();
+            cp.lens.clear();
+            cp.succ.clear();
+            cp.index.clear();
+            cp.index.resize(self.num_rows(), NO_RECORD);
+            for slot in 0..self.num_rows() {
+                if self.stamped(slot) {
+                    self.put_record(cp, slot);
+                }
+            }
+            self.dirty.fill(0);
+        }
+        cp.live = self.live;
+        cp.lru_clock = self.lru_clock;
+        cp.stats = self.stats;
+        let token = fresh_token();
+        cp.token = token;
+        self.synced = token;
+    }
+
+    /// Writes `slot` into its record in `cp`, appending one if it has
+    /// none yet.
+    fn put_record(&self, cp: &mut TableCheckpoint, slot: usize) {
+        let record = SlotRecord {
+            slot: slot as u32,
+            valid: self.valid[slot],
+            tag: self.tags[slot],
+            lru: self.lrus[slot],
+            gen: self.gens[slot],
+        };
+        let (levels, stride) = (self.levels, self.stride());
+        let lens = &self.lens[slot * levels..(slot + 1) * levels];
+        let succ = &self.succ[slot * stride..(slot + 1) * stride];
+        match cp.index[slot] {
+            NO_RECORD => {
+                cp.index[slot] = cp.records.len() as u32;
+                cp.records.push(record);
+                cp.lens.extend_from_slice(lens);
+                cp.succ.extend_from_slice(succ);
+            }
+            pos => {
+                let pos = pos as usize;
+                cp.records[pos] = record;
+                cp.lens[pos * levels..(pos + 1) * levels].copy_from_slice(lens);
+                cp.succ[pos * stride..(pos + 1) * stride].copy_from_slice(succ);
+            }
+        }
+    }
+
+    /// Makes this table slot-for-slot the one `cp` was captured from: no
+    /// sort and no re-insertion, every record written straight back to
+    /// its slot and every other slot reset to a fresh table's. `cp` must
+    /// hold this table's geometry. The table is then synced with `cp`,
+    /// so the next capture into it copies only what changes from here.
+    pub(super) fn restore_slots(&mut self, cp: &TableCheckpoint) {
+        self.tags.fill(LineAddr::new(0));
+        self.valid.fill(false);
+        self.gens.fill(0);
+        self.lrus.fill(0);
+        self.lens.fill(0);
+        self.succ.fill(LineAddr::new(0));
+        self.dirty.fill(0);
+        let (levels, stride) = (self.levels, self.stride());
+        for (pos, r) in cp.records.iter().enumerate() {
+            let slot = r.slot as usize;
+            self.tags[slot] = r.tag;
+            self.valid[slot] = r.valid;
+            self.gens[slot] = r.gen;
+            self.lrus[slot] = r.lru;
+            self.lens[slot * levels..(slot + 1) * levels]
+                .copy_from_slice(&cp.lens[pos * levels..(pos + 1) * levels]);
+            self.succ[slot * stride..(slot + 1) * stride]
+                .copy_from_slice(&cp.succ[pos * stride..(pos + 1) * stride]);
+        }
+        self.live = cp.live;
+        self.lru_clock = cp.lru_clock;
+        self.stats = cp.stats;
+        self.synced = cp.token;
+    }
+
+    /// The token of the checkpoint this table is synced with (0: none).
+    #[cfg(test)]
+    pub(super) fn synced_token(&self) -> u64 {
+        self.synced
+    }
+
+    /// Whether `other` holds exactly this table's slots, clock, counters
+    /// and geometry (dirty tracking aside).
+    #[cfg(test)]
+    pub(super) fn same_slots(&self, other: &RowTable) -> bool {
+        self.num_sets == other.num_sets
+            && self.assoc == other.assoc
+            && self.num_succ == other.num_succ
+            && self.levels == other.levels
+            && self.row_bytes == other.row_bytes
+            && self.base_addr == other.base_addr
+            && self.tags == other.tags
+            && self.valid == other.valid
+            && self.gens == other.gens
+            && self.lrus == other.lrus
+            && self.lens == other.lens
+            && self.succ == other.succ
+            && self.live == other.live
+            && self.lru_clock == other.lru_clock
+            && self.stats == other.stats
     }
 }
 

@@ -267,7 +267,7 @@ pub struct ServiceConfig {
     pub fault: Option<ServiceFaultConfig>,
     /// The always-on metrics plane (see [`crate::MetricsReport`]):
     /// per-shard counters and log2 histograms for batch size,
-    /// queue wait, ingest latency and recovery latency. On by default;
+    /// queue wait, ingest, checkpoint and recovery latency. On by default;
     /// switching it off removes every metrics-path clock read and
     /// leaves one untaken branch per batch — ingestion results are
     /// bit-identical either way (the metrics plane never touches the

@@ -8,8 +8,9 @@
 //! sequence number `seq` (1-based, shared across the shard's tenants in
 //! stream order) and journals `(seq, tenant, piggybacked counters, obs)`
 //! *before* acknowledging the batch to its client. The supervisor also
-//! keeps a periodic checkpoint: snapshots of every tenant table plus the
-//! shard's counters and virtual clock, stamped with the checkpoint `seq`.
+//! keeps a periodic checkpoint: a slot-exact copy of every tenant table
+//! plus the shard's counters and virtual clock, stamped with the
+//! checkpoint `seq`.
 //!
 //! On a crash, recovery restores the checkpoint and replays every
 //! journaled batch with `seq > checkpoint.seq` through the same

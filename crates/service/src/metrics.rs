@@ -4,10 +4,12 @@
 //! # Registry layout
 //!
 //! Each shard worker owns one `MetricsRegistry`: three monotone
-//! counters (accepted batches, observations, prefetches) plus three
+//! counters (accepted batches, observations, prefetches) plus four
 //! fixed-size [`Log2Histogram`]s — batch size (observations), queue
-//! wait (nanoseconds from enqueue to dequeue) and ingest latency
-//! (nanoseconds inside the batch kernel). Everything is flat `u64`
+//! wait (nanoseconds from enqueue to dequeue), ingest latency
+//! (nanoseconds inside the batch kernel) and checkpoint latency
+//! (nanoseconds to bring the shard's recovery checkpoint up to date,
+//! the stall every `checkpoint_every` batches). Everything is flat `u64`
 //! arrays: recording a batch never allocates, and snapshotting is a
 //! memcpy-sized clone.
 //!
@@ -17,7 +19,7 @@
 //! shard's virtual `obs_cycles` clock ([`ShardMetrics::obs_cycles`] —
 //! the deterministic simulation time the paper's occupancy model uses)
 //! and the wall clock ([`ShardMetrics::wall_unix_nanos`]). Histogram
-//! samples for queue wait, ingest latency and recovery latency are wall
+//! samples for queue wait, ingest, checkpoint and recovery latency are wall
 //! time; batch size is dimensionless. The virtual clock is *read*, never
 //! written, by the metrics plane — which is why metrics can never
 //! perturb fingerprints.
@@ -59,6 +61,7 @@ pub(crate) struct MetricsRegistry {
     batch_size: Log2Histogram,
     queue_wait_nanos: Log2Histogram,
     ingest_nanos: Log2Histogram,
+    checkpoint_nanos: Log2Histogram,
 }
 
 impl MetricsRegistry {
@@ -74,6 +77,7 @@ impl MetricsRegistry {
             batch_size: Log2Histogram::new(),
             queue_wait_nanos: Log2Histogram::new(),
             ingest_nanos: Log2Histogram::new(),
+            checkpoint_nanos: Log2Histogram::new(),
         }
     }
 
@@ -97,6 +101,11 @@ impl MetricsRegistry {
         self.ingest_nanos.record(ingest_nanos);
     }
 
+    /// Records one checkpoint update's wall time.
+    pub fn note_checkpoint(&mut self, nanos: u64) {
+        self.checkpoint_nanos.record(nanos);
+    }
+
     /// A public snapshot stamped on both clock domains: the shard's
     /// virtual clock (`now`) and the wall clock (read here, snapshot
     /// time).
@@ -114,6 +123,7 @@ impl MetricsRegistry {
             batch_size: self.batch_size.clone(),
             queue_wait_nanos: self.queue_wait_nanos.clone(),
             ingest_nanos: self.ingest_nanos.clone(),
+            checkpoint_nanos: self.checkpoint_nanos.clone(),
         }
     }
 }
@@ -153,6 +163,10 @@ pub struct ShardMetrics {
     pub queue_wait_nanos: Log2Histogram,
     /// Distribution of batch-kernel ingest latency, wall nanoseconds.
     pub ingest_nanos: Log2Histogram,
+    /// Distribution of checkpoint latency (one update of the shard's
+    /// recovery checkpoint, taken every `checkpoint_every` accepted
+    /// batches while the shard's queue waits), wall nanoseconds.
+    pub checkpoint_nanos: Log2Histogram,
 }
 
 /// The service-wide metrics view: every live shard's snapshot plus the
@@ -229,10 +243,11 @@ const COUNTER_SERIES: [(&str, &str, CounterGet); 8] = [
     ("ulmt_shard_wall_unix_nanos", "gauge", |s| s.wall_unix_nanos),
 ];
 
-const HISTOGRAM_SERIES: [(&str, HistogramGet); 3] = [
+const HISTOGRAM_SERIES: [(&str, HistogramGet); 4] = [
     ("ulmt_shard_batch_size", |s| &s.batch_size),
     ("ulmt_shard_queue_wait_nanos", |s| &s.queue_wait_nanos),
     ("ulmt_shard_ingest_nanos", |s| &s.ingest_nanos),
+    ("ulmt_shard_checkpoint_nanos", |s| &s.checkpoint_nanos),
 ];
 
 /// Emits one histogram as cumulative `_bucket` samples (non-empty
@@ -260,6 +275,7 @@ mod tests {
         let mut reg = MetricsRegistry::resumed(&ShardStats::default());
         reg.note_batch(256, 12, Some(1_500), 90_000);
         reg.note_batch(64, 3, Some(700), 20_000);
+        reg.note_checkpoint(400_000);
         let stats = ShardStats {
             shard: 0,
             rejected: 2,
@@ -285,6 +301,7 @@ mod tests {
             ..ShardStats::default()
         });
         reg.note_batch(256, 10, Some(1_000), 50_000);
+        reg.note_checkpoint(2_000_000);
         let snap = reg.snapshot(3, 2, &ShardStats::default(), 777);
         assert_eq!(snap.batches, 6, "counters resume from recovered totals");
         assert_eq!(snap.observed, 1256);
@@ -292,6 +309,7 @@ mod tests {
         assert_eq!(snap.batch_size.total(), 1, "histograms restart per epoch");
         assert_eq!(snap.queue_wait_nanos.total(), 1);
         assert_eq!(snap.ingest_nanos.total(), 1);
+        assert_eq!(snap.checkpoint_nanos.total(), 1);
         assert_eq!(snap.obs_cycles, 777);
         assert_eq!(snap.shard, 3);
         assert_eq!(snap.epoch, 2);
@@ -301,6 +319,7 @@ mod tests {
     fn exposition_is_parseable_name_value_lines() {
         let text = sample_report().to_prometheus();
         assert!(text.contains("# TYPE ulmt_shard_queue_wait_nanos histogram"));
+        assert!(text.contains("ulmt_shard_checkpoint_nanos_count{shard=\"0\"} 1"));
         assert!(text.contains("ulmt_shard_batches_total{shard=\"0\"} 2"));
         assert!(text.contains("le=\"+Inf\""));
         for line in text.lines() {

@@ -36,8 +36,9 @@ use crate::service::{ServiceError, TenantStats};
 /// Protocol magic leading every `Hello` payload: `"ULMT"`.
 pub const MAGIC: u32 = 0x554C_4D54;
 
-/// Wire protocol version this build speaks.
-pub const WIRE_VERSION: u16 = 1;
+/// Wire protocol version this build speaks. Version 2 added the
+/// checkpoint-latency histogram to each shard of a `MetricsOk` payload.
+pub const WIRE_VERSION: u16 = 2;
 
 /// Bytes in a frame header (length prefix + kind tag).
 pub const HEADER_BYTES: usize = 5;
@@ -524,6 +525,7 @@ pub(crate) fn encode_metrics(out: &mut Vec<u8>, r: &MetricsReport) {
         put_histogram(out, &s.batch_size);
         put_histogram(out, &s.queue_wait_nanos);
         put_histogram(out, &s.ingest_nanos);
+        put_histogram(out, &s.checkpoint_nanos);
     }
 }
 
@@ -557,6 +559,7 @@ pub(crate) fn decode_metrics(bytes: &[u8]) -> Result<MetricsReport, WireError> {
             batch_size: read_histogram(&mut p)?,
             queue_wait_nanos: read_histogram(&mut p)?,
             ingest_nanos: read_histogram(&mut p)?,
+            checkpoint_nanos: read_histogram(&mut p)?,
         });
     }
     p.finish()?;
@@ -827,10 +830,12 @@ mod tests {
         let mut batch_size = Log2Histogram::new();
         let mut queue_wait = Log2Histogram::new();
         let mut ingest = Log2Histogram::new();
+        let mut checkpoint = Log2Histogram::new();
         for v in [0u64, 1, 3, 256, 1 << 40, u64::MAX] {
             batch_size.record(v);
             queue_wait.record(v / 2);
             ingest.record(v.saturating_add(7));
+            checkpoint.record(v / 3);
         }
         let mut recovery_nanos = Log2Histogram::new();
         recovery_nanos.record(5_000_000);
@@ -851,6 +856,7 @@ mod tests {
                 batch_size,
                 queue_wait_nanos: queue_wait,
                 ingest_nanos: ingest,
+                checkpoint_nanos: checkpoint,
             }],
         };
         let mut bytes = Vec::new();

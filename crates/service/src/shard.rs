@@ -22,7 +22,8 @@
 //! Since the supervision layer (see [`crate::supervisor`]) the worker is
 //! also *recoverable*: every accepted batch is journaled before it is
 //! acknowledged, the whole shard state (tables, counters, virtual clock)
-//! is checkpointed every `checkpoint_every` accepted batches, and a
+//! is checkpointed every `checkpoint_every` accepted batches (in place,
+//! copying only the table slots changed since the last checkpoint), and a
 //! replacement worker can be rebuilt from checkpoint + journal replay
 //! through the same `process_misses` batch kernel — bit-identical to a
 //! worker that never died whenever the journal window covers the gap.
@@ -51,7 +52,7 @@ use crate::journal::{JournalCoverage, ObservationJournal};
 use crate::metrics::{MetricsRegistry, ShardMetrics};
 use crate::service::{BatchReply, ServiceError, ShardStats, TenantStats};
 use crate::supervisor::{
-    lock, RecoveryReport, ShardCheckpoint, ShardSlot, ShardState, TenantCheckpoint,
+    lock, RecoveryOutcome, RecoveryReport, ShardCheckpoint, ShardSlot, ShardState, TenantCheckpoint,
 };
 
 /// Receives the per-step effects of one batch straight from the table's
@@ -224,17 +225,38 @@ impl ShardInit {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RebuildSummary {
     pub coverage: JournalCoverage,
+    /// The last checkpoint update was cut short, so recovery started
+    /// without one.
+    pub interrupted: bool,
     pub checkpoint_seq: u64,
     pub resumed_seq: u64,
     pub checkpoint_bytes: u64,
     pub tenants_restored: u32,
 }
 
+impl RebuildSummary {
+    /// Clean when the journal covered the whole gap past a checkpoint
+    /// that was complete (or never taken); lossy otherwise.
+    pub fn outcome(&self) -> RecoveryOutcome {
+        let replayed_batches = self.coverage.replayable;
+        if self.coverage.dropped_batches == 0 && !self.interrupted {
+            RecoveryOutcome::Clean { replayed_batches }
+        } else {
+            RecoveryOutcome::Lossy {
+                replayed_batches,
+                dropped_batches: self.coverage.dropped_batches,
+            }
+        }
+    }
+}
+
 /// Rebuilds a shard's in-memory state from its last checkpoint plus a
 /// replay of the journaled batches past it, through the same
-/// [`IngestSink`] cadence as live ingestion. Clean recovery (journal
-/// covers the whole gap) therefore reproduces tables, per-tenant stats,
-/// the virtual clock and the utilization server bit-identically.
+/// [`IngestSink`] cadence as live ingestion. The checkpoint's table
+/// copies are written back slot for slot, so clean recovery (journal
+/// covers the whole gap) reproduces tables, per-tenant stats, the
+/// virtual clock and the utilization server bit-identically. An
+/// incomplete checkpoint counts as none.
 pub(crate) fn rebuild_shard(
     shard: u32,
     cfg: &ServiceConfig,
@@ -256,17 +278,18 @@ pub(crate) fn rebuild_shard(
     let mut server = Server::new();
     let mut checkpoint_seq = 0;
     let mut checkpoint_bytes = 0;
-    if let Some(cp) = checkpoint {
+    let interrupted = checkpoint.is_some_and(|cp| !cp.complete);
+    if let Some(cp) = checkpoint.filter(|cp| cp.complete) {
         checkpoint_seq = cp.seq;
         stats = cp.stats;
         now = cp.now;
         server = Server::from_state(cp.server);
         for tc in &cp.tenants {
             if let Some(state) = tenants.get_mut(&tc.tenant) {
-                state.table.restore(&tc.snap)?;
+                state.table.restore_checkpoint(&tc.table)?;
                 state.stats = tc.stats;
             }
-            checkpoint_bytes += tc.snap.approx_bytes();
+            checkpoint_bytes += tc.table.bytes();
         }
     }
 
@@ -307,6 +330,7 @@ pub(crate) fn rebuild_shard(
 
     let summary = RebuildSummary {
         coverage,
+        interrupted,
         checkpoint_seq,
         resumed_seq: journal.last_acked(),
         checkpoint_bytes,
@@ -499,8 +523,7 @@ impl WorkerLoop<'_> {
         obs.clear();
         let _ = reply.send(BatchReply::accepted(observed, prefetches, obs));
         if self.since_checkpoint >= self.cfg.supervision.checkpoint_every {
-            take_checkpoint(self.slot, &self.st);
-            self.since_checkpoint = 0;
+            self.checkpoint();
         }
         self.slot.health.note_processed(self.st.now);
         BatchOutcome::Done
@@ -589,8 +612,7 @@ impl WorkerLoop<'_> {
                     // A warm start is control-plane state the journal
                     // never sees; checkpoint immediately so a crash can
                     // never silently roll the tenant back past it.
-                    take_checkpoint(self.slot, &self.st);
-                    self.since_checkpoint = 0;
+                    self.checkpoint();
                 }
             }
             ShardMsg::Fingerprint {
@@ -690,6 +712,17 @@ impl WorkerLoop<'_> {
         }
         self.slot.health.note_processed(self.st.now);
         None
+    }
+
+    /// Brings the slot's checkpoint up to date with the shard, timed
+    /// into the metrics registry when metrics are on.
+    fn checkpoint(&mut self) {
+        let t0 = self.metrics.as_ref().map(|_| Instant::now());
+        take_checkpoint(self.slot, self.epoch, &mut self.st);
+        self.since_checkpoint = 0;
+        if let (Some(m), Some(t0)) = (&mut self.metrics, t0) {
+            m.note_checkpoint(t0.elapsed().as_nanos() as u64);
+        }
     }
 
     /// The registry's public snapshot, stamped on both clock domains.
@@ -815,28 +848,52 @@ fn reject_late(msg: ShardMsg, w: &WorkerLoop<'_>) {
     }
 }
 
-/// Captures the shard's complete state into its slot's checkpoint cell.
-fn take_checkpoint(slot: &ShardSlot, st: &ShardInit) {
-    let mut tenants: Vec<TenantCheckpoint> = st
-        .tenants
-        .values()
-        .map(|s| TenantCheckpoint {
-            tenant: s.stats.tenant,
-            snap: s.table.snapshot(),
-            stats: s.stats,
-        })
-        .collect();
-    // Deterministic order, so checkpoint contents don't depend on hash
-    // map iteration.
-    tenants.sort_by_key(|t| t.tenant);
-    let cp = ShardCheckpoint {
-        seq: lock(&slot.journal).last_acked(),
-        now: st.now,
-        server: st.server.state(),
-        stats: st.stats,
-        tenants,
-    };
-    *lock(&slot.checkpoint) = Some(cp);
+/// Brings the slot's checkpoint up to the shard's current state, in
+/// place: each tenant's table copy takes only the slots changed since
+/// the last checkpoint. A worker whose epoch has been fenced leaves the
+/// checkpoint alone, since its replacement was (or is being) rebuilt
+/// from it. The update is bracketed by the checkpoint's `complete` flag,
+/// so one cut short is never restored.
+fn take_checkpoint(slot: &ShardSlot, epoch: u64, st: &mut ShardInit) {
+    let seq = lock(&slot.journal).last_acked();
+    let mut cell = lock(&slot.checkpoint);
+    if slot.is_abandoned(epoch) {
+        return;
+    }
+    let cp = cell.get_or_insert_with(|| ShardCheckpoint {
+        complete: false,
+        seq: 0,
+        now: 0,
+        server: Server::new().state(),
+        stats: ShardStats::default(),
+        tenants: Vec::new(),
+    });
+    cp.complete = false;
+    for state in st.tenants.values_mut() {
+        let tenant = state.stats.tenant;
+        // Kept sorted by tenant ID, so the contents do not depend on
+        // hash map iteration order.
+        match cp.tenants.binary_search_by_key(&tenant, |t| t.tenant) {
+            Ok(i) => {
+                let tc = &mut cp.tenants[i];
+                state.table.checkpoint_into(&mut tc.table);
+                tc.stats = state.stats;
+            }
+            Err(i) => cp.tenants.insert(
+                i,
+                TenantCheckpoint {
+                    tenant,
+                    table: state.table.checkpoint(),
+                    stats: state.stats,
+                },
+            ),
+        }
+    }
+    cp.seq = seq;
+    cp.now = st.now;
+    cp.server = st.server.state();
+    cp.stats = st.stats;
+    cp.complete = true;
 }
 
 /// Fills in the derived fields of the running counters.
@@ -846,4 +903,76 @@ fn finalize(st: &ShardInit) -> ShardStats {
     out.busy_cycles = st.server.busy_cycles();
     out.elapsed_cycles = st.now.max(st.server.next_free());
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lines(ns: std::ops::Range<u64>) -> Vec<LineAddr> {
+        ns.map(LineAddr::new).collect()
+    }
+
+    /// A table of `spec` that learned `obs`.
+    fn learned(spec: &TenantSpec, obs: &[LineAddr]) -> CorrelationTable {
+        let mut table = CorrelationTable::with_kind(spec.kind, spec.params);
+        table.process_misses(obs, &mut ulmt_core::cost::StepResult::new());
+        table
+    }
+
+    #[test]
+    fn an_interrupted_checkpoint_is_never_restored() {
+        let cfg = ServiceConfig::default();
+        let spec = TenantSpec::repl(64);
+        let specs = [(1, spec)];
+        let obs = lines(0..40);
+        let mut journal = ObservationJournal::new(16);
+        journal.push(1, 0, 0, &obs);
+        // A checkpoint at seq 1 whose copy differs from what the journal
+        // replays, so the test can tell which one recovery used.
+        let mut checkpoint = Some(ShardCheckpoint {
+            complete: false,
+            seq: 1,
+            now: 0,
+            server: Server::new().state(),
+            stats: ShardStats::default(),
+            tenants: vec![TenantCheckpoint {
+                tenant: 1,
+                table: learned(&spec, &lines(100..140)).checkpoint(),
+                stats: TenantStats::default(),
+            }],
+        });
+        let fingerprint = |init: &ShardInit| init.tenants[&1].table.table_fingerprint();
+
+        let (init, summary) =
+            rebuild_shard(0, &cfg, &specs, checkpoint.as_ref(), &journal).unwrap();
+        assert!(summary.interrupted);
+        assert_eq!((summary.checkpoint_seq, summary.checkpoint_bytes), (0, 0));
+        assert_eq!(fingerprint(&init), learned(&spec, &obs).table_fingerprint());
+        assert_eq!(
+            summary.outcome(),
+            RecoveryOutcome::Lossy {
+                replayed_batches: 1,
+                dropped_batches: 0,
+            },
+            "starting over loses whatever the checkpoint held beyond the journal"
+        );
+
+        checkpoint.as_mut().unwrap().complete = true;
+        let (init, summary) =
+            rebuild_shard(0, &cfg, &specs, checkpoint.as_ref(), &journal).unwrap();
+        assert!(!summary.interrupted);
+        assert_eq!(summary.checkpoint_seq, 1);
+        assert!(summary.checkpoint_bytes > 0);
+        assert_eq!(
+            fingerprint(&init),
+            learned(&spec, &lines(100..140)).table_fingerprint()
+        );
+        assert_eq!(
+            summary.outcome(),
+            RecoveryOutcome::Clean {
+                replayed_batches: 0
+            }
+        );
+    }
 }

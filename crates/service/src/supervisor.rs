@@ -16,7 +16,18 @@
 //!   supervision tick; a shard that is behind and makes no progress for
 //!   `wedge_ticks` consecutive ticks is declared wedged and fenced.
 //!
-//! Recovery restores the last checkpoint, replays the journal through
+//! The checkpoint is one [`ShardCheckpoint`] per slot, updated in place:
+//! every `checkpoint_every` accepted batches the worker copies into each
+//! tenant's [`TableCheckpoint`] only the table slots that changed since
+//! the previous checkpoint (a table's dirty bitset tracks them), plus the
+//! shard's counters, virtual clock and journal seq. A worker whose
+//! epoch has been fenced leaves the checkpoint alone. An update marks
+//! the checkpoint incomplete before it touches anything and complete
+//! when done, so one cut short by a panic is never restored: recovery
+//! treats it as absent and reports the recovery lossy.
+//!
+//! Recovery writes the last checkpoint's slots straight back into fresh
+//! tables, slot for slot, replays the journal through
 //! the live batch kernel ([`crate::shard::rebuild_shard`]), bumps the
 //! worker **epoch**, and publishes a fresh link. Sessions re-resolve on
 //! demand; while the slot is down they shed (acknowledge-without-learn)
@@ -32,7 +43,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ulmt_core::table::TableSnapshot;
+use ulmt_core::table::TableCheckpoint;
 use ulmt_simcore::{CancelToken, Cycle, ServerState, ServiceFaultState};
 
 use crate::config::{ServiceConfig, TenantSpec};
@@ -154,16 +165,22 @@ impl ShardHealth {
 }
 
 /// One tenant's contribution to a checkpoint.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct TenantCheckpoint {
     pub tenant: u32,
-    pub snap: TableSnapshot,
+    /// Slot-exact copy of the tenant's table, updated in place.
+    pub table: TableCheckpoint,
     pub stats: TenantStats,
 }
 
-/// A complete capture of a shard at an accepted-batch boundary.
-#[derive(Debug, Clone)]
+/// A capture of a shard at an accepted-batch boundary, updated in place
+/// by each checkpoint.
+#[derive(Debug)]
 pub(crate) struct ShardCheckpoint {
+    /// `false` while an update is under way. An update cut short (its
+    /// worker panicked mid-way) leaves a mix of two boundaries, which
+    /// recovery must never restore: it treats the checkpoint as absent.
+    pub complete: bool,
     /// Last acked batch seq included in this checkpoint.
     pub seq: u64,
     /// The shard's virtual clock at the boundary.
@@ -319,9 +336,11 @@ pub enum RecoveryOutcome {
         /// Journaled batches replayed on top of the checkpoint.
         replayed_batches: u64,
     },
-    /// Acked batches older than the journal window were lost. Tables are
-    /// best-effort (checkpoint plus the surviving suffix); the counters
-    /// below keep the accounting identity exact.
+    /// Acked batches older than the journal window were lost, or the
+    /// last checkpoint update was cut short and recovery started from
+    /// empty tables (losing any warm start, which the journal never
+    /// sees). Tables are best-effort (checkpoint plus the surviving
+    /// suffix); the counters below keep the accounting identity exact.
     Lossy {
         /// Journaled batches replayed on top of the checkpoint.
         replayed_batches: u64,
@@ -350,7 +369,9 @@ pub struct RecoveryReport {
     pub checkpoint_seq: u64,
     /// Last acked seq the rebuilt shard resumed after.
     pub resumed_seq: u64,
-    /// Approximate bytes of learned state the checkpoint carried.
+    /// Bytes of the checkpoint recovery restored: every tenant's
+    /// slot-exact table copy (slot index, slot records and learning
+    /// pointers). 0 when recovery started without one.
     pub checkpoint_bytes: u64,
     /// Wall-clock nanoseconds from fencing the dead epoch to publishing
     /// the replacement link.
@@ -560,8 +581,11 @@ impl Supervisor {
         }
 
         let specs = lock(&slot.specs).clone();
-        let checkpoint = lock(&slot.checkpoint).clone();
         let (init, summary) = {
+            // The copy is borrowed, not cloned: both locks are held for
+            // the rebuild, and the fenced worker cannot update the copy
+            // once it gets the lock back.
+            let checkpoint = lock(&slot.checkpoint);
             let journal = lock(&slot.journal);
             match rebuild_shard(slot.shard, &self.cfg, &specs, checkpoint.as_ref(), &journal) {
                 Ok(built) => built,
@@ -591,16 +615,7 @@ impl Supervisor {
         self.last_flow[shard] = (0, 0);
         slot.publish(tx, ingress, epoch, watermark);
 
-        let outcome = if summary.coverage.dropped_batches == 0 {
-            RecoveryOutcome::Clean {
-                replayed_batches: summary.coverage.replayable,
-            }
-        } else {
-            RecoveryOutcome::Lossy {
-                replayed_batches: summary.coverage.replayable,
-                dropped_batches: summary.coverage.dropped_batches,
-            }
-        };
+        let outcome = summary.outcome();
         lock(&slot.recoveries).push(RecoveryReport {
             shard: slot.shard,
             epoch,
@@ -651,6 +666,7 @@ impl Supervisor {
                 _ => ShardReport {
                     stats: lock(&slot.checkpoint)
                         .as_ref()
+                        .filter(|cp| cp.complete)
                         .map(|cp| cp.stats)
                         .unwrap_or(ShardStats {
                             shard: slot.shard,

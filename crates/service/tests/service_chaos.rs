@@ -224,6 +224,68 @@ fn wedge_recovery_fences_and_restores_bit_identically() {
     assert_eq!(chaos_stats, control_stats);
 }
 
+/// Feeds `before` batches, warm-starts the tenant from `warm`, feeds
+/// `after`, and returns the tenant's snapshot plus the shard's stats.
+fn run_with_warm_start(
+    service: &PrefetchService,
+    before: &[Vec<LineAddr>],
+    warm: &ulmt_core::table::TableSnapshot,
+    after: &[Vec<LineAddr>],
+) -> (ulmt_core::table::TableSnapshot, ulmt_service::ShardStats) {
+    let mut session = service.open(1, TenantSpec::repl(512)).expect("open");
+    for obs in before {
+        submit_until_acked(&mut session, obs);
+    }
+    session.restore(warm.clone()).expect("warm start");
+    for obs in after {
+        submit_until_acked(&mut session, obs);
+    }
+    let snap = session.snapshot().expect("snapshot");
+    (snap, service.shard_stats(0).expect("shard stats"))
+}
+
+#[test]
+fn kill_after_warm_start_recovers_bit_identically() {
+    // The warm start replaces the whole table after a checkpoint already
+    // holds a copy of it: recovery must restore the warm-started table
+    // plus what it learned since, with nothing of the replaced one left.
+    let donor_svc = PrefetchService::start(cfg(fast_supervision(8, 16), None));
+    let mut donor = donor_svc.open(9, TenantSpec::repl(512)).expect("open");
+    for obs in batches(9, 12) {
+        submit_until_acked(&mut donor, &obs);
+    }
+    let warm = donor.snapshot().expect("donor snapshot");
+    donor_svc.shutdown();
+
+    let stream = batches(1, 24);
+    let (before, after) = stream.split_at(10);
+    let control_svc = PrefetchService::start(cfg(fast_supervision(8, 16), None));
+    let (control_snap, control_stats) = run_with_warm_start(&control_svc, before, &warm, after);
+    control_svc.shutdown();
+
+    // Checkpoints land at seq 8, at the warm start (seq 10) and at seq
+    // 18; killing at seq 21 recovers from the seq-18 one plus two
+    // journaled batches.
+    let fault = ServiceFaultConfig::disabled(0x5EED).kill(0, 21);
+    let chaos_svc = PrefetchService::start(cfg(fast_supervision(8, 16), Some(fault)));
+    let (chaos_snap, chaos_stats) = run_with_warm_start(&chaos_svc, before, &warm, after);
+    wait_for_recoveries(&chaos_svc, 1);
+    let reports = chaos_svc.recovery_reports();
+    chaos_svc.shutdown();
+
+    assert_eq!(reports.len(), 1);
+    let r = &reports[0];
+    assert_eq!(r.checkpoint_seq, 18);
+    assert_eq!(
+        r.outcome,
+        RecoveryOutcome::Clean {
+            replayed_batches: 2
+        }
+    );
+    assert_eq!(chaos_snap.to_bytes(), control_snap.to_bytes());
+    assert_eq!(chaos_stats, control_stats);
+}
+
 #[test]
 fn lossy_recovery_reports_exact_dropped_batches() {
     let stream = vec![(7u32, batches(7, 30))];
