@@ -57,9 +57,19 @@ impl Conven4 {
     /// Observes an L1 miss (byte address) and returns L1-line addresses to
     /// prefetch into the L1 cache.
     pub fn observe_l1_miss(&mut self, addr: Addr) -> Vec<LineAddr> {
-        let lines = self.detector.observe(addr.line(L1_LINE));
-        self.issued += lines.len() as u64;
+        let mut lines = Vec::new();
+        self.observe_l1_miss_with(addr, |line| lines.push(line));
         lines
+    }
+
+    /// [`Conven4::observe_l1_miss`] without the `Vec`: hands each L1-line
+    /// address to prefetch to `emit`, in order.
+    pub fn observe_l1_miss_with(&mut self, addr: Addr, mut emit: impl FnMut(LineAddr)) {
+        let issued = &mut self.issued;
+        self.detector.observe_with(addr.line(L1_LINE), |line| {
+            *issued += 1;
+            emit(line);
+        });
     }
 
     /// Total prefetch requests issued.

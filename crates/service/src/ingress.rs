@@ -1,17 +1,24 @@
-//! Per-tenant bounded ingestion queues and the weighted deficit-round-
-//! robin scheduler that drains them — the shard's fairness layer.
+//! The shard's one inbox: per-tenant bounded batch queues drained by a
+//! weighted deficit-round-robin scheduler, plus a FIFO of control
+//! messages, all under one mutex.
 //!
-//! Before this layer, every tenant on a shard shared one bounded
-//! `sync_channel`: a single hot tenant could fill it and head-of-line
-//! block its neighbors, and backpressure (`TrySubmit::Full`) punished
-//! whichever tenant happened to submit next rather than the one causing
-//! the pressure. Now each tenant owns a bounded queue inside the shard's
-//! [`Ingress`], so
+//! The shard worker is the online form of the paper's ULMT loop (wait,
+//! Prefetching step, Learning step, wait) fed by one observation queue,
+//! and the [`Ingress`] is that queue. Each tenant owns a bounded queue
+//! inside it, so
 //!
 //! * **admission** is per-tenant: a full queue rejects only that
 //!   tenant's submissions, and
 //! * **service** is scheduled: the worker picks the next batch by
 //!   weighted deficit round-robin.
+//!
+//! Control messages (open, snapshot, stats, drain, shutdown, ...) share
+//! the inbox. The worker takes them ahead of any batch, and each one
+//! captures its per-tenant *barriers* when it is pushed, under the same
+//! lock as the enqueues: the count of batches enqueued so far for every
+//! tenant it must follow. The worker drains those tenants' queues to the
+//! barriers before it runs the message, so "everything submitted before
+//! the call is included" holds without a shared FIFO across tenants.
 //!
 //! # Why fingerprints don't change
 //!
@@ -37,15 +44,15 @@
 //! # Lifecycle
 //!
 //! An `Ingress` belongs to one worker *epoch*. When the epoch dies —
-//! crash, wedge fence, or shutdown — the ingress is closed and its
-//! queued batches drained: on the crash path their reply channels are
-//! dropped (clients observe `Closed` and resubmit, the at-least-once
-//! half of the recovery contract), on the graceful path the worker
-//! answers them with a typed `ShuttingDown` error. Queued batches are
-//! *never* carried into the next epoch: the client resubmits the
-//! in-flight batch it never got an ack for, and letting queued
-//! successors survive would reorder them behind that resubmission,
-//! breaking per-tenant stream order.
+//! crash, wedge fence, or shutdown — the ingress is closed and hands back
+//! its queued batches and control messages: on the crash path they are
+//! dropped with their reply channels (clients observe `Closed` and
+//! resubmit, the at-least-once half of the recovery contract), on the
+//! graceful path the worker answers them with a typed `ShuttingDown`
+//! error. Nothing queued is *ever* carried into the next epoch: the
+//! client resubmits the in-flight batch it never got an ack for, and
+//! letting queued successors survive would reorder them behind that
+//! resubmission, breaking per-tenant stream order.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
@@ -55,9 +62,10 @@ use std::time::{Duration, Instant};
 use ulmt_simcore::{FxHashMap, LineAddr};
 
 use crate::service::BatchReply;
+use crate::shard::ShardMsg;
 
-/// One queued observation batch, with everything the worker needs to
-/// process and acknowledge it.
+/// One observation batch, with everything the worker needs to process
+/// and acknowledge it.
 pub(crate) struct IngressBatch {
     /// The tenant the batch belongs to.
     pub tenant: u32,
@@ -72,9 +80,43 @@ pub(crate) struct IngressBatch {
     /// Where the ack goes.
     pub reply: Sender<BatchReply>,
     /// When the batch entered its queue, for the metrics plane's
-    /// queue-wait histogram. `None` when metrics are disabled: the
-    /// clock is never even read, so the disabled path costs nothing.
+    /// queue-wait histogram; stamped by [`Ingress::enqueue`]. `None`
+    /// when metrics are disabled: the clock is never even read, so the
+    /// disabled path costs nothing.
     pub enqueued_at: Option<Instant>,
+}
+
+/// Which queued batches a control message must follow.
+pub(crate) enum Follows {
+    /// None: the message runs at its place among the control messages.
+    Nothing,
+    /// Every batch enqueued for one tenant before the message.
+    Tenant(u32),
+    /// Every batch enqueued for any tenant before the message.
+    Everything,
+}
+
+/// A control message and the per-tenant barriers it captured when it
+/// was pushed: `(tenant, batches enqueued for it by then)`.
+pub(crate) struct Control {
+    pub msg: ShardMsg,
+    pub barriers: Vec<(u32, u64)>,
+}
+
+/// What the worker takes next from its inbox.
+pub(crate) enum Work {
+    Control(Control),
+    Batch(IngressBatch),
+    /// Nothing arrived within the wait.
+    Idle,
+    /// The ingress is closed: the epoch is over.
+    Closed,
+}
+
+/// Everything [`Ingress::close`] took out of the inbox.
+pub(crate) struct Drained {
+    pub control: Vec<ShardMsg>,
+    pub batches: Vec<IngressBatch>,
 }
 
 struct TenantQueue {
@@ -98,53 +140,49 @@ struct IngressInner {
     round: Vec<u32>,
     cursor: usize,
     queued: usize,
-    /// Set by [`Ingress::kick`] so a control message sent while the
-    /// worker sleeps on the `work` condvar wakes it promptly.
-    kicked: bool,
+    control: VecDeque<Control>,
     closed: bool,
 }
 
-/// Outcome of an enqueue attempt. The failing variants hand the
-/// observation buffer back untouched.
+impl IngressInner {
+    /// Batches ever enqueued for `tenant` on this epoch.
+    fn barrier(&self, tenant: u32) -> u64 {
+        self.tenants.get(&tenant).map_or(0, |t| t.enq)
+    }
+
+    /// Barrier values for every registered tenant (registration order).
+    fn barriers(&self) -> Vec<(u32, u64)> {
+        self.round
+            .iter()
+            .map(|&id| (id, self.tenants[&id].enq))
+            .collect()
+    }
+}
+
+/// Outcome of an enqueue. The failing variants hand the observation
+/// buffer back untouched.
 pub(crate) enum Enqueue {
     /// The batch is queued; the worker will pick it up.
     Ok,
-    /// The *tenant's* queue is full (its neighbors are unaffected).
+    /// The *tenant's* queue is full (its neighbors are unaffected), and
+    /// stayed full until the deadline, if one was given.
     Full(Vec<LineAddr>),
-    /// The deadline expired before the tenant's queue had space.
-    TimedOut(Vec<LineAddr>),
     /// The ingress is closed (worker epoch ended).
     Closed(Vec<LineAddr>),
     /// The tenant was never registered on this shard.
     Unknown(Vec<LineAddr>),
 }
 
-enum TryEnqueue {
-    Ok,
-    Full(IngressParts),
-    Closed(IngressParts),
-    Unknown(IngressParts),
-}
-
-/// The caller-supplied fields of a batch ([`Ingress`] stamps the
-/// enqueue time).
-pub(crate) struct IngressParts {
-    pub tenant: u32,
-    pub obs: Vec<LineAddr>,
-    pub rejected_cum: u64,
-    pub shed_cum: u64,
-    pub reply: Sender<BatchReply>,
-}
-
-/// One worker epoch's ingestion front: per-tenant bounded queues, the
-/// scheduler state, and the condvars producers and the worker sleep on.
+/// One worker epoch's inbox: per-tenant bounded queues, the scheduler
+/// state, the control FIFO, and the condvars producers and the worker
+/// sleep on.
 pub(crate) struct Ingress {
     quantum: u64,
     default_depth: usize,
     /// Stamp each batch's enqueue time (metrics enabled)?
     stamp: bool,
     inner: Mutex<IngressInner>,
-    /// Worker waits here for data or a kick.
+    /// The worker waits here for a batch or a control message.
     work: Condvar,
     /// Producers wait here for queue space.
     space: Condvar,
@@ -156,6 +194,7 @@ impl std::fmt::Debug for Ingress {
         f.debug_struct("Ingress")
             .field("tenants", &inner.round.len())
             .field("queued", &inner.queued)
+            .field("control", &inner.control.len())
             .field("closed", &inner.closed)
             .finish_non_exhaustive()
     }
@@ -185,7 +224,7 @@ impl Ingress {
                 round: Vec::new(),
                 cursor: 0,
                 queued: 0,
-                kicked: false,
+                control: VecDeque::new(),
                 closed: false,
             }),
             work: Condvar::new(),
@@ -215,86 +254,90 @@ impl Ingress {
         inner.round.push(tenant);
     }
 
-    fn push_locked(inner: &mut IngressInner, parts: IngressParts, stamp: bool) -> TryEnqueue {
-        if inner.closed {
-            return TryEnqueue::Closed(parts);
-        }
-        let Some(t) = inner.tenants.get_mut(&parts.tenant) else {
-            return TryEnqueue::Unknown(parts);
-        };
-        if t.q.len() >= t.depth {
-            return TryEnqueue::Full(parts);
-        }
-        t.q.push_back(IngressBatch {
-            tenant: parts.tenant,
-            obs: parts.obs,
-            rejected_cum: parts.rejected_cum,
-            shed_cum: parts.shed_cum,
-            reply: parts.reply,
-            enqueued_at: stamp.then(Instant::now),
-        });
-        t.enq += 1;
-        inner.queued += 1;
-        TryEnqueue::Ok
-    }
-
-    /// Non-blocking enqueue.
-    pub fn try_enqueue(&self, parts: IngressParts) -> Enqueue {
-        let outcome = Self::push_locked(&mut guard(&self.inner), parts, self.stamp);
-        match outcome {
-            TryEnqueue::Ok => {
-                self.work.notify_all();
-                Enqueue::Ok
-            }
-            TryEnqueue::Full(p) => Enqueue::Full(p.obs),
-            TryEnqueue::Closed(p) => Enqueue::Closed(p.obs),
-            TryEnqueue::Unknown(p) => Enqueue::Unknown(p.obs),
-        }
-    }
-
-    /// Enqueue that waits (on the `space` condvar) for the tenant's
-    /// queue to have room, up to `deadline`.
-    pub fn enqueue_deadline(&self, parts: IngressParts, deadline: Instant) -> Enqueue {
-        let mut parts = parts;
+    /// Queues a batch on its tenant's queue. A full queue fails at once
+    /// without a `deadline`; with one, the call waits (on the `space`
+    /// condvar) for room until the deadline passes.
+    pub fn enqueue(&self, mut batch: IngressBatch, deadline: Option<Instant>) -> Enqueue {
         let mut inner = guard(&self.inner);
         loop {
-            match Self::push_locked(&mut inner, parts, self.stamp) {
-                TryEnqueue::Ok => {
-                    drop(inner);
-                    self.work.notify_all();
-                    return Enqueue::Ok;
-                }
-                TryEnqueue::Closed(p) => return Enqueue::Closed(p.obs),
-                TryEnqueue::Unknown(p) => return Enqueue::Unknown(p.obs),
-                TryEnqueue::Full(p) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Enqueue::TimedOut(p.obs);
-                    }
-                    parts = p;
-                    let (g, _timeout) = self
+            if inner.closed {
+                return Enqueue::Closed(batch.obs);
+            }
+            let Some(t) = inner.tenants.get_mut(&batch.tenant) else {
+                return Enqueue::Unknown(batch.obs);
+            };
+            if t.q.len() < t.depth {
+                batch.enqueued_at = self.stamp.then(Instant::now);
+                t.q.push_back(batch);
+                t.enq += 1;
+                inner.queued += 1;
+                drop(inner);
+                self.work.notify_one();
+                return Enqueue::Ok;
+            }
+            let now = Instant::now();
+            match deadline {
+                Some(d) if now < d => {
+                    inner = self
                         .space
-                        .wait_timeout(inner, deadline - now)
-                        .unwrap_or_else(|e| e.into_inner());
-                    inner = g;
+                        .wait_timeout(inner, d - now)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0;
                 }
+                _ => return Enqueue::Full(batch.obs),
             }
         }
     }
 
-    /// The scheduler: hands the worker the next batch, or `None` if
-    /// nothing is queued. Never blocks.
-    pub fn next_batch(&self) -> Option<IngressBatch> {
+    /// Queues a control message behind the earlier ones, capturing the
+    /// barriers of the tenants it follows, and wakes the worker. A closed
+    /// ingress hands the message back.
+    pub fn push_control(&self, msg: ShardMsg) -> Result<(), ShardMsg> {
         let mut inner = guard(&self.inner);
-        if inner.queued == 0 {
-            return None;
+        if inner.closed {
+            return Err(msg);
         }
-        let batch = Self::pick_drr(&mut inner, self.quantum);
-        if batch.is_some() {
-            drop(inner);
-            self.space.notify_all();
+        let barriers = match msg.follows() {
+            Follows::Nothing => Vec::new(),
+            Follows::Tenant(tenant) => vec![(tenant, inner.barrier(tenant))],
+            Follows::Everything => inner.barriers(),
+        };
+        inner.control.push_back(Control { msg, barriers });
+        drop(inner);
+        self.work.notify_one();
+        Ok(())
+    }
+
+    /// The worker's wait: the oldest control message, else the
+    /// scheduler's next batch, else blocks until one arrives, the ingress
+    /// closes, or `timeout` elapses (the supervision tick, so fence
+    /// checks keep their cadence).
+    pub fn next(&self, timeout: Duration) -> Work {
+        let mut inner = guard(&self.inner);
+        let mut deadline = None;
+        loop {
+            if let Some(control) = inner.control.pop_front() {
+                return Work::Control(control);
+            }
+            if let Some(batch) = Self::pick_drr(&mut inner, self.quantum) {
+                drop(inner);
+                self.space.notify_all();
+                return Work::Batch(batch);
+            }
+            if inner.closed {
+                return Work::Closed;
+            }
+            let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + timeout);
+            if now >= deadline {
+                return Work::Idle;
+            }
+            inner = self
+                .work
+                .wait_timeout(inner, deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
-        batch
     }
 
     /// Weighted deficit round-robin. Serves the tenant under the cursor
@@ -303,7 +346,7 @@ impl Ingress {
     /// replenishes at least one quantum per backlogged tenant.
     fn pick_drr(inner: &mut IngressInner, quantum: u64) -> Option<IngressBatch> {
         let n = inner.round.len();
-        if n == 0 {
+        if inner.queued == 0 || n == 0 {
             return None;
         }
         loop {
@@ -348,13 +391,17 @@ impl Ingress {
         }
     }
 
-    /// Pops the head of one specific tenant's queue, bypassing the
-    /// scheduler. Used by barrier drains: per-tenant order is all that
-    /// matters for correctness, and a control operation on tenant `t`
-    /// must not wait on other tenants' backlogs.
-    pub fn pop_tenant(&self, tenant: u32) -> Option<IngressBatch> {
+    /// Pops the head of `tenant`'s queue if fewer than `barrier` of its
+    /// batches have been taken, bypassing the scheduler. This is how a
+    /// control message drains the tenants it follows: per-tenant order is
+    /// all its ordering needs, and an operation on tenant `t` must not
+    /// wait on other tenants' backlogs.
+    pub fn pop_before(&self, tenant: u32, barrier: u64) -> Option<IngressBatch> {
         let mut inner = guard(&self.inner);
         let t = inner.tenants.get_mut(&tenant)?;
+        if t.done >= barrier {
+            return None;
+        }
         let b = t.q.pop_front()?;
         t.done += 1;
         if t.q.is_empty() {
@@ -367,98 +414,36 @@ impl Ingress {
         Some(b)
     }
 
-    /// Batches ever enqueued for `tenant` on this epoch — the barrier
-    /// value a control message captures at send time.
-    pub fn barrier(&self, tenant: u32) -> u64 {
-        guard(&self.inner)
-            .tenants
-            .get(&tenant)
-            .map(|t| t.enq)
-            .unwrap_or(0)
-    }
-
-    /// Batches the worker has taken for `tenant` so far.
-    pub fn done(&self, tenant: u32) -> u64 {
-        guard(&self.inner)
-            .tenants
-            .get(&tenant)
-            .map(|t| t.done)
-            .unwrap_or(0)
-    }
-
-    /// Barrier values for every registered tenant (registration order).
-    pub fn barriers(&self) -> Vec<(u32, u64)> {
-        let inner = guard(&self.inner);
-        inner
-            .round
-            .iter()
-            .map(|&id| (id, inner.tenants[&id].enq))
-            .collect()
-    }
-
-    /// Wakes the worker so it notices a freshly sent control message
-    /// instead of sleeping out its poll tick.
-    pub fn kick(&self) {
-        guard(&self.inner).kicked = true;
-        self.work.notify_all();
-    }
-
-    /// Worker-side wait: returns when data is queued, a kick arrived,
-    /// the ingress closed, or `timeout` elapsed (the supervision tick,
-    /// so wedge heartbeats and fence checks keep their cadence).
-    pub fn wait_work(&self, timeout: Duration) {
-        let mut inner = guard(&self.inner);
-        if inner.queued > 0 || inner.kicked || inner.closed {
-            inner.kicked = false;
-            return;
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let (g, _) = self
-                .work
-                .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = g;
-            if inner.queued > 0 || inner.kicked || inner.closed {
-                inner.kicked = false;
-                return;
-            }
-        }
-    }
-
     /// `true` once [`Ingress::close`] ran.
     #[cfg(test)]
     pub fn is_closed(&self) -> bool {
         guard(&self.inner).closed
     }
 
-    /// Closes the ingress and drains every queued batch, in per-tenant
-    /// FIFO order (registration order across tenants). New enqueues fail
-    /// with [`Enqueue::Closed`]; blocked producers and the worker wake.
-    /// The caller decides the drained batches' fate: drop them (crash
-    /// path — clients resubmit) or answer with a typed error (graceful
-    /// shutdown). Idempotent; a second close drains nothing.
-    pub fn close(&self) -> Vec<IngressBatch> {
+    /// Closes the ingress and hands back every queued control message
+    /// (in FIFO order) and batch (per-tenant FIFO, registration order
+    /// across tenants). New enqueues and pushes fail; blocked producers
+    /// and the worker wake. The caller decides what was queued: drop it
+    /// (crash path — clients resubmit) or answer it with a typed error
+    /// (graceful shutdown). Idempotent; a second close returns nothing.
+    pub fn close(&self) -> Drained {
         let mut inner = guard(&self.inner);
         inner.closed = true;
-        let mut drained = Vec::with_capacity(inner.queued);
+        let control = inner.control.drain(..).map(|c| c.msg).collect();
+        let mut batches = Vec::with_capacity(inner.queued);
         let round = inner.round.clone();
         for id in round {
             let t = inner.tenants.get_mut(&id).expect("round lists tenants");
             while let Some(b) = t.q.pop_front() {
                 t.done += 1;
-                drained.push(b);
+                batches.push(b);
             }
         }
         inner.queued = 0;
         drop(inner);
         self.work.notify_all();
         self.space.notify_all();
-        drained
+        Drained { control, batches }
     }
 }
 
@@ -467,32 +452,47 @@ mod tests {
     use super::*;
     use std::sync::mpsc::channel;
 
-    fn parts(tenant: u32, len: usize) -> (IngressParts, std::sync::mpsc::Receiver<BatchReply>) {
+    fn batch(tenant: u32, len: usize) -> (IngressBatch, std::sync::mpsc::Receiver<BatchReply>) {
         let (reply, rx) = channel();
         (
-            IngressParts {
+            IngressBatch {
                 tenant,
                 obs: (0..len as u64).map(LineAddr::new).collect(),
                 rejected_cum: 0,
                 shed_cum: 0,
                 reply,
+                enqueued_at: None,
             },
             rx,
         )
     }
 
     fn push(ing: &Ingress, tenant: u32, len: usize) {
-        let (p, rx) = parts(tenant, len);
-        assert!(matches!(ing.try_enqueue(p), Enqueue::Ok));
+        let (b, rx) = batch(tenant, len);
+        assert!(matches!(ing.enqueue(b, None), Enqueue::Ok));
         std::mem::forget(rx);
+    }
+
+    fn next_batch(ing: &Ingress) -> Option<IngressBatch> {
+        match ing.next(Duration::ZERO) {
+            Work::Batch(b) => Some(b),
+            _ => None,
+        }
     }
 
     fn drain_order(ing: &Ingress) -> Vec<u32> {
         let mut order = Vec::new();
-        while let Some(b) = ing.next_batch() {
+        while let Some(b) = next_batch(ing) {
             order.push(b.tenant);
         }
         order
+    }
+
+    /// A control message that follows every tenant.
+    fn drain_msg() -> ShardMsg {
+        let (reply, rx) = channel();
+        std::mem::forget(rx);
+        ShardMsg::Drain { reply }
     }
 
     #[test]
@@ -528,14 +528,14 @@ mod tests {
         ing.register(1, 1, None);
         ing.register(2, 3, None);
         for i in 0..10 {
-            let (mut p, rx) = parts(1, 4);
-            p.rejected_cum = i; // stamp submission order
-            assert!(matches!(ing.try_enqueue(p), Enqueue::Ok));
+            let (mut b, rx) = batch(1, 4);
+            b.rejected_cum = i; // stamp submission order
+            assert!(matches!(ing.enqueue(b, None), Enqueue::Ok));
             std::mem::forget(rx);
             push(&ing, 2, 31);
         }
         let mut seen = Vec::new();
-        while let Some(b) = ing.next_batch() {
+        while let Some(b) = next_batch(&ing) {
             if b.tenant == 1 {
                 seen.push(b.rejected_cum);
             }
@@ -550,29 +550,32 @@ mod tests {
         ing.register(2, 1, Some(2));
         push(&ing, 1, 4);
         push(&ing, 1, 4);
-        let (p, _rx) = parts(1, 4);
-        assert!(matches!(ing.try_enqueue(p), Enqueue::Full(_)));
+        let (b, _rx) = batch(1, 4);
+        assert!(matches!(ing.enqueue(b, None), Enqueue::Full(_)));
         // Tenant 2 still has room.
-        let (p, _rx2) = parts(2, 4);
-        assert!(matches!(ing.try_enqueue(p), Enqueue::Ok));
+        let (b, _rx2) = batch(2, 4);
+        assert!(matches!(ing.enqueue(b, None), Enqueue::Ok));
     }
 
     #[test]
     fn unknown_tenant_and_closed_ingress_hand_the_batch_back() {
         let ing = Ingress::new(64, 4);
         ing.register(1, 1, None);
-        let (p, _rx) = parts(99, 3);
-        match ing.try_enqueue(p) {
+        let (b, _rx) = batch(99, 3);
+        match ing.enqueue(b, None) {
             Enqueue::Unknown(obs) => assert_eq!(obs.len(), 3),
             _ => panic!("expected Unknown"),
         }
         push(&ing, 1, 3);
         let drained = ing.close();
-        assert_eq!(drained.len(), 1);
+        assert_eq!(drained.batches.len(), 1);
         assert!(ing.is_closed());
-        let (p, _rx2) = parts(1, 3);
-        assert!(matches!(ing.try_enqueue(p), Enqueue::Closed(_)));
-        assert!(ing.close().is_empty(), "second close drains nothing");
+        let (b, _rx2) = batch(1, 3);
+        assert!(matches!(ing.enqueue(b, None), Enqueue::Closed(_)));
+        assert!(
+            ing.close().batches.is_empty(),
+            "second close drains nothing"
+        );
     }
 
     #[test]
@@ -583,19 +586,23 @@ mod tests {
         push(&ing, 1, 2);
         push(&ing, 1, 2);
         push(&ing, 2, 2);
-        assert_eq!(ing.barrier(1), 2);
-        assert_eq!(ing.barriers(), vec![(1, 2), (2, 1)]);
-        assert_eq!(ing.done(1), 0);
-        let b = ing.pop_tenant(1).expect("queued");
+        // A pushed control message captures the barriers at push time;
+        // later enqueues do not move them.
+        assert!(ing.push_control(drain_msg()).is_ok());
+        push(&ing, 1, 2);
+        let Work::Control(control) = ing.next(Duration::ZERO) else {
+            panic!("control messages come first");
+        };
+        assert_eq!(control.barriers, vec![(1, 2), (2, 1)]);
+        let b = ing.pop_before(1, 2).expect("queued");
         assert_eq!(b.tenant, 1);
-        assert_eq!(ing.done(1), 1);
-        assert_eq!(ing.done(2), 0);
-        // Draining tenant 1 to its barrier never touches tenant 2.
-        while ing.done(1) < ing.barrier(1) {
-            ing.pop_tenant(1).expect("barrier covered");
-        }
-        assert_eq!(ing.barrier(2), 1);
-        assert_eq!(ing.done(2), 0);
+        // Draining tenant 1 to its barrier never touches tenant 2, and
+        // stops at the barrier although a third batch is queued.
+        assert!(ing.pop_before(1, 2).is_some());
+        assert!(ing.pop_before(1, 2).is_none());
+        assert!(ing.pop_before(2, 1).is_some());
+        assert!(ing.pop_before(2, 1).is_none());
+        assert_eq!(drain_order(&ing), vec![1]);
     }
 
     #[test]
@@ -603,21 +610,21 @@ mod tests {
         let ing = std::sync::Arc::new(Ingress::new(64, 1));
         ing.register(1, 1, Some(1));
         push(&ing, 1, 1);
-        let (p, _rx) = parts(1, 1);
+        let (b, _rx) = batch(1, 1);
         let t0 = Instant::now();
-        match ing.enqueue_deadline(p, Instant::now() + Duration::from_millis(20)) {
-            Enqueue::TimedOut(obs) => assert_eq!(obs.len(), 1),
-            _ => panic!("expected TimedOut"),
+        match ing.enqueue(b, Some(Instant::now() + Duration::from_millis(20))) {
+            Enqueue::Full(obs) => assert_eq!(obs.len(), 1),
+            _ => panic!("expected Full at the deadline"),
         }
         assert!(t0.elapsed() >= Duration::from_millis(20));
         // With a consumer, the blocked producer gets through.
         let ing2 = std::sync::Arc::clone(&ing);
         let consumer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            ing2.next_batch().expect("one batch queued")
+            next_batch(&ing2).expect("one batch queued")
         });
-        let (p, _rx2) = parts(1, 1);
-        match ing.enqueue_deadline(p, Instant::now() + Duration::from_secs(5)) {
+        let (b, _rx2) = batch(1, 1);
+        match ing.enqueue(b, Some(Instant::now() + Duration::from_secs(5))) {
             Enqueue::Ok => {}
             _ => panic!("expected Ok after space opened"),
         }
@@ -625,16 +632,33 @@ mod tests {
     }
 
     #[test]
-    fn wait_work_wakes_on_kick() {
+    fn a_pushed_control_message_wakes_an_idle_worker() {
         let ing = std::sync::Arc::new(Ingress::new(64, 4));
         let ing2 = std::sync::Arc::clone(&ing);
-        let kicker = std::thread::spawn(move || {
+        let pusher = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));
-            ing2.kick();
+            assert!(ing2.push_control(drain_msg()).is_ok());
         });
         let t0 = Instant::now();
-        ing.wait_work(Duration::from_secs(10));
-        assert!(t0.elapsed() < Duration::from_secs(5), "kick must wake");
-        kicker.join().expect("kicker");
+        assert!(matches!(
+            ing.next(Duration::from_secs(10)),
+            Work::Control(_)
+        ));
+        assert!(t0.elapsed() < Duration::from_secs(5), "the push must wake");
+        pusher.join().expect("pusher");
+    }
+
+    #[test]
+    fn close_hands_back_queued_control_messages() {
+        let ing = Ingress::new(64, 4);
+        ing.register(1, 1, None);
+        push(&ing, 1, 2);
+        assert!(ing.push_control(drain_msg()).is_ok());
+        assert!(ing.push_control(drain_msg()).is_ok());
+        let drained = ing.close();
+        assert_eq!(drained.control.len(), 2);
+        assert_eq!(drained.batches.len(), 1);
+        assert!(ing.push_control(drain_msg()).is_err(), "closed");
+        assert!(matches!(ing.next(Duration::ZERO), Work::Closed));
     }
 }

@@ -11,13 +11,15 @@
 //! * [`PrefetchService::start`] spawns `N` shard worker threads, each
 //!   owning the per-tenant tables of the applications hashed to it;
 //! * clients [`open`](PrefetchService::open) a [`Session`] per tenant
-//!   and feed batches of L2-miss observations (plain [`LineAddr`]s or
-//!   the [`encode_lines`](ulmt_workloads::codec::encode_lines) wire
-//!   format), getting back prefetch predictions and per-tenant stats;
-//! * ingestion queues are **bounded and per-tenant**: each tenant owns
-//!   a bounded queue on its shard, drained by a weighted
-//!   deficit-round-robin scheduler (weights via [`TenantSpec::weight`]) so one hot
-//!   tenant cannot starve its neighbors; a full queue surfaces as
+//!   and feed batches of L2-miss observations (`Vec<`[`LineAddr`]`>`),
+//!   getting back prefetch predictions and per-tenant stats;
+//!   [`NetClient`] does the same over TCP;
+//! * each shard has **one inbox**: a bounded queue per tenant, drained
+//!   by a weighted deficit-round-robin scheduler (weights via
+//!   [`TenantSpec::weight`]) so one hot tenant cannot starve its
+//!   neighbors, and a FIFO of control requests (snapshot, stats, drain,
+//!   shutdown) that the worker takes first, each after the batches
+//!   submitted before it; a full queue surfaces as
 //!   [`TrySubmit::Full`] *to that tenant only*, with the batch handed
 //!   back — observations are never silently dropped, and rejections are
 //!   counted exactly. An optional per-tenant [`AdmissionQuota`] sheds
@@ -500,21 +502,6 @@ mod tests {
             TrySubmit::Enqueued(p) => assert!(p.wait().unwrap().error.is_none()),
             other => panic!("expected Enqueued, got {other:?}"),
         }
-        service.shutdown();
-    }
-
-    #[test]
-    fn encoded_submission_round_trips() {
-        let service = PrefetchService::start(cfg(1));
-        let mut session = service.open(1, TenantSpec::repl(256)).unwrap();
-        let obs = stream(1, 40);
-        let bytes = ulmt_workloads::codec::encode_lines(&obs);
-        let reply = session.submit_encoded(&bytes).unwrap().wait().unwrap();
-        assert_eq!(reply.observed, 40);
-        assert!(matches!(
-            session.submit_encoded(&bytes[..5]),
-            Err(ServiceError::Codec(_))
-        ));
         service.shutdown();
     }
 }

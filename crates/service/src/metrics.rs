@@ -26,8 +26,8 @@
 //!
 //! # Consistency
 //!
-//! Snapshots ride the shard's FIFO control plane as a `ShardMsg::Metrics`
-//! message, so a snapshot
+//! Snapshots ride the shard's inbox as a `ShardMsg::Metrics` control
+//! message, which the worker runs between batches, so a snapshot
 //! observes a *prefix* of the shard's ingestion stream: every batch
 //! processed before the message, nothing after it. Pair with
 //! [`PrefetchService::drain`](crate::PrefetchService::drain) for an

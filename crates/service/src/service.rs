@@ -1,27 +1,27 @@
 //! The service front end: [`PrefetchService`] and the per-tenant
 //! [`Session`] handle.
 //!
-//! Since the supervision layer, sessions no longer hold a raw channel to
-//! a worker thread: they hold the shard's *slot*
-//! ([`crate::supervisor::ShardSlot`]) and resolve the current worker
-//! epoch's sender through it on demand. When a worker dies, the
-//! supervisor rebuilds it (checkpoint + journal replay) and publishes a
-//! fresh sender under a bumped epoch; sessions notice the stale link and
-//! re-resolve. While the shard is down, the data plane either *sheds*
-//! (acknowledges without learning, exactly counted) or waits, per
+//! Sessions hold the shard's *slot* ([`crate::supervisor::ShardSlot`])
+//! and resolve the current worker epoch's inbox (its
+//! [`Ingress`](crate::ingress::Ingress)) through it on demand. Batches
+//! and control messages alike go into that one inbox. When a worker
+//! dies, the supervisor rebuilds it (checkpoint + journal replay) and
+//! publishes a fresh ingress under a bumped epoch; sessions notice the
+//! stale link and re-resolve. While the shard is down, the data plane
+//! either *sheds* (acknowledges without learning, exactly counted) or
+//! waits, per
 //! [`SupervisionConfig::shed_when_down`](crate::SupervisionConfig::shed_when_down).
 
 use std::hash::Hasher;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ulmt_core::table::{SnapshotError, TableSnapshot};
 use ulmt_simcore::{CancelToken, ConfigError, Cycle, FxHasher, LineAddr};
-use ulmt_workloads::codec::{decode_lines, TraceCodecError};
 
 use crate::config::{AdmissionQuota, ServiceConfig, TenantSpec};
-use crate::ingress::{Enqueue, Ingress, IngressParts};
+use crate::ingress::{Enqueue, Ingress, IngressBatch};
 use crate::metrics::MetricsReport;
 use crate::net::WireError;
 use crate::shard::{ShardMsg, ShardReport};
@@ -31,8 +31,8 @@ use crate::supervisor::{
 
 /// Errors surfaced by the service API — one hierarchy for the
 /// in-process and network paths alike. Every lower-level error type
-/// ([`ConfigError`], [`SnapshotError`], [`TraceCodecError`],
-/// [`WireError`], [`std::io::Error`]) converts `From` into it, and
+/// ([`ConfigError`], [`SnapshotError`], [`WireError`],
+/// [`std::io::Error`]) converts `From` into it, and
 /// [`std::error::Error::source`] exposes the wrapped cause.
 #[derive(Debug)]
 pub enum ServiceError {
@@ -54,8 +54,6 @@ pub enum ServiceError {
     InvalidSpec(ConfigError),
     /// A snapshot could not be restored.
     Snapshot(SnapshotError),
-    /// An encoded observation batch could not be decoded.
-    Codec(TraceCodecError),
     /// The network front-end's connection cap is reached; the
     /// connection was refused before any state was touched.
     Busy,
@@ -80,7 +78,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::UnknownTenant(t) => write!(f, "tenant {t} is not open"),
             ServiceError::InvalidSpec(e) => write!(f, "invalid configuration: {e}"),
             ServiceError::Snapshot(e) => write!(f, "snapshot restore failed: {e}"),
-            ServiceError::Codec(e) => write!(f, "bad observation batch: {e}"),
             ServiceError::Busy => write!(f, "server connection limit reached"),
             ServiceError::Wire(e) => write!(f, "wire protocol failure: {e}"),
             ServiceError::Remote(msg) => write!(f, "remote service error: {msg}"),
@@ -93,7 +90,6 @@ impl std::error::Error for ServiceError {
         match self {
             ServiceError::InvalidSpec(e) => Some(e),
             ServiceError::Snapshot(e) => Some(e),
-            ServiceError::Codec(e) => Some(e),
             ServiceError::Wire(e) => Some(e),
             _ => None,
         }
@@ -109,12 +105,6 @@ impl From<ConfigError> for ServiceError {
 impl From<SnapshotError> for ServiceError {
     fn from(e: SnapshotError) -> Self {
         ServiceError::Snapshot(e)
-    }
-}
-
-impl From<TraceCodecError> for ServiceError {
-    fn from(e: TraceCodecError) -> Self {
-        ServiceError::Codec(e)
     }
 }
 
@@ -391,8 +381,6 @@ pub struct Session {
     tenant: u32,
     shard: u32,
     slot: Arc<ShardSlot>,
-    /// Cached sender of the worker epoch last resolved.
-    tx: Option<SyncSender<ShardMsg>>,
     /// Cached ingress of the worker epoch last resolved.
     ingress: Option<Arc<Ingress>>,
     epoch: u64,
@@ -406,6 +394,23 @@ pub struct Session {
     quota: Option<QuotaState>,
 }
 
+/// How [`Session::send`] ended; each submit entry point maps it to its
+/// own result.
+enum Sent {
+    /// Queued, or acknowledged at once (shed, unknown tenant).
+    Enqueued(PendingBatch),
+    /// The tenant's queue stayed full through the deadline (counted as a
+    /// rejection).
+    Full(Vec<LineAddr>),
+    /// The shard stayed down (not shedding) or mid-publish through the
+    /// deadline (not yet counted).
+    Down(Vec<LineAddr>),
+    /// The shard is permanently failed.
+    Failed(Vec<LineAddr>),
+    /// The shard has shut down.
+    Closed(Vec<LineAddr>),
+}
+
 impl Session {
     fn new(
         tenant: u32,
@@ -413,12 +418,11 @@ impl Session {
         cfg: &ServiceConfig,
         quota: Option<AdmissionQuota>,
     ) -> Self {
-        let (tx, ingress, epoch, _) = slot.resolve();
+        let (ingress, epoch, _) = slot.resolve();
         Session {
             tenant,
             shard: slot.shard,
             slot,
-            tx,
             ingress,
             epoch,
             shed_when_down: cfg.supervision.shed_when_down,
@@ -441,38 +445,23 @@ impl Session {
 
     /// The cached link if it still belongs to the live epoch, else a
     /// freshly resolved one.
-    #[allow(clippy::type_complexity)]
-    fn link(
-        &mut self,
-    ) -> (
-        Option<SyncSender<ShardMsg>>,
-        Option<Arc<Ingress>>,
-        u64,
-        ShardState,
-    ) {
+    fn link(&mut self) -> (Option<Arc<Ingress>>, u64, ShardState) {
         let state = self.slot.health.state();
         if state == ShardState::Up
-            && self.tx.is_some()
             && self.ingress.is_some()
             && self.epoch == self.slot.health.epoch()
         {
-            return (self.tx.clone(), self.ingress.clone(), self.epoch, state);
+            return (self.ingress.clone(), self.epoch, state);
         }
-        let (tx, ingress, epoch, state) = self.slot.resolve();
-        self.tx = tx.clone();
-        self.ingress = ingress.clone();
-        self.epoch = epoch;
-        (tx, ingress, epoch, state)
+        self.relink()
     }
 
-    fn make_parts(&self, obs: Vec<LineAddr>, reply: Sender<BatchReply>) -> IngressParts {
-        IngressParts {
-            tenant: self.tenant,
-            obs,
-            rejected_cum: self.rejected_cum,
-            shed_cum: self.shed_cum,
-            reply,
-        }
+    /// Re-resolves the link and caches it.
+    fn relink(&mut self) -> (Option<Arc<Ingress>>, u64, ShardState) {
+        let (ingress, epoch, state) = self.slot.resolve();
+        self.ingress = ingress.clone();
+        self.epoch = epoch;
+        (ingress, epoch, state)
     }
 
     /// `true` if the tenant's admission quota (if any) grants this
@@ -504,6 +493,69 @@ impl Session {
         ))
     }
 
+    /// The one submission loop behind every entry point. Without a
+    /// `deadline` nothing waits: a full queue, a down shard and a
+    /// mid-publish link end the call at once. With one, the call waits
+    /// for queue space, and polls a down (not shedding) or mid-publish
+    /// shard, until the deadline. An admission quota that runs dry, and a
+    /// down shard under the shedding policy, shed instead; a closed
+    /// ingress whose epoch was replaced is retried on the replacement.
+    fn send(&mut self, mut obs: Vec<LineAddr>, deadline: Option<Instant>) -> Sent {
+        loop {
+            let (ingress, epoch, state) = self.link();
+            match (state, ingress) {
+                (ShardState::Up, Some(ingress)) => {
+                    if !self.admit_quota() {
+                        return Sent::Enqueued(self.shed_ack(obs));
+                    }
+                    let (reply, rx) = channel();
+                    let batch = IngressBatch {
+                        tenant: self.tenant,
+                        obs,
+                        rejected_cum: self.rejected_cum,
+                        shed_cum: self.shed_cum,
+                        reply,
+                        enqueued_at: None,
+                    };
+                    match ingress.enqueue(batch, deadline) {
+                        Enqueue::Ok => {
+                            self.slot.health.note_enqueued();
+                            return Sent::Enqueued(PendingBatch { rx });
+                        }
+                        Enqueue::Full(o) => {
+                            self.rejected_cum = self.rejected_cum.saturating_add(1);
+                            return Sent::Full(o);
+                        }
+                        Enqueue::Unknown(o) => return Sent::Enqueued(self.unknown_ack(o)),
+                        Enqueue::Closed(o) => {
+                            // The slot still claims the same epoch is
+                            // up: the worker died this instant and the
+                            // supervisor hasn't reacted yet; report
+                            // closed rather than spin. Otherwise retry
+                            // against the replacement epoch.
+                            let (_, now_epoch, now_state) = self.relink();
+                            if now_state == ShardState::Up && now_epoch == epoch {
+                                return Sent::Closed(o);
+                            }
+                            obs = o;
+                        }
+                    }
+                }
+                (ShardState::Up, None) | (ShardState::Down, _) => {
+                    if state == ShardState::Down && self.shed_when_down {
+                        return Sent::Enqueued(self.shed_ack(obs));
+                    }
+                    if deadline.is_none_or(|d| Instant::now() >= d) {
+                        return Sent::Down(obs);
+                    }
+                    std::thread::sleep(DOWN_POLL);
+                }
+                (ShardState::Failed, _) => return Sent::Failed(obs),
+                (ShardState::Closed, _) => return Sent::Closed(obs),
+            }
+        }
+    }
+
     /// Non-blocking submission of a batch of L2-miss line addresses.
     /// Never drops observations: a full queue hands the batch back as
     /// [`TrySubmit::Full`]. A down shard either sheds (immediate ack,
@@ -512,70 +564,15 @@ impl Session {
     /// [`shed_when_down`](crate::SupervisionConfig::shed_when_down)
     /// policy.
     pub fn try_submit(&mut self, obs: Vec<LineAddr>) -> TrySubmit {
-        let mut obs = obs;
-        loop {
-            let (_, ingress, epoch, state) = self.link();
-            match state {
-                ShardState::Up => {
-                    let Some(ingress) = ingress else {
-                        // Mid-publish race: the link isn't out yet.
-                        self.rejected_cum = self.rejected_cum.saturating_add(1);
-                        return TrySubmit::Full(obs);
-                    };
-                    if !self.admit_quota() {
-                        return TrySubmit::Enqueued(self.shed_ack(obs));
-                    }
-                    let (reply, rx) = channel();
-                    match ingress.try_enqueue(self.make_parts(obs, reply)) {
-                        Enqueue::Ok => {
-                            self.slot.health.note_enqueued();
-                            return TrySubmit::Enqueued(PendingBatch { rx });
-                        }
-                        Enqueue::Full(o) => {
-                            self.rejected_cum = self.rejected_cum.saturating_add(1);
-                            return TrySubmit::Full(o);
-                        }
-                        Enqueue::Unknown(o) => {
-                            return TrySubmit::Enqueued(self.unknown_ack(o));
-                        }
-                        Enqueue::Closed(o) => {
-                            obs = o;
-                            if self.stale_after_disconnect(epoch) {
-                                return TrySubmit::Closed(obs);
-                            }
-                            // The link changed under us; retry against
-                            // the replacement epoch.
-                        }
-                        Enqueue::TimedOut(o) => {
-                            // try_enqueue never waits; defensive.
-                            self.rejected_cum = self.rejected_cum.saturating_add(1);
-                            return TrySubmit::Full(o);
-                        }
-                    }
-                }
-                ShardState::Down => {
-                    return if self.shed_when_down {
-                        TrySubmit::Enqueued(self.shed_ack(obs))
-                    } else {
-                        self.rejected_cum = self.rejected_cum.saturating_add(1);
-                        TrySubmit::Full(obs)
-                    };
-                }
-                ShardState::Failed | ShardState::Closed => return TrySubmit::Closed(obs),
+        match self.send(obs, None) {
+            Sent::Enqueued(pending) => TrySubmit::Enqueued(pending),
+            Sent::Full(obs) => TrySubmit::Full(obs),
+            Sent::Down(obs) => {
+                self.rejected_cum = self.rejected_cum.saturating_add(1);
+                TrySubmit::Full(obs)
             }
+            Sent::Failed(obs) | Sent::Closed(obs) => TrySubmit::Closed(obs),
         }
-    }
-
-    /// After an enqueue against a closed ingress: `true` if the slot
-    /// still claims the same epoch is Up — the worker died this instant
-    /// and the supervisor hasn't reacted yet; report closed rather than
-    /// spin.
-    fn stale_after_disconnect(&mut self, seen_epoch: u64) -> bool {
-        let (tx, ingress, epoch, state) = self.slot.resolve();
-        self.tx = tx;
-        self.ingress = ingress;
-        self.epoch = epoch;
-        state == ShardState::Up && epoch == seen_epoch
     }
 
     /// Blocking submission: waits for queue space instead of rejecting,
@@ -585,55 +582,11 @@ impl Session {
     /// control timeout ([`ServiceError::Timeout`]), and a permanently
     /// failed shard reports [`ServiceError::ShardDown`].
     pub fn submit(&mut self, obs: Vec<LineAddr>) -> Result<PendingBatch, ServiceError> {
-        let deadline = Instant::now() + self.control_timeout;
-        let mut obs = obs;
-        loop {
-            let (_, ingress, epoch, state) = self.link();
-            match state {
-                ShardState::Up => {
-                    let Some(ingress) = ingress else {
-                        if Instant::now() >= deadline {
-                            return Err(ServiceError::Timeout);
-                        }
-                        std::thread::sleep(DOWN_POLL);
-                        continue;
-                    };
-                    if !self.admit_quota() {
-                        return Ok(self.shed_ack(obs));
-                    }
-                    let (reply, rx) = channel();
-                    match ingress.enqueue_deadline(self.make_parts(obs, reply), deadline) {
-                        Enqueue::Ok => {
-                            self.slot.health.note_enqueued();
-                            return Ok(PendingBatch { rx });
-                        }
-                        Enqueue::TimedOut(_) | Enqueue::Full(_) => {
-                            // Count the failed attempt like every other
-                            // rejection so conservation holds.
-                            self.rejected_cum = self.rejected_cum.saturating_add(1);
-                            return Err(ServiceError::Timeout);
-                        }
-                        Enqueue::Unknown(o) => return Ok(self.unknown_ack(o)),
-                        Enqueue::Closed(o) => {
-                            obs = o;
-                            if self.stale_after_disconnect(epoch) {
-                                return Err(ServiceError::Closed);
-                            }
-                        }
-                    }
-                }
-                ShardState::Down => {
-                    if self.shed_when_down {
-                        return Ok(self.shed_ack(obs));
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(ServiceError::Timeout);
-                    }
-                    std::thread::sleep(DOWN_POLL);
-                }
-                ShardState::Failed => return Err(ServiceError::ShardDown(self.shard)),
-                ShardState::Closed => return Err(ServiceError::Closed),
-            }
+        match self.send(obs, Some(Instant::now() + self.control_timeout)) {
+            Sent::Enqueued(pending) => Ok(pending),
+            Sent::Full(_) | Sent::Down(_) => Err(ServiceError::Timeout),
+            Sent::Failed(_) => Err(ServiceError::ShardDown(self.shard)),
+            Sent::Closed(_) => Err(ServiceError::Closed),
         }
     }
 
@@ -642,73 +595,23 @@ impl Session {
     /// [`TrySubmit::TimedOut`] instead of blocking further. Never drops
     /// observations.
     pub fn submit_timeout(&mut self, obs: Vec<LineAddr>, timeout: Duration) -> TrySubmit {
-        let deadline = Instant::now() + timeout;
-        let mut obs = obs;
-        loop {
-            let (_, ingress, epoch, state) = self.link();
-            match state {
-                ShardState::Up => {
-                    if let Some(ingress) = ingress {
-                        if !self.admit_quota() {
-                            return TrySubmit::Enqueued(self.shed_ack(obs));
-                        }
-                        let (reply, rx) = channel();
-                        match ingress.enqueue_deadline(self.make_parts(obs, reply), deadline) {
-                            Enqueue::Ok => {
-                                self.slot.health.note_enqueued();
-                                return TrySubmit::Enqueued(PendingBatch { rx });
-                            }
-                            Enqueue::TimedOut(o) | Enqueue::Full(o) => {
-                                self.rejected_cum = self.rejected_cum.saturating_add(1);
-                                return TrySubmit::TimedOut(o);
-                            }
-                            Enqueue::Unknown(o) => {
-                                return TrySubmit::Enqueued(self.unknown_ack(o));
-                            }
-                            Enqueue::Closed(o) => {
-                                obs = o;
-                                if self.stale_after_disconnect(epoch) {
-                                    return TrySubmit::Closed(obs);
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                }
-                ShardState::Down => {
-                    if self.shed_when_down {
-                        return TrySubmit::Enqueued(self.shed_ack(obs));
-                    }
-                }
-                ShardState::Failed | ShardState::Closed => return TrySubmit::Closed(obs),
-            }
-            if Instant::now() >= deadline {
+        match self.send(obs, Some(Instant::now() + timeout)) {
+            Sent::Enqueued(pending) => TrySubmit::Enqueued(pending),
+            Sent::Full(obs) => TrySubmit::TimedOut(obs),
+            Sent::Down(obs) => {
                 self.rejected_cum = self.rejected_cum.saturating_add(1);
-                return TrySubmit::TimedOut(obs);
+                TrySubmit::TimedOut(obs)
             }
-            std::thread::sleep(DOWN_POLL);
+            Sent::Failed(obs) | Sent::Closed(obs) => TrySubmit::Closed(obs),
         }
     }
 
-    /// Blocking submission of a batch in the
-    /// [`encode_lines`](ulmt_workloads::codec::encode_lines) wire format.
-    pub fn submit_encoded(&mut self, bytes: &[u8]) -> Result<PendingBatch, ServiceError> {
-        let obs = decode_lines(bytes).map_err(ServiceError::Codec)?;
-        self.submit(obs)
-    }
-
     /// Captures the tenant's learned table, after everything already
-    /// queued for it has been processed (the captured per-tenant
-    /// barrier; the worker drains the tenant's queue to it first).
+    /// queued for it has been processed (the barrier the request
+    /// captures; the worker drains the tenant's queue to it first).
     pub fn snapshot(&mut self) -> Result<TableSnapshot, ServiceError> {
-        let (reply, rx) = channel();
         let tenant = self.tenant;
-        self.control(|barrier| ShardMsg::Snapshot {
-            tenant,
-            barrier,
-            reply,
-        })?;
-        self.control_recv(&rx)?
+        self.ask(|reply| ShardMsg::Snapshot { tenant, reply })
     }
 
     /// Replaces the tenant's table with a previously captured snapshot
@@ -716,91 +619,44 @@ impl Session {
     /// the same geometry as the tenant's registered spec; anything else is
     /// a typed [`SnapshotError`] and leaves the table untouched.
     pub fn restore(&mut self, snap: TableSnapshot) -> Result<(), ServiceError> {
-        let (reply, rx) = channel();
         let tenant = self.tenant;
-        self.control(move |barrier| ShardMsg::Restore {
+        self.ask(|reply| ShardMsg::Restore {
             tenant,
-            barrier,
             snap: Box::new(snap),
             reply,
-        })?;
-        self.control_recv(&rx)?
+        })
     }
 
     /// Fingerprint of the tenant's learned table (see
     /// [`TableSnapshot::fingerprint`]).
     pub fn fingerprint(&mut self) -> Result<u64, ServiceError> {
-        let (reply, rx) = channel();
         let tenant = self.tenant;
-        self.control(|barrier| ShardMsg::Fingerprint {
-            tenant,
-            barrier,
-            reply,
-        })?;
-        self.control_recv(&rx)?
+        self.ask(|reply| ShardMsg::Fingerprint { tenant, reply })
     }
 
     /// The tenant's counters.
     pub fn stats(&mut self) -> Result<TenantStats, ServiceError> {
-        let (reply, rx) = channel();
         let tenant = self.tenant;
-        self.control(|barrier| ShardMsg::TenantStats {
-            tenant,
-            barrier,
-            reply,
-        })?;
-        self.control_recv(&rx)?
+        self.ask(|reply| ShardMsg::TenantStats { tenant, reply })
     }
 
-    /// Sends a control-plane message to the live worker, handing the
-    /// constructor this tenant's current ingress barrier (batches
-    /// enqueued so far — what "everything already submitted" means for
-    /// the operation's ordering guarantee), and kicks the worker so it
-    /// doesn't sleep out its poll tick. A down or failed shard reports
-    /// [`ServiceError::ShardDown`] instead of queueing into the void.
-    fn control(&mut self, make: impl FnOnce(u64) -> ShardMsg) -> Result<(), ServiceError> {
-        let (tx, ingress, epoch, state) = self.link();
-        match state {
-            ShardState::Up => {
-                let Some(tx) = tx else {
-                    return Err(ServiceError::ShardDown(self.shard));
-                };
-                let barrier = ingress
-                    .as_ref()
-                    .map(|i| i.barrier(self.tenant))
-                    .unwrap_or(0);
-                match tx.send(make(barrier)) {
-                    Ok(()) => {
-                        self.slot.health.note_enqueued();
-                        if let Some(i) = &ingress {
-                            i.kick();
-                        }
-                        Ok(())
-                    }
-                    Err(_) => {
-                        if self.stale_after_disconnect(epoch) {
-                            Err(ServiceError::Closed)
-                        } else {
-                            Err(ServiceError::ShardDown(self.shard))
-                        }
-                    }
-                }
-            }
-            ShardState::Down | ShardState::Failed => Err(ServiceError::ShardDown(self.shard)),
-            ShardState::Closed => Err(ServiceError::Closed),
-        }
-    }
-
-    /// Receives a control reply within the control timeout, mapping a
-    /// died-while-we-waited worker to a typed error.
-    fn control_recv<T>(&self, rx: &Receiver<T>) -> Result<T, ServiceError> {
+    /// Sends a control request to the live worker and waits, within the
+    /// control timeout, for its answer. A down or failed shard reports
+    /// [`ServiceError::ShardDown`] instead of queueing into the void, and
+    /// so does a worker that died while we waited.
+    fn ask<T>(
+        &self,
+        make: impl FnOnce(Sender<Result<T, ServiceError>>) -> ShardMsg,
+    ) -> Result<T, ServiceError> {
+        let (reply, rx) = channel();
+        self.slot.control(make(reply))?;
         rx.recv_timeout(self.control_timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => ServiceError::Timeout,
             RecvTimeoutError::Disconnected => match self.slot.health.state() {
                 ShardState::Closed => ServiceError::Closed,
                 _ => ServiceError::ShardDown(self.shard),
             },
-        })
+        })?
     }
 
     /// Test-only: a session on the same shard for a tenant that was
@@ -811,7 +667,6 @@ impl Session {
             tenant,
             shard: other.shard,
             slot: Arc::clone(&other.slot),
-            tx: other.tx.clone(),
             ingress: other.ingress.clone(),
             epoch: other.epoch,
             shed_when_down: other.shed_when_down,
@@ -959,15 +814,12 @@ impl PrefetchService {
             spec.validate().map_err(ServiceError::InvalidSpec)?;
             specs.push((tenant, spec));
         }
-        let mut session = Session::new(tenant, Arc::clone(slot), &self.cfg, spec.quota);
-        let (reply, rx) = channel();
-        let result = session
-            .control(|_barrier| ShardMsg::Open {
-                tenant,
-                spec,
-                reply,
-            })
-            .and_then(|()| session.control_recv(&rx)?);
+        let session = Session::new(tenant, Arc::clone(slot), &self.cfg, spec.quota);
+        let result = session.ask(|reply| ShardMsg::Open {
+            tenant,
+            spec,
+            reply,
+        });
         if let Err(e) = result {
             // The worker never acked the open; withdraw the spec so a
             // later retry (or a recovery) doesn't resurrect a tenant the
@@ -980,26 +832,14 @@ impl PrefetchService {
 
     /// Aggregate counters of one shard.
     pub fn shard_stats(&self, shard: usize) -> Result<ShardStats, ServiceError> {
-        let slot = &self.slots[shard];
-        let (tx, ingress, _, state) = slot.resolve();
-        let tx = match (state, tx) {
-            (ShardState::Up, Some(tx)) => tx,
-            (ShardState::Closed, _) => return Err(ServiceError::Closed),
-            _ => return Err(ServiceError::ShardDown(shard as u32)),
-        };
         let (reply, rx) = channel();
-        tx.send(ShardMsg::ShardStats { reply })
-            .map_err(|_| ServiceError::ShardDown(shard as u32))?;
-        slot.health.note_enqueued();
-        if let Some(i) = &ingress {
-            i.kick();
-        }
+        self.slots[shard].control(ShardMsg::ShardStats { reply })?;
         rx.recv().map_err(|_| ServiceError::ShardDown(shard as u32))
     }
 
     /// The service-wide metrics view: one snapshot per live shard,
-    /// collected through each shard's FIFO control plane (so every
-    /// snapshot is a prefix of that shard's ingestion stream; pair with
+    /// collected through each shard's inbox (so every snapshot is a
+    /// prefix of that shard's ingestion stream; pair with
     /// [`PrefetchService::drain`] for an all-submitted view), plus the
     /// supervisor's recovery-latency history. Down or failed shards are
     /// skipped, like [`PrefetchService::drain`]. With
@@ -1009,24 +849,7 @@ impl PrefetchService {
         if !self.cfg.metrics {
             return Ok(MetricsReport::disabled());
         }
-        let mut waits = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            let (tx, ingress, _, state) = slot.resolve();
-            match (state, tx) {
-                (ShardState::Up, Some(tx)) => {
-                    let (reply, rx) = channel();
-                    tx.send(ShardMsg::Metrics { reply })
-                        .map_err(|_| ServiceError::ShardDown(slot.shard))?;
-                    slot.health.note_enqueued();
-                    if let Some(i) = &ingress {
-                        i.kick();
-                    }
-                    waits.push(rx);
-                }
-                (ShardState::Closed, _) => return Err(ServiceError::Closed),
-                _ => {}
-            }
-        }
+        let waits = self.ask_live_shards(|reply| ShardMsg::Metrics { reply })?;
         let mut report = MetricsReport {
             enabled: true,
             recoveries: 0,
@@ -1052,19 +875,8 @@ impl PrefetchService {
     /// [`TrySubmit::Full`]. The supervisor's wedge detector knows a
     /// paused shard is deliberate and leaves it alone.
     pub fn pause_shard(&self, shard: usize) -> Result<PauseGuard, ServiceError> {
-        let (tx, ingress, _, state) = self.slots[shard].resolve();
-        let tx = match (state, tx) {
-            (ShardState::Up, Some(tx)) => tx,
-            (ShardState::Closed, _) => return Err(ServiceError::Closed),
-            _ => return Err(ServiceError::ShardDown(shard as u32)),
-        };
         let (resume, gate) = channel();
-        tx.send(ShardMsg::Pause(gate))
-            .map_err(|_| ServiceError::ShardDown(shard as u32))?;
-        self.slots[shard].health.note_enqueued();
-        if let Some(i) = &ingress {
-            i.kick();
-        }
+        self.slots[shard].control(ShardMsg::Pause(gate))?;
         Ok(PauseGuard { _resume: resume })
     }
 
@@ -1072,29 +884,29 @@ impl PrefetchService {
     /// queued before this call. Down shards have no queue to drain (it
     /// died with their worker) and are skipped.
     pub fn drain(&self) -> Result<(), ServiceError> {
-        let mut waits = Vec::with_capacity(self.slots.len());
-        for slot in &self.slots {
-            let (tx, ingress, _, state) = slot.resolve();
-            match (state, tx) {
-                (ShardState::Up, Some(tx)) => {
-                    let barriers = ingress.as_ref().map(|i| i.barriers()).unwrap_or_default();
-                    let (reply, rx) = channel();
-                    tx.send(ShardMsg::Drain { barriers, reply })
-                        .map_err(|_| ServiceError::ShardDown(slot.shard))?;
-                    slot.health.note_enqueued();
-                    if let Some(i) = &ingress {
-                        i.kick();
-                    }
-                    waits.push(rx);
-                }
-                (ShardState::Closed, _) => return Err(ServiceError::Closed),
-                _ => {}
-            }
-        }
-        for rx in waits {
+        for rx in self.ask_live_shards(|reply| ShardMsg::Drain { reply })? {
             rx.recv().map_err(|_| ServiceError::Closed)?;
         }
         Ok(())
+    }
+
+    /// Pushes one request onto every live shard and returns the reply
+    /// receivers. Down or failed shards are skipped; a closed service is
+    /// [`ServiceError::Closed`].
+    fn ask_live_shards<T>(
+        &self,
+        make: impl Fn(Sender<T>) -> ShardMsg,
+    ) -> Result<Vec<Receiver<T>>, ServiceError> {
+        let mut waits = Vec::with_capacity(self.slots.len());
+        for slot in &self.slots {
+            let (reply, rx) = channel();
+            match slot.control(make(reply)) {
+                Ok(()) => waits.push(rx),
+                Err(ServiceError::Closed) => return Err(ServiceError::Closed),
+                Err(_) => {}
+            }
+        }
+        Ok(waits)
     }
 
     /// Starts the shutdown drain without consuming the service: a
@@ -1105,14 +917,7 @@ impl PrefetchService {
     /// and collect reports.
     pub fn begin_shutdown(&self) {
         for slot in &self.slots {
-            let (tx, ingress, _, _) = slot.resolve();
-            if let Some(tx) = tx {
-                let barriers = ingress.as_ref().map(|i| i.barriers()).unwrap_or_default();
-                let _ = tx.send(ShardMsg::Shutdown { barriers });
-                if let Some(i) = &ingress {
-                    i.kick();
-                }
-            }
+            let _ = slot.control(ShardMsg::Shutdown);
         }
     }
 
@@ -1140,11 +945,294 @@ impl PrefetchService {
 impl Drop for PrefetchService {
     /// Dropping without [`PrefetchService::shutdown`] cancels the token
     /// (so in-flight work winds down) and stops the supervisor without
-    /// joining the workers; they exit once their queues disconnect.
+    /// joining anything: the supervisor closes every shard's ingress,
+    /// dropping what was queued, and each worker exits when it sees its
+    /// ingress closed, whether or not sessions are still alive.
     fn drop(&mut self) {
         self.cancel.cancel();
         if self.supervisor.thread.take().is_some() {
             let _ = self.supervisor.tx.send(SupervisorMsg::Stop { reply: None });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SupervisionConfig;
+    use ulmt_simcore::ServiceFaultConfig;
+
+    const LEN: usize = 8;
+
+    fn obs() -> Vec<LineAddr> {
+        (0..LEN as u64).map(LineAddr::new).collect()
+    }
+
+    /// One shard; a control timeout long enough for an open's ack on a
+    /// busy host, which also bounds `submit`'s waits.
+    fn cfg(supervision: SupervisionConfig, fault: Option<ServiceFaultConfig>) -> ServiceConfig {
+        ServiceConfig {
+            shards: 1,
+            queue_depth: 1,
+            supervision: SupervisionConfig {
+                control_timeout_ms: 250,
+                ..supervision
+            },
+            fault,
+            ..ServiceConfig::default()
+        }
+    }
+
+    /// A shard killed by its first batch that then stays down: the
+    /// restart backoff outlasts the test.
+    fn killed(service: &PrefetchService, session: &mut Session, until: ShardState) {
+        let tripwire = session.submit(obs()).expect("shard up");
+        assert!(tripwire.wait().is_err(), "the killed batch is never acked");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while service.shard_state(0) != until {
+            assert!(Instant::now() < deadline, "shard never reached {until:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The label of an enqueued handle: the ack it already holds, if any,
+    /// and whether that ack handed the buffer back.
+    fn pending(p: &PendingBatch) -> (String, bool) {
+        match p.poll() {
+            None => (String::new(), false),
+            Some(reply) => {
+                let label = match &reply.error {
+                    Some(e) => format!("({e:?})"),
+                    None if reply.shed => "(shed)".to_string(),
+                    None => "(acked)".to_string(),
+                };
+                (label, reply.recycled.capacity() >= LEN)
+            }
+        }
+    }
+
+    /// The label of a `try_submit` or `submit_timeout` result, and
+    /// whether it handed the buffer back.
+    fn label(result: TrySubmit) -> (String, bool) {
+        match result {
+            TrySubmit::Enqueued(p) => {
+                let (label, back) = pending(&p);
+                (format!("Enqueued{label}"), back)
+            }
+            TrySubmit::Full(o) => ("Full".to_string(), o.len() == LEN),
+            TrySubmit::TimedOut(o) => ("TimedOut".to_string(), o.len() == LEN),
+            TrySubmit::Closed(o) => ("Closed".to_string(), o.len() == LEN),
+        }
+    }
+
+    /// Runs one entry point (0 `try_submit`, 1 `submit`, 2
+    /// `submit_timeout`) and returns its result, whether the buffer came
+    /// back (in the result, or in an immediate ack), and what it added to
+    /// the session's rejected and shed totals.
+    fn submit_via(session: &mut Session, entry: usize) -> (String, bool, u64, u64) {
+        let (rejected, shed) = (session.rejected_cum, session.shed_cum);
+        let (result, handed_back) = match entry {
+            0 => label(session.try_submit(obs())),
+            1 => match session.submit(obs()) {
+                Ok(p) => {
+                    let (label, back) = pending(&p);
+                    (format!("Ok{label}"), back)
+                }
+                Err(e) => (format!("Err({e:?})"), false),
+            },
+            _ => label(session.submit_timeout(obs(), Duration::from_millis(20))),
+        };
+        (
+            result,
+            handed_back,
+            session.rejected_cum - rejected,
+            session.shed_cum - shed,
+        )
+    }
+
+    /// Checks all three entry points against one row of the table:
+    /// `(result, buffer handed back, rejected added, shed added)` for
+    /// `try_submit`, `submit` and `submit_timeout`.
+    fn expect_row(state: &str, session: &mut Session, want: [(&str, bool, u64, u64); 3]) {
+        for (entry, want) in want.into_iter().enumerate() {
+            let (result, handed_back, rejected, shed) = submit_via(session, entry);
+            assert_eq!(
+                (result.as_str(), handed_back, rejected, shed),
+                want,
+                "{state}, {}",
+                ["try_submit", "submit", "submit_timeout"][entry]
+            );
+        }
+    }
+
+    #[test]
+    fn every_submit_entry_point_reports_each_shard_state_the_same_way() {
+        let fast = SupervisionConfig {
+            tick_ms: 5,
+            ..SupervisionConfig::default()
+        };
+        let down = |shed_when_down| SupervisionConfig {
+            backoff_base_ms: 5_000,
+            backoff_max_ms: 5_000,
+            shed_when_down,
+            ..fast
+        };
+        let kill = || Some(ServiceFaultConfig::disabled(0x0D0E).kill(0, 1));
+
+        // A full queue: the shard is paused with its depth-1 queue taken.
+        let service = PrefetchService::start(cfg(fast, None));
+        let mut session = service.open(1, TenantSpec::repl(64)).unwrap();
+        let pause = service.pause_shard(0).unwrap();
+        let queued = session.try_submit(obs());
+        assert!(matches!(queued, TrySubmit::Enqueued(_)));
+        expect_row(
+            "full queue",
+            &mut session,
+            [
+                ("Full", true, 1, 0),
+                ("Err(Timeout)", false, 1, 0),
+                ("TimedOut", true, 1, 0),
+            ],
+        );
+        // An unknown tenant is answered at once, buffer and all.
+        let mut ghost = Session::test_clone_for_tenant(&session, 999);
+        expect_row(
+            "unknown tenant",
+            &mut ghost,
+            [
+                ("Enqueued(UnknownTenant(999))", true, 0, 0),
+                ("Ok(UnknownTenant(999))", true, 0, 0),
+                ("Enqueued(UnknownTenant(999))", true, 0, 0),
+            ],
+        );
+        drop(pause);
+        service.shutdown();
+
+        // A down shard under the shedding policy sheds on every path.
+        let service = PrefetchService::start(cfg(down(true), kill()));
+        let mut session = service.open(1, TenantSpec::repl(64)).unwrap();
+        killed(&service, &mut session, ShardState::Down);
+        expect_row(
+            "down, shedding",
+            &mut session,
+            [
+                ("Enqueued(shed)", true, 0, 1),
+                ("Ok(shed)", true, 0, 1),
+                ("Enqueued(shed)", true, 0, 1),
+            ],
+        );
+        drop(service);
+
+        // Without shedding, a blocking submit that times out on a down
+        // shard is not counted as a rejection; the other two are.
+        let service = PrefetchService::start(cfg(down(false), kill()));
+        let mut session = service.open(1, TenantSpec::repl(64)).unwrap();
+        killed(&service, &mut session, ShardState::Down);
+        expect_row(
+            "down, not shedding",
+            &mut session,
+            [
+                ("Full", true, 1, 0),
+                ("Err(Timeout)", false, 0, 0),
+                ("TimedOut", true, 1, 0),
+            ],
+        );
+        drop(service);
+
+        let failed = SupervisionConfig {
+            max_restarts: 0,
+            ..fast
+        };
+        let service = PrefetchService::start(cfg(failed, kill()));
+        let mut session = service.open(1, TenantSpec::repl(64)).unwrap();
+        killed(&service, &mut session, ShardState::Failed);
+        expect_row(
+            "failed shard",
+            &mut session,
+            [
+                ("Closed", true, 0, 0),
+                ("Err(ShardDown(0))", false, 0, 0),
+                ("Closed", true, 0, 0),
+            ],
+        );
+        service.shutdown();
+
+        let service = PrefetchService::start(cfg(fast, None));
+        let mut session = service.open(1, TenantSpec::repl(64)).unwrap();
+        service.shutdown();
+        expect_row(
+            "closed service",
+            &mut session,
+            [
+                ("Closed", true, 0, 0),
+                ("Err(Closed)", false, 0, 0),
+                ("Closed", true, 0, 0),
+            ],
+        );
+
+        // A quota of one batch, spent: every later submission is shed.
+        let service = PrefetchService::start(cfg(fast, None));
+        let spec = TenantSpec::repl(64).with_quota(AdmissionQuota::new(1, 0));
+        let mut session = service.open(1, spec).unwrap();
+        session.submit(obs()).unwrap().wait().unwrap();
+        expect_row(
+            "quota exhausted",
+            &mut session,
+            [
+                ("Enqueued(shed)", true, 0, 1),
+                ("Ok(shed)", true, 0, 1),
+                ("Enqueued(shed)", true, 0, 1),
+            ],
+        );
+        service.shutdown();
+    }
+
+    #[test]
+    fn shard_stats_on_an_idle_shard_answers_well_before_a_tick() {
+        let service = PrefetchService::start(cfg(
+            SupervisionConfig {
+                tick_ms: 1_000,
+                ..SupervisionConfig::default()
+            },
+            None,
+        ));
+        // Let the worker settle into its (one-second) inbox wait.
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = Instant::now();
+        service.shard_stats(0).unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "a control message wakes the worker: {:?}",
+            t0.elapsed()
+        );
+        service.shutdown();
+    }
+
+    #[test]
+    fn dropping_the_service_ends_every_worker_while_a_session_lives() {
+        let service = PrefetchService::start(ServiceConfig {
+            shards: 2,
+            ..ServiceConfig::default()
+        });
+        let mut session = service.open(1, TenantSpec::repl(64)).unwrap();
+        session.submit(obs()).unwrap().wait().unwrap();
+        let slots = service.slots.clone();
+        drop(service);
+        // A slot is shared by the service, the supervisor, its worker
+        // thread and the sessions on it. Once only this test's handle
+        // and the session's are left, every worker has returned.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for slot in &slots {
+            let floor = 1 + usize::from(slot.shard == session.shard());
+            while Arc::strong_count(slot) > floor {
+                assert!(
+                    Instant::now() < deadline,
+                    "shard {} still has a live worker",
+                    slot.shard
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert!(matches!(session.try_submit(obs()), TrySubmit::Closed(_)));
     }
 }

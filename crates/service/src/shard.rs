@@ -11,13 +11,12 @@
 //! That is the service's determinism argument, and the fingerprint
 //! checks in the tests hold it to account.
 //!
-//! Control-plane messages ([`ShardMsg`]) travel on a separate channel.
-//! Operations that used to rely on the shared queue's FIFO position for
-//! ordering (snapshot, stats, drain, shutdown) now carry explicit
-//! per-tenant *barriers* — the count of batches enqueued for the tenant
-//! at send time — and the worker drains the tenant's queue to the
-//! barrier before executing them, preserving the old "everything
-//! submitted before is included" contract.
+//! Control messages ([`ShardMsg`]) share that inbox: the worker takes
+//! them ahead of any batch. Each captures, when it is pushed, the
+//! per-tenant *barriers* of the tenants it follows — the count of batches
+//! enqueued for each so far — and the worker drains those tenants' queues
+//! to the barriers before running it, so an operation sees everything
+//! submitted before it (snapshot, stats, drain, shutdown).
 //!
 //! Since the supervision layer (see [`crate::supervisor`]) the worker is
 //! also *recoverable*: every accepted batch is journaled before it is
@@ -35,7 +34,7 @@
 
 use std::collections::hash_map::Entry;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,7 +46,7 @@ use ulmt_simcore::{
 };
 
 use crate::config::{ServiceConfig, TenantSpec};
-use crate::ingress::{Ingress, IngressBatch};
+use crate::ingress::{Control, Drained, Follows, Ingress, IngressBatch, Work};
 use crate::journal::{JournalCoverage, ObservationJournal};
 use crate::metrics::{MetricsRegistry, ShardMetrics};
 use crate::service::{BatchReply, ServiceError, ShardStats, TenantStats};
@@ -103,10 +102,10 @@ impl TenantState {
     }
 }
 
-/// Control-plane messages a shard worker processes. The data plane
-/// (observation batches) flows through the shard's
-/// [`Ingress`](crate::ingress::Ingress) instead; messages that need
-/// ordering against it carry per-tenant barriers captured at send time.
+/// Control messages a shard worker processes. They ride the shard's
+/// [`Ingress`] ahead of the observation batches; one that must follow
+/// earlier batches says which in [`ShardMsg::follows`], and the ingress
+/// captures those tenants' barriers when the message is pushed.
 pub(crate) enum ShardMsg {
     /// Register a tenant (fails if it already exists on the shard).
     /// Registers the tenant's ingress queue before acking, so an acked
@@ -116,55 +115,65 @@ pub(crate) enum ShardMsg {
         spec: TenantSpec,
         reply: Sender<Result<(), ServiceError>>,
     },
-    /// Capture a tenant's learned table, after draining its queue to
-    /// `barrier` (batches enqueued for it when the request was sent).
+    /// Capture a tenant's learned table.
     Snapshot {
         tenant: u32,
-        barrier: u64,
         reply: Sender<Result<TableSnapshot, ServiceError>>,
     },
     /// Replace a tenant's table with a previously captured snapshot
-    /// (warm start), after draining its queue to `barrier`.
+    /// (warm start).
     Restore {
         tenant: u32,
-        barrier: u64,
         snap: Box<TableSnapshot>,
         reply: Sender<Result<(), ServiceError>>,
     },
-    /// Fingerprint of a tenant's learned table, at `barrier`.
+    /// Fingerprint of a tenant's learned table.
     Fingerprint {
         tenant: u32,
-        barrier: u64,
         reply: Sender<Result<u64, ServiceError>>,
     },
-    /// A tenant's counters, at `barrier`.
+    /// A tenant's counters.
     TenantStats {
         tenant: u32,
-        barrier: u64,
         reply: Sender<Result<TenantStats, ServiceError>>,
     },
     /// The shard's aggregate counters (point-in-time; pair with
     /// [`ShardMsg::Drain`] for an all-submitted view).
     ShardStats { reply: Sender<ShardStats> },
     /// The shard's metrics snapshot (`None` when metrics are disabled).
-    /// Point-in-time like [`ShardMsg::ShardStats`], and FIFO-ordered with
-    /// ingestion on the control plane, so the snapshot is a prefix of
-    /// the shard's ingestion stream.
+    /// Point-in-time like [`ShardMsg::ShardStats`]: the worker runs it
+    /// between batches, so the snapshot is a prefix of the shard's
+    /// ingestion stream.
     Metrics { reply: Sender<Option<ShardMetrics>> },
     /// Barrier: replying proves every batch enqueued before this call
-    /// (the captured per-tenant barriers) and every earlier control
-    /// message was processed.
-    Drain {
-        barriers: Vec<(u32, u64)>,
-        reply: Sender<()>,
-    },
+    /// and every earlier control message was processed.
+    Drain { reply: Sender<()> },
     /// Block until the held sender is dropped. Used by
     /// [`PrefetchService::pause_shard`](crate::PrefetchService::pause_shard)
     /// to fill the ingestion queues deterministically in tests.
     Pause(Receiver<()>),
-    /// Process every batch enqueued before shutdown began (the captured
-    /// barriers), reject everything after with a typed error, then exit.
-    Shutdown { barriers: Vec<(u32, u64)> },
+    /// Process every batch enqueued before shutdown began, reject
+    /// everything after with a typed error, then exit.
+    Shutdown,
+}
+
+impl ShardMsg {
+    /// The queued batches the message must follow: a tenant operation
+    /// sees everything submitted for its tenant before it, a drain or
+    /// shutdown everything submitted for any tenant.
+    pub(crate) fn follows(&self) -> Follows {
+        match self {
+            ShardMsg::Snapshot { tenant, .. }
+            | ShardMsg::Restore { tenant, .. }
+            | ShardMsg::Fingerprint { tenant, .. }
+            | ShardMsg::TenantStats { tenant, .. } => Follows::Tenant(*tenant),
+            ShardMsg::Drain { .. } | ShardMsg::Shutdown => Follows::Everything,
+            ShardMsg::Open { .. }
+            | ShardMsg::ShardStats { .. }
+            | ShardMsg::Metrics { .. }
+            | ShardMsg::Pause(_) => Follows::Nothing,
+        }
+    }
 }
 
 /// What a shard worker hands back when it exits.
@@ -529,21 +538,6 @@ impl WorkerLoop<'_> {
         BatchOutcome::Done
     }
 
-    /// Drains `tenant`'s ingress queue until `barrier` batches have been
-    /// taken, processing each — the ordering guarantee behind the
-    /// control operations.
-    fn drain_to(&mut self, tenant: u32, barrier: u64) -> BatchOutcome {
-        while self.ingress.done(tenant) < barrier {
-            let Some(batch) = self.ingress.pop_tenant(tenant) else {
-                break;
-            };
-            if let BatchOutcome::Wedge = self.process_one(batch) {
-                return BatchOutcome::Wedge;
-            }
-        }
-        BatchOutcome::Done
-    }
-
     /// Chaos-wedge park: stop consuming and stop heartbeating, but stay
     /// alive until the supervisor fences this epoch. Service shutdown
     /// also releases the park, so joining a wedged shard can't deadlock.
@@ -554,9 +548,17 @@ impl WorkerLoop<'_> {
         ShardExit::Abandoned
     }
 
-    /// Handles one control message. `Some(exit)` ends the worker.
-    fn handle_control(&mut self, msg: ShardMsg, rx: &Receiver<ShardMsg>) -> Option<ShardExit> {
-        match msg {
+    /// Handles one control message, after draining each tenant it
+    /// follows to the barrier it captured. `Some(exit)` ends the worker.
+    fn handle_control(&mut self, control: Control) -> Option<ShardExit> {
+        for (tenant, barrier) in control.barriers {
+            while let Some(batch) = self.ingress.pop_before(tenant, barrier) {
+                if let BatchOutcome::Wedge = self.process_one(batch) {
+                    return Some(self.park_until_fenced());
+                }
+            }
+        }
+        match control.msg {
             ShardMsg::Open {
                 tenant,
                 spec,
@@ -577,31 +579,14 @@ impl WorkerLoop<'_> {
                 };
                 let _ = reply.send(result);
             }
-            ShardMsg::Snapshot {
-                tenant,
-                barrier,
-                reply,
-            } => {
-                if let BatchOutcome::Wedge = self.drain_to(tenant, barrier) {
-                    return Some(self.park_until_fenced());
-                }
-                let result = self
-                    .st
-                    .tenants
-                    .get(&tenant)
-                    .map(|s| s.table.snapshot())
-                    .ok_or(ServiceError::UnknownTenant(tenant));
-                let _ = reply.send(result);
+            ShardMsg::Snapshot { tenant, reply } => {
+                let _ = reply.send(self.tenant(tenant).map(|s| s.table.snapshot()));
             }
             ShardMsg::Restore {
                 tenant,
-                barrier,
                 snap,
                 reply,
             } => {
-                if let BatchOutcome::Wedge = self.drain_to(tenant, barrier) {
-                    return Some(self.park_until_fenced());
-                }
                 let result = match self.st.tenants.get_mut(&tenant) {
                     None => Err(ServiceError::UnknownTenant(tenant)),
                     Some(state) => state.table.restore(&snap).map_err(ServiceError::Snapshot),
@@ -615,42 +600,16 @@ impl WorkerLoop<'_> {
                     self.checkpoint();
                 }
             }
-            ShardMsg::Fingerprint {
-                tenant,
-                barrier,
-                reply,
-            } => {
-                if let BatchOutcome::Wedge = self.drain_to(tenant, barrier) {
-                    return Some(self.park_until_fenced());
-                }
-                let result = self
-                    .st
-                    .tenants
-                    .get(&tenant)
-                    .map(|s| s.table.table_fingerprint())
-                    .ok_or(ServiceError::UnknownTenant(tenant));
-                let _ = reply.send(result);
+            ShardMsg::Fingerprint { tenant, reply } => {
+                let _ = reply.send(self.tenant(tenant).map(|s| s.table.table_fingerprint()));
             }
-            ShardMsg::TenantStats {
-                tenant,
-                barrier,
-                reply,
-            } => {
-                if let BatchOutcome::Wedge = self.drain_to(tenant, barrier) {
-                    return Some(self.park_until_fenced());
-                }
-                let result = self
-                    .st
-                    .tenants
-                    .get(&tenant)
-                    .map(|s| {
-                        let mut stats = s.stats;
-                        stats.live_rows = s.table.occupancy() as u64;
-                        stats.table_bytes = s.table.table_size_bytes();
-                        stats
-                    })
-                    .ok_or(ServiceError::UnknownTenant(tenant));
-                let _ = reply.send(result);
+            ShardMsg::TenantStats { tenant, reply } => {
+                let _ = reply.send(self.tenant(tenant).map(|s| {
+                    let mut stats = s.stats;
+                    stats.live_rows = s.table.occupancy() as u64;
+                    stats.table_bytes = s.table.table_size_bytes();
+                    stats
+                }));
             }
             ShardMsg::ShardStats { reply } => {
                 let _ = reply.send(finalize(&self.st));
@@ -658,12 +617,7 @@ impl WorkerLoop<'_> {
             ShardMsg::Metrics { reply } => {
                 let _ = reply.send(self.snapshot_metrics());
             }
-            ShardMsg::Drain { barriers, reply } => {
-                for (tenant, barrier) in barriers {
-                    if let BatchOutcome::Wedge = self.drain_to(tenant, barrier) {
-                        return Some(self.park_until_fenced());
-                    }
-                }
+            ShardMsg::Drain { reply } => {
                 let _ = reply.send(());
             }
             ShardMsg::Pause(gate) => {
@@ -675,43 +629,82 @@ impl WorkerLoop<'_> {
                 let _ = gate.recv();
                 self.slot.health.paused.store(false, Ordering::SeqCst);
             }
-            ShardMsg::Shutdown { barriers } => {
+            ShardMsg::Shutdown => {
                 // Shutdown/drain contract: every batch enqueued before
-                // shutdown began (the barriers) is processed; everything
-                // behind them is rejected with a typed error instead of
-                // being silently dropped. Marking the slot closed routes
-                // later submissions to TrySubmit::Closed, and tells the
-                // wedge detector this worker is gone on purpose.
-                for (tenant, barrier) in barriers {
-                    if let BatchOutcome::Wedge = self.drain_to(tenant, barrier) {
-                        return Some(self.park_until_fenced());
-                    }
-                }
-                // Close the ingress ourselves so the late batches get
-                // typed rejections; the slot's take_down below then
-                // finds it already closed and drops nothing.
+                // shutdown began (the barriers, drained above) is
+                // processed; everything queued behind it is rejected
+                // with a typed error instead of being silently dropped.
+                // We close the ingress ourselves so the late arrivals
+                // come back to answer; the slot's take_down then finds
+                // it already closed. Marking the slot closed routes later
+                // submissions to TrySubmit::Closed, and tells the wedge
+                // detector this worker is gone on purpose.
                 let late = self.ingress.close();
                 self.slot.take_down(ShardState::Closed);
-                for b in late {
-                    let mut obs = b.obs;
-                    obs.clear();
-                    let _ = b
-                        .reply
-                        .send(BatchReply::rejected(ServiceError::ShuttingDown, obs));
-                }
-                while let Ok(late_msg) = rx.try_recv() {
-                    reject_late(late_msg, self);
-                }
-                return Some(ShardExit::Finished(Box::new(ShardReport {
-                    stats: finalize(&self.st),
-                    trace: self.trace.take(),
-                    epoch: self.epoch,
-                    recoveries: Vec::new(),
-                })));
+                self.refuse_late(late);
+                return Some(self.finish());
             }
         }
         self.slot.health.note_processed(self.st.now);
         None
+    }
+
+    /// A registered tenant's state, or the typed error for an unknown
+    /// one.
+    fn tenant(&self, tenant: u32) -> Result<&TenantState, ServiceError> {
+        self.st
+            .tenants
+            .get(&tenant)
+            .ok_or(ServiceError::UnknownTenant(tenant))
+    }
+
+    /// Answers what was still queued when shutdown closed the ingress
+    /// with a typed error instead of a dropped reply channel. Stats,
+    /// metrics and drains still answer truthfully.
+    fn refuse_late(&self, late: Drained) {
+        for b in late.batches {
+            let mut obs = b.obs;
+            obs.clear();
+            let _ = b
+                .reply
+                .send(BatchReply::rejected(ServiceError::ShuttingDown, obs));
+        }
+        for msg in late.control {
+            match msg {
+                ShardMsg::Open { reply, .. } | ShardMsg::Restore { reply, .. } => {
+                    let _ = reply.send(Err(ServiceError::ShuttingDown));
+                }
+                ShardMsg::Snapshot { reply, .. } => {
+                    let _ = reply.send(Err(ServiceError::ShuttingDown));
+                }
+                ShardMsg::Fingerprint { reply, .. } => {
+                    let _ = reply.send(Err(ServiceError::ShuttingDown));
+                }
+                ShardMsg::TenantStats { reply, .. } => {
+                    let _ = reply.send(Err(ServiceError::ShuttingDown));
+                }
+                ShardMsg::ShardStats { reply } => {
+                    let _ = reply.send(finalize(&self.st));
+                }
+                ShardMsg::Metrics { reply } => {
+                    let _ = reply.send(self.snapshot_metrics());
+                }
+                ShardMsg::Drain { reply } => {
+                    let _ = reply.send(());
+                }
+                ShardMsg::Pause(_) | ShardMsg::Shutdown => {}
+            }
+        }
+    }
+
+    /// The worker's final report.
+    fn finish(&mut self) -> ShardExit {
+        ShardExit::Finished(Box::new(ShardReport {
+            stats: finalize(&self.st),
+            trace: self.trace.take(),
+            epoch: self.epoch,
+            recoveries: Vec::new(),
+        }))
     }
 
     /// Brings the slot's checkpoint up to date with the shard, timed
@@ -735,13 +728,9 @@ impl WorkerLoop<'_> {
 }
 
 /// The worker entry point the spawn wrapper calls inside `catch_unwind`.
-/// Runs until [`ShardMsg::Shutdown`], queue disconnection, or the
-/// supervisor fences this epoch.
-pub(crate) fn run_worker(
-    ctx: &WorkerCtx,
-    rx: &Receiver<ShardMsg>,
-    init: Option<ShardInit>,
-) -> ShardExit {
+/// Runs until [`ShardMsg::Shutdown`], until its ingress is closed, or
+/// until the supervisor fences this epoch.
+pub(crate) fn run_worker(ctx: &WorkerCtx, init: Option<ShardInit>) -> ShardExit {
     let WorkerCtx {
         shard,
         epoch,
@@ -751,6 +740,7 @@ pub(crate) fn run_worker(
         ingress,
     } = ctx;
     let (shard, epoch) = (*shard, *epoch);
+    slot.health.note_started(epoch);
     let st = init.unwrap_or_else(|| ShardInit {
         tenants: FxHashMap::default(),
         stats: ShardStats {
@@ -776,75 +766,27 @@ pub(crate) fn run_worker(
         fault_plan: cfg.fault.map(|fc| ServiceFaultPlan::new(fc, shard, epoch)),
         since_checkpoint: 0,
     };
+    // The inbox wait is bounded by the supervision tick so fence checks
+    // keep their cadence.
     let poll = Duration::from_millis(cfg.supervision.tick_ms.max(1));
-
     loop {
         if slot.is_abandoned(epoch) {
             return ShardExit::Abandoned;
         }
-        // Control messages first: they are rare, and a barrier-carrying
-        // one drains exactly the data it must see anyway.
-        match rx.try_recv() {
-            Ok(msg) => {
-                if let Some(exit) = w.handle_control(msg, rx) {
+        match w.ingress.next(poll) {
+            Work::Control(control) => {
+                if let Some(exit) = w.handle_control(control) {
                     return exit;
                 }
-                continue;
             }
-            Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => {}
-        }
-        if let Some(batch) = w.ingress.next_batch() {
-            match w.process_one(batch) {
-                BatchOutcome::Done => continue,
-                BatchOutcome::Wedge => return w.park_until_fenced(),
+            Work::Batch(batch) => {
+                if let BatchOutcome::Wedge = w.process_one(batch) {
+                    return w.park_until_fenced();
+                }
             }
+            Work::Idle => {}
+            Work::Closed => return w.finish(),
         }
-        // Nothing to do: sleep until data or a kick arrives, bounded by
-        // the supervision tick so fence checks keep their cadence.
-        w.ingress.wait_work(poll);
-    }
-
-    ShardExit::Finished(Box::new(ShardReport {
-        stats: finalize(&w.st),
-        trace: w.trace.take(),
-        epoch,
-        recoveries: Vec::new(),
-    }))
-}
-
-/// Rejects one control message that arrived after drain began, with a
-/// typed error instead of a dropped reply channel.
-fn reject_late(msg: ShardMsg, w: &WorkerLoop<'_>) {
-    let st = &w.st;
-    match msg {
-        ShardMsg::Open { reply, .. } => {
-            let _ = reply.send(Err(ServiceError::ShuttingDown));
-        }
-        ShardMsg::Snapshot { reply, .. } => {
-            let _ = reply.send(Err(ServiceError::ShuttingDown));
-        }
-        ShardMsg::Restore { reply, .. } => {
-            let _ = reply.send(Err(ServiceError::ShuttingDown));
-        }
-        ShardMsg::Fingerprint { reply, .. } => {
-            let _ = reply.send(Err(ServiceError::ShuttingDown));
-        }
-        ShardMsg::TenantStats { reply, .. } => {
-            let _ = reply.send(Err(ServiceError::ShuttingDown));
-        }
-        // Stats, metrics and barriers still answer truthfully during
-        // drain.
-        ShardMsg::ShardStats { reply } => {
-            let _ = reply.send(finalize(st));
-        }
-        ShardMsg::Metrics { reply } => {
-            let _ = reply.send(w.snapshot_metrics());
-        }
-        ShardMsg::Drain { reply, .. } => {
-            let _ = reply.send(());
-        }
-        ShardMsg::Pause(_) | ShardMsg::Shutdown { .. } => {}
     }
 }
 

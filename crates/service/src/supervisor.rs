@@ -2,8 +2,8 @@
 //! degraded-mode routing state.
 //!
 //! Every shard owns a [`ShardSlot`] — the part of the shard that
-//! *survives* its worker thread: the link sessions resolve their sender
-//! through, the health watermarks the supervisor watches, the
+//! *survives* its worker thread: the link sessions resolve the live
+//! epoch's [`Ingress`] through, the health watermarks the supervisor watches, the
 //! observation journal and periodic checkpoint recovery rebuilds from,
 //! and the once-only chaos budgets. The supervisor thread watches for
 //! two failure classes:
@@ -14,7 +14,11 @@
 //!   Detected by heartbeat watermarks: messages enqueued vs processed
 //!   plus the shard's virtual `obs_cycles` clock, sampled every
 //!   supervision tick; a shard that is behind and makes no progress for
-//!   `wedge_ticks` consecutive ticks is declared wedged and fenced.
+//!   `wedge_ticks` consecutive ticks is declared wedged and fenced. A
+//!   tick on which the host, not the worker, explains the stall does not
+//!   count: the worker has not started yet, or (on Linux, which reports
+//!   a thread's state and CPU time) it is runnable but has had no CPU
+//!   since the last scan.
 //!
 //! The checkpoint is one [`ShardCheckpoint`] per slot, updated in place:
 //! every `checkpoint_every` accepted batches the worker copies into each
@@ -37,8 +41,9 @@
 //! [`SupervisionConfig::shed_when_down`]: crate::SupervisionConfig::shed_when_down
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -49,7 +54,7 @@ use ulmt_simcore::{CancelToken, Cycle, ServerState, ServiceFaultState};
 use crate::config::{ServiceConfig, TenantSpec};
 use crate::ingress::Ingress;
 use crate::journal::ObservationJournal;
-use crate::service::{ShardStats, TenantStats};
+use crate::service::{ServiceError, ShardStats, TenantStats};
 use crate::shard::{rebuild_shard, run_worker, ShardExit, ShardMsg, ShardReport, WorkerCtx};
 
 /// Locks a mutex, recovering the data if a previous holder panicked.
@@ -99,14 +104,12 @@ impl ShardState {
     }
 }
 
-/// The sender sessions currently resolve to, plus the epoch that owns it.
+/// The inbox sessions currently resolve to, plus the epoch that owns it.
 pub(crate) struct ShardLink {
-    /// `None` while the shard is down, failed, or closed.
-    pub tx: Option<SyncSender<ShardMsg>>,
-    /// The epoch's data-plane ingress (per-tenant queues + scheduler).
-    /// `None` exactly when `tx` is.
+    /// The live epoch's [`Ingress`]; `None` while the shard is down,
+    /// failed, or closed.
     pub ingress: Option<Arc<Ingress>>,
-    /// Worker epoch the sender belongs to (bumped on every restart).
+    /// Worker epoch the ingress belongs to (bumped on every restart).
     pub epoch: u64,
 }
 
@@ -125,6 +128,9 @@ pub(crate) struct ShardHealth {
     /// Set while the worker sits in a deliberate test-only pause, so the
     /// wedge detector does not fence it.
     pub paused: AtomicBool,
+    /// The running worker's epoch + 1 once its thread has started (0:
+    /// none yet), and that thread's Linux `/proc` directory if it has one.
+    worker: Mutex<(u64, Option<PathBuf>)>,
 }
 
 impl ShardHealth {
@@ -161,6 +167,46 @@ impl ShardHealth {
         self.enqueued.store(0, Ordering::SeqCst);
         self.processed.store(0, Ordering::SeqCst);
         self.watermark.store(watermark, Ordering::SeqCst);
+    }
+
+    /// Called by the worker of `epoch` on its own thread as it starts.
+    pub fn note_started(&self, epoch: u64) {
+        // On Linux, `/proc/thread-self` links to the calling thread's
+        // directory; elsewhere the read fails and none is kept.
+        let dir = std::fs::read_link("/proc/thread-self")
+            .ok()
+            .map(|dir| Path::new("/proc").join(dir));
+        *lock(&self.worker) = (epoch + 1, dir);
+    }
+
+    /// `true` if the host, not the worker of `epoch`, explains a stalled
+    /// tick: the worker has not started yet, or its thread is runnable
+    /// (state `R`) but its CPU time has not moved since the last call.
+    /// `cpu_seen` carries that CPU time from call to call. A thread that
+    /// sleeps, blocks or spins is the worker's own doing.
+    pub fn starved(&self, epoch: u64, cpu_seen: &mut u64) -> bool {
+        let worker = lock(&self.worker);
+        if worker.0 != epoch + 1 {
+            return true;
+        }
+        let Some(dir) = &worker.1 else {
+            return false;
+        };
+        let read = |file: &str| std::fs::read_to_string(dir.join(file)).unwrap_or_default();
+        // The state follows the parenthesised thread name in `stat`; the
+        // first `schedstat` field is the nanoseconds spent on a CPU.
+        let runnable = read("stat")
+            .rsplit(')')
+            .next()
+            .and_then(|rest| rest.split_whitespace().next())
+            == Some("R");
+        let cpu = read("schedstat")
+            .split_whitespace()
+            .next()
+            .and_then(|n| n.parse().ok())
+            .unwrap_or(0);
+        let ran = cpu != std::mem::replace(cpu_seen, cpu);
+        runnable && !ran
     }
 }
 
@@ -231,7 +277,6 @@ impl ShardSlot {
         ShardSlot {
             shard,
             link: RwLock::new(ShardLink {
-                tx: None,
                 ingress: None,
                 epoch: 0,
             }),
@@ -246,24 +291,39 @@ impl ShardSlot {
         }
     }
 
-    /// Current sender + ingress + epoch + state, read under the link
-    /// lock.
-    #[allow(clippy::type_complexity)]
-    pub fn resolve(
-        &self,
-    ) -> (
-        Option<SyncSender<ShardMsg>>,
-        Option<Arc<Ingress>>,
-        u64,
-        ShardState,
-    ) {
+    /// Current ingress + epoch + state, read under the link lock.
+    pub fn resolve(&self) -> (Option<Arc<Ingress>>, u64, ShardState) {
         let link = self.link.read().unwrap_or_else(|e| e.into_inner());
-        (
-            link.tx.clone(),
-            link.ingress.clone(),
-            link.epoch,
-            self.health.state(),
-        )
+        (link.ingress.clone(), link.epoch, self.health.state())
+    }
+
+    /// Pushes a control message onto the live epoch's ingress. A down or
+    /// failed shard is [`ServiceError::ShardDown`] and a closed one
+    /// [`ServiceError::Closed`], instead of queueing into the void; a
+    /// push that races a restart goes to the replacement epoch.
+    pub fn control(&self, mut msg: ShardMsg) -> Result<(), ServiceError> {
+        loop {
+            let (ingress, epoch, state) = self.resolve();
+            match (state, ingress) {
+                (ShardState::Up, Some(ingress)) => match ingress.push_control(msg) {
+                    Ok(()) => {
+                        self.health.note_enqueued();
+                        return Ok(());
+                    }
+                    // Closed under us. Still the same live epoch: its
+                    // worker is shutting down (or died this instant and
+                    // the supervisor has not reacted yet).
+                    Err(back) => {
+                        if self.health.state() == ShardState::Up && self.health.epoch() == epoch {
+                            return Err(ServiceError::Closed);
+                        }
+                        msg = back;
+                    }
+                },
+                (ShardState::Closed, _) => return Err(ServiceError::Closed),
+                _ => return Err(ServiceError::ShardDown(self.shard)),
+            }
+        }
     }
 
     /// `true` if the worker running `epoch` has been fenced.
@@ -280,18 +340,11 @@ impl ShardSlot {
         self.abandoned_below.fetch_max(epoch, Ordering::SeqCst);
     }
 
-    fn publish(
-        &self,
-        tx: SyncSender<ShardMsg>,
-        ingress: Arc<Ingress>,
-        epoch: u64,
-        watermark: Cycle,
-    ) {
+    fn publish(&self, ingress: Arc<Ingress>, epoch: u64, watermark: Cycle) {
         self.health.reset_flow(watermark);
         {
             let mut link = self.link.write().unwrap_or_else(|e| e.into_inner());
             *link = ShardLink {
-                tx: Some(tx),
                 ingress: Some(ingress),
                 epoch,
             };
@@ -302,16 +355,18 @@ impl ShardSlot {
 
     pub(crate) fn take_down(&self, state: ShardState) {
         self.health.set_state(state);
-        let ingress = {
-            let mut link = self.link.write().unwrap_or_else(|e| e.into_inner());
-            link.tx = None;
-            link.ingress.take()
-        };
+        let ingress = self
+            .link
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .ingress
+            .take();
         // Close the dead epoch's ingress and *drop* whatever was still
-        // queued: the reply channels die with the batches, clients see
-        // `Closed` and resubmit against the next epoch. (On the graceful
-        // path the worker already closed it and answered the stragglers
-        // with a typed error, so this drains nothing.)
+        // queued, batches and control messages alike: the reply channels
+        // die with them, clients see `Closed` (or `ShardDown`) and
+        // resubmit against the next epoch. (On the graceful path the
+        // worker already closed it and answered the stragglers with a
+        // typed error, so this drains nothing.)
         if let Some(ingress) = ingress {
             drop(ingress.close());
         }
@@ -418,10 +473,10 @@ struct Worker {
     epoch: u64,
 }
 
-/// Spawns one worker epoch for `slot` and returns its control sender,
-/// its freshly built ingress (with every registered tenant's queue
-/// pre-created from the spec registry, so recovered tenants can submit
-/// the moment the link publishes), and the thread handle.
+/// Spawns one worker epoch for `slot` and returns its freshly built
+/// ingress (with every registered tenant's queue pre-created from the
+/// spec registry, so recovered tenants can submit the moment the link
+/// publishes) and the thread handle.
 fn spawn_worker(
     slot: &Arc<ShardSlot>,
     cfg: ServiceConfig,
@@ -429,8 +484,7 @@ fn spawn_worker(
     cancel: CancelToken,
     events: Sender<SupervisorMsg>,
     init: Option<crate::shard::ShardInit>,
-) -> (SyncSender<ShardMsg>, Arc<Ingress>, JoinHandle<ShardExit>) {
-    let (tx, rx) = sync_channel(cfg.queue_depth);
+) -> (Arc<Ingress>, JoinHandle<ShardExit>) {
     let ingress = Arc::new(Ingress::with_stamp(
         cfg.quantum_obs,
         cfg.queue_depth,
@@ -454,7 +508,7 @@ fn spawn_worker(
                 ingress: worker_ingress,
             };
             let mut init = init;
-            match catch_unwind(AssertUnwindSafe(|| run_worker(&ctx, &rx, init.take()))) {
+            match catch_unwind(AssertUnwindSafe(|| run_worker(&ctx, init.take()))) {
                 Ok(exit) => exit,
                 Err(_) => {
                     let _ = events.send(SupervisorMsg::Panicked { shard, epoch });
@@ -463,7 +517,7 @@ fn spawn_worker(
             }
         })
         .expect("spawning a shard worker thread");
-    (tx, ingress, handle)
+    (ingress, handle)
 }
 
 /// Everything the supervisor thread owns.
@@ -476,6 +530,8 @@ struct Supervisor {
     restarts: Vec<u32>,
     stall_ticks: Vec<u32>,
     last_flow: Vec<(u64, u64)>,
+    /// Each worker's CPU time at the scan that last read it.
+    cpu_seen: Vec<u64>,
 }
 
 impl Supervisor {
@@ -515,6 +571,15 @@ impl Supervisor {
             let stalled = (proc, wm) == self.last_flow[i];
             self.last_flow[i] = (proc, wm);
             if behind && stalled {
+                // A tick the host explains is neither counted nor does it
+                // reset the count: a descheduled healthy worker is not
+                // fenced, and a wedged one still is once it gets a CPU.
+                if slot
+                    .health
+                    .starved(self.workers[i].epoch, &mut self.cpu_seen[i])
+                {
+                    continue;
+                }
                 self.stall_ticks[i] += 1;
                 if self.stall_ticks[i] >= self.cfg.supervision.wedge_ticks {
                     self.stall_ticks[i] = 0;
@@ -600,7 +665,7 @@ impl Supervisor {
         };
         let epoch = old_epoch + 1;
         let watermark = init.now();
-        let (tx, ingress, handle) = spawn_worker(
+        let (ingress, handle) = spawn_worker(
             &slot,
             self.cfg,
             epoch,
@@ -613,7 +678,8 @@ impl Supervisor {
             epoch,
         };
         self.last_flow[shard] = (0, 0);
-        slot.publish(tx, ingress, epoch, watermark);
+        self.cpu_seen[shard] = 0;
+        slot.publish(ingress, epoch, watermark);
 
         let outcome = summary.outcome();
         lock(&slot.recoveries).push(RecoveryReport {
@@ -639,26 +705,20 @@ impl Supervisor {
         for slot in &self.slots {
             slot.closing.store(true, Ordering::SeqCst);
         }
-        // Ask every live worker to drain and exit, carrying per-tenant
-        // barriers captured *now*: everything enqueued before shutdown
-        // began gets processed, everything behind the barriers gets a
-        // typed rejection instead of a silent drop.
+        // Ask every live worker to drain and exit: everything enqueued
+        // before shutdown began gets processed, everything behind it gets
+        // a typed rejection instead of a silent drop. (A silent stop
+        // closes the ingresses right below, which drops the queue and
+        // ends the workers whether or not they saw the message.)
         for slot in &self.slots {
-            let (tx, ingress, _, _) = slot.resolve();
-            if let Some(tx) = tx {
-                let barriers = ingress.as_ref().map(|i| i.barriers()).unwrap_or_default();
-                let _ = tx.send(ShardMsg::Shutdown { barriers });
-                if let Some(i) = &ingress {
-                    i.kick();
-                }
-            }
+            let _ = slot.control(ShardMsg::Shutdown);
         }
         let mut reports = Vec::with_capacity(self.slots.len());
         for (i, slot) in self.slots.iter().enumerate() {
             let joined = match self.workers[i].handle.take() {
                 Some(h) if reply.is_some() => h.join().ok(),
-                // Silent stop: don't block on workers; they drain and
-                // exit on their own.
+                // Silent stop: don't block on workers; each exits once
+                // the take_down below closes its ingress.
                 Some(_) | None => None,
             };
             let mut report = match joined {
@@ -697,9 +757,8 @@ pub(crate) fn start_supervisor(
     let (events_tx, events_rx) = channel();
     let mut workers = Vec::with_capacity(slots.len());
     for slot in &slots {
-        let (tx, ingress, handle) =
-            spawn_worker(slot, cfg, 0, cancel.clone(), events_tx.clone(), None);
-        slot.publish(tx, ingress, 0, 0);
+        let (ingress, handle) = spawn_worker(slot, cfg, 0, cancel.clone(), events_tx.clone(), None);
+        slot.publish(ingress, 0, 0);
         workers.push(Worker {
             handle: Some(handle),
             epoch: 0,
@@ -715,6 +774,7 @@ pub(crate) fn start_supervisor(
         restarts: vec![0; n],
         stall_ticks: vec![0; n],
         last_flow: vec![(0, 0); n],
+        cpu_seen: vec![0; n],
     };
     let thread = std::thread::Builder::new()
         .name("ulmt-supervisor".to_string())

@@ -96,6 +96,19 @@ fn submit_until_acked(session: &mut Session, obs: &[LineAddr]) {
     }
 }
 
+/// Unwraps the result of a service call. On failure the panic names the
+/// call and prints the service's recovery history, which tells a fault
+/// the test injected apart from a recovery it did not ask for.
+#[track_caller]
+fn ok<T>(service: &PrefetchService, what: &str, r: Result<T, ServiceError>) -> T {
+    r.unwrap_or_else(|e| {
+        panic!(
+            "{what}: {e:?}; recoveries: {:?}",
+            service.recovery_reports()
+        )
+    })
+}
+
 /// Blocks until the service has recorded `n` recoveries and the shard is
 /// back up (or failed for good, when `n` exceeds the restart budget).
 fn wait_for_recoveries(service: &PrefetchService, n: usize) {
@@ -103,7 +116,8 @@ fn wait_for_recoveries(service: &PrefetchService, n: usize) {
     while service.recovery_reports().len() < n || service.shard_state(0) != ShardState::Up {
         assert!(
             Instant::now() < deadline,
-            "recovery did not complete in 30s"
+            "recovery did not complete in 30s; recoveries: {:?}",
+            service.recovery_reports()
         );
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -130,9 +144,9 @@ fn run_interleaved(
     }
     let fps = sessions
         .iter_mut()
-        .map(|s| (s.tenant(), s.fingerprint().expect("fingerprint")))
+        .map(|s| (s.tenant(), ok(service, "fingerprint", s.fingerprint())))
         .collect();
-    let stats = service.shard_stats(0).expect("shard stats");
+    let stats = ok(service, "shard stats", service.shard_stats(0));
     (fps, stats)
 }
 
@@ -156,7 +170,7 @@ fn kill_recovery_is_bit_identical_within_journal_window() {
     let reports = chaos_svc.recovery_reports();
     let final_reports = chaos_svc.shutdown();
 
-    assert_eq!(reports.len(), 1, "the kill budget fires exactly once");
+    assert_eq!(reports.len(), 1, "the kill budget fires once: {reports:?}");
     let r = &reports[0];
     assert_eq!(r.cause, RecoveryCause::Panic);
     assert!(r.is_clean(), "window covers the gap: {:?}", r.outcome);
@@ -217,7 +231,7 @@ fn wedge_recovery_fences_and_restores_bit_identically() {
     let reports = chaos_svc.recovery_reports();
     chaos_svc.shutdown();
 
-    assert_eq!(reports.len(), 1, "the wedge budget fires exactly once");
+    assert_eq!(reports.len(), 1, "the wedge budget fires once: {reports:?}");
     assert_eq!(reports[0].cause, RecoveryCause::Wedge);
     assert!(reports[0].is_clean());
     assert_eq!(chaos_fps, control_fps);
@@ -236,12 +250,12 @@ fn run_with_warm_start(
     for obs in before {
         submit_until_acked(&mut session, obs);
     }
-    session.restore(warm.clone()).expect("warm start");
+    ok(service, "warm start", session.restore(warm.clone()));
     for obs in after {
         submit_until_acked(&mut session, obs);
     }
-    let snap = session.snapshot().expect("snapshot");
-    (snap, service.shard_stats(0).expect("shard stats"))
+    let snap = ok(service, "snapshot", session.snapshot());
+    (snap, ok(service, "shard stats", service.shard_stats(0)))
 }
 
 #[test]
@@ -273,7 +287,7 @@ fn kill_after_warm_start_recovers_bit_identically() {
     let reports = chaos_svc.recovery_reports();
     chaos_svc.shutdown();
 
-    assert_eq!(reports.len(), 1);
+    assert_eq!(reports.len(), 1, "{reports:?}");
     let r = &reports[0];
     assert_eq!(r.checkpoint_seq, 18);
     assert_eq!(
@@ -304,7 +318,7 @@ fn lossy_recovery_reports_exact_dropped_batches() {
     let reports = chaos_svc.recovery_reports();
     chaos_svc.shutdown();
 
-    assert_eq!(reports.len(), 1);
+    assert_eq!(reports.len(), 1, "{reports:?}");
     let r = &reports[0];
     assert!(!r.is_clean());
     assert_eq!(
@@ -351,7 +365,11 @@ fn down_shard_sheds_with_immediate_acks_and_exact_counts() {
 
     // Trip the kill (fires at seq 3) and wait until the supervisor has
     // taken the shard down; the restart backoff holds it there.
-    let tripwire = session.submit(stream[2].clone()).unwrap();
+    let tripwire = ok(
+        &service,
+        "tripwire submit",
+        session.submit(stream[2].clone()),
+    );
     let deadline = Instant::now() + Duration::from_secs(30);
     while service.shard_state(0) != ShardState::Down {
         assert!(Instant::now() < deadline, "shard never went down");
@@ -365,18 +383,19 @@ fn down_shard_sheds_with_immediate_acks_and_exact_counts() {
     // Degraded mode: submissions against the down shard are shed —
     // immediate ack, no learning, exactly counted.
     let reply = match session.try_submit(stream[2].clone()) {
-        TrySubmit::Enqueued(p) => p.wait().unwrap(),
+        TrySubmit::Enqueued(p) => ok(&service, "shed ack", p.wait()),
         other => panic!("expected an immediate shed ack, got {other:?}"),
     };
     assert!(reply.shed, "ack is flagged as shed");
     assert_eq!(reply.observed, 0, "nothing was learned");
-    let reply2 = session.submit(stream[3].clone()).unwrap().wait().unwrap();
+    let pending = ok(&service, "shed submit", session.submit(stream[3].clone()));
+    let reply2 = ok(&service, "shed ack", pending.wait());
     assert!(reply2.shed, "blocking submit sheds too under the policy");
 
     // After recovery, the next accepted batch flushes the shed count.
     wait_for_recoveries(&service, 1);
     submit_until_acked(&mut session, &stream[4]);
-    let stats = session.stats().unwrap();
+    let stats = ok(&service, "stats", session.stats());
     assert_eq!(stats.shed, 2, "both shed acks are counted exactly");
     assert_eq!(
         stats.batches, 3,
@@ -398,7 +417,11 @@ fn failed_shard_reports_typed_errors_on_every_control_path() {
     let mut session = service.open(1, TenantSpec::repl(256)).unwrap();
     let stream = batches(1, 3);
     submit_until_acked(&mut session, &stream[0]);
-    let tripwire = session.submit(stream[1].clone()).unwrap();
+    let tripwire = ok(
+        &service,
+        "tripwire submit",
+        session.submit(stream[1].clone()),
+    );
     assert!(tripwire.wait().is_err(), "killed batch is unacked");
     let deadline = Instant::now() + Duration::from_secs(30);
     while service.shard_state(0) != ShardState::Failed {
@@ -464,33 +487,33 @@ fn snapshot_under_concurrent_ingestion_is_prefix_consistent() {
         });
         let mut pending = Vec::new();
         for obs in &a_batches[..split] {
-            pending.push(a.submit(obs.to_vec()).unwrap());
+            pending.push(ok(&service, "submit", a.submit(obs.to_vec())));
         }
         // FIFO pins the snapshot to exactly the `split` boundary even
         // though the worker is racing us through A's queue and B's
         // stream is interleaving on the same shard.
-        let snap = a.snapshot().unwrap();
+        let snap = ok(&service, "snapshot", a.snapshot());
         for obs in &a_batches[split..] {
-            pending.push(a.submit(obs.to_vec()).unwrap());
+            pending.push(ok(&service, "submit", a.submit(obs.to_vec())));
         }
         (snap, pending)
     });
     for p in pending {
-        assert!(p.wait().unwrap().error.is_none());
+        assert!(ok(&service, "ack", p.wait()).error.is_none());
     }
-    service.drain().unwrap();
-    let final_fp = a.fingerprint().unwrap();
+    ok(&service, "drain", service.drain());
+    let final_fp = ok(&service, "fingerprint", a.fingerprint());
 
     // Restoring the snapshot and replaying the suffix must land exactly
     // on the live table: the snapshot is the precise `split` prefix.
     let replay_svc = PrefetchService::start(cfg(fast_supervision(8, 16), None));
     let mut warm = replay_svc.open(1, TenantSpec::repl(512)).unwrap();
-    warm.restore(snap).unwrap();
+    ok(&replay_svc, "warm start", warm.restore(snap));
     for obs in &a_batches[split..] {
         submit_until_acked(&mut warm, obs);
     }
     assert_eq!(
-        warm.fingerprint().unwrap(),
+        ok(&replay_svc, "fingerprint", warm.fingerprint()),
         final_fp,
         "snapshot + suffix replay == uninterrupted stream"
     );
@@ -528,7 +551,7 @@ fn piggyback_counts_survive_an_epoch_fence_under_resubmission() {
     // Freeze the worker, fill the tenant's depth-4 queue, and pile up
     // exactly 5 rejections plus 1 bounded-submit timeout — 6 counts the
     // session now carries, with their flush batches *still queued*.
-    let pause = service.pause_shard(0).unwrap();
+    let pause = ok(&service, "pause", service.pause_shard(0));
     let mut queued = Vec::new();
     let mut rejected = 0u64;
     for i in 0..9 {
@@ -564,9 +587,9 @@ fn piggyback_counts_survive_an_epoch_fence_under_resubmission() {
     for obs in &stream[2..6] {
         submit_until_acked(&mut session, obs);
     }
-    service.drain().unwrap();
+    ok(&service, "drain", service.drain());
 
-    let stats = session.stats().unwrap();
+    let stats = ok(&service, "stats", session.stats());
     assert_eq!(
         stats.rejected, rejected,
         "every rejection survives the fence; none double-count"
@@ -574,7 +597,7 @@ fn piggyback_counts_survive_an_epoch_fence_under_resubmission() {
     assert_eq!(stats.batches, 6, "2 pre-kill + 4 resubmitted");
     assert_eq!(stats.observed, 6 * BATCH as u64);
     assert_eq!(stats.shed, 0);
-    let shard = service.shard_stats(0).unwrap();
+    let shard = ok(&service, "shard stats", service.shard_stats(0));
     assert_eq!(shard.rejected, rejected, "shard aggregate agrees");
     service.shutdown();
 }
@@ -609,7 +632,7 @@ fn per_tenant_stats_sum_to_shard_totals_through_kill_and_shedding() {
     submit_until_acked(&mut b, &b_stream[0]);
 
     // Trip the kill (seq 3) and hold the shard Down on its backoff.
-    let tripwire = a.submit(a_stream[1].clone()).unwrap();
+    let tripwire = ok(&service, "tripwire submit", a.submit(a_stream[1].clone()));
     let deadline = Instant::now() + Duration::from_secs(30);
     while service.shard_state(0) != ShardState::Down {
         assert!(Instant::now() < deadline, "shard never went down");
@@ -621,7 +644,7 @@ fn per_tenant_stats_sum_to_shard_totals_through_kill_and_shedding() {
     for (session, stream, sheds) in [(&mut a, &a_stream, 2usize), (&mut b, &b_stream, 1usize)] {
         for k in 0..sheds {
             let reply = match session.try_submit(stream[2 + k].clone()) {
-                TrySubmit::Enqueued(p) => p.wait().unwrap(),
+                TrySubmit::Enqueued(p) => ok(&service, "shed ack", p.wait()),
                 other => panic!("expected shed ack, got {other:?}"),
             };
             assert!(reply.shed);
@@ -633,7 +656,7 @@ fn per_tenant_stats_sum_to_shard_totals_through_kill_and_shedding() {
     // paused shard: A gets 3, B gets 2 — distinct, so a cross-tenant
     // mixup cannot cancel out.
     submit_until_acked(&mut a, &a_stream[1]);
-    let pause = service.pause_shard(0).unwrap();
+    let pause = ok(&service, "pause", service.pause_shard(0));
     let mut queued = Vec::new();
     let mut a_rejected = 0u64;
     let mut b_rejected = 0u64;
@@ -653,17 +676,17 @@ fn per_tenant_stats_sum_to_shard_totals_through_kill_and_shedding() {
     }
     drop(pause);
     for p in queued {
-        let reply = p.wait().unwrap();
+        let reply = ok(&service, "ack", p.wait());
         assert!(reply.error.is_none());
     }
     // One more accepted batch per tenant flushes the final tails.
     submit_until_acked(&mut a, &a_stream[7]);
     submit_until_acked(&mut b, &b_stream[7]);
-    service.drain().unwrap();
+    ok(&service, "drain", service.drain());
 
-    let sa = a.stats().unwrap();
-    let sb = b.stats().unwrap();
-    let shard = service.shard_stats(0).unwrap();
+    let sa = ok(&service, "stats", a.stats());
+    let sb = ok(&service, "stats", b.stats());
+    let shard = ok(&service, "shard stats", service.shard_stats(0));
     assert_eq!(sa.shed, 2);
     assert_eq!(sb.shed, 1);
     assert_eq!(sa.rejected, a_rejected);

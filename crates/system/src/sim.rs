@@ -117,6 +117,9 @@ pub struct SystemSim {
     block_start: Cycle,
     last_ref: LastRef,
     conven4: Option<Conven4>,
+    /// `conven4`'s prefetches for the current L1 miss; reused, so a
+    /// prefetching miss allocates nothing.
+    cpu_prefetches: Vec<LineAddr>,
     l1: Cache,
     l2: Cache,
     outstanding: FxHashMap<LineAddr, OutstandingLine>,
@@ -280,6 +283,7 @@ impl SystemSim {
             block_start: 0,
             last_ref: LastRef::None,
             conven4: conven4.then(Conven4::table4_default),
+            cpu_prefetches: Vec::new(),
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
             outstanding: fx_map_with_capacity(cfg.l2.mshrs),
@@ -592,15 +596,14 @@ impl SystemSim {
         }
 
         // The processor-side prefetcher watches the L1 miss stream.
-        if self.conven4.is_some() {
-            let prefetches = self
-                .conven4
-                .as_mut()
-                .expect("checked above")
-                .observe_l1_miss(rec.addr);
-            for p in prefetches {
-                self.issue_cpu_prefetch(p, t);
+        if let Some(conven4) = &mut self.conven4 {
+            let mut lines = std::mem::take(&mut self.cpu_prefetches);
+            conven4.observe_l1_miss_with(rec.addr, |line| lines.push(line));
+            for &line in &lines {
+                self.issue_cpu_prefetch(line, t);
             }
+            lines.clear();
+            self.cpu_prefetches = lines;
         }
 
         match self.l2.access(l2_line, rec.is_write) {

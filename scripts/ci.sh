@@ -14,24 +14,31 @@
 #                                Every determinism gate (shard-count,
 #                                snapshot, chaos, net, metrics, weights,
 #                                per-miss vs batch) is a test here
-#   5. cargo test --doc       -- every doc example compiles and runs
-#   6. cargo doc -D warnings  -- the API docs build without a warning, so
+#   5. chaos under contention -- step 4's service_chaos test binary, run
+#                                as two concurrent instances for three
+#                                rounds: its 2 ms supervision ticks make it
+#                                the suite's most timing-sensitive binary,
+#                                and a starved host is where a wedge
+#                                detector that fences descheduled healthy
+#                                workers shows up
+#   6. cargo test --doc       -- every doc example compiles and runs
+#   7. cargo doc -D warnings  -- the API docs build without a warning, so
 #                                an intra-doc link to a renamed or deleted
 #                                item fails here
-#   7. trace validation       -- a traced fixed-seed faulted run whose
+#   8. trace validation       -- a traced fixed-seed faulted run whose
 #                                counters must re-derive bit-exactly from
 #                                the event stream (inspect's `trace` leg)
-#   8. paper regeneration     -- every table, figure and the ablation
+#   9. paper regeneration     -- every table, figure and the ablation
 #                                report at ULMT_SCALE=small through
 #                                `inspect -- figures` (output discarded;
 #                                ~30 s on 2 cores): the only end-to-end run
 #                                of the figure and ablation code
-#   9. perfbench builds       -- perfbench is its own Cargo workspace, so
+#  10. perfbench builds       -- perfbench is its own Cargo workspace, so
 #                                step 4 never compiles it; this builds it
 #                                against the current crates and runs its
 #                                unit tests (build output stays under
 #                                target/, nothing is written in perfbench/)
-#  10. deprecation audit      -- the one-cycle deprecation window is
+#  11. deprecation audit      -- the one-cycle deprecation window is
 #                                closed: no `#[deprecated]` item remains
 #                                anywhere in the tree, and nothing still
 #                                references the removed pre-redesign
@@ -59,6 +66,26 @@ cargo build --release
 
 echo "== cargo test -q"
 cargo test -q
+
+echo "== service_chaos under contention (2 concurrent instances x 3 rounds)"
+chaos=$(cargo test -p ulmt-service --test service_chaos --no-run 2>&1 |
+    sed -n 's/^ *Executable .*(\(.*\))$/\1/p')
+if [ ! -x "$chaos" ]; then
+    echo "service_chaos test binary not found"
+    exit 1
+fi
+for round in 1 2 3; do
+    "$chaos" -q > target/ci-chaos-a.log 2>&1 & a=$!
+    "$chaos" -q > target/ci-chaos-b.log 2>&1 & b=$!
+    status=0
+    wait "$a" || status=1
+    wait "$b" || status=1
+    if [ "$status" -ne 0 ]; then
+        cat target/ci-chaos-a.log target/ci-chaos-b.log
+        echo "service_chaos failed under contention (round $round)"
+        exit 1
+    fi
+done
 
 echo "== cargo test --doc"
 cargo test -q --workspace --doc
