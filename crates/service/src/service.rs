@@ -139,7 +139,9 @@ pub struct TenantStats {
     pub batches: u64,
     /// Individual miss observations processed.
     pub observed: u64,
-    /// Batch attempts rejected with [`TrySubmit::Full`].
+    /// Batch attempts rejected: [`TrySubmit::Full`],
+    /// [`TrySubmit::TimedOut`] or [`ServiceError::Timeout`] from
+    /// [`Session::submit`].
     pub rejected: u64,
     /// Batch attempts acknowledged without learning because the shard
     /// was down (degraded-mode shedding).
@@ -399,12 +401,10 @@ pub struct Session {
 enum Sent {
     /// Queued, or acknowledged at once (shed, unknown tenant).
     Enqueued(PendingBatch),
-    /// The tenant's queue stayed full through the deadline (counted as a
-    /// rejection).
-    Full(Vec<LineAddr>),
-    /// The shard stayed down (not shedding) or mid-publish through the
-    /// deadline (not yet counted).
-    Down(Vec<LineAddr>),
+    /// The tenant's queue stayed full, or the shard stayed down (not
+    /// shedding) or mid-publish, through the deadline. Counted as one
+    /// rejection.
+    Rejected(Vec<LineAddr>),
     /// The shard is permanently failed.
     Failed(Vec<LineAddr>),
     /// The shard has shut down.
@@ -522,10 +522,7 @@ impl Session {
                             self.slot.health.note_enqueued();
                             return Sent::Enqueued(PendingBatch { rx });
                         }
-                        Enqueue::Full(o) => {
-                            self.rejected_cum = self.rejected_cum.saturating_add(1);
-                            return Sent::Full(o);
-                        }
+                        Enqueue::Full(o) => return self.reject(o),
                         Enqueue::Unknown(o) => return Sent::Enqueued(self.unknown_ack(o)),
                         Enqueue::Closed(o) => {
                             // The slot still claims the same epoch is
@@ -546,7 +543,7 @@ impl Session {
                         return Sent::Enqueued(self.shed_ack(obs));
                     }
                     if deadline.is_none_or(|d| Instant::now() >= d) {
-                        return Sent::Down(obs);
+                        return self.reject(obs);
                     }
                     std::thread::sleep(DOWN_POLL);
                 }
@@ -554,6 +551,13 @@ impl Session {
                 (ShardState::Closed, _) => return Sent::Closed(obs),
             }
         }
+    }
+
+    /// Counts one rejected attempt (piggybacked cumulatively onto the
+    /// next accepted batch) and hands the batch back.
+    fn reject(&mut self, obs: Vec<LineAddr>) -> Sent {
+        self.rejected_cum = self.rejected_cum.saturating_add(1);
+        Sent::Rejected(obs)
     }
 
     /// Non-blocking submission of a batch of L2-miss line addresses.
@@ -566,11 +570,7 @@ impl Session {
     pub fn try_submit(&mut self, obs: Vec<LineAddr>) -> TrySubmit {
         match self.send(obs, None) {
             Sent::Enqueued(pending) => TrySubmit::Enqueued(pending),
-            Sent::Full(obs) => TrySubmit::Full(obs),
-            Sent::Down(obs) => {
-                self.rejected_cum = self.rejected_cum.saturating_add(1);
-                TrySubmit::Full(obs)
-            }
+            Sent::Rejected(obs) => TrySubmit::Full(obs),
             Sent::Failed(obs) | Sent::Closed(obs) => TrySubmit::Closed(obs),
         }
     }
@@ -584,7 +584,7 @@ impl Session {
     pub fn submit(&mut self, obs: Vec<LineAddr>) -> Result<PendingBatch, ServiceError> {
         match self.send(obs, Some(Instant::now() + self.control_timeout)) {
             Sent::Enqueued(pending) => Ok(pending),
-            Sent::Full(_) | Sent::Down(_) => Err(ServiceError::Timeout),
+            Sent::Rejected(_) => Err(ServiceError::Timeout),
             Sent::Failed(_) => Err(ServiceError::ShardDown(self.shard)),
             Sent::Closed(_) => Err(ServiceError::Closed),
         }
@@ -597,11 +597,7 @@ impl Session {
     pub fn submit_timeout(&mut self, obs: Vec<LineAddr>, timeout: Duration) -> TrySubmit {
         match self.send(obs, Some(Instant::now() + timeout)) {
             Sent::Enqueued(pending) => TrySubmit::Enqueued(pending),
-            Sent::Full(obs) => TrySubmit::TimedOut(obs),
-            Sent::Down(obs) => {
-                self.rejected_cum = self.rejected_cum.saturating_add(1);
-                TrySubmit::TimedOut(obs)
-            }
+            Sent::Rejected(obs) => TrySubmit::TimedOut(obs),
             Sent::Failed(obs) | Sent::Closed(obs) => TrySubmit::Closed(obs),
         }
     }
@@ -1123,8 +1119,8 @@ mod tests {
         );
         drop(service);
 
-        // Without shedding, a blocking submit that times out on a down
-        // shard is not counted as a rejection; the other two are.
+        // Without shedding, every path that gives up on a down shard
+        // counts one rejection, as it does on a full queue.
         let service = PrefetchService::start(cfg(down(false), kill()));
         let mut session = service.open(1, TenantSpec::repl(64)).unwrap();
         killed(&service, &mut session, ShardState::Down);
@@ -1133,7 +1129,7 @@ mod tests {
             &mut session,
             [
                 ("Full", true, 1, 0),
-                ("Err(Timeout)", false, 0, 0),
+                ("Err(Timeout)", false, 1, 0),
                 ("TimedOut", true, 1, 0),
             ],
         );

@@ -1,9 +1,11 @@
-//! Cooperative cancellation for long-running simulations.
+//! A shared shutdown flag.
 //!
-//! A [`CancelToken`] is a cheap, cloneable flag shared between a watchdog
-//! (the experiment harness, a timeout thread, a user interrupt) and the
-//! simulation main loop, which polls it between events and winds down
-//! gracefully instead of being killed mid-state.
+//! A [`CancelToken`] is a cheap, cloneable flag. The prefetch service
+//! (`ulmt_service::PrefetchService::cancel_token`) uses it as its
+//! shutdown signal: once cancelled, shards acknowledge further batches
+//! without learning, so clients can drain and the service can stop
+//! promptly. Simulations do not poll it; a `SystemSim` run always runs
+//! to completion.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

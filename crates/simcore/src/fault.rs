@@ -79,10 +79,6 @@ pub struct FaultConfig {
     /// After this many observation hooks, queue depths are halved once
     /// (clamped to 1) — a forced mid-run capacity loss.
     pub queue_reduction_after: Option<u64>,
-    /// Test-only poison pill: `panic!` at this observation hook. Used by
-    /// the harness-resilience tests to prove that a panicking job cannot
-    /// take down a sweep. Never set this outside tests.
-    pub panic_after_observations: Option<u64>,
 }
 
 impl FaultConfig {
@@ -99,7 +95,6 @@ impl FaultConfig {
             dram_busy: 0.0,
             max_dram_busy: 100,
             queue_reduction_after: None,
-            panic_after_observations: None,
         }
     }
 
@@ -218,21 +213,8 @@ impl FaultPlan {
     }
 
     /// Observation hook: decides the fate of one queue-2 observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics deliberately when the test-only
-    /// [`FaultConfig::panic_after_observations`] pill fires.
     pub fn on_observation(&mut self) -> Option<ObservationFault> {
         self.observation_hooks += 1;
-        if let Some(n) = self.cfg.panic_after_observations {
-            if self.observation_hooks > n {
-                panic!(
-                    "fault-injection poison pill: observation {} exceeded limit {n}",
-                    self.observation_hooks
-                );
-            }
-        }
         // One draw decides the class via cumulative probability, so the
         // three observation faults are mutually exclusive per observation.
         let roll = self.rng.gen_f64();
@@ -663,19 +645,6 @@ mod tests {
         let state = ServiceFaultState::new();
         for seq in 1..=100 {
             assert_eq!(plan.on_batch(seq, &state), None);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "poison pill")]
-    fn poison_pill_panics_on_schedule() {
-        let cfg = FaultConfig {
-            panic_after_observations: Some(2),
-            ..FaultConfig::disabled(0)
-        };
-        let mut p = FaultPlan::new(cfg);
-        for _ in 0..5 {
-            p.on_observation();
         }
     }
 }

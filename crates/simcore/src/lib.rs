@@ -16,8 +16,8 @@
 //!   produce every figure of the evaluation.
 //! * [`fault`] — deterministic, seeded fault injection consulted by the
 //!   system simulator to exercise its overflow/drop/squash paths.
-//! * [`CancelToken`] — cooperative cancellation polled by the simulation
-//!   main loop so watchdogs can stop runaway runs gracefully.
+//! * [`CancelToken`] — a shared shutdown flag, the prefetch service's
+//!   cancellation signal.
 //! * [`trace`] — a cycle-stamped, bounded ring-buffer event tracer with
 //!   JSONL / Chrome `trace_event` export, used to audit every aggregate
 //!   counter against the event stream that produced it.

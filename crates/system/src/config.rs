@@ -4,9 +4,7 @@ use ulmt_cache::CacheConfig;
 use ulmt_cpu::CpuConfig;
 use ulmt_dram::{DramConfig, FsbConfig};
 use ulmt_memproc::MemProcConfig;
-use ulmt_simcore::Cycle;
-
-use crate::error::ConfigError;
+use ulmt_simcore::{ConfigError, Cycle};
 
 /// Fixed pipeline latencies along the miss path, chosen so the
 /// contention-free round trip from the main processor matches Table 3:
@@ -119,46 +117,43 @@ impl SystemConfig {
     }
 
     /// Validates the whole configuration, returning the first structural
-    /// problem found as a typed [`ConfigError`].
+    /// problem found as a typed [`ConfigError`]. Its component names the
+    /// part at fault: `"queues"`, `"Filter"`, `"L1 cache"`, `"L2 cache"`,
+    /// `"CPU"`, `"DRAM"`, `"FSB"`, `"memory processor"` or
+    /// `"path latency"`.
     ///
     /// Every simulator constructor calls this up front, so an inconsistent
     /// configuration surfaces as one descriptive error instead of a panic
     /// (or a deadlock) deep inside a component.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.queues.demand == 0 {
-            return Err(ConfigError::ZeroQueueDepth { queue: "demand" });
-        }
-        if self.queues.observation == 0 {
-            return Err(ConfigError::ZeroQueueDepth {
-                queue: "observation",
-            });
-        }
-        if self.queues.prefetch == 0 {
-            return Err(ConfigError::ZeroQueueDepth { queue: "prefetch" });
+        for (queue, depth) in [
+            ("demand", self.queues.demand),
+            ("observation", self.queues.observation),
+            ("prefetch", self.queues.prefetch),
+        ] {
+            if depth == 0 {
+                return Err(ConfigError::new(
+                    "queues",
+                    format!("queue depth for the {queue} queue must be at least 1"),
+                ));
+            }
         }
         if self.filter_entries == 0 {
-            return Err(ConfigError::ZeroFilterEntries);
+            return Err(ConfigError::new(
+                "Filter",
+                "the Filter module needs at least 1 entry",
+            ));
         }
-        self.cpu.validate().map_err(|e| ConfigError::Cpu {
-            reason: e.into_reason(),
-        })?;
-        self.l1.validate().map_err(|e| ConfigError::Cache {
-            which: "L1",
-            reason: e.into_reason(),
-        })?;
-        self.l2.validate().map_err(|e| ConfigError::Cache {
-            which: "L2",
-            reason: e.into_reason(),
-        })?;
-        self.dram.validate().map_err(|e| ConfigError::Dram {
-            reason: e.into_reason(),
-        })?;
-        self.fsb.validate().map_err(|e| ConfigError::Fsb {
-            reason: e.into_reason(),
-        })?;
-        self.memproc.validate().map_err(|e| ConfigError::MemProc {
-            reason: e.into_reason(),
-        })?;
+        self.cpu.validate()?;
+        self.l1
+            .validate()
+            .map_err(|e| ConfigError::new("L1 cache", e.into_reason()))?;
+        self.l2
+            .validate()
+            .map_err(|e| ConfigError::new("L2 cache", e.into_reason()))?;
+        self.dram.validate()?;
+        self.fsb.validate()?;
+        self.memproc.validate()?;
         for (which, latency) in [
             ("l2_lookup", self.path.l2_lookup),
             ("fsb_propagate", self.path.fsb_propagate),
@@ -166,7 +161,10 @@ impl SystemConfig {
             ("deliver", self.path.deliver),
         ] {
             if latency == 0 {
-                return Err(ConfigError::InconsistentPathLatency { which });
+                return Err(ConfigError::new(
+                    "path latency",
+                    format!("{which} must be at least 1 cycle"),
+                ));
             }
         }
         Ok(())
@@ -264,41 +262,49 @@ mod tests {
         assert_eq!(SystemConfig::small().validate(), Ok(()));
     }
 
+    /// Asserts `cfg` fails validation with exactly this component and
+    /// reason.
+    fn assert_rejects(cfg: SystemConfig, component: &str, reason: &str) {
+        let err = cfg
+            .validate()
+            .expect_err("configuration should be rejected");
+        assert_eq!((err.component(), err.reason()), (component, reason));
+    }
+
     #[test]
     fn validate_rejects_each_zero_queue() {
-        for (queue, cfg) in [
+        for (queue, depths) in [
             (
                 "demand",
-                SystemConfig {
-                    queues: QueueDepths {
-                        demand: 0,
-                        ..QueueDepths::default()
-                    },
-                    ..SystemConfig::default()
+                QueueDepths {
+                    demand: 0,
+                    ..QueueDepths::default()
                 },
             ),
             (
                 "observation",
-                SystemConfig {
-                    queues: QueueDepths {
-                        observation: 0,
-                        ..QueueDepths::default()
-                    },
-                    ..SystemConfig::default()
+                QueueDepths {
+                    observation: 0,
+                    ..QueueDepths::default()
                 },
             ),
             (
                 "prefetch",
-                SystemConfig {
-                    queues: QueueDepths {
-                        prefetch: 0,
-                        ..QueueDepths::default()
-                    },
-                    ..SystemConfig::default()
+                QueueDepths {
+                    prefetch: 0,
+                    ..QueueDepths::default()
                 },
             ),
         ] {
-            assert_eq!(cfg.validate(), Err(ConfigError::ZeroQueueDepth { queue }));
+            let cfg = SystemConfig {
+                queues: depths,
+                ..SystemConfig::default()
+            };
+            assert_rejects(
+                cfg,
+                "queues",
+                &format!("queue depth for the {queue} queue must be at least 1"),
+            );
         }
     }
 
@@ -324,68 +330,53 @@ mod tests {
             filter_entries: 0,
             ..SystemConfig::default()
         };
-        assert_eq!(cfg.validate(), Err(ConfigError::ZeroFilterEntries));
+        assert_rejects(cfg, "Filter", "the Filter module needs at least 1 entry");
     }
 
     #[test]
     fn validate_rejects_bad_cache_geometry() {
         let mut cfg = SystemConfig::default();
         cfg.l2 = ulmt_cache::CacheConfig { assoc: 0, ..cfg.l2 };
-        match cfg.validate() {
-            Err(ConfigError::Cache {
-                which: "L2",
-                reason,
-            }) => {
-                assert!(reason.contains("associativity"), "{reason}");
-            }
-            other => panic!("expected L2 cache error, got {other:?}"),
-        }
+        assert_rejects(cfg, "L2 cache", "associativity must be positive");
         let mut cfg = SystemConfig::default();
         cfg.l1 = ulmt_cache::CacheConfig {
             line_size: 48,
             ..cfg.l1
         };
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::Cache { which: "L1", .. })
-        ));
+        assert_rejects(cfg, "L1 cache", "line size must be a power of two");
     }
 
     #[test]
     fn validate_rejects_bad_cpu_dram_fsb_memproc() {
         let mut cfg = SystemConfig::default();
         cfg.cpu.issue_width = 0;
-        assert!(matches!(cfg.validate(), Err(ConfigError::Cpu { .. })));
+        assert_rejects(cfg, "CPU", "issue width must be positive");
 
         let mut cfg = SystemConfig::default();
         cfg.dram.t_row_hit = cfg.dram.t_row_miss + 1;
-        assert!(matches!(cfg.validate(), Err(ConfigError::Dram { .. })));
+        assert_rejects(cfg, "DRAM", "row miss cannot be faster than row hit");
 
         let mut cfg = SystemConfig::default();
         cfg.fsb.t_data = 0;
-        assert!(matches!(cfg.validate(), Err(ConfigError::Fsb { .. })));
+        assert_rejects(cfg, "FSB", "FSB data phase must take at least one cycle");
 
         let mut cfg = SystemConfig::default();
         cfg.memproc.cycles_per_insn = 0;
-        assert!(matches!(cfg.validate(), Err(ConfigError::MemProc { .. })));
+        assert_rejects(
+            cfg,
+            "memory processor",
+            "memory processor cycles/insn must be positive",
+        );
     }
 
     #[test]
     fn validate_rejects_inconsistent_path_latencies() {
         let mut cfg = SystemConfig::default();
         cfg.path.nb_to_dram = 0;
-        assert_eq!(
-            cfg.validate(),
-            Err(ConfigError::InconsistentPathLatency {
-                which: "nb_to_dram"
-            })
-        );
+        assert_rejects(cfg, "path latency", "nb_to_dram must be at least 1 cycle");
         let mut cfg = SystemConfig::default();
         cfg.path.deliver = 0;
-        assert!(matches!(
-            cfg.validate(),
-            Err(ConfigError::InconsistentPathLatency { which: "deliver" })
-        ));
+        assert_rejects(cfg, "path latency", "deliver must be at least 1 cycle");
     }
 
     #[test]

@@ -39,7 +39,6 @@
 //! ```
 
 pub mod config;
-pub mod error;
 pub mod experiment;
 pub mod miss_stream;
 pub mod multiprog;
@@ -51,15 +50,11 @@ pub mod sim;
 pub mod validate;
 
 pub use config::{PathLatencies, QueueDepths, SystemConfig};
-pub use error::{AbortReason, ConfigError, RunError, SimAbort};
 pub use experiment::Experiment;
 pub use miss_stream::{l2_miss_stream, l2_miss_stream_with};
 pub use multiprog::{MultiprogExperiment, TablePolicy};
-pub use result::{FaultReport, PrefetchEffect, RunResult, TwinDelta};
-pub use runner::{
-    parallel_map, parallel_map_with, run_experiments, run_experiments_with, try_parallel_map_with,
-    worker_count, JobFailure, SweepResult,
-};
+pub use result::{FaultReport, PrefetchEffect, RunResult};
+pub use runner::{parallel_map, parallel_map_with, worker_count};
 pub use scheme::PrefetchScheme;
 pub use sim::SystemSim;
 pub use validate::{validate_trace, Mismatch, TraceAudit, TraceValidationError};

@@ -80,18 +80,11 @@ impl RunResult {
         }
         if let Some(fault) = &self.fault {
             s.push_str(&format!(
-                "  faults (seed {}): {} injected, {} absorbed",
+                "  faults (seed {}): {} injected, {} absorbed\n",
                 fault.seed,
                 fault.injected.total(),
                 fault.absorbed
             ));
-            if let Some(twin) = &fault.twin {
-                s.push_str(&format!(
-                    "; {:.2}x vs fault-free twin ({:+} coverage events, {:+} L2 misses)",
-                    twin.slowdown, twin.coverage_events_delta, twin.l2_miss_delta
-                ));
-            }
-            s.push('\n');
         }
         if self.wall_nanos > 0 {
             s.push_str(&format!(
@@ -148,17 +141,22 @@ mod tests {
         assert!(!text.contains("squashed:"));
     }
 
+    /// The faulted run's summary reports its injection; its fault-free
+    /// twin's summary has no fault line.
     #[test]
     fn faulted_summary_reports_injection_and_twin() {
-        let r = Experiment::new(
+        let experiment = Experiment::new(
             SystemConfig::small(),
             WorkloadSpec::new(App::Mcf).scale(1.0 / 16.0).iterations(2),
         )
-        .scheme(PrefetchScheme::Repl)
-        .faults(ulmt_simcore::FaultConfig::stress(7))
-        .run();
-        let text = r.summary();
+        .scheme(PrefetchScheme::Repl);
+        let text = experiment
+            .clone()
+            .faults(ulmt_simcore::FaultConfig::stress(7))
+            .run()
+            .summary();
         assert!(text.contains("faults (seed 7):"), "{text}");
-        assert!(text.contains("vs fault-free twin"), "{text}");
+        let twin = experiment.run().summary();
+        assert!(!twin.contains("faults"), "{twin}");
     }
 }

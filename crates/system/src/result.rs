@@ -67,23 +67,6 @@ impl PrefetchEffect {
     }
 }
 
-/// How a run behaved relative to its fault-free twin (the same
-/// experiment run without fault injection).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TwinDelta {
-    /// Execution time of the fault-free twin, in cycles.
-    pub base_exec_cycles: Cycle,
-    /// Slowdown of the faulted run: `faulted / fault-free` execution time.
-    pub slowdown: f64,
-    /// Fully or partially eliminated misses in the twin
-    /// (`hits + delayed_hits`).
-    pub base_coverage_events: u64,
-    /// Coverage events gained (positive) or lost (negative) under faults.
-    pub coverage_events_delta: i64,
-    /// Demand L2 misses gained or lost under faults.
-    pub l2_miss_delta: i64,
-}
-
 /// What fault injection did to one run, and how the system absorbed it.
 ///
 /// The report is fully deterministic: two runs of the same experiment with
@@ -101,8 +84,6 @@ pub struct FaultReport {
     /// simulator has no other way out but a panic, which the stress tests
     /// assert never happens.
     pub absorbed: u64,
-    /// Comparison against the fault-free twin run, when one was executed.
-    pub twin: Option<TwinDelta>,
 }
 
 impl FaultReport {

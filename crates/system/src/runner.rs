@@ -1,8 +1,9 @@
 //! Parallel experiment harness.
 //!
 //! Every figure and table of the paper is produced by sweeping
-//! applications × schemes through independent [`Experiment`] runs — an
-//! embarrassingly parallel workload. This module fans such runs across a
+//! applications × schemes through independent
+//! [`Experiment`](crate::Experiment) runs — an embarrassingly parallel
+//! workload. This module fans such runs across a
 //! worker pool of scoped OS threads (`std` only, no external crates)
 //! while keeping the one property the experiment pipeline depends on:
 //! **results come back in input order, bit-identical to a serial run**.
@@ -17,7 +18,7 @@
 //! # Example
 //!
 //! ```
-//! use ulmt_system::runner::{run_experiments, parallel_map};
+//! use ulmt_system::runner::parallel_map;
 //! use ulmt_system::{Experiment, PrefetchScheme, SystemConfig};
 //! use ulmt_workloads::{App, WorkloadSpec};
 //!
@@ -28,19 +29,13 @@
 //!         Experiment::new(SystemConfig::small(), spec).scheme(s)
 //!     })
 //!     .collect();
-//! let sweep = run_experiments(experiments);
-//! assert_eq!(sweep.results.len(), 2);
-//! assert_eq!(sweep.results[0].scheme, "NoPref"); // input order preserved
-//! assert!(sweep.cycles_per_wall_sec() > 0.0);
+//! let results = parallel_map(experiments, Experiment::run);
+//! assert_eq!(results.len(), 2);
+//! assert_eq!(results[0].scheme, "NoPref"); // input order preserved
 //! ```
 
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, PoisonError};
-use std::time::Instant;
-
-use crate::experiment::Experiment;
-use crate::result::RunResult;
 
 /// Parses a `ULMT_WORKERS`-style override: `Some(n)` for a positive
 /// integer, `None` for anything else (empty, non-numeric, zero).
@@ -155,36 +150,6 @@ where
         .collect()
 }
 
-/// [`parallel_map_with`] with per-job panic isolation.
-///
-/// Each job runs under `catch_unwind`: a panicking job yields
-/// `Err("panicked: ...")` and a job that returns `Err` keeps its error.
-/// Neither is retried, because every job is a deterministic simulation
-/// that would fail the same way again. Results come back in input order;
-/// one poisoned job cannot take down the whole map.
-pub fn try_parallel_map_with<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<Result<R, String>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> Result<R, String> + Sync,
-{
-    parallel_map_with(items, workers, |item: T| {
-        std::panic::catch_unwind(AssertUnwindSafe(|| f(item)))
-            .unwrap_or_else(|payload| Err(format!("panicked: {}", panic_message(payload.as_ref()))))
-    })
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// [`parallel_map_with`] using the default [`worker_count`].
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
@@ -195,142 +160,11 @@ where
     parallel_map_with(items, worker_count(), f)
 }
 
-/// One experiment the sweep could not complete, itemized for the report.
-#[derive(Debug, Clone)]
-pub struct JobFailure {
-    /// Index of the experiment in the input vector.
-    pub index: usize,
-    /// Application label of the failed experiment.
-    pub app: String,
-    /// Scheme label of the failed experiment.
-    pub scheme: String,
-    /// The final error (a typed [`crate::error::RunError`] rendered to
-    /// text, or `panicked: ...` for an isolated panic).
-    pub error: String,
-}
-
-/// The outcome of one sweep: per-run results (in input order) plus the
-/// sweep's wall-clock throughput and any jobs that could not complete.
-///
-/// A sweep degrades gracefully: a panicking or watchdog-cancelled job is
-/// removed from [`SweepResult::results`] and itemized in
-/// [`SweepResult::failed`] instead of aborting the other jobs. When
-/// `failed` is empty, `results` is exactly the historical all-success
-/// vector (input order, one entry per experiment).
-#[derive(Debug, Clone)]
-pub struct SweepResult {
-    /// One [`RunResult`] per *completed* experiment, in input order.
-    pub results: Vec<RunResult>,
-    /// Experiments that failed, in input order.
-    pub failed: Vec<JobFailure>,
-    /// Wall-clock time of the whole sweep in nanoseconds.
-    pub wall_nanos: u64,
-    /// Workers the sweep ran with.
-    pub workers: usize,
-}
-
-impl SweepResult {
-    /// Jobs the sweep was asked to run (completed + failed).
-    pub fn total_jobs(&self) -> usize {
-        self.results.len() + self.failed.len()
-    }
-
-    /// Jobs that completed successfully.
-    pub fn completed(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Total simulated cycles across all runs.
-    pub fn total_cycles(&self) -> u64 {
-        self.results.iter().map(|r| r.exec_cycles).sum()
-    }
-
-    /// Sweep throughput: simulated cycles per wall-clock second.
-    ///
-    /// On an N-core machine this approaches N × the single-run
-    /// throughput; the ratio against a serial sweep is the harness
-    /// speedup.
-    pub fn cycles_per_wall_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.total_cycles() as f64 * 1e9 / self.wall_nanos as f64
-        }
-    }
-
-    /// A compact human-readable throughput report: one line per run plus
-    /// the sweep aggregate.
-    pub fn throughput_report(&self) -> String {
-        let mut s = String::new();
-        for r in &self.results {
-            s.push_str(&format!(
-                "  {:<8} {:<16} {:>12} cycles {:>8.1} ms {:>12.0} cyc/s\n",
-                r.app,
-                r.scheme,
-                r.exec_cycles,
-                r.wall_nanos as f64 / 1e6,
-                r.cycles_per_wall_sec()
-            ));
-        }
-        for fail in &self.failed {
-            s.push_str(&format!(
-                "  {:<8} {:<16} FAILED: {}\n",
-                fail.app, fail.scheme, fail.error
-            ));
-        }
-        s.push_str(&format!(
-            "sweep: {}/{} runs completed on {} workers, {:.1} ms wall, \
-             {:.0} simulated cycles/s\n",
-            self.completed(),
-            self.total_jobs(),
-            self.workers,
-            self.wall_nanos as f64 / 1e6,
-            self.cycles_per_wall_sec()
-        ));
-        s
-    }
-}
-
-/// Runs `experiments` on `workers` threads, collecting completed results
-/// in input order with sweep timing. Jobs are panic-isolated; a job that
-/// panics or fails (e.g. exceeds its cycle budget) lands in
-/// [`SweepResult::failed`] instead of aborting the others.
-pub fn run_experiments_with(experiments: Vec<Experiment>, workers: usize) -> SweepResult {
-    let start = Instant::now();
-    let labels: Vec<(String, String)> = experiments.iter().map(Experiment::labels).collect();
-    let outcomes = try_parallel_map_with(experiments, workers, |e: Experiment| {
-        e.run_guarded().map_err(|err| err.to_string())
-    });
-    let mut results = Vec::new();
-    let mut failed = Vec::new();
-    for (index, (outcome, (app, scheme))) in outcomes.into_iter().zip(labels).enumerate() {
-        match outcome {
-            Ok(r) => results.push(r),
-            Err(error) => failed.push(JobFailure {
-                index,
-                app,
-                scheme,
-                error,
-            }),
-        }
-    }
-    SweepResult {
-        results,
-        failed,
-        wall_nanos: start.elapsed().as_nanos() as u64,
-        workers,
-    }
-}
-
-/// Runs `experiments` on the default worker pool.
-pub fn run_experiments(experiments: Vec<Experiment>) -> SweepResult {
-    run_experiments_with(experiments, worker_count())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::experiment::Experiment;
     use crate::scheme::PrefetchScheme;
     use ulmt_workloads::{App, WorkloadSpec};
 
@@ -377,42 +211,9 @@ mod tests {
         assert_eq!(parse_workers("2.5"), None);
     }
 
-    #[test]
-    fn try_parallel_map_isolates_panics_and_counts_attempts() {
-        use std::sync::atomic::AtomicU32;
-        let items: Vec<u32> = (0..6).collect();
-        let attempts: Vec<AtomicU32> = (0..6).map(|_| AtomicU32::new(0)).collect();
-        let outcomes = try_parallel_map_with(items, 3, |i: u32| {
-            attempts[i as usize].fetch_add(1, Ordering::SeqCst);
-            if i == 2 {
-                panic!("job {i} exploded");
-            }
-            if i == 4 {
-                return Err(format!("job {i} refused"));
-            }
-            Ok(i * 10)
-        });
-        assert_eq!(outcomes.len(), 6);
-        for (i, o) in outcomes.iter().enumerate() {
-            match i {
-                2 => {
-                    let err = o.as_ref().unwrap_err();
-                    assert!(
-                        err.contains("panicked") && err.contains("exploded"),
-                        "{err}"
-                    );
-                }
-                4 => assert_eq!(o.as_ref().unwrap_err(), "job 4 refused"),
-                _ => assert_eq!(*o.as_ref().unwrap(), i as u32 * 10),
-            }
-        }
-        // Panics and typed errors alike run exactly once: no retries.
-        assert!(attempts.iter().all(|a| a.load(Ordering::SeqCst) == 1));
-    }
-
-    /// The satellite acceptance test: a parallel sweep returns
-    /// bit-identical `RunResult`s, in the same order, as the serial path
-    /// for all `PrefetchScheme::FIGURE7` schemes on two apps.
+    /// A parallel sweep returns bit-identical `RunResult`s, in the same
+    /// order, as the serial path for all `PrefetchScheme::FIGURE7`
+    /// schemes on two apps.
     #[test]
     fn parallel_sweep_matches_serial_figure7() {
         let experiments = |apps: &[App]| -> Vec<Experiment> {
@@ -426,12 +227,11 @@ mod tests {
                 .collect()
         };
         let apps = [App::Mcf, App::Gap];
-        let serial = run_experiments_with(experiments(&apps), 1);
-        let parallel = run_experiments_with(experiments(&apps), 4);
-        assert_eq!(parallel.workers, 4);
-        assert_eq!(serial.results.len(), 14);
-        assert_eq!(parallel.results.len(), 14);
-        for (s, p) in serial.results.iter().zip(&parallel.results) {
+        let serial = parallel_map_with(experiments(&apps), 1, Experiment::run);
+        let parallel = parallel_map_with(experiments(&apps), 4, Experiment::run);
+        assert_eq!(serial.len(), 14);
+        assert_eq!(parallel.len(), 14);
+        for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.scheme, p.scheme);
             assert_eq!(s.app, p.app);
             assert_eq!(s.exec_cycles, p.exec_cycles);
@@ -443,22 +243,5 @@ mod tests {
                 s.scheme
             );
         }
-    }
-
-    #[test]
-    fn sweep_throughput_is_measured() {
-        let spec = WorkloadSpec::new(App::Tree).scale(1.0 / 16.0).iterations(2);
-        let sweep = run_experiments(vec![
-            Experiment::new(SystemConfig::small(), spec.clone()),
-            Experiment::new(SystemConfig::small(), spec).scheme(PrefetchScheme::Repl),
-        ]);
-        assert!(sweep.wall_nanos > 0);
-        assert!(sweep.total_cycles() > 0);
-        assert!(sweep.cycles_per_wall_sec() > 0.0);
-        let report = sweep.throughput_report();
-        assert!(report.contains("sweep:"), "{report}");
-        assert!(report.contains("cyc/s"), "{report}");
-        // Per-run wall time was recorded by the simulator itself.
-        assert!(sweep.results.iter().all(|r| r.wall_nanos > 0));
     }
 }

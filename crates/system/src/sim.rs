@@ -19,20 +19,14 @@ use ulmt_simcore::hash::{fx_map_with_capacity, fx_set_with_capacity};
 use ulmt_simcore::stats::BinnedHistogram;
 use ulmt_simcore::trace::{FaultKind, PushRejectReason};
 use ulmt_simcore::{
-    CancelToken, Cycle, EventQueue, FaultPlan, FxHashMap, FxHashSet, LineAddr, ObservationFault,
+    ConfigError, Cycle, EventQueue, FaultPlan, FxHashMap, FxHashSet, LineAddr, ObservationFault,
     SharedTracer, TraceEvent,
 };
 use ulmt_workloads::{TraceRecord, WorkloadSpec};
 
 use crate::config::SystemConfig;
-use crate::error::{AbortReason, ConfigError, SimAbort};
 use crate::result::{FaultReport, PrefetchEffect, RunResult};
 use crate::scheme::PrefetchScheme;
-
-/// How many events the guarded main loop lets pass between polls of the
-/// (atomic) cancellation token. Budget checks are per-event; only the
-/// cross-thread flag is amortized.
-pub const CANCEL_POLL_EVENTS: u32 = 256;
 
 /// Who a memory transaction belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,10 +150,6 @@ pub struct SystemSim {
     /// Injected fault events that were routed through an existing
     /// graceful-degradation path.
     faults_absorbed: u64,
-    /// Cooperative cancellation, polled in the main loop.
-    cancel: Option<CancelToken>,
-    /// Watchdog: abort once simulated time exceeds this many cycles.
-    cycle_budget: Option<Cycle>,
     /// Cycle-stamped event tracer; `None` (the default) keeps every
     /// emission site down to one untaken branch.
     tracer: Option<SharedTracer>,
@@ -303,8 +293,6 @@ impl SystemSim {
             verbose,
             faults: None,
             faults_absorbed: 0,
-            cancel: None,
-            cycle_budget: None,
             tracer: None,
             refs: 0,
             l2_miss_requests: 0,
@@ -327,20 +315,6 @@ impl SystemSim {
     /// and the run's [`RunResult`] carries a [`FaultReport`].
     pub fn set_faults(&mut self, plan: FaultPlan) {
         self.faults = Some(plan);
-    }
-
-    /// Installs a cooperative cancellation token, polled between events in
-    /// the main loop. A guarded run stops with
-    /// [`AbortReason::Cancelled`] shortly after the token fires.
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
-    }
-
-    /// Installs a cycle-budget watchdog: a guarded run stops with
-    /// [`AbortReason::CycleBudgetExceeded`] once simulated time passes
-    /// `budget` cycles.
-    pub fn set_cycle_budget(&mut self, budget: Cycle) {
-        self.cycle_budget = Some(budget);
     }
 
     /// Installs a cycle-stamped event tracer. Clones of the handle are
@@ -370,51 +344,11 @@ impl SystemSim {
     /// # Panics
     ///
     /// Panics if the simulation deadlocks (an internal invariant
-    /// violation), or if a watchdog installed via
-    /// [`SystemSim::set_cancel_token`] / [`SystemSim::set_cycle_budget`]
-    /// fires — use [`SystemSim::run_guarded`] to observe those as values.
-    pub fn run(self) -> RunResult {
-        self.run_guarded().unwrap_or_else(|a| panic!("{a}"))
-    }
-
-    /// Runs the simulation to completion, stopping cooperatively if the
-    /// cancellation token fires or the cycle budget is exceeded.
-    ///
-    /// The watchdog checks are cooperative and sit in the main event loop:
-    /// the cycle budget is compared against every event timestamp (a
-    /// runaway simulation is caught within one event), while the atomic
-    /// cancellation flag is polled every [`CANCEL_POLL_EVENTS`] events to
-    /// keep it off the hot path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation deadlocks (an internal invariant
     /// violation).
-    pub fn run_guarded(mut self) -> Result<RunResult, SimAbort> {
+    pub fn run(mut self) -> RunResult {
         let wall_start = Instant::now();
         self.events.push(0, Event::CpuResume);
-        let mut since_cancel_poll: u32 = 0;
         while let Some((t, ev)) = self.events.pop() {
-            if let Some(budget) = self.cycle_budget {
-                if t > budget {
-                    return Err(SimAbort {
-                        reason: AbortReason::CycleBudgetExceeded { budget },
-                        at_cycle: t,
-                    });
-                }
-            }
-            if let Some(token) = &self.cancel {
-                since_cancel_poll += 1;
-                if since_cancel_poll >= CANCEL_POLL_EVENTS {
-                    since_cancel_poll = 0;
-                    if token.is_cancelled() {
-                        return Err(SimAbort {
-                            reason: AbortReason::Cancelled,
-                            at_cycle: t,
-                        });
-                    }
-                }
-            }
             self.handle(t, ev);
             if self.done {
                 break;
@@ -428,7 +362,7 @@ impl SystemSim {
             self.outstanding.len(),
             self.demand_q.len()
         );
-        Ok(self.finish(wall_start.elapsed().as_nanos() as u64))
+        self.finish(wall_start.elapsed().as_nanos() as u64)
     }
 
     fn handle(&mut self, t: Cycle, ev: Event) {
@@ -1230,7 +1164,6 @@ impl SystemSim {
             seed: plan.config().seed,
             injected: plan.counts(),
             absorbed: self.faults_absorbed,
-            twin: None, // filled by Experiment when a twin run is requested
         });
         self.emit(
             self.end_time,

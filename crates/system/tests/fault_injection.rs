@@ -23,7 +23,6 @@ fn fixed_seed_gives_identical_fault_reports_back_to_back() {
         Experiment::new(SystemConfig::small(), spec(App::Mcf))
             .scheme(PrefetchScheme::Repl)
             .faults(FaultConfig::stress(42))
-            .twin(false)
             .run()
     };
     let a = run();
@@ -44,7 +43,6 @@ fn different_fault_seeds_give_different_schedules() {
         Experiment::new(SystemConfig::small(), spec(App::Mcf))
             .scheme(PrefetchScheme::Repl)
             .faults(FaultConfig::stress(seed))
-            .twin(false)
             .run()
     };
     let a = run(1);
@@ -65,7 +63,6 @@ fn every_injected_fault_is_absorbed() {
             let r = Experiment::new(SystemConfig::small(), spec(App::Tree))
                 .scheme(scheme)
                 .faults(FaultConfig::stress(seed))
-                .twin(false)
                 .run();
             let report = r.fault.unwrap();
             assert!(
@@ -104,13 +101,11 @@ fn no_fault_configuration_panics_the_simulator() {
             } else {
                 None
             },
-            panic_after_observations: None,
         };
         let app = [App::Mcf, App::Tree, App::Gap][(trial % 3) as usize];
         let r = Experiment::new(SystemConfig::small(), spec(app))
             .scheme(PrefetchScheme::Repl)
             .faults(cfg)
-            .twin(false)
             .run();
         assert!(r.exec_cycles > 0, "trial {trial} produced an empty run");
         let report = r.fault.unwrap();
@@ -130,7 +125,6 @@ fn faults_on_depth_one_queues_complete() {
     let r = Experiment::new(cfg, spec(App::Mcf))
         .scheme(PrefetchScheme::Repl)
         .faults(FaultConfig::stress(9))
-        .twin(false)
         .run();
     assert!(r.exec_cycles > 0);
     assert!(r.fault.unwrap().fully_absorbed());

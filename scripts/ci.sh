@@ -42,7 +42,8 @@
 #                                closed: no `#[deprecated]` item remains
 #                                anywhere in the tree, and nothing still
 #                                references the removed pre-redesign
-#                                entry points
+#                                entry points or the removed sweep,
+#                                watchdog, twin-run and poison-pill API
 #
 # This wraps the canonical tier-1 verify from ROADMAP.md
 # (`cargo build --release && cargo test -q`) with the lint front-line so
@@ -107,15 +108,19 @@ CARGO_TARGET_DIR=target/perfbench \
 echo "== deprecation audit"
 # The one-cycle deprecation window is closed: the old wrappers are gone,
 # so no #[deprecated] item may exist anywhere in the tree and nothing
-# may reference the removed pre-redesign entry points.
+# may reference the removed pre-redesign entry points, nor the removed
+# sweep, watchdog, twin-run and poison-pill API. perfbench/ is not
+# scanned: its host descriptor still clears ULMT_CYCLE_BUDGET.
 if grep -rn --include='*.rs' '#\[deprecated' src tests examples crates; then
     echo "deprecation audit: #[deprecated] items remain (above); the"
     echo "deprecation window is one release cycle -- remove, don't park"
     exit 1
 fi
-if grep -rn --include='*.rs' -E '\b(run_figure7_schemes|compare_policies)\b' \
-        src tests examples crates; then
-    echo "deprecation audit: references to removed pre-redesign APIs (above)"
+removed_api='run_figure7_schemes|compare_policies|run_experiments|SweepResult|JobFailure'
+removed_api+='|try_parallel_map_with|TwinDelta|SimAbort|RunError|cycle_budget'
+removed_api+='|ULMT_CYCLE_BUDGET|panic_after_observations'
+if grep -rn --include='*.rs' -E "\b($removed_api)\b" src tests examples crates; then
+    echo "deprecation audit: references to removed APIs (above)"
     exit 1
 fi
 

@@ -75,11 +75,12 @@ pub mod prelude {
     //!
     //! Batch experiments: [`Experiment`], [`PrefetchScheme`],
     //! [`SystemConfig`], [`WorkloadSpec`], [`App`], [`RunResult`], plus the
-    //! fault-injection ([`FaultConfig`]), tracing ([`TraceConfig`]) and
-    //! cancellation ([`CancelToken`]) knobs.
+    //! fault-injection ([`FaultConfig`]) and tracing ([`TraceConfig`])
+    //! knobs.
     //!
     //! Online serving: [`PrefetchService`], [`ServiceConfig`], [`Session`],
-    //! [`TenantSpec`], [`TrySubmit`], plus the network front-end
+    //! [`TenantSpec`], [`TrySubmit`], the service's shutdown flag
+    //! ([`CancelToken`]), plus the network front-end
     //! ([`NetServer`], [`NetClient`], [`NetConfig`]) and the metrics plane
     //! ([`MetricsReport`], [`ShardMetrics`]).
 
