@@ -1,7 +1,9 @@
 //! Service and tenant configuration.
 
 use ulmt_core::table::TableParams;
-use ulmt_simcore::{ConfigError, Cycle, ServiceFaultConfig, TraceConfig};
+use ulmt_simcore::{ConfigError, Cycle, TraceConfig};
+
+use crate::fault::ServiceFaultConfig;
 
 /// Which correlation algorithm a tenant runs: core's
 /// [`ulmt_core::table::TableKind`], whose codes the wire protocol and
@@ -162,13 +164,6 @@ pub struct SupervisionConfig {
     /// Restarts a single shard may consume before it is parked in
     /// [`ShardState::Failed`](crate::ShardState::Failed) for good.
     pub max_restarts: u32,
-    /// Supervisor tick, in milliseconds: the cadence of the wedge scan
-    /// and the poll interval of worker queue waits.
-    pub tick_ms: u64,
-    /// Consecutive no-progress ticks (queue behind, message counters and
-    /// virtual-clock watermark unchanged) before a shard is declared
-    /// wedged and fenced.
-    pub wedge_ticks: u32,
     /// Accepted batches between checkpoints of a shard's full state.
     pub checkpoint_every: u64,
     /// Acked batches the observation journal retains per shard.
@@ -194,8 +189,6 @@ impl Default for SupervisionConfig {
     fn default() -> Self {
         SupervisionConfig {
             max_restarts: 8,
-            tick_ms: 25,
-            wedge_ticks: 8,
             checkpoint_every: 64,
             journal_window: 128,
             backoff_base_ms: 1,
@@ -210,9 +203,6 @@ impl SupervisionConfig {
     /// Validates the supervision policy.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let err = |reason: &str| Err(ConfigError::new("supervision", reason));
-        if self.wedge_ticks == 0 {
-            return err("wedge detection needs at least one tick");
-        }
         if self.checkpoint_every == 0 {
             return err("checkpoint interval must be positive");
         }
@@ -262,8 +252,8 @@ pub struct ServiceConfig {
     pub trace: Option<TraceConfig>,
     /// Supervision, checkpointing and degraded-mode policy.
     pub supervision: SupervisionConfig,
-    /// Deterministic service-level chaos injection (kill / wedge / slow
-    /// faults), for tests. `None` in production.
+    /// Deterministic service-level chaos injection (kill / slow faults),
+    /// for tests. `None` in production.
     pub fault: Option<ServiceFaultConfig>,
     /// The always-on metrics plane (see [`crate::MetricsReport`]):
     /// per-shard counters and log2 histograms for batch size,

@@ -43,8 +43,8 @@
 //!
 //! # Lifecycle
 //!
-//! An `Ingress` belongs to one worker *epoch*. When the epoch dies —
-//! crash, wedge fence, or shutdown — the ingress is closed and hands back
+//! An `Ingress` belongs to one worker *epoch*. When the epoch ends —
+//! crash or shutdown — the ingress is closed and hands back
 //! its queued batches and control messages: on the crash path they are
 //! dropped with their reply channels (clients observe `Closed` and
 //! resubmit, the at-least-once half of the recovery contract), on the
@@ -57,7 +57,7 @@
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ulmt_simcore::{FxHashMap, LineAddr};
 
@@ -107,8 +107,6 @@ pub(crate) struct Control {
 pub(crate) enum Work {
     Control(Control),
     Batch(IngressBatch),
-    /// Nothing arrived within the wait.
-    Idle,
     /// The ingress is closed: the epoch is over.
     Closed,
 }
@@ -309,12 +307,11 @@ impl Ingress {
     }
 
     /// The worker's wait: the oldest control message, else the
-    /// scheduler's next batch, else blocks until one arrives, the ingress
-    /// closes, or `timeout` elapses (the supervision tick, so fence
-    /// checks keep their cadence).
-    pub fn next(&self, timeout: Duration) -> Work {
+    /// scheduler's next batch, else blocks until one arrives or the
+    /// ingress closes. Every enqueue, push and close notifies `work`, so
+    /// the wait needs no timeout.
+    pub fn next(&self) -> Work {
         let mut inner = guard(&self.inner);
-        let mut deadline = None;
         loop {
             if let Some(control) = inner.control.pop_front() {
                 return Work::Control(control);
@@ -327,17 +324,17 @@ impl Ingress {
             if inner.closed {
                 return Work::Closed;
             }
-            let now = Instant::now();
-            let deadline = *deadline.get_or_insert(now + timeout);
-            if now >= deadline {
-                return Work::Idle;
-            }
-            inner = self
-                .work
-                .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+            inner = self.work.wait(inner).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// [`Ingress::next`], or `None` where it would block (tests only).
+    #[cfg(test)]
+    pub fn try_next(&self) -> Option<Work> {
+        let inner = guard(&self.inner);
+        let waits = inner.control.is_empty() && inner.queued == 0 && !inner.closed;
+        drop(inner);
+        (!waits).then(|| self.next())
     }
 
     /// Weighted deficit round-robin. Serves the tenant under the cursor
@@ -451,6 +448,7 @@ impl Ingress {
 mod tests {
     use super::*;
     use std::sync::mpsc::channel;
+    use std::time::Duration;
 
     fn batch(tenant: u32, len: usize) -> (IngressBatch, std::sync::mpsc::Receiver<BatchReply>) {
         let (reply, rx) = channel();
@@ -474,8 +472,8 @@ mod tests {
     }
 
     fn next_batch(ing: &Ingress) -> Option<IngressBatch> {
-        match ing.next(Duration::ZERO) {
-            Work::Batch(b) => Some(b),
+        match ing.try_next() {
+            Some(Work::Batch(b)) => Some(b),
             _ => None,
         }
     }
@@ -590,7 +588,7 @@ mod tests {
         // later enqueues do not move them.
         assert!(ing.push_control(drain_msg()).is_ok());
         push(&ing, 1, 2);
-        let Work::Control(control) = ing.next(Duration::ZERO) else {
+        let Some(Work::Control(control)) = ing.try_next() else {
             panic!("control messages come first");
         };
         assert_eq!(control.barriers, vec![(1, 2), (2, 1)]);
@@ -635,17 +633,20 @@ mod tests {
     fn a_pushed_control_message_wakes_an_idle_worker() {
         let ing = std::sync::Arc::new(Ingress::new(64, 4));
         let ing2 = std::sync::Arc::clone(&ing);
-        let pusher = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            assert!(ing2.push_control(drain_msg()).is_ok());
+        let (woke, rx) = channel();
+        // The wait has no timeout, so a lost wakeup would block the
+        // waiter for good: watch it from here with a bound instead.
+        let waiter = std::thread::spawn(move || {
+            let _ = woke.send(matches!(ing2.next(), Work::Control(_)));
         });
-        let t0 = Instant::now();
-        assert!(matches!(
-            ing.next(Duration::from_secs(10)),
-            Work::Control(_)
-        ));
-        assert!(t0.elapsed() < Duration::from_secs(5), "the push must wake");
-        pusher.join().expect("pusher");
+        std::thread::sleep(Duration::from_millis(5));
+        assert!(ing.push_control(drain_msg()).is_ok());
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Ok(true),
+            "the push must wake"
+        );
+        waiter.join().expect("waiter");
     }
 
     #[test]
@@ -659,6 +660,6 @@ mod tests {
         assert_eq!(drained.control.len(), 2);
         assert_eq!(drained.batches.len(), 1);
         assert!(ing.push_control(drain_msg()).is_err(), "closed");
-        assert!(matches!(ing.next(Duration::ZERO), Work::Closed));
+        assert!(matches!(ing.next(), Work::Closed));
     }
 }

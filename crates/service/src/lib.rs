@@ -33,18 +33,19 @@
 //!   typed [`ServiceError::ShuttingDown`] — never silently dropped) and
 //!   cooperative cancellation uses the simulator's existing
 //!   [`CancelToken`](ulmt_simcore::CancelToken);
-//! * the service is **self-healing**: a supervisor thread detects dead
-//!   (panicked) and wedged (alive but not consuming) shards, rebuilds
-//!   them from periodic checkpoints plus a bounded observation
-//!   journal replay — bit-identical when the journal window covers
-//!   the gap, explicitly [`Lossy`](RecoveryOutcome::Lossy) with an exact
-//!   dropped-batch count when it does not — and every restart is
-//!   recorded as a [`RecoveryReport`]. While a shard is down, sessions
+//! * the service is **self-healing**: a worker that panics is caught
+//!   by its spawn wrapper and reported to a supervisor thread, which
+//!   rebuilds the shard from its periodic checkpoint plus a bounded
+//!   observation journal replay — bit-identical when the journal window
+//!   covers the gap, explicitly [`Lossy`](RecoveryOutcome::Lossy) with
+//!   an exact dropped-batch count when it does not — and records every
+//!   restart as a [`RecoveryReport`]. While a shard is down, sessions
 //!   shed (acknowledge-without-learning, exactly counted in
 //!   [`TenantStats::shed`]) or wait, per
-//!   [`SupervisionConfig::shed_when_down`]. Deterministic chaos faults
-//!   ([`ServiceFaultConfig`](ulmt_simcore::ServiceFaultConfig)) exercise
-//!   all of it under test.
+//!   [`SupervisionConfig::shed_when_down`]. A worker that hangs without
+//!   panicking is not replaced: its tenants' queues fill and their
+//!   control calls time out. Deterministic chaos faults
+//!   ([`ServiceFaultConfig`]) exercise recovery under test.
 //!
 //! [`Base`]: ulmt_core::table::Base
 //! [`Chain`]: ulmt_core::table::Chain
@@ -52,6 +53,7 @@
 //! [`LineAddr`]: ulmt_simcore::LineAddr
 
 mod config;
+mod fault;
 mod ingress;
 mod journal;
 pub mod metrics;
@@ -63,6 +65,7 @@ mod supervisor;
 pub use config::{
     AdmissionQuota, NetConfig, ServiceConfig, SupervisionConfig, TableKind, TenantSpec,
 };
+pub use fault::{ServiceFault, ServiceFaultConfig, ServiceFaultPlan, ServiceFaultState};
 pub use metrics::{MetricsReport, ShardMetrics};
 pub use net::{NetClient, NetServer, NetSubmit, WireError};
 pub use service::{
@@ -70,7 +73,7 @@ pub use service::{
     TenantStats, TrySubmit,
 };
 pub use shard::ShardReport;
-pub use supervisor::{RecoveryCause, RecoveryOutcome, RecoveryReport, ShardState};
+pub use supervisor::{RecoveryOutcome, RecoveryReport, ShardState};
 
 #[cfg(test)]
 mod tests {

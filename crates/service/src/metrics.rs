@@ -179,7 +179,7 @@ pub struct MetricsReport {
     pub enabled: bool,
     /// Shard restarts recorded so far.
     pub recoveries: u64,
-    /// Distribution of recovery latency (fence to republish), wall
+    /// Distribution of recovery latency (take-down to republish), wall
     /// nanoseconds, across every restart of every shard.
     pub recovery_nanos: Log2Histogram,
     /// Per-shard snapshots, sorted by shard index. Shards that are down

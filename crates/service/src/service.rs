@@ -518,10 +518,7 @@ impl Session {
                         enqueued_at: None,
                     };
                     match ingress.enqueue(batch, deadline) {
-                        Enqueue::Ok => {
-                            self.slot.health.note_enqueued();
-                            return Sent::Enqueued(PendingBatch { rx });
-                        }
+                        Enqueue::Ok => return Sent::Enqueued(PendingBatch { rx }),
                         Enqueue::Full(o) => return self.reject(o),
                         Enqueue::Unknown(o) => return Sent::Enqueued(self.unknown_ack(o)),
                         Enqueue::Closed(o) => {
@@ -701,13 +698,15 @@ pub struct PauseGuard {
 ///
 /// # Fault tolerance
 ///
-/// A supervisor thread watches every shard for death (panic) and wedging
-/// (alive but not consuming). A failed shard is rebuilt from its last
-/// checkpoint plus a replay of the journaled batches past it (see
-/// [`SupervisionConfig`](crate::SupervisionConfig) for when that
-/// replay is exact), and every restart is recorded as a [`RecoveryReport`]. While a shard is down,
-/// sessions shed or wait per
+/// A shard worker that panics is reported to a supervisor thread, which
+/// rebuilds the shard from its last checkpoint plus a replay of the
+/// journaled batches past it (see
+/// [`SupervisionConfig`](crate::SupervisionConfig) for when that replay
+/// is exact) and records every restart as a [`RecoveryReport`]. While a
+/// shard is down, sessions shed or wait per
 /// [`SupervisionConfig::shed_when_down`](crate::SupervisionConfig::shed_when_down).
+/// A worker that hangs without panicking is left in place: its tenants'
+/// queues fill and [`Session`] control calls time out.
 ///
 /// # Example
 ///
@@ -868,8 +867,7 @@ impl PrefetchService {
     /// Blocks the given shard until the returned guard is dropped.
     /// While paused, the shard's ingestion queue fills up and
     /// [`Session::try_submit`] surfaces backpressure as
-    /// [`TrySubmit::Full`]. The supervisor's wedge detector knows a
-    /// paused shard is deliberate and leaves it alone.
+    /// [`TrySubmit::Full`].
     pub fn pause_shard(&self, shard: usize) -> Result<PauseGuard, ServiceError> {
         let (resume, gate) = channel();
         self.slots[shard].control(ShardMsg::Pause(gate))?;
@@ -956,7 +954,7 @@ impl Drop for PrefetchService {
 mod tests {
     use super::*;
     use crate::config::SupervisionConfig;
-    use ulmt_simcore::ServiceFaultConfig;
+    use crate::fault::ServiceFaultConfig;
 
     const LEN: usize = 8;
 
@@ -1063,10 +1061,7 @@ mod tests {
 
     #[test]
     fn every_submit_entry_point_reports_each_shard_state_the_same_way() {
-        let fast = SupervisionConfig {
-            tick_ms: 5,
-            ..SupervisionConfig::default()
-        };
+        let fast = SupervisionConfig::default();
         let down = |shed_when_down| SupervisionConfig {
             backoff_base_ms: 5_000,
             backoff_max_ms: 5_000,
@@ -1184,24 +1179,53 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_on_an_idle_shard_answers_well_before_a_tick() {
-        let service = PrefetchService::start(cfg(
-            SupervisionConfig {
-                tick_ms: 1_000,
-                ..SupervisionConfig::default()
-            },
-            None,
-        ));
-        // Let the worker settle into its (one-second) inbox wait.
+    fn a_control_message_wakes_an_idle_worker_at_once() {
+        let service = PrefetchService::start(cfg(SupervisionConfig::default(), None));
+        // Let the worker settle into its inbox wait, which has no
+        // timeout: only the push's notify can wake it.
         std::thread::sleep(Duration::from_millis(50));
         let t0 = Instant::now();
-        service.shard_stats(0).unwrap();
+        let (reply, rx) = channel();
+        service.slots[0]
+            .control(ShardMsg::ShardStats { reply })
+            .unwrap();
+        // Bounded, so a lost wakeup fails here instead of hanging.
+        let answered = rx.recv_timeout(Duration::from_millis(500));
         assert!(
-            t0.elapsed() < Duration::from_millis(500),
+            answered.is_ok(),
             "a control message wakes the worker: {:?}",
             t0.elapsed()
         );
         service.shutdown();
+    }
+
+    #[test]
+    fn a_worker_blocked_on_a_held_lock_is_not_replaced() {
+        // Under default supervision, a batch is in flight while the
+        // shard's journal lock is held for a second: the worker blocks on
+        // the lock, alive and healthy, and nothing may fence or rebuild
+        // it.
+        let run = |hold: bool| {
+            let service = PrefetchService::start(cfg(SupervisionConfig::default(), None));
+            let mut session = service.open(1, TenantSpec::repl(64)).unwrap();
+            let journal = hold.then(|| lock(&service.slots[0].journal));
+            let pending = session.submit(obs()).unwrap();
+            if journal.is_some() {
+                std::thread::sleep(Duration::from_secs(1));
+            }
+            drop(journal);
+            let reply = pending.wait().expect("the batch is acked");
+            assert_eq!((reply.observed, reply.shed), (LEN as u64, false));
+            std::thread::sleep(Duration::from_millis(500));
+            let recoveries = service.recovery_reports();
+            let fingerprint = session.fingerprint().unwrap();
+            service.shutdown();
+            (recoveries, fingerprint)
+        };
+        let (_, control) = run(false);
+        let (recoveries, fingerprint) = run(true);
+        assert!(recoveries.is_empty(), "no recovery: {recoveries:?}");
+        assert_eq!(fingerprint, control, "the tenant learned its batch once");
     }
 
     #[test]

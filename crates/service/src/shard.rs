@@ -33,19 +33,16 @@
 //! and a crash can never lose them.
 
 use std::collections::hash_map::Entry;
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ulmt_core::algorithm::{StepSink, UlmtAlgorithm};
 use ulmt_core::table::{CorrelationTable, SnapshotError, TableSnapshot};
-use ulmt_simcore::{
-    CancelToken, Cycle, FxHashMap, LineAddr, Server, ServiceFault, ServiceFaultPlan, TraceBuffer,
-    TraceEvent,
-};
+use ulmt_simcore::{CancelToken, Cycle, FxHashMap, LineAddr, Server, TraceBuffer, TraceEvent};
 
 use crate::config::{ServiceConfig, TenantSpec};
+use crate::fault::{ServiceFault, ServiceFaultPlan};
 use crate::ingress::{Control, Drained, Follows, Ingress, IngressBatch, Work};
 use crate::journal::{JournalCoverage, ObservationJournal};
 use crate::metrics::{MetricsRegistry, ShardMetrics};
@@ -196,9 +193,6 @@ pub struct ShardReport {
 pub(crate) enum ShardExit {
     /// Graceful shutdown after draining the queue.
     Finished(Box<ShardReport>),
-    /// The supervisor fenced this epoch (wedge recovery); a replacement
-    /// owns the shard now.
-    Abandoned,
     /// The worker panicked; the panic was caught by the spawn wrapper.
     Panicked,
 }
@@ -220,14 +214,6 @@ pub(crate) struct ShardInit {
     stats: ShardStats,
     now: Cycle,
     server: Server,
-}
-
-impl ShardInit {
-    /// The rebuilt virtual clock — the watermark a replacement worker's
-    /// wedge detector starts from.
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
 }
 
 /// What [`rebuild_shard`] could reconstruct, for the recovery report.
@@ -387,14 +373,6 @@ fn note_accepted(tenant: &mut TenantStats, shard: &mut ShardStats, observed: u64
     shard.prefetches += prefetches;
 }
 
-/// How processing one ingress batch ended.
-enum BatchOutcome {
-    /// Processed (or acked without learning); keep going.
-    Done,
-    /// A chaos wedge fired: stop consuming and park until fenced.
-    Wedge,
-}
-
 /// The worker's whole mutable state, so the control handlers and the
 /// batch processor can share it without threading a dozen parameters.
 struct WorkerLoop<'a> {
@@ -419,7 +397,7 @@ impl WorkerLoop<'_> {
     ///
     /// Panics when a chaos kill fault fires (caught by the spawn
     /// wrapper; that is the fault's delivery mechanism).
-    fn process_one(&mut self, batch: IngressBatch) -> BatchOutcome {
+    fn process_one(&mut self, batch: IngressBatch) {
         let IngressBatch {
             tenant,
             mut obs,
@@ -446,27 +424,24 @@ impl WorkerLoop<'_> {
                 ServiceError::UnknownTenant(tenant),
                 obs,
             ));
-            self.slot.health.note_processed(self.st.now);
-            return BatchOutcome::Done;
+            return;
         };
         if self.cancel.is_cancelled() {
             // Graceful wind-down: acknowledge without learning so
             // clients draining their pipelines don't hang.
             obs.clear();
             let _ = reply.send(BatchReply::cancelled(obs));
-            self.slot.health.note_processed(self.st.now);
-            return BatchOutcome::Done;
+            return;
         }
         // Chaos hook: evaluated before the batch is journaled or
-        // acknowledged, so a killed/wedged shard never acks the
-        // triggering batch and the client can safely resubmit it.
+        // acknowledged, so a killed shard never acks the triggering
+        // batch and the client can safely resubmit it.
         if let Some(plan) = &mut self.fault_plan {
             let seq_next = lock(&self.slot.journal).next_seq();
             match plan.on_batch(seq_next, &self.slot.fault_state) {
                 Some(ServiceFault::KillShard) => {
                     panic!("chaos: kill-shard fault at batch seq {seq_next}");
                 }
-                Some(ServiceFault::WedgeShard) => return BatchOutcome::Wedge,
                 Some(ServiceFault::SlowConsumer(extra)) => self.st.now += extra,
                 None => {}
             }
@@ -534,18 +509,6 @@ impl WorkerLoop<'_> {
         if self.since_checkpoint >= self.cfg.supervision.checkpoint_every {
             self.checkpoint();
         }
-        self.slot.health.note_processed(self.st.now);
-        BatchOutcome::Done
-    }
-
-    /// Chaos-wedge park: stop consuming and stop heartbeating, but stay
-    /// alive until the supervisor fences this epoch. Service shutdown
-    /// also releases the park, so joining a wedged shard can't deadlock.
-    fn park_until_fenced(&self) -> ShardExit {
-        while !self.slot.is_abandoned(self.epoch) && !self.slot.is_closing() {
-            std::thread::park_timeout(Duration::from_millis(1));
-        }
-        ShardExit::Abandoned
     }
 
     /// Handles one control message, after draining each tenant it
@@ -553,9 +516,7 @@ impl WorkerLoop<'_> {
     fn handle_control(&mut self, control: Control) -> Option<ShardExit> {
         for (tenant, barrier) in control.barriers {
             while let Some(batch) = self.ingress.pop_before(tenant, barrier) {
-                if let BatchOutcome::Wedge = self.process_one(batch) {
-                    return Some(self.park_until_fenced());
-                }
+                self.process_one(batch);
             }
         }
         match control.msg {
@@ -623,11 +584,7 @@ impl WorkerLoop<'_> {
             ShardMsg::Pause(gate) => {
                 // Blocks until the PauseGuard is dropped (recv returns
                 // Err on hangup, which is the expected resume signal).
-                // The paused flag tells the supervisor this stall is
-                // deliberate, not a wedge.
-                self.slot.health.paused.store(true, Ordering::SeqCst);
                 let _ = gate.recv();
-                self.slot.health.paused.store(false, Ordering::SeqCst);
             }
             ShardMsg::Shutdown => {
                 // Shutdown/drain contract: every batch enqueued before
@@ -637,15 +594,13 @@ impl WorkerLoop<'_> {
                 // We close the ingress ourselves so the late arrivals
                 // come back to answer; the slot's take_down then finds
                 // it already closed. Marking the slot closed routes later
-                // submissions to TrySubmit::Closed, and tells the wedge
-                // detector this worker is gone on purpose.
+                // submissions to TrySubmit::Closed.
                 let late = self.ingress.close();
                 self.slot.take_down(ShardState::Closed);
                 self.refuse_late(late);
                 return Some(self.finish());
             }
         }
-        self.slot.health.note_processed(self.st.now);
         None
     }
 
@@ -711,7 +666,7 @@ impl WorkerLoop<'_> {
     /// into the metrics registry when metrics are on.
     fn checkpoint(&mut self) {
         let t0 = self.metrics.as_ref().map(|_| Instant::now());
-        take_checkpoint(self.slot, self.epoch, &mut self.st);
+        take_checkpoint(self.slot, &mut self.st);
         self.since_checkpoint = 0;
         if let (Some(m), Some(t0)) = (&mut self.metrics, t0) {
             m.note_checkpoint(t0.elapsed().as_nanos() as u64);
@@ -728,8 +683,7 @@ impl WorkerLoop<'_> {
 }
 
 /// The worker entry point the spawn wrapper calls inside `catch_unwind`.
-/// Runs until [`ShardMsg::Shutdown`], until its ingress is closed, or
-/// until the supervisor fences this epoch.
+/// Runs until [`ShardMsg::Shutdown`] or until its ingress is closed.
 pub(crate) fn run_worker(ctx: &WorkerCtx, init: Option<ShardInit>) -> ShardExit {
     let WorkerCtx {
         shard,
@@ -740,7 +694,6 @@ pub(crate) fn run_worker(ctx: &WorkerCtx, init: Option<ShardInit>) -> ShardExit 
         ingress,
     } = ctx;
     let (shard, epoch) = (*shard, *epoch);
-    slot.health.note_started(epoch);
     let st = init.unwrap_or_else(|| ShardInit {
         tenants: FxHashMap::default(),
         stats: ShardStats {
@@ -766,25 +719,14 @@ pub(crate) fn run_worker(ctx: &WorkerCtx, init: Option<ShardInit>) -> ShardExit 
         fault_plan: cfg.fault.map(|fc| ServiceFaultPlan::new(fc, shard, epoch)),
         since_checkpoint: 0,
     };
-    // The inbox wait is bounded by the supervision tick so fence checks
-    // keep their cadence.
-    let poll = Duration::from_millis(cfg.supervision.tick_ms.max(1));
     loop {
-        if slot.is_abandoned(epoch) {
-            return ShardExit::Abandoned;
-        }
-        match w.ingress.next(poll) {
+        match w.ingress.next() {
             Work::Control(control) => {
                 if let Some(exit) = w.handle_control(control) {
                     return exit;
                 }
             }
-            Work::Batch(batch) => {
-                if let BatchOutcome::Wedge = w.process_one(batch) {
-                    return w.park_until_fenced();
-                }
-            }
-            Work::Idle => {}
+            Work::Batch(batch) => w.process_one(batch),
             Work::Closed => return w.finish(),
         }
     }
@@ -792,16 +734,11 @@ pub(crate) fn run_worker(ctx: &WorkerCtx, init: Option<ShardInit>) -> ShardExit 
 
 /// Brings the slot's checkpoint up to the shard's current state, in
 /// place: each tenant's table copy takes only the slots changed since
-/// the last checkpoint. A worker whose epoch has been fenced leaves the
-/// checkpoint alone, since its replacement was (or is being) rebuilt
-/// from it. The update is bracketed by the checkpoint's `complete` flag,
-/// so one cut short is never restored.
-fn take_checkpoint(slot: &ShardSlot, epoch: u64, st: &mut ShardInit) {
+/// the last checkpoint. The update is bracketed by the checkpoint's
+/// `complete` flag, so one cut short is never restored.
+fn take_checkpoint(slot: &ShardSlot, st: &mut ShardInit) {
     let seq = lock(&slot.journal).last_acked();
     let mut cell = lock(&slot.checkpoint);
-    if slot.is_abandoned(epoch) {
-        return;
-    }
     let cp = cell.get_or_insert_with(|| ShardCheckpoint {
         complete: false,
         seq: 0,

@@ -1,34 +1,30 @@
-//! Shard supervision: death detection, journaled crash recovery, and
+//! Shard supervision: panic capture, journaled crash recovery, and
 //! degraded-mode routing state.
 //!
 //! Every shard owns a [`ShardSlot`] — the part of the shard that
 //! *survives* its worker thread: the link sessions resolve the live
-//! epoch's [`Ingress`] through, the health watermarks the supervisor watches, the
+//! epoch's [`Ingress`] through, the shard's state and epoch, the
 //! observation journal and periodic checkpoint recovery rebuilds from,
-//! and the once-only chaos budgets. The supervisor thread watches for
-//! two failure classes:
+//! and the once-only chaos budget.
 //!
-//! * **panic** — the worker's spawn wrapper catches the unwind
-//!   ([`std::panic::catch_unwind`]) and reports it immediately;
-//! * **wedge** — the worker stops consuming its queue without dying.
-//!   Detected by heartbeat watermarks: messages enqueued vs processed
-//!   plus the shard's virtual `obs_cycles` clock, sampled every
-//!   supervision tick; a shard that is behind and makes no progress for
-//!   `wedge_ticks` consecutive ticks is declared wedged and fenced. A
-//!   tick on which the host, not the worker, explains the stall does not
-//!   count: the worker has not started yet, or (on Linux, which reports
-//!   a thread's state and CPU time) it is runnable but has had no CPU
-//!   since the last scan.
+//! The one worker failure supervision handles is a **panic**: the
+//! worker's spawn wrapper catches the unwind
+//! ([`std::panic::catch_unwind`]) and sends
+//! [`SupervisorMsg::Panicked`]. The supervisor thread blocks on those
+//! messages, with no tick; by the time one arrives the worker has
+//! finished unwinding, so the supervisor joins its thread outright. It
+//! never replaces a live worker: a worker that hangs without panicking
+//! stays in place, and its tenants see full queues and timed-out
+//! control calls.
 //!
 //! The checkpoint is one [`ShardCheckpoint`] per slot, updated in place:
 //! every `checkpoint_every` accepted batches the worker copies into each
 //! tenant's [`TableCheckpoint`] only the table slots that changed since
 //! the previous checkpoint (a table's dirty bitset tracks them), plus the
-//! shard's counters, virtual clock and journal seq. A worker whose
-//! epoch has been fenced leaves the checkpoint alone. An update marks
-//! the checkpoint incomplete before it touches anything and complete
-//! when done, so one cut short by a panic is never restored: recovery
-//! treats it as absent and reports the recovery lossy.
+//! shard's counters, virtual clock and journal seq. An update marks the
+//! checkpoint incomplete before it touches anything and complete when
+//! done, so one cut short by a panic is never restored: recovery treats
+//! it as absent and reports the recovery lossy.
 //!
 //! Recovery writes the last checkpoint's slots straight back into fresh
 //! tables, slot for slot, replays the journal through
@@ -41,17 +37,17 @@
 //! [`SupervisionConfig::shed_when_down`]: crate::SupervisionConfig::shed_when_down
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ulmt_core::table::TableCheckpoint;
-use ulmt_simcore::{CancelToken, Cycle, ServerState, ServiceFaultState};
+use ulmt_simcore::{CancelToken, Cycle, ServerState};
 
 use crate::config::{ServiceConfig, TenantSpec};
+use crate::fault::ServiceFaultState;
 use crate::ingress::Ingress;
 use crate::journal::ObservationJournal;
 use crate::service::{ServiceError, ShardStats, TenantStats};
@@ -69,8 +65,8 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub enum ShardState {
     /// Worker alive and consuming.
     Up,
-    /// Worker dead or fenced; the supervisor is (or will be) rebuilding
-    /// it. Sessions shed or wait, per policy.
+    /// Worker dead; the supervisor is (or will be) rebuilding it.
+    /// Sessions shed or wait, per policy.
     Down,
     /// The restart budget is exhausted; the shard stays down for the
     /// service's lifetime.
@@ -113,24 +109,12 @@ pub(crate) struct ShardLink {
     pub epoch: u64,
 }
 
-/// Lock-free health watermarks published by the worker and its clients.
+/// The shard's availability and live worker epoch, readable without a
+/// lock.
 #[derive(Debug, Default)]
 pub(crate) struct ShardHealth {
     state: AtomicU8,
     epoch: AtomicU64,
-    /// Messages successfully enqueued onto the current epoch's queue.
-    enqueued: AtomicU64,
-    /// Messages the current epoch's worker finished handling.
-    processed: AtomicU64,
-    /// The shard's virtual `obs_cycles` clock after the last handled
-    /// message — the heartbeat watermark of the wedge detector.
-    watermark: AtomicU64,
-    /// Set while the worker sits in a deliberate test-only pause, so the
-    /// wedge detector does not fence it.
-    pub paused: AtomicBool,
-    /// The running worker's epoch + 1 once its thread has started (0:
-    /// none yet), and that thread's Linux `/proc` directory if it has one.
-    worker: Mutex<(u64, Option<PathBuf>)>,
 }
 
 impl ShardHealth {
@@ -144,69 +128,6 @@ impl ShardHealth {
 
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
-    }
-
-    pub fn note_enqueued(&self) {
-        self.enqueued.fetch_add(1, Ordering::SeqCst);
-    }
-
-    pub fn note_processed(&self, now: Cycle) {
-        self.watermark.store(now, Ordering::SeqCst);
-        self.processed.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn flow(&self) -> (u64, u64, u64) {
-        (
-            self.enqueued.load(Ordering::SeqCst),
-            self.processed.load(Ordering::SeqCst),
-            self.watermark.load(Ordering::SeqCst),
-        )
-    }
-
-    fn reset_flow(&self, watermark: Cycle) {
-        self.enqueued.store(0, Ordering::SeqCst);
-        self.processed.store(0, Ordering::SeqCst);
-        self.watermark.store(watermark, Ordering::SeqCst);
-    }
-
-    /// Called by the worker of `epoch` on its own thread as it starts.
-    pub fn note_started(&self, epoch: u64) {
-        // On Linux, `/proc/thread-self` links to the calling thread's
-        // directory; elsewhere the read fails and none is kept.
-        let dir = std::fs::read_link("/proc/thread-self")
-            .ok()
-            .map(|dir| Path::new("/proc").join(dir));
-        *lock(&self.worker) = (epoch + 1, dir);
-    }
-
-    /// `true` if the host, not the worker of `epoch`, explains a stalled
-    /// tick: the worker has not started yet, or its thread is runnable
-    /// (state `R`) but its CPU time has not moved since the last call.
-    /// `cpu_seen` carries that CPU time from call to call. A thread that
-    /// sleeps, blocks or spins is the worker's own doing.
-    pub fn starved(&self, epoch: u64, cpu_seen: &mut u64) -> bool {
-        let worker = lock(&self.worker);
-        if worker.0 != epoch + 1 {
-            return true;
-        }
-        let Some(dir) = &worker.1 else {
-            return false;
-        };
-        let read = |file: &str| std::fs::read_to_string(dir.join(file)).unwrap_or_default();
-        // The state follows the parenthesised thread name in `stat`; the
-        // first `schedstat` field is the nanoseconds spent on a CPU.
-        let runnable = read("stat")
-            .rsplit(')')
-            .next()
-            .and_then(|rest| rest.split_whitespace().next())
-            == Some("R");
-        let cpu = read("schedstat")
-            .split_whitespace()
-            .next()
-            .and_then(|n| n.parse().ok())
-            .unwrap_or(0);
-        let ran = cpu != std::mem::replace(cpu_seen, cpu);
-        runnable && !ran
     }
 }
 
@@ -250,16 +171,9 @@ pub(crate) struct ShardSlot {
     pub specs: Mutex<Vec<(u32, TenantSpec)>>,
     pub journal: Mutex<ObservationJournal>,
     pub checkpoint: Mutex<Option<ShardCheckpoint>>,
-    /// Once-only chaos budgets (survive restarts by design).
+    /// Once-only chaos budget (survives restarts by design).
     pub fault_state: ServiceFaultState,
     pub recoveries: Mutex<Vec<RecoveryReport>>,
-    /// Epoch fencing: a worker whose epoch is below this value has been
-    /// replaced and must exit without touching anything else.
-    abandoned_below: AtomicU64,
-    /// Set once the service is stopping, so even a chaos-wedged worker
-    /// (parked, not consuming) lets go and the shutdown join cannot
-    /// deadlock.
-    closing: AtomicBool,
 }
 
 impl std::fmt::Debug for ShardSlot {
@@ -286,8 +200,6 @@ impl ShardSlot {
             checkpoint: Mutex::new(None),
             fault_state: ServiceFaultState::new(),
             recoveries: Mutex::new(Vec::new()),
-            abandoned_below: AtomicU64::new(0),
-            closing: AtomicBool::new(false),
         }
     }
 
@@ -306,10 +218,7 @@ impl ShardSlot {
             let (ingress, epoch, state) = self.resolve();
             match (state, ingress) {
                 (ShardState::Up, Some(ingress)) => match ingress.push_control(msg) {
-                    Ok(()) => {
-                        self.health.note_enqueued();
-                        return Ok(());
-                    }
+                    Ok(()) => return Ok(()),
                     // Closed under us. Still the same live epoch: its
                     // worker is shutting down (or died this instant and
                     // the supervisor has not reacted yet).
@@ -326,22 +235,7 @@ impl ShardSlot {
         }
     }
 
-    /// `true` if the worker running `epoch` has been fenced.
-    pub fn is_abandoned(&self, epoch: u64) -> bool {
-        self.abandoned_below.load(Ordering::SeqCst) > epoch
-    }
-
-    /// `true` once service shutdown has begun.
-    pub fn is_closing(&self) -> bool {
-        self.closing.load(Ordering::SeqCst)
-    }
-
-    fn fence_below(&self, epoch: u64) {
-        self.abandoned_below.fetch_max(epoch, Ordering::SeqCst);
-    }
-
-    fn publish(&self, ingress: Arc<Ingress>, epoch: u64, watermark: Cycle) {
-        self.health.reset_flow(watermark);
+    fn publish(&self, ingress: Arc<Ingress>, epoch: u64) {
         {
             let mut link = self.link.write().unwrap_or_else(|e| e.into_inner());
             *link = ShardLink {
@@ -373,15 +267,6 @@ impl ShardSlot {
     }
 }
 
-/// Why a shard was restarted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryCause {
-    /// The worker thread panicked.
-    Panic,
-    /// The worker stopped consuming without dying and was fenced.
-    Wedge,
-}
-
 /// How much of the shard's acked history a recovery reconstructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryOutcome {
@@ -405,15 +290,14 @@ pub enum RecoveryOutcome {
     },
 }
 
-/// One shard restart, as recorded by the supervisor.
+/// One shard restart after a worker panic, as recorded by the
+/// supervisor.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// The shard that was rebuilt.
     pub shard: u32,
     /// The epoch of the replacement worker.
     pub epoch: u64,
-    /// What killed the previous epoch.
-    pub cause: RecoveryCause,
     /// Clean or lossy, with exact replay/drop counts.
     pub outcome: RecoveryOutcome,
     /// Tenants recreated on the replacement worker.
@@ -428,8 +312,8 @@ pub struct RecoveryReport {
     /// slot-exact table copy (slot index, slot records and learning
     /// pointers). 0 when recovery started without one.
     pub checkpoint_bytes: u64,
-    /// Wall-clock nanoseconds from fencing the dead epoch to publishing
-    /// the replacement link.
+    /// Wall-clock nanoseconds from taking the dead epoch down to
+    /// publishing the replacement link.
     pub latency_nanos: u64,
 }
 
@@ -452,8 +336,9 @@ impl RecoveryReport {
 
 /// Messages the supervisor thread reacts to.
 pub(crate) enum SupervisorMsg {
-    /// A worker epoch died by panic (sent by its spawn wrapper).
-    Panicked { shard: u32, epoch: u64 },
+    /// A shard's worker died by panic (sent by its spawn wrapper once
+    /// the unwind is over).
+    Panicked { shard: u32 },
     /// Stop supervising. With a reply channel: graceful shutdown — drain
     /// every worker, join them, and report. Without: the service was
     /// dropped; close the links and exit.
@@ -511,7 +396,7 @@ fn spawn_worker(
             match catch_unwind(AssertUnwindSafe(|| run_worker(&ctx, init.take()))) {
                 Ok(exit) => exit,
                 Err(_) => {
-                    let _ = events.send(SupervisorMsg::Panicked { shard, epoch });
+                    let _ = events.send(SupervisorMsg::Panicked { shard });
                     ShardExit::Panicked
                 }
             }
@@ -528,108 +413,32 @@ struct Supervisor {
     workers: Vec<Worker>,
     events_tx: Sender<SupervisorMsg>,
     restarts: Vec<u32>,
-    stall_ticks: Vec<u32>,
-    last_flow: Vec<(u64, u64)>,
-    /// Each worker's CPU time at the scan that last read it.
-    cpu_seen: Vec<u64>,
 }
 
 impl Supervisor {
     fn run(mut self, rx: Receiver<SupervisorMsg>) {
-        let tick = Duration::from_millis(self.cfg.supervision.tick_ms.max(1));
-        loop {
-            match rx.recv_timeout(tick) {
-                Ok(SupervisorMsg::Panicked { shard, epoch }) => {
-                    // Ignore stale reports from epochs already replaced
-                    // (e.g. a wedge restart raced a late panic).
-                    if self.workers[shard as usize].epoch == epoch {
-                        self.restart(shard as usize, RecoveryCause::Panic);
-                    }
-                }
-                Ok(SupervisorMsg::Stop { reply }) => {
-                    self.stop(reply);
-                    return;
-                }
-                Err(RecvTimeoutError::Timeout) => self.wedge_scan(),
-                Err(RecvTimeoutError::Disconnected) => return,
+        while let Ok(msg) = rx.recv() {
+            match msg {
+                SupervisorMsg::Panicked { shard } => self.restart(shard as usize),
+                SupervisorMsg::Stop { reply } => return self.stop(reply),
             }
         }
     }
 
-    /// One supervision tick: fence any Up shard that is behind on its
-    /// queue and has made no progress (neither message count nor virtual
-    /// clock watermark) for `wedge_ticks` consecutive ticks.
-    fn wedge_scan(&mut self) {
-        for i in 0..self.slots.len() {
-            let slot = &self.slots[i];
-            if slot.health.state() != ShardState::Up || slot.health.paused.load(Ordering::SeqCst) {
-                self.stall_ticks[i] = 0;
-                continue;
-            }
-            let (enq, proc, wm) = slot.health.flow();
-            let behind = enq > proc;
-            let stalled = (proc, wm) == self.last_flow[i];
-            self.last_flow[i] = (proc, wm);
-            if behind && stalled {
-                // A tick the host explains is neither counted nor does it
-                // reset the count: a descheduled healthy worker is not
-                // fenced, and a wedged one still is once it gets a CPU.
-                if slot
-                    .health
-                    .starved(self.workers[i].epoch, &mut self.cpu_seen[i])
-                {
-                    continue;
-                }
-                self.stall_ticks[i] += 1;
-                if self.stall_ticks[i] >= self.cfg.supervision.wedge_ticks {
-                    self.stall_ticks[i] = 0;
-                    self.restart(i, RecoveryCause::Wedge);
-                }
-            } else {
-                self.stall_ticks[i] = 0;
-            }
-        }
-    }
-
-    /// Joins the (already fenced) old worker of `shard`, polling with a
-    /// deadline so a worker that is genuinely stuck — not just slow to
-    /// observe the fence — detaches instead of blocking recovery.
-    fn reap(&mut self, shard: usize, patience: Duration) -> Option<ShardExit> {
-        let handle = self.workers[shard].handle.take()?;
-        let deadline = Instant::now() + patience;
-        while !handle.is_finished() {
-            if Instant::now() >= deadline {
-                drop(handle);
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        handle.join().ok()
-    }
-
-    /// Fences the current epoch of `shard`, rebuilds its state from
-    /// checkpoint + journal, spawns a replacement epoch, and publishes
-    /// the new link. Exhausting the restart budget parks the shard in
-    /// [`ShardState::Failed`] instead.
-    fn restart(&mut self, shard: usize, cause: RecoveryCause) {
+    /// Takes the panicked epoch of `shard` down, joins its thread,
+    /// rebuilds its state from checkpoint + journal, spawns a replacement
+    /// epoch, and publishes the new link. Exhausting the restart budget
+    /// parks the shard in [`ShardState::Failed`] instead.
+    fn restart(&mut self, shard: usize) {
         let t0 = Instant::now();
         let slot = Arc::clone(&self.slots[shard]);
         let old_epoch = self.workers[shard].epoch;
         slot.take_down(ShardState::Down);
-        slot.fence_below(old_epoch + 1);
-        // Once fenced, the old worker exits on its own: a panicker
-        // finishes unwinding, a wedge-parked worker observes the fence
-        // within a millisecond, a healthy worker notices at its next
-        // queue poll. Reap it (bounded) and let the actual exit kind
-        // decide the recorded cause — panic unwinding (plus backtrace
-        // printing) can outlast the wedge scan's patience, so the scan
-        // sometimes wins the race against the panic report and the
-        // caller's guess of `Wedge` would be wrong. The late Panicked
-        // message is epoch-fenced and ignored.
-        let cause = match self.reap(shard, Duration::from_secs(1)) {
-            Some(ShardExit::Panicked) => RecoveryCause::Panic,
-            Some(_) | None => cause,
-        };
+        // The spawn wrapper reports a panic after the unwind, so the
+        // thread is already on its way out.
+        if let Some(handle) = self.workers[shard].handle.take() {
+            let _ = handle.join();
+        }
         if self.restarts[shard] >= self.cfg.supervision.max_restarts {
             slot.take_down(ShardState::Failed);
             return;
@@ -648,8 +457,7 @@ impl Supervisor {
         let specs = lock(&slot.specs).clone();
         let (init, summary) = {
             // The copy is borrowed, not cloned: both locks are held for
-            // the rebuild, and the fenced worker cannot update the copy
-            // once it gets the lock back.
+            // the rebuild.
             let checkpoint = lock(&slot.checkpoint);
             let journal = lock(&slot.journal);
             match rebuild_shard(slot.shard, &self.cfg, &specs, checkpoint.as_ref(), &journal) {
@@ -664,7 +472,6 @@ impl Supervisor {
             }
         };
         let epoch = old_epoch + 1;
-        let watermark = init.now();
         let (ingress, handle) = spawn_worker(
             &slot,
             self.cfg,
@@ -677,15 +484,12 @@ impl Supervisor {
             handle: Some(handle),
             epoch,
         };
-        self.last_flow[shard] = (0, 0);
-        self.cpu_seen[shard] = 0;
-        slot.publish(ingress, epoch, watermark);
+        slot.publish(ingress, epoch);
 
         let outcome = summary.outcome();
         lock(&slot.recoveries).push(RecoveryReport {
             shard: slot.shard,
             epoch,
-            cause,
             outcome,
             tenants_restored: summary.tenants_restored,
             replayed_obs: summary.coverage.replayable_obs,
@@ -698,13 +502,6 @@ impl Supervisor {
 
     /// Graceful (with `reply`) or silent (service dropped) shutdown.
     fn stop(mut self, reply: Option<Sender<Vec<ShardReport>>>) {
-        // Unstick chaos-wedged workers (parked, not consuming) so the
-        // joins below cannot deadlock; healthy workers never look at the
-        // flag until they are already wedge-parked, so their drain
-        // semantics are unchanged.
-        for slot in &self.slots {
-            slot.closing.store(true, Ordering::SeqCst);
-        }
         // Ask every live worker to drain and exit: everything enqueued
         // before shutdown began gets processed, everything behind it gets
         // a typed rejection instead of a silent drop. (A silent stop
@@ -758,7 +555,7 @@ pub(crate) fn start_supervisor(
     let mut workers = Vec::with_capacity(slots.len());
     for slot in &slots {
         let (ingress, handle) = spawn_worker(slot, cfg, 0, cancel.clone(), events_tx.clone(), None);
-        slot.publish(ingress, 0, 0);
+        slot.publish(ingress, 0);
         workers.push(Worker {
             handle: Some(handle),
             epoch: 0,
@@ -772,9 +569,6 @@ pub(crate) fn start_supervisor(
         workers,
         events_tx: events_tx.clone(),
         restarts: vec![0; n],
-        stall_ticks: vec![0; n],
-        last_flow: vec![(0, 0); n],
-        cpu_seen: vec![0; n],
     };
     let thread = std::thread::Builder::new()
         .name("ulmt-supervisor".to_string())

@@ -48,7 +48,6 @@ fn traced_cfg(queue_depth: usize) -> ServiceConfig {
         // served one batch per scheduler visit and a weight-w tenant w.
         quantum_obs: BATCH,
         supervision: SupervisionConfig {
-            tick_ms: 2,
             control_timeout_ms: 10_000,
             ..SupervisionConfig::default()
         },

@@ -54,10 +54,7 @@ pub use addr::{Addr, LineAddr, PageAddr};
 pub use cancel::CancelToken;
 pub use config::ConfigError;
 pub use event::EventQueue;
-pub use fault::{
-    FaultConfig, FaultCounts, FaultPlan, ObservationFault, ServiceFault, ServiceFaultConfig,
-    ServiceFaultCounts, ServiceFaultPlan, ServiceFaultState,
-};
+pub use fault::{FaultConfig, FaultCounts, FaultPlan, ObservationFault};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::Pcg32;
 pub use server::{Server, ServerState};

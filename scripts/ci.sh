@@ -16,11 +16,12 @@
 #                                per-miss vs batch) is a test here
 #   5. chaos under contention -- step 4's service_chaos test binary, run
 #                                as two concurrent instances for three
-#                                rounds: its 2 ms supervision ticks make it
-#                                the suite's most timing-sensitive binary,
-#                                and a starved host is where a wedge
-#                                detector that fences descheduled healthy
-#                                workers shows up
+#                                rounds: kill recovery, shedding and
+#                                snapshot consistency must also hold on a
+#                                starved host, where workers, sessions and
+#                                the supervisor are descheduled at random
+#                                points and timing-dependent test
+#                                assumptions break
 #   6. cargo test --doc       -- every doc example compiles and runs
 #   7. cargo doc -D warnings  -- the API docs build without a warning, so
 #                                an intra-doc link to a renamed or deleted
@@ -30,9 +31,12 @@
 #                                the event stream (inspect's `trace` leg)
 #   9. paper regeneration     -- every table, figure and the ablation
 #                                report at ULMT_SCALE=small through
-#                                `inspect -- figures` (output discarded;
-#                                ~30 s on 2 cores): the only end-to-end run
-#                                of the figure and ablation code
+#                                `inspect -- figures` (~30 s on 2 cores),
+#                                diffed against the golden file
+#                                tests/golden/figures_small.txt: the only
+#                                end-to-end run of the figure and ablation
+#                                code, and the check that a change moves
+#                                no reproduced number it did not mean to
 #  10. perfbench builds       -- perfbench is its own Cargo workspace, so
 #                                step 4 never compiles it; this builds it
 #                                against the current crates and runs its
@@ -42,8 +46,9 @@
 #                                closed: no `#[deprecated]` item remains
 #                                anywhere in the tree, and nothing still
 #                                references the removed pre-redesign
-#                                entry points or the removed sweep,
-#                                watchdog, twin-run and poison-pill API
+#                                entry points, the removed sweep,
+#                                watchdog, twin-run and poison-pill API,
+#                                or the removed wedge detection
 #
 # This wraps the canonical tier-1 verify from ROADMAP.md
 # (`cargo build --release && cargo test -q`) with the lint front-line so
@@ -98,8 +103,15 @@ echo "== trace validation (faulted, seed 7)"
 ULMT_FAULT_SEED=7 ULMT_SCALE=small \
     cargo run -q --release -p ulmt-bench --bin inspect -- trace mcf target/traces
 
-echo "== paper regeneration (small)"
-ULMT_SCALE=small cargo run -q --release -p ulmt-bench --bin inspect -- figures > /dev/null
+echo "== paper regeneration (small), diffed against tests/golden/figures_small.txt"
+# A change that moves results on purpose regenerates the golden file
+# with this command (stdout only) and says why in EXPERIMENTS.md.
+ULMT_SCALE=small cargo run -q --release -p ulmt-bench --bin inspect -- figures \
+    > target/ci-figures-small.txt
+if ! diff -u tests/golden/figures_small.txt target/ci-figures-small.txt; then
+    echo "paper regeneration differs from tests/golden/figures_small.txt (above)"
+    exit 1
+fi
 
 echo "== perfbench builds and its unit tests pass"
 CARGO_TARGET_DIR=target/perfbench \
@@ -109,8 +121,9 @@ echo "== deprecation audit"
 # The one-cycle deprecation window is closed: the old wrappers are gone,
 # so no #[deprecated] item may exist anywhere in the tree and nothing
 # may reference the removed pre-redesign entry points, nor the removed
-# sweep, watchdog, twin-run and poison-pill API. perfbench/ is not
-# scanned: its host descriptor still clears ULMT_CYCLE_BUDGET.
+# sweep, watchdog, twin-run and poison-pill API, nor the removed wedge
+# detection and epoch fencing. perfbench/ is not scanned: its host
+# descriptor still clears ULMT_CYCLE_BUDGET.
 if grep -rn --include='*.rs' '#\[deprecated' src tests examples crates; then
     echo "deprecation audit: #[deprecated] items remain (above); the"
     echo "deprecation window is one release cycle -- remove, don't park"
@@ -119,6 +132,8 @@ fi
 removed_api='run_figure7_schemes|compare_policies|run_experiments|SweepResult|JobFailure'
 removed_api+='|try_parallel_map_with|TwinDelta|SimAbort|RunError|cycle_budget'
 removed_api+='|ULMT_CYCLE_BUDGET|panic_after_observations'
+removed_api+='|wedge_ticks|WedgeShard|wedge_scan|RecoveryCause|park_until_fenced'
+removed_api+='|is_abandoned|abandoned_below|schedstat|thread-self'
 if grep -rn --include='*.rs' -E "\b($removed_api)\b" src tests examples crates; then
     echo "deprecation audit: references to removed APIs (above)"
     exit 1
