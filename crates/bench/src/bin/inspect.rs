@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! cargo run --release -p ulmt-bench --bin inspect -- trace [app] [out_dir]
-//! ULMT_FAULT_SEED=7 cargo run --release -p ulmt-bench --bin inspect -- trace mcf
+//! ULMT_SCALE=small cargo run --release -p ulmt-bench --bin inspect -- trace mcf
 //! ```
 //!
 //! The `figures` leg regenerates the paper: the tables, figures and
@@ -26,7 +26,7 @@
 //! ```
 
 use ulmt_bench::{paper, write_trace_chrome, write_trace_jsonl, Profile, Runner};
-use ulmt_simcore::{FaultConfig, TraceConfig};
+use ulmt_simcore::TraceConfig;
 use ulmt_system::{validate_trace, Experiment, PrefetchScheme};
 use ulmt_workloads::App;
 
@@ -47,25 +47,13 @@ fn trace_leg(args: &[String]) {
         .cloned()
         .unwrap_or_else(|| "target/traces".to_string());
     let profile = Profile::from_env();
-    let faults = FaultConfig::from_env();
-    println!(
-        "trace: {} / Repl at {} scale, faults {}",
-        app,
-        profile.name,
-        match &faults {
-            Some(f) => format!("on (seed {})", f.seed),
-            None => "off".to_string(),
-        }
-    );
+    println!("trace: {} / Repl at {} scale", app, profile.name);
     // `ULMT_TRACE=<n>` raises the ring capacity for big workloads whose
     // event stream outgrows the default (truncation fails validation).
-    let mut exp = Experiment::new(profile.config, profile.workload(app))
+    let r = Experiment::new(profile.config, profile.workload(app))
         .scheme(PrefetchScheme::Repl)
-        .trace(TraceConfig::from_env().unwrap_or_default());
-    if let Some(f) = faults {
-        exp = exp.faults(f);
-    }
-    let r = exp.run();
+        .trace(TraceConfig::from_env().unwrap_or_default())
+        .run();
     match validate_trace(&r) {
         Ok(audit) => println!(
             "validated: {} events agree with the counters ({} checks)",

@@ -180,8 +180,11 @@ pub struct SupervisionConfig {
     /// to come back (bounded by its timeout).
     pub shed_when_down: bool,
     /// Upper bound, in milliseconds, a control-plane call (open,
-    /// snapshot, fingerprint, stats) waits for its shard before
-    /// reporting [`ServiceError::Timeout`](crate::ServiceError::Timeout).
+    /// snapshot, fingerprint, tenant and shard stats, metrics) waits for
+    /// its shard before reporting
+    /// [`ServiceError::Timeout`](crate::ServiceError::Timeout).
+    /// [`PrefetchService::drain`](crate::PrefetchService::drain) is not
+    /// bounded by it.
     pub control_timeout_ms: u64,
 }
 

@@ -31,8 +31,7 @@
 //! * shutdown is graceful ([`PrefetchService::shutdown`] drains every
 //!   queue, and anything racing in behind the drain is rejected with a
 //!   typed [`ServiceError::ShuttingDown`] — never silently dropped) and
-//!   cooperative cancellation uses the simulator's existing
-//!   [`CancelToken`](ulmt_simcore::CancelToken);
+//!   cooperative cancellation uses a shared [`CancelToken`];
 //! * the service is **self-healing**: a worker that panics is caught
 //!   by its spawn wrapper and reported to a supervisor thread, which
 //!   rebuilds the shard from its periodic checkpoint plus a bounded
@@ -52,6 +51,7 @@
 //! [`Replicated`]: ulmt_core::table::Replicated
 //! [`LineAddr`]: ulmt_simcore::LineAddr
 
+mod cancel;
 mod config;
 mod fault;
 mod ingress;
@@ -62,6 +62,7 @@ mod service;
 mod shard;
 mod supervisor;
 
+pub use cancel::CancelToken;
 pub use config::{
     AdmissionQuota, NetConfig, ServiceConfig, SupervisionConfig, TableKind, TenantSpec,
 };

@@ -18,8 +18,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ulmt_core::table::{SnapshotError, TableSnapshot};
-use ulmt_simcore::{CancelToken, ConfigError, Cycle, FxHasher, LineAddr};
+use ulmt_simcore::{ConfigError, Cycle, FxHasher, LineAddr};
 
+use crate::cancel::CancelToken;
 use crate::config::{AdmissionQuota, ServiceConfig, TenantSpec};
 use crate::ingress::{Enqueue, Ingress, IngressBatch};
 use crate::metrics::MetricsReport;
@@ -825,11 +826,14 @@ impl PrefetchService {
         Ok(session)
     }
 
-    /// Aggregate counters of one shard.
+    /// Aggregate counters of one shard. A worker that does not answer
+    /// within the control timeout (say, one blocked on a held lock)
+    /// makes this [`ServiceError::Timeout`].
     pub fn shard_stats(&self, shard: usize) -> Result<ShardStats, ServiceError> {
+        let deadline = self.control_deadline();
         let (reply, rx) = channel();
         self.slots[shard].control(ShardMsg::ShardStats { reply })?;
-        rx.recv().map_err(|_| ServiceError::ShardDown(shard as u32))
+        recv_by(&rx, deadline, ServiceError::ShardDown(shard as u32))
     }
 
     /// The service-wide metrics view: one snapshot per live shard,
@@ -837,13 +841,16 @@ impl PrefetchService {
     /// prefix of that shard's ingestion stream; pair with
     /// [`PrefetchService::drain`] for an all-submitted view), plus the
     /// supervisor's recovery-latency history. Down or failed shards are
-    /// skipped, like [`PrefetchService::drain`]. With
-    /// [`ServiceConfig::metrics`] off this returns
-    /// [`MetricsReport::disabled`] without touching any shard.
+    /// skipped, like [`PrefetchService::drain`]. A shard that does not
+    /// answer within the control timeout makes the whole call
+    /// [`ServiceError::Timeout`]. With [`ServiceConfig::metrics`] off
+    /// this returns [`MetricsReport::disabled`] without touching any
+    /// shard.
     pub fn metrics(&self) -> Result<MetricsReport, ServiceError> {
         if !self.cfg.metrics {
             return Ok(MetricsReport::disabled());
         }
+        let deadline = self.control_deadline();
         let waits = self.ask_live_shards(|reply| ShardMsg::Metrics { reply })?;
         let mut report = MetricsReport {
             enabled: true,
@@ -852,7 +859,7 @@ impl PrefetchService {
             shards: Vec::with_capacity(waits.len()),
         };
         for rx in waits {
-            if let Some(m) = rx.recv().map_err(|_| ServiceError::Closed)? {
+            if let Some(m) = recv_by(&rx, deadline, ServiceError::Closed)? {
                 report.shards.push(m);
             }
         }
@@ -876,12 +883,19 @@ impl PrefetchService {
 
     /// Barrier: returns once every *live* shard has processed everything
     /// queued before this call. Down shards have no queue to drain (it
-    /// died with their worker) and are skipped.
+    /// died with their worker) and are skipped. Unlike the other control
+    /// calls this wait is unbounded: it follows every tenant's backlog,
+    /// which can legitimately outlast the control timeout.
     pub fn drain(&self) -> Result<(), ServiceError> {
         for rx in self.ask_live_shards(|reply| ShardMsg::Drain { reply })? {
             rx.recv().map_err(|_| ServiceError::Closed)?;
         }
         Ok(())
+    }
+
+    /// When a control call started now must have its answer.
+    fn control_deadline(&self) -> Instant {
+        Instant::now() + Duration::from_millis(self.cfg.supervision.control_timeout_ms.max(1))
     }
 
     /// Pushes one request onto every live shard and returns the reply
@@ -934,6 +948,20 @@ impl PrefetchService {
         }
         reports
     }
+}
+
+/// Waits for a control answer until `deadline`; a hung-up sender is
+/// `disconnected`.
+fn recv_by<T>(
+    rx: &Receiver<T>,
+    deadline: Instant,
+    disconnected: ServiceError,
+) -> Result<T, ServiceError> {
+    rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        .map_err(|e| match e {
+            RecvTimeoutError::Timeout => ServiceError::Timeout,
+            RecvTimeoutError::Disconnected => disconnected,
+        })
 }
 
 impl Drop for PrefetchService {
@@ -1226,6 +1254,34 @@ mod tests {
         let (recoveries, fingerprint) = run(true);
         assert!(recoveries.is_empty(), "no recovery: {recoveries:?}");
         assert_eq!(fingerprint, control, "the tenant learned its batch once");
+    }
+
+    #[test]
+    fn metrics_and_shard_stats_time_out_on_a_worker_blocked_on_a_held_lock() {
+        let service = PrefetchService::start(cfg(SupervisionConfig::default(), None));
+        let mut session = service.open(1, TenantSpec::repl(64)).unwrap();
+        let journal = lock(&service.slots[0].journal);
+        let held = Instant::now();
+        let pending = session.submit(obs()).unwrap();
+        // Let the worker take the batch and block on the journal lock.
+        std::thread::sleep(Duration::from_millis(100));
+        let asked = Instant::now();
+        assert!(matches!(service.metrics(), Err(ServiceError::Timeout)));
+        assert!(matches!(service.shard_stats(0), Err(ServiceError::Timeout)));
+        let waited = asked.elapsed();
+        assert!(
+            waited < Duration::from_millis(800),
+            "two 250 ms control waits took {waited:?}"
+        );
+        std::thread::sleep(Duration::from_secs(1).saturating_sub(held.elapsed()));
+        drop(journal);
+        pending.wait().expect("the batch is acked");
+        let report = service.metrics().expect("metrics answer after the lock");
+        assert_eq!(report.shards.len(), 1);
+        assert_eq!(report.shards[0].observed, LEN as u64);
+        let stats = service.shard_stats(0).expect("stats answer after the lock");
+        assert_eq!((stats.batches, stats.observed), (1, LEN as u64));
+        service.shutdown();
     }
 
     #[test]

@@ -39,8 +39,9 @@ use std::time::Instant;
 
 use ulmt_core::algorithm::{StepSink, UlmtAlgorithm};
 use ulmt_core::table::{CorrelationTable, SnapshotError, TableSnapshot};
-use ulmt_simcore::{CancelToken, Cycle, FxHashMap, LineAddr, Server, TraceBuffer, TraceEvent};
+use ulmt_simcore::{Cycle, FxHashMap, LineAddr, Server, TraceBuffer, TraceEvent};
 
+use crate::cancel::CancelToken;
 use crate::config::{ServiceConfig, TenantSpec};
 use crate::fault::{ServiceFault, ServiceFaultPlan};
 use crate::ingress::{Control, Drained, Follows, Ingress, IngressBatch, Work};

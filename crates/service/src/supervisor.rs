@@ -44,8 +44,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ulmt_core::table::TableCheckpoint;
-use ulmt_simcore::{CancelToken, Cycle, ServerState};
+use ulmt_simcore::{Cycle, ServerState};
 
+use crate::cancel::CancelToken;
 use crate::config::{ServiceConfig, TenantSpec};
 use crate::fault::ServiceFaultState;
 use crate::ingress::Ingress;

@@ -14,10 +14,6 @@
 //!   of buses, DRAM channels and the memory processor.
 //! * [`stats`] — counters, histograms and utilization trackers used to
 //!   produce every figure of the evaluation.
-//! * [`fault`] — deterministic, seeded fault injection consulted by the
-//!   system simulator to exercise its overflow/drop/squash paths.
-//! * [`CancelToken`] — a shared shutdown flag, the prefetch service's
-//!   cancellation signal.
 //! * [`trace`] — a cycle-stamped, bounded ring-buffer event tracer with
 //!   JSONL / Chrome `trace_event` export, used to audit every aggregate
 //!   counter against the event stream that produced it.
@@ -40,10 +36,8 @@
 //! ```
 
 pub mod addr;
-pub mod cancel;
 pub mod config;
 pub mod event;
-pub mod fault;
 pub mod hash;
 pub mod rng;
 pub mod server;
@@ -51,10 +45,8 @@ pub mod stats;
 pub mod trace;
 
 pub use addr::{Addr, LineAddr, PageAddr};
-pub use cancel::CancelToken;
 pub use config::ConfigError;
 pub use event::EventQueue;
-pub use fault::{FaultConfig, FaultCounts, FaultPlan, ObservationFault};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::Pcg32;
 pub use server::{Server, ServerState};

@@ -67,38 +67,6 @@ impl PushRejectReason {
     }
 }
 
-/// Which fault class an injected fault belongs to (mirrors the hooks of
-/// [`crate::fault::FaultPlan`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// An observation was dropped before reaching queue 2.
-    DropObservation,
-    /// An observation was delivered twice.
-    DuplicateObservation,
-    /// An observation was delivered late.
-    DelayObservation,
-    /// The memory processor stalled before its next step.
-    MemprocStall,
-    /// A DRAM transaction hit a transient bank-busy spike.
-    DramBusy,
-    /// Queue depths were halved mid-run.
-    QueueReduction,
-}
-
-impl FaultKind {
-    /// Stable lower-case label used in exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultKind::DropObservation => "drop_observation",
-            FaultKind::DuplicateObservation => "duplicate_observation",
-            FaultKind::DelayObservation => "delay_observation",
-            FaultKind::MemprocStall => "memproc_stall",
-            FaultKind::DramBusy => "dram_busy",
-            FaultKind::QueueReduction => "queue_reduction",
-        }
-    }
-}
-
 /// FSB traffic class as seen by the tracer (mirrors `ulmt_dram`'s
 /// `TrafficClass` without the crate dependency, which would be circular).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,7 +119,8 @@ pub enum TraceEvent {
         /// Observed miss line.
         line: LineAddr,
     },
-    /// An observation was dropped: queue-2 overflow, or a drop fault.
+    /// An observation was dropped: queue 2 was full, so its oldest entry
+    /// made room for a newer one.
     ObsDrop {
         /// Dropped line.
         line: LineAddr,
@@ -271,13 +240,6 @@ pub enum TraceEvent {
         /// Bus-busy cycles of the phase.
         busy: Cycle,
     },
-    /// A fault-injection hook fired.
-    FaultInjected {
-        /// Class of the injected fault.
-        kind: FaultKind,
-        /// Magnitude in cycles for delay/stall/busy faults, 0 otherwise.
-        magnitude: Cycle,
-    },
     /// End-of-run snapshot of state that never resolved: what is still
     /// sitting in queues or on the bus when the simulation drains.
     RunEnd {
@@ -337,7 +299,6 @@ impl TraceEvent {
             TraceEvent::DemandOverflow { .. } => "demand_overflow",
             TraceEvent::DramAccess { .. } => "dram_access",
             TraceEvent::FsbTransfer { .. } => "fsb_transfer",
-            TraceEvent::FaultInjected { .. } => "fault_injected",
             TraceEvent::RunEnd { .. } => "run_end",
             TraceEvent::ShardBatch { .. } => "shard_batch",
             TraceEvent::ShardReject { .. } => "shard_reject",
@@ -371,7 +332,6 @@ impl TraceEvent {
             | TraceEvent::DemandOverflow { .. }
             | TraceEvent::DramAccess { .. }
             | TraceEvent::FsbTransfer { .. } => 3,
-            TraceEvent::FaultInjected { .. } => 4,
             TraceEvent::ShardBatch { .. } | TraceEvent::ShardReject { .. } => 5,
         }
     }
@@ -455,13 +415,6 @@ impl TraceEvent {
             }
             TraceEvent::FsbTransfer { class, busy } => {
                 let _ = write!(out, "\"class\":\"{}\",\"busy\":{busy}", class.label());
-            }
-            TraceEvent::FaultInjected { kind, magnitude } => {
-                let _ = write!(
-                    out,
-                    "\"kind\":\"{}\",\"magnitude\":{magnitude}",
-                    kind.label()
-                );
             }
             TraceEvent::RunEnd {
                 queue2,
@@ -641,7 +594,6 @@ impl TraceBuffer {
             (1, "queue2 / ULMT"),
             (2, "filter / queue3"),
             (3, "NB / DRAM / FSB"),
-            (4, "faults"),
             (5, "service shards"),
         ];
         let mut out = String::with_capacity(self.events.len() * 96 + 512);
@@ -787,9 +739,9 @@ mod tests {
         buf.record(5, TraceEvent::FilterDrop { line: line(1) });
         buf.record(
             6,
-            TraceEvent::FaultInjected {
-                kind: FaultKind::DramBusy,
-                magnitude: 33,
+            TraceEvent::FsbTransfer {
+                class: BusClass::Prefetch,
+                busy: 33,
             },
         );
         let text = buf.to_chrome_trace();
@@ -797,7 +749,7 @@ mod tests {
         assert!(text.contains("\"thread_name\""));
         assert!(text.contains("\"name\":\"filter_drop\""));
         assert!(text.contains("\"ts\":5"));
-        assert!(text.contains("\"kind\":\"dram_busy\",\"magnitude\":33"));
+        assert!(text.contains("\"tid\":3,\"ts\":6,\"args\":{\"class\":\"prefetch\",\"busy\":33}"));
         // Balanced braces/brackets — a cheap well-formedness check that
         // catches missed separators without a JSON parser.
         let opens = text.matches('{').count();
@@ -888,10 +840,6 @@ mod tests {
             TraceEvent::FsbTransfer {
                 class: BusClass::WriteBack,
                 busy: 4,
-            },
-            TraceEvent::FaultInjected {
-                kind: FaultKind::QueueReduction,
-                magnitude: 0,
             },
             TraceEvent::RunEnd {
                 queue2: 1,

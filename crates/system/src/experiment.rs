@@ -1,6 +1,6 @@
 //! One-stop experiment runner.
 
-use ulmt_simcore::{ConfigError, FaultConfig, FaultPlan, SharedTracer, TraceConfig};
+use ulmt_simcore::{ConfigError, SharedTracer, TraceConfig};
 use ulmt_workloads::WorkloadSpec;
 
 use crate::config::SystemConfig;
@@ -29,7 +29,6 @@ pub struct Experiment {
     config: SystemConfig,
     workload: WorkloadSpec,
     scheme: PrefetchScheme,
-    faults: Option<FaultConfig>,
     trace: Option<TraceConfig>,
 }
 
@@ -40,7 +39,6 @@ impl Experiment {
             config,
             workload,
             scheme: PrefetchScheme::NoPref,
-            faults: None,
             trace: None,
         }
     }
@@ -54,13 +52,6 @@ impl Experiment {
     /// Overrides the system configuration.
     pub fn config(mut self, config: SystemConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Enables deterministic fault injection with the given configuration;
-    /// the result then carries a [`FaultReport`](crate::result::FaultReport).
-    pub fn faults(mut self, cfg: FaultConfig) -> Self {
-        self.faults = Some(cfg);
         self
     }
 
@@ -93,9 +84,6 @@ impl Experiment {
     /// [`ConfigError`] instead of panicking.
     pub fn run_guarded(self) -> Result<RunResult, ConfigError> {
         let mut sim = SystemSim::try_new(self.config, &self.workload, self.scheme)?;
-        if let Some(cfg) = self.faults {
-            sim.set_faults(FaultPlan::new(cfg));
-        }
         if let Some(cfg) = self.trace.or_else(TraceConfig::from_env) {
             sim.set_tracer(SharedTracer::new(cfg));
         }
@@ -116,26 +104,6 @@ mod tests {
             .run_guarded()
             .unwrap_err();
         assert!(err.to_string().contains("observation"), "{err}");
-    }
-
-    /// A faulted run absorbs every injected fault and stays within a
-    /// bounded slowdown of its fault-free twin.
-    #[test]
-    fn faulted_run_carries_twin_delta() {
-        let spec = WorkloadSpec::new(App::Mcf).scale(1.0 / 16.0).iterations(2);
-        let experiment = Experiment::new(SystemConfig::small(), spec).scheme(PrefetchScheme::Repl);
-        let r = experiment
-            .clone()
-            .faults(ulmt_simcore::FaultConfig::stress(5))
-            .run();
-        let report = r.fault.as_ref().expect("fault report present");
-        assert!(report.injected.total() > 0);
-        assert!(report.fully_absorbed(), "{report:?}");
-        let twin = experiment.run();
-        assert!(twin.fault.is_none());
-        assert!(twin.exec_cycles > 0);
-        let slowdown = r.exec_cycles as f64 / twin.exec_cycles as f64;
-        assert!(slowdown > 0.5 && slowdown < 4.0, "slowdown {slowdown}");
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use config::{PathLatencies, QueueDepths, SystemConfig};
 pub use experiment::Experiment;
 pub use miss_stream::{l2_miss_stream, l2_miss_stream_with};
 pub use multiprog::{MultiprogExperiment, TablePolicy};
-pub use result::{FaultReport, PrefetchEffect, RunResult};
+pub use result::{PrefetchEffect, RunResult};
 pub use runner::{parallel_map, parallel_map_with, worker_count};
 pub use scheme::PrefetchScheme;
 pub use sim::SystemSim;

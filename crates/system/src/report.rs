@@ -78,14 +78,6 @@ impl RunResult {
                 self.demand_q_overflow, self.observations_dropped, self.prefetch_q_overflow
             ));
         }
-        if let Some(fault) = &self.fault {
-            s.push_str(&format!(
-                "  faults (seed {}): {} injected, {} absorbed\n",
-                fault.seed,
-                fault.injected.total(),
-                fault.absorbed
-            ));
-        }
         if self.wall_nanos > 0 {
             s.push_str(&format!(
                 "  host: {:.1} ms wall, {:.0} simulated cycles/s\n",
@@ -139,24 +131,5 @@ mod tests {
         assert!(!text.contains("ULMT:"));
         assert!(!text.contains("prefetching:"));
         assert!(!text.contains("squashed:"));
-    }
-
-    /// The faulted run's summary reports its injection; its fault-free
-    /// twin's summary has no fault line.
-    #[test]
-    fn faulted_summary_reports_injection_and_twin() {
-        let experiment = Experiment::new(
-            SystemConfig::small(),
-            WorkloadSpec::new(App::Mcf).scale(1.0 / 16.0).iterations(2),
-        )
-        .scheme(PrefetchScheme::Repl);
-        let text = experiment
-            .clone()
-            .faults(ulmt_simcore::FaultConfig::stress(7))
-            .run()
-            .summary();
-        assert!(text.contains("faults (seed 7):"), "{text}");
-        let twin = experiment.run().summary();
-        assert!(!twin.contains("faults"), "{twin}");
     }
 }

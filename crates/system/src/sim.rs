@@ -17,15 +17,14 @@ use ulmt_dram::{Dram, Fsb, TrafficClass};
 use ulmt_memproc::{FixedLatencyMemory, MemProcConfig, MemProcessor};
 use ulmt_simcore::hash::{fx_map_with_capacity, fx_set_with_capacity};
 use ulmt_simcore::stats::BinnedHistogram;
-use ulmt_simcore::trace::{FaultKind, PushRejectReason};
+use ulmt_simcore::trace::PushRejectReason;
 use ulmt_simcore::{
-    ConfigError, Cycle, EventQueue, FaultPlan, FxHashMap, FxHashSet, LineAddr, ObservationFault,
-    SharedTracer, TraceEvent,
+    ConfigError, Cycle, EventQueue, FxHashMap, FxHashSet, LineAddr, SharedTracer, TraceEvent,
 };
 use ulmt_workloads::{TraceRecord, WorkloadSpec};
 
 use crate::config::SystemConfig;
-use crate::result::{FaultReport, PrefetchEffect, RunResult};
+use crate::result::{PrefetchEffect, RunResult};
 use crate::scheme::PrefetchScheme;
 
 /// Who a memory transaction belongs to.
@@ -58,8 +57,6 @@ enum Event {
     /// The ULMT finished its Learning step and can take the next
     /// observation.
     UlmtFree,
-    /// A fault-delayed observation finally reaches queue 2.
-    DelayedObservation { line: LineAddr },
     /// A DRAM channel finished its transfer slot and can start the next
     /// transaction (bank access latency overlaps with earlier transfers).
     ChannelFree { channel: usize },
@@ -143,13 +140,6 @@ pub struct SystemSim {
     filter: Filter,
     verbose: bool,
 
-    // --- robustness machinery ---
-    /// Deterministic fault injection, consulted at the observation,
-    /// memory-processor and DRAM-dispatch hooks.
-    faults: Option<FaultPlan>,
-    /// Injected fault events that were routed through an existing
-    /// graceful-degradation path.
-    faults_absorbed: u64,
     /// Cycle-stamped event tracer; `None` (the default) keeps every
     /// emission site down to one untaken branch.
     tracer: Option<SharedTracer>,
@@ -291,8 +281,6 @@ impl SystemSim {
             obs_q: VecDeque::with_capacity(cfg.queues.observation),
             filter: Filter::new(cfg.filter_entries),
             verbose,
-            faults: None,
-            faults_absorbed: 0,
             tracer: None,
             refs: 0,
             l2_miss_requests: 0,
@@ -308,13 +296,6 @@ impl SystemSim {
             app_label,
             cfg,
         })
-    }
-
-    /// Installs a deterministic fault-injection plan. Every fault the plan
-    /// produces is routed through an existing overflow/drop/squash path,
-    /// and the run's [`RunResult`] carries a [`FaultReport`].
-    pub fn set_faults(&mut self, plan: FaultPlan) {
-        self.faults = Some(plan);
     }
 
     /// Installs a cycle-stamped event tracer. Clones of the handle are
@@ -381,7 +362,6 @@ impl SystemSim {
             Event::ReplyAtL2 { line, kind } => self.reply_at_l2(line, kind, t),
             Event::UlmtPrefetches { lines } => self.enqueue_prefetches(lines, t),
             Event::UlmtFree => self.ulmt_next(t),
-            Event::DelayedObservation { line } => self.deliver_observation(line, t),
             Event::ChannelFree { channel } => {
                 self.channel_busy[channel] = false;
                 self.dispatch_channels(t);
@@ -726,10 +706,11 @@ impl SystemSim {
         self.dispatch_channels(t);
     }
 
-    /// Queue 2: offer an observation to the ULMT, consulting the fault
-    /// plan first. Every fault routes through an existing graceful path:
-    /// drops use the queue-2 drop accounting, duplicates compete for
-    /// queue-2 space, delays re-enter this path later via an event.
+    /// Queue 2: hand `line` to the ULMT now if it is idle, queue it if
+    /// there is room, otherwise drop the *oldest* queued observation to
+    /// make room (the newest observation is the most likely to still be
+    /// timely — Section 3.2's queue 2 behaves as a sliding window over the
+    /// miss stream).
     fn observe(&mut self, line: LineAddr, kind: ReqKind, t: Cycle) {
         let observable = match kind {
             ReqKind::Demand => true,
@@ -739,96 +720,18 @@ impl SystemSim {
         if !observable || self.memproc.is_none() {
             return;
         }
-        let mut duplicate = false;
-        if let Some(plan) = self.faults.as_mut() {
-            let fault = plan.on_observation();
-            if plan.take_queue_reduction() {
-                self.cfg.queues.demand = (self.cfg.queues.demand / 2).max(1);
-                self.cfg.queues.observation = (self.cfg.queues.observation / 2).max(1);
-                self.cfg.queues.prefetch = (self.cfg.queues.prefetch / 2).max(1);
-                // Excess queued observations are dropped through the
-                // normal overflow path as new ones arrive; nothing is
-                // truncated behind the accounting's back.
-                self.faults_absorbed += 1;
-                self.emit(
-                    t,
-                    TraceEvent::FaultInjected {
-                        kind: FaultKind::QueueReduction,
-                        magnitude: 0,
-                    },
-                );
-            }
-            match fault {
-                Some(ObservationFault::Drop) => {
-                    self.memproc
-                        .as_mut()
-                        .expect("checked above")
-                        .record_dropped_observation();
-                    self.faults_absorbed += 1;
-                    self.emit(
-                        t,
-                        TraceEvent::FaultInjected {
-                            kind: FaultKind::DropObservation,
-                            magnitude: 0,
-                        },
-                    );
-                    self.emit(t, TraceEvent::ObsDrop { line });
-                    return;
-                }
-                Some(ObservationFault::Duplicate) => duplicate = true,
-                Some(ObservationFault::Delay(d)) => {
-                    // Absorbed at scheduling: the observation rejoins the
-                    // normal delivery path via the event queue (and is
-                    // simply discarded if the run drains first).
-                    self.events.push(t + d, Event::DelayedObservation { line });
-                    self.faults_absorbed += 1;
-                    self.emit(
-                        t,
-                        TraceEvent::FaultInjected {
-                            kind: FaultKind::DelayObservation,
-                            magnitude: d,
-                        },
-                    );
-                    return;
-                }
-                None => {}
-            }
-        }
-        self.deliver_observation(line, t);
-        if duplicate {
-            self.faults_absorbed += 1;
-            self.emit(
-                t,
-                TraceEvent::FaultInjected {
-                    kind: FaultKind::DuplicateObservation,
-                    magnitude: 0,
-                },
-            );
-            self.deliver_observation(line, t);
-        }
-    }
-
-    /// The fault-free tail of [`SystemSim::observe`]: hand `line` to the
-    /// ULMT now if it is idle, queue it if there is room, otherwise drop
-    /// the *oldest* queued observation to make room (the newest
-    /// observation is the most likely to still be timely — Section 3.2's
-    /// queue 2 behaves as a sliding window over the miss stream).
-    fn deliver_observation(&mut self, line: LineAddr, t: Cycle) {
         self.emit(t, TraceEvent::ObsEnqueue { line });
-        let idle = self.memproc.as_ref().expect("caller checked").is_idle_at(t);
+        let idle = self.memproc.as_ref().expect("checked above").is_idle_at(t);
         if idle && self.obs_q.is_empty() {
             self.ulmt_process(line, t);
             return;
         }
-        // `while`, not `if`: a forced mid-run queue-depth reduction can
-        // leave the queue over the new depth, and each arrival then drains
-        // it back down through the normal drop accounting.
-        while self.obs_q.len() >= self.cfg.queues.observation {
+        if self.obs_q.len() >= self.cfg.queues.observation {
             let dropped = self.obs_q.pop_front().expect("len checked above");
             self.emit(t, TraceEvent::ObsDrop { line: dropped });
             self.memproc
                 .as_mut()
-                .expect("caller checked")
+                .expect("checked above")
                 .record_dropped_observation();
         }
         self.obs_q.push_back(line);
@@ -879,28 +782,6 @@ impl SystemSim {
                     row_hit: access.row_hit,
                 },
             );
-            // Fault hook: a transient bank-busy spike adds core-access
-            // latency to this one transaction; the reply path is latency-
-            // tolerant, so the spike is absorbed as an ordinary slow access.
-            let busy_spike = match self.faults.as_mut() {
-                Some(plan) => {
-                    let b = plan.dram_busy();
-                    if b > 0 {
-                        self.faults_absorbed += 1;
-                    }
-                    b
-                }
-                None => 0,
-            };
-            if busy_spike > 0 {
-                self.emit(
-                    t,
-                    TraceEvent::FaultInjected {
-                        kind: FaultKind::DramBusy,
-                        magnitude: busy_spike,
-                    },
-                );
-            }
             let injection = if kind == ReqKind::UlmtPush {
                 self.memproc
                     .as_ref()
@@ -911,7 +792,6 @@ impl SystemSim {
             };
             let data_at_controller = t
                 + injection
-                + busy_spike
                 + self.cfg.path.nb_to_dram
                 + access.latency
                 + self.cfg.dram.t_transfer;
@@ -1055,32 +935,10 @@ impl SystemSim {
     // ------------------------------------------------------------------
 
     fn ulmt_process(&mut self, miss: LineAddr, t: Cycle) {
-        // Fault hook: a transient stall (e.g. the memory processor's OS
-        // thread being descheduled) delays the Prefetching step; the
-        // existing occupancy accounting absorbs it as ordinary busy time.
-        let stall = match self.faults.as_mut() {
-            Some(plan) => {
-                let s = plan.memproc_stall();
-                if s > 0 {
-                    self.faults_absorbed += 1;
-                }
-                s
-            }
-            None => 0,
-        };
-        if stall > 0 {
-            self.emit(
-                t,
-                TraceEvent::FaultInjected {
-                    kind: FaultKind::MemprocStall,
-                    magnitude: stall,
-                },
-            );
-        }
         let Some(mp) = self.memproc.as_mut() else {
             return;
         };
-        let start = t.max(mp.busy_until()) + stall;
+        let start = t.max(mp.busy_until());
         let step = mp.process(miss, start, &mut self.table_mem);
         if !step.prefetches.is_empty() {
             self.events.push(
@@ -1119,7 +977,8 @@ impl SystemSim {
             // A demand request for the same line is already on its way to
             // (or in) DRAM: the prefetch is redundant. Also drop *every*
             // matching observation to save ULMT occupancy (Section 3.2) —
-            // duplicates arise from fault injection and from CpuPrefetch
+            // duplicates arise when a line misses again before the ULMT
+            // reaches its earlier observation, and from CpuPrefetch
             // observation under verbose schemes.
             let demand_pending = self.demand_q.iter().any(|&(l, _)| l == line)
                 || self.inflight_dram.contains_key(&line);
@@ -1160,11 +1019,6 @@ impl SystemSim {
         let l2_stats = *self.l2.stats();
         let elapsed = self.end_time.max(1);
         let observations_dropped = self.memproc_stats_dropped();
-        let fault = self.faults.as_ref().map(|plan| FaultReport {
-            seed: plan.config().seed,
-            injected: plan.counts(),
-            absorbed: self.faults_absorbed,
-        });
         self.emit(
             self.end_time,
             TraceEvent::RunEnd {
@@ -1198,7 +1052,6 @@ impl SystemSim {
             observations_dropped,
             demand_q_overflow: self.demand_q_overflow,
             prefetch_q_overflow: self.prefetch_q_overflow,
-            fault,
             trace,
             wall_nanos,
         }
@@ -1378,8 +1231,9 @@ mod tests {
 
     /// Regression for the cross-queue squashing bug: a prefetch matching a
     /// pending demand must remove *every* matching queue-2 observation,
-    /// not just the first (duplicates arise from fault injection and from
-    /// CpuPrefetch observation under verbose schemes).
+    /// not just the first (duplicates arise when a line misses again before
+    /// the ULMT reaches its earlier observation, and from CpuPrefetch
+    /// observation under verbose schemes).
     #[test]
     fn prefetch_squashes_all_matching_observations() {
         let mut sim = white_box_sim(SystemConfig::small());

@@ -36,8 +36,8 @@
 use std::fmt;
 
 use ulmt_simcore::stats::Mean;
-use ulmt_simcore::trace::{BusClass, FaultKind, PushRejectReason};
-use ulmt_simcore::{Cycle, FaultCounts, TraceEvent};
+use ulmt_simcore::trace::{BusClass, PushRejectReason};
+use ulmt_simcore::{Cycle, TraceEvent};
 
 use crate::result::RunResult;
 
@@ -144,8 +144,6 @@ struct Tally {
     dram_row_hits: u64,
     fsb_busy_total: Cycle,
     fsb_busy_prefetch: Cycle,
-    faults: FaultCounts,
-    fault_events: u64,
     run_end: Option<(u32, u32, u32)>,
     run_ends: u64,
 }
@@ -215,26 +213,6 @@ impl Tally {
                     t.fsb_busy_total += busy;
                     if class == BusClass::Prefetch {
                         t.fsb_busy_prefetch += busy;
-                    }
-                }
-                TraceEvent::FaultInjected { kind, magnitude } => {
-                    t.fault_events += 1;
-                    match kind {
-                        FaultKind::DropObservation => t.faults.dropped_observations += 1,
-                        FaultKind::DuplicateObservation => t.faults.duplicated_observations += 1,
-                        FaultKind::DelayObservation => {
-                            t.faults.delayed_observations += 1;
-                            t.faults.observation_delay_cycles += magnitude;
-                        }
-                        FaultKind::MemprocStall => {
-                            t.faults.memproc_stalls += 1;
-                            t.faults.memproc_stall_cycles += magnitude;
-                        }
-                        FaultKind::DramBusy => {
-                            t.faults.dram_busy_events += 1;
-                            t.faults.dram_busy_cycles += magnitude;
-                        }
-                        FaultKind::QueueReduction => t.faults.queue_reductions += 1,
                     }
                 }
                 TraceEvent::RunEnd {
@@ -412,16 +390,11 @@ pub fn validate_trace(result: &RunResult) -> Result<TraceAudit, TraceValidationE
     );
     // Queue-2 conservation: every enqueued observation was processed,
     // dropped by overflow, squashed by an issued prefetch, or left in the
-    // queue. Fault drops emit `ObsDrop` *without* a preceding
-    // `ObsEnqueue`, so they are subtracted from the drop count first.
-    let fault_drops = t.faults.dropped_observations;
+    // queue.
     c.eq_u64(
         "queue2 conservation",
         t.obs_enqueue,
-        t.ulmt_steps
-            + (t.obs_drop - fault_drops.min(t.obs_drop))
-            + t.obs_squash_removed
-            + u64::from(q2_end),
+        t.ulmt_steps + t.obs_drop + t.obs_squash_removed + u64::from(q2_end),
     );
 
     // ULMT execution statistics, replayed sample-by-sample.
@@ -478,59 +451,6 @@ pub fn validate_trace(result: &RunResult) -> Result<TraceAudit, TraceValidationE
         row_hit_ratio,
         result.dram_row_hit_ratio,
     );
-
-    // Fault injection: per-class counts and injected cycle totals.
-    match &result.fault {
-        Some(report) => {
-            c.eq_u64(
-                "fault.injected.dropped_observations",
-                t.faults.dropped_observations,
-                report.injected.dropped_observations,
-            );
-            c.eq_u64(
-                "fault.injected.duplicated_observations",
-                t.faults.duplicated_observations,
-                report.injected.duplicated_observations,
-            );
-            c.eq_u64(
-                "fault.injected.delayed_observations",
-                t.faults.delayed_observations,
-                report.injected.delayed_observations,
-            );
-            c.eq_u64(
-                "fault.injected.observation_delay_cycles",
-                t.faults.observation_delay_cycles,
-                report.injected.observation_delay_cycles,
-            );
-            c.eq_u64(
-                "fault.injected.memproc_stalls",
-                t.faults.memproc_stalls,
-                report.injected.memproc_stalls,
-            );
-            c.eq_u64(
-                "fault.injected.memproc_stall_cycles",
-                t.faults.memproc_stall_cycles,
-                report.injected.memproc_stall_cycles,
-            );
-            c.eq_u64(
-                "fault.injected.dram_busy_events",
-                t.faults.dram_busy_events,
-                report.injected.dram_busy_events,
-            );
-            c.eq_u64(
-                "fault.injected.dram_busy_cycles",
-                t.faults.dram_busy_cycles,
-                report.injected.dram_busy_cycles,
-            );
-            c.eq_u64(
-                "fault.injected.queue_reductions",
-                t.faults.queue_reductions,
-                report.injected.queue_reductions,
-            );
-            c.eq_u64("fault.absorbed", t.fault_events, report.absorbed);
-        }
-        None => c.eq_u64("fault events (no plan)", t.fault_events, 0),
-    }
 
     if c.mismatches.is_empty() {
         Ok(TraceAudit {
@@ -608,6 +528,6 @@ mod tests {
     fn nopref_trace_validates() {
         let audit = validate_trace(&traced(PrefetchScheme::NoPref)).expect("consistent");
         assert!(audit.events > 0);
-        assert!(audit.checks >= 30);
+        assert!(audit.checks >= 29);
     }
 }

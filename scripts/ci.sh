@@ -26,9 +26,10 @@
 #   7. cargo doc -D warnings  -- the API docs build without a warning, so
 #                                an intra-doc link to a renamed or deleted
 #                                item fails here
-#   8. trace validation       -- a traced fixed-seed faulted run whose
-#                                counters must re-derive bit-exactly from
-#                                the event stream (inspect's `trace` leg)
+#   8. trace validation       -- a traced Mcf/Repl run at small scale
+#                                whose counters must re-derive bit-exactly
+#                                from the event stream (inspect's `trace`
+#                                leg)
 #   9. paper regeneration     -- every table, figure and the ablation
 #                                report at ULMT_SCALE=small through
 #                                `inspect -- figures` (~30 s on 2 cores),
@@ -48,7 +49,8 @@
 #                                references the removed pre-redesign
 #                                entry points, the removed sweep,
 #                                watchdog, twin-run and poison-pill API,
-#                                or the removed wedge detection
+#                                the removed wedge detection, or the
+#                                removed simulator fault injection
 #
 # This wraps the canonical tier-1 verify from ROADMAP.md
 # (`cargo build --release && cargo test -q`) with the lint front-line so
@@ -99,8 +101,8 @@ cargo test -q --workspace --doc
 echo "== cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "== trace validation (faulted, seed 7)"
-ULMT_FAULT_SEED=7 ULMT_SCALE=small \
+echo "== trace validation (Mcf / Repl, small)"
+ULMT_SCALE=small \
     cargo run -q --release -p ulmt-bench --bin inspect -- trace mcf target/traces
 
 echo "== paper regeneration (small), diffed against tests/golden/figures_small.txt"
@@ -122,8 +124,9 @@ echo "== deprecation audit"
 # so no #[deprecated] item may exist anywhere in the tree and nothing
 # may reference the removed pre-redesign entry points, nor the removed
 # sweep, watchdog, twin-run and poison-pill API, nor the removed wedge
-# detection and epoch fencing. perfbench/ is not scanned: its host
-# descriptor still clears ULMT_CYCLE_BUDGET.
+# detection and epoch fencing, nor the removed simulator fault
+# injection. perfbench/ is not scanned: its host descriptor still clears
+# ULMT_CYCLE_BUDGET and ULMT_FAULT_SEED.
 if grep -rn --include='*.rs' '#\[deprecated' src tests examples crates; then
     echo "deprecation audit: #[deprecated] items remain (above); the"
     echo "deprecation window is one release cycle -- remove, don't park"
@@ -134,6 +137,8 @@ removed_api+='|try_parallel_map_with|TwinDelta|SimAbort|RunError|cycle_budget'
 removed_api+='|ULMT_CYCLE_BUDGET|panic_after_observations'
 removed_api+='|wedge_ticks|WedgeShard|wedge_scan|RecoveryCause|park_until_fenced'
 removed_api+='|is_abandoned|abandoned_below|schedstat|thread-self'
+removed_api+='|FaultConfig|FaultPlan|FaultReport|FaultCounts|ObservationFault|FaultKind'
+removed_api+='|FaultInjected|set_faults|DelayedObservation|ULMT_FAULT_SEED'
 if grep -rn --include='*.rs' -E "\b($removed_api)\b" src tests examples crates; then
     echo "deprecation audit: references to removed APIs (above)"
     exit 1

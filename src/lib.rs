@@ -75,8 +75,7 @@ pub mod prelude {
     //!
     //! Batch experiments: [`Experiment`], [`PrefetchScheme`],
     //! [`SystemConfig`], [`WorkloadSpec`], [`App`], [`RunResult`], plus the
-    //! fault-injection ([`FaultConfig`]) and tracing ([`TraceConfig`])
-    //! knobs.
+    //! tracing knob ([`TraceConfig`]).
     //!
     //! Online serving: [`PrefetchService`], [`ServiceConfig`], [`Session`],
     //! [`TenantSpec`], [`TrySubmit`], the service's shutdown flag
@@ -85,10 +84,10 @@ pub mod prelude {
     //! ([`MetricsReport`], [`ShardMetrics`]).
 
     pub use ulmt_service::{
-        MetricsReport, NetClient, NetConfig, NetServer, NetSubmit, PrefetchService, ServiceConfig,
-        ServiceError, Session, ShardMetrics, TableKind, TenantSpec, TrySubmit,
+        CancelToken, MetricsReport, NetClient, NetConfig, NetServer, NetSubmit, PrefetchService,
+        ServiceConfig, ServiceError, Session, ShardMetrics, TableKind, TenantSpec, TrySubmit,
     };
-    pub use ulmt_simcore::{CancelToken, FaultConfig, LineAddr, TraceConfig};
+    pub use ulmt_simcore::{LineAddr, TraceConfig};
     pub use ulmt_system::{
         Experiment, MultiprogExperiment, PrefetchScheme, RunResult, SystemConfig,
     };

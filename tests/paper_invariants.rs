@@ -147,39 +147,66 @@ fn issued_prefetches_account_exactly_under_every_scheme() {
     }
 }
 
-#[test]
-fn trace_rederives_every_counter_bit_exactly() {
-    // The cycle-stamped event trace is a second, independent account of
-    // the run; `validate_trace` re-derives the aggregates from it and
-    // demands bit-identity — with and without fault injection, and the
-    // tracer itself must not perturb the simulation.
-    use ulmt::simcore::{FaultConfig, TraceConfig};
+/// Runs Mcf under Repl with and without the tracer on a machine with the
+/// given queue depths, checks that `validate_trace` re-derives every
+/// aggregate from the trace bit-exactly and that tracing does not perturb
+/// the simulation, and returns the traced run.
+fn traced_run_rederives(queues: Option<ulmt::system::QueueDepths>) -> ulmt::system::RunResult {
+    use ulmt::simcore::TraceConfig;
     use ulmt::system::validate_trace;
-    let experiment = |faults: Option<FaultConfig>, traced: bool| {
-        let mut e =
-            Experiment::new(SystemConfig::small(), spec(App::Mcf)).scheme(PrefetchScheme::Repl);
-        if let Some(f) = faults {
-            e = e.faults(f);
+    let experiment = |traced: bool| {
+        let mut cfg = SystemConfig::small();
+        if let Some(q) = queues {
+            cfg.queues = q;
         }
+        let mut e = Experiment::new(cfg, spec(App::Mcf)).scheme(PrefetchScheme::Repl);
         if traced {
             e = e.trace(TraceConfig::default());
         }
         e.run()
     };
-    for faults in [None, Some(FaultConfig::stress(11))] {
-        let traced = experiment(faults, true);
-        let audit = validate_trace(&traced).unwrap_or_else(|e| {
-            panic!("faults={:?}: {e}", faults.map(|f| f.seed));
-        });
-        assert!(audit.events > 0);
-        let untraced = experiment(faults, false);
-        assert_eq!(
-            traced.fingerprint(),
-            untraced.fingerprint(),
-            "tracing changed the simulation (faults={:?})",
-            faults.map(|f| f.seed)
-        );
-    }
+    let traced = experiment(true);
+    let audit = validate_trace(&traced).unwrap_or_else(|e| {
+        panic!("queues={queues:?}: {e}");
+    });
+    assert!(audit.events > 0);
+    let untraced = experiment(false);
+    assert_eq!(
+        traced.fingerprint(),
+        untraced.fingerprint(),
+        "tracing changed the simulation (queues={queues:?})"
+    );
+    traced
+}
+
+#[test]
+fn trace_rederives_every_counter_bit_exactly() {
+    // The cycle-stamped event trace is a second, independent account of
+    // the run; `validate_trace` re-derives the aggregates from it and
+    // demands bit-identity, and the tracer itself must not perturb the
+    // simulation.
+    traced_run_rederives(None);
+}
+
+#[test]
+fn depth_one_queues_complete_and_rederive_exactly() {
+    // The pathological machine whose three queues hold a single entry
+    // each: the run must complete, queue 2's drop-oldest and queue 3's
+    // overflow paths must fire, and the trace must still re-derive every
+    // counter bit-exactly.
+    use ulmt::simcore::trace::TraceEvent;
+    use ulmt::system::QueueDepths;
+    let traced = traced_run_rederives(Some(QueueDepths {
+        demand: 1,
+        observation: 1,
+        prefetch: 1,
+    }));
+    assert!(traced.exec_cycles > 0);
+    let trace = traced.trace.as_ref().expect("traced run carries a trace");
+    let drops = trace.count(|e| matches!(e, TraceEvent::ObsDrop { .. }));
+    let overflows = trace.count(|e| matches!(e, TraceEvent::Q3Overflow { .. }));
+    assert!(drops > 0, "depth-1 queue 2 never dropped an observation");
+    assert!(overflows > 0, "depth-1 queue 3 never overflowed");
 }
 
 #[test]
