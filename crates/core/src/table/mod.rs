@@ -23,7 +23,7 @@ pub use checkpoint::TableCheckpoint;
 pub use correlation::{BaseKind, ChainKind, CorrelationTable, Kind, ReplKind};
 pub use replicated::Replicated;
 pub use snapshot::{RowSnapshot, SnapshotError, TableSnapshot};
-pub use storage::{AllocKind, MruList, RowPtr, RowRef, RowTable, TableStats};
+pub use storage::{AllocKind, RowPtr, RowRef, RowTable, TableStats};
 
 /// Which correlation algorithm a table runs (Figure 4). The code is the
 /// one stable tag both the `ULMTSNAP` snapshot format and the service's

@@ -15,9 +15,9 @@
 //! The arena is purely a host-performance change: every operation
 //! performs the same logical state transitions (and the same
 //! [`TableStats`] counts, LRU stamp sequence and snapshot bytes) as the
-//! historical one-`Vec`-per-row layout, which survives as a
-//! differential-testing oracle in the crate's integration tests
-//! (`tests/support/reference.rs`).
+//! historical layout of one owned MRU list per row and level. That
+//! layout, list type included, survives only as a differential-testing
+//! oracle in the crate's integration tests (`tests/support/reference.rs`).
 //!
 //! # Dirty slots
 //!
@@ -54,114 +54,9 @@ fn fresh_token() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A fixed-capacity most-recently-used list of successor addresses.
-///
-/// Within a row, "successors are listed in MRU order" and "entries in a
-/// row replace each other with a LRU policy" (Section 2.2).
-///
-/// This owned list is the *semantic specification* of a successor level:
-/// [`RowTable`] stores the same lists inline in its flat arena (see the
-/// module docs) and the test-only reference tables store one `MruList`
-/// per level per row, exactly as the pre-arena layout did.
-///
-/// # Example
-///
-/// ```
-/// use ulmt_core::table::MruList;
-/// use ulmt_simcore::LineAddr;
-///
-/// let mut l = MruList::new(2);
-/// l.insert_mru(LineAddr::new(1));
-/// l.insert_mru(LineAddr::new(2));
-/// l.insert_mru(LineAddr::new(1)); // moves 1 back to the front
-/// assert_eq!(l.mru(), Some(LineAddr::new(1)));
-/// l.insert_mru(LineAddr::new(3)); // evicts the LRU entry (2)
-/// assert_eq!(l.as_slice(), &[LineAddr::new(3), LineAddr::new(1)]);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MruList {
-    items: Vec<LineAddr>,
-    cap: usize,
-}
-
-impl MruList {
-    /// Creates an empty list holding at most `cap` entries.
-    pub fn new(cap: usize) -> Self {
-        MruList {
-            items: Vec::with_capacity(cap),
-            cap,
-        }
-    }
-
-    /// Inserts `x` as the MRU entry, de-duplicating and evicting the LRU
-    /// entry if the list is full. A zero-capacity list stores nothing.
-    ///
-    /// This is the hottest operation of every Learning step (one call per
-    /// NumSucc slot per level), so it avoids `Vec::remove` + `Vec::insert`
-    /// — which would shift the tail twice — in favor of a single
-    /// `rotate_right` of the prefix that actually moves.
-    pub fn insert_mru(&mut self, x: LineAddr) {
-        if let Some(pos) = self.items.iter().position(|&i| i == x) {
-            // Already present: rotate it to the front, shifting only the
-            // entries ahead of it down by one.
-            self.items[..=pos].rotate_right(1);
-        } else if self.items.len() < self.cap {
-            self.items.push(x);
-            self.items.rotate_right(1);
-        } else if self.cap > 0 {
-            // Full: the rotation moves the LRU entry into slot 0, where
-            // the new address overwrites it.
-            self.items.rotate_right(1);
-            self.items[0] = x;
-        }
-    }
-
-    /// The MRU entry, if any.
-    pub fn mru(&self) -> Option<LineAddr> {
-        self.items.first().copied()
-    }
-
-    /// Entries in MRU-to-LRU order.
-    pub fn as_slice(&self) -> &[LineAddr] {
-        &self.items
-    }
-
-    /// Iterates entries in MRU-to-LRU order.
-    pub fn iter(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.items.iter().copied()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Returns `true` if the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Capacity of the list.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Rewrites entries falling in `old` page to the corresponding line in
-    /// `new` (page re-mapping, Section 3.4).
-    pub fn remap_page(&mut self, old: PageAddr, new: PageAddr) {
-        remap_lines(&mut self.items, old, new);
-    }
-
-    /// Clears the list.
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
-}
-
 /// Rewrites every line of `old` page in `items` to the corresponding
-/// line of `new`. Shared by [`MruList`] and the arena's inline lists so
-/// both layouts re-map identically.
-pub(crate) fn remap_lines(items: &mut [LineAddr], old: PageAddr, new: PageAddr) {
+/// line of `new` (page re-mapping, Section 3.4).
+fn remap_lines(items: &mut [LineAddr], old: PageAddr, new: PageAddr) {
     for item in items {
         if item.page() == old {
             let offset = item.raw() - old.first_line().raw();
@@ -170,10 +65,17 @@ pub(crate) fn remap_lines(items: &mut [LineAddr], old: PageAddr, new: PageAddr) 
     }
 }
 
-/// [`MruList::insert_mru`] on an inline arena slice: `items` is the
-/// level's fixed-capacity region, `len` its current length. Returns the
-/// new length. Must stay observationally identical to the owned list —
-/// the differential tests hold it to account.
+/// Inserts `x` as the MRU successor of an inline arena level: `items`
+/// is the level's fixed-capacity region, `len` its current length.
+/// Returns the new length.
+///
+/// Within a row, "successors are listed in MRU order" and "entries in a
+/// row replace each other with a LRU policy" (Section 2.2): a present
+/// `x` moves to the front, a new one is pushed there, evicting the LRU
+/// entry when the level is full, and a zero-capacity level stores
+/// nothing. This is the hottest operation of every Learning step (one
+/// call per NumSucc slot per level), so it rotates only the prefix that
+/// actually moves instead of a `remove` + `insert` pair.
 #[inline]
 fn slice_insert_mru(items: &mut [LineAddr], len: usize, x: LineAddr) -> usize {
     let cap = items.len();
@@ -567,8 +469,7 @@ impl RowTable {
     /// marks the slot dirty. Returns `false` (and does nothing) if the
     /// pointer is stale.
     ///
-    /// This replaces the old `get_mut(ptr)` + `MruList::insert_mru` pair:
-    /// the rotation happens directly on the row's inline arena slice.
+    /// The rotation happens directly on the row's inline arena slice.
     #[inline]
     pub fn insert_mru(&mut self, ptr: RowPtr, level: usize, x: LineAddr) -> bool {
         if !self.ptr_live(ptr) {
@@ -855,17 +756,39 @@ mod tests {
         assert!(t.insert_mru(ptr, 0, x), "pointer unexpectedly stale");
     }
 
+    /// One inline successor level, driven through the arena's own
+    /// `slice_insert_mru`.
+    struct Level {
+        items: Vec<LineAddr>,
+        len: usize,
+    }
+
+    impl Level {
+        fn new(cap: usize) -> Self {
+            Level {
+                items: vec![line(0); cap],
+                len: 0,
+            }
+        }
+
+        fn insert_mru(&mut self, x: LineAddr) {
+            self.len = slice_insert_mru(&mut self.items, self.len, x);
+        }
+
+        fn as_slice(&self) -> &[LineAddr] {
+            &self.items[..self.len]
+        }
+    }
+
     #[test]
     fn mru_list_dedupes_and_evicts() {
-        let mut l = MruList::new(3);
+        let mut l = Level::new(3);
         for n in [1, 2, 3, 2] {
             l.insert_mru(line(n));
         }
         assert_eq!(l.as_slice(), &[line(2), line(3), line(1)]);
         l.insert_mru(line(4));
         assert_eq!(l.as_slice(), &[line(4), line(2), line(3)]);
-        assert_eq!(l.mru(), Some(line(4)));
-        assert_eq!(l.len(), 3);
     }
 
     #[test]
@@ -874,48 +797,43 @@ mod tests {
         // the front and leave the relative order of everything else alone.
         let cap = 5;
         for pos in 0..cap {
-            let mut l = MruList::new(cap);
+            let mut l = Level::new(cap);
             // Build [5, 4, 3, 2, 1] (5 is MRU).
             for n in 1..=cap as u64 {
                 l.insert_mru(line(n));
             }
-            let before: Vec<LineAddr> = l.iter().collect();
+            let before = l.as_slice().to_vec();
             let target = before[pos];
             l.insert_mru(target);
             let mut expected = vec![target];
             expected.extend(before.iter().copied().filter(|&i| i != target));
             assert_eq!(l.as_slice(), &expected[..], "re-insert at position {pos}");
-            assert_eq!(l.len(), cap);
         }
     }
 
     #[test]
     fn mru_list_capacity_one() {
-        let mut l = MruList::new(1);
-        assert!(l.is_empty());
+        let mut l = Level::new(1);
         l.insert_mru(line(1));
         assert_eq!(l.as_slice(), &[line(1)]);
         l.insert_mru(line(1)); // duplicate: no change, no growth
         assert_eq!(l.as_slice(), &[line(1)]);
         l.insert_mru(line(2)); // replaces the only entry
         assert_eq!(l.as_slice(), &[line(2)]);
-        assert_eq!(l.len(), 1);
     }
 
     #[test]
     fn mru_list_capacity_zero_stores_nothing() {
-        let mut l = MruList::new(0);
+        let mut l = Level::new(0);
         l.insert_mru(line(1));
         l.insert_mru(line(1));
         l.insert_mru(line(2));
-        assert!(l.is_empty());
-        assert_eq!(l.mru(), None);
-        assert_eq!(l.capacity(), 0);
+        assert!(l.as_slice().is_empty());
     }
 
     #[test]
     fn mru_list_eviction_is_strict_lru() {
-        let mut l = MruList::new(3);
+        let mut l = Level::new(3);
         for n in [1, 2, 3] {
             l.insert_mru(line(n));
         }
@@ -929,30 +847,32 @@ mod tests {
 
     #[test]
     fn slice_insert_matches_owned_list() {
-        // The arena's slice rotation must be observationally identical to
-        // the owned MruList on arbitrary streams, for every capacity.
+        // The arena's in-place rotation must match the plain owned-list
+        // specification (drop any copy of `x`, put `x` in front, keep the
+        // first `cap`) on arbitrary streams, for every capacity.
         for cap in 0..=4usize {
-            let mut owned = MruList::new(cap);
-            let mut arena = vec![line(0); cap];
-            let mut len = 0usize;
+            let mut owned: Vec<LineAddr> = Vec::new();
+            let mut l = Level::new(cap);
             let mut x: u64 = 0x9e3779b9;
             for _ in 0..500 {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let n = (x >> 33) % 7;
-                owned.insert_mru(line(n));
-                len = slice_insert_mru(&mut arena, len, line(n));
-                assert_eq!(&arena[..len], owned.as_slice(), "cap {cap}");
+                let n = line((x >> 33) % 7);
+                owned.retain(|&i| i != n);
+                owned.insert(0, n);
+                owned.truncate(cap);
+                l.insert_mru(n);
+                assert_eq!(l.as_slice(), &owned[..], "cap {cap}");
             }
         }
     }
 
     #[test]
     fn mru_list_remap() {
-        let mut l = MruList::new(4);
+        let mut l = Level::new(4);
         let lines_per_page = PageAddr::lines_per_page();
         l.insert_mru(line(lines_per_page * 3 + 5)); // page 3
         l.insert_mru(line(lines_per_page * 9 + 1)); // page 9
-        l.remap_page(PageAddr::new(3), PageAddr::new(7));
+        remap_lines(&mut l.items[..l.len], PageAddr::new(3), PageAddr::new(7));
         assert_eq!(
             l.as_slice(),
             &[line(lines_per_page * 9 + 1), line(lines_per_page * 7 + 5)]

@@ -1,8 +1,9 @@
 //! The pre-arena table layout, kept as a differential oracle.
 //!
 //! This module preserves the historical storage organization — one
-//! heap-allocated [`MruList`] per slot (Replicated: a `Vec<MruList>` per
-//! slot), a `template.clone()` on every row allocation — together with
+//! heap-allocated [`RefSuccList`] per slot (Replicated: a
+//! `Vec<RefSuccList>` per slot), a `template.clone()` on every row
+//! allocation — together with
 //! the Base/Chain/Replicated algorithms written out separately on top of
 //! it. The differential property tests (`arena_differential.rs`) replay
 //! seeded miss streams through it and through the production tables and
@@ -15,9 +16,7 @@ use ulmt_simcore::{Addr, LineAddr, PageAddr};
 
 use ulmt_core::algorithm::{insn_cost, StepSink, UlmtAlgorithm};
 use ulmt_core::cost::StepResult;
-use ulmt_core::table::{
-    AllocKind, MruList, RowSnapshot, TableKind, TableParams, TableSnapshot, TableStats,
-};
+use ulmt_core::table::{AllocKind, RowSnapshot, TableKind, TableParams, TableSnapshot, TableStats};
 
 /// Base address of the table in the memory processor's address space;
 /// the production `RowTable` places its rows at the same address, which
@@ -39,6 +38,57 @@ fn replay(step: StepResult, miss: LineAddr, sink: &mut dyn StepSink) {
         }
     }
     sink.end(step.prefetch_cost.insns, step.learn_cost.insns);
+}
+
+/// The historical owned successor list: at most `cap` addresses in MRU
+/// order. "Successors are listed in MRU order" and "entries in a row
+/// replace each other with a LRU policy" (Section 2.2).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RefSuccList {
+    items: Vec<LineAddr>,
+    cap: usize,
+}
+
+impl RefSuccList {
+    pub fn new(cap: usize) -> Self {
+        RefSuccList {
+            items: Vec::with_capacity(cap),
+            cap,
+        }
+    }
+
+    /// Inserts `x` as the MRU entry, de-duplicating and evicting the LRU
+    /// entry if the list is full. A zero-capacity list stores nothing.
+    pub fn insert_mru(&mut self, x: LineAddr) {
+        if let Some(pos) = self.items.iter().position(|&i| i == x) {
+            self.items[..=pos].rotate_right(1);
+        } else if self.items.len() < self.cap {
+            self.items.push(x);
+            self.items.rotate_right(1);
+        } else if self.cap > 0 {
+            self.items.rotate_right(1);
+            self.items[0] = x;
+        }
+    }
+
+    pub fn mru(&self) -> Option<LineAddr> {
+        self.items.first().copied()
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = LineAddr> + '_ {
+        self.items.iter().copied()
+    }
+
+    /// Rewrites entries falling in `old` page to the corresponding line in
+    /// `new` (page re-mapping, Section 3.4).
+    pub fn remap_page(&mut self, old: PageAddr, new: PageAddr) {
+        for item in &mut self.items {
+            if item.page() == old {
+                let offset = item.raw() - old.first_line().raw();
+                *item = LineAddr::new(new.first_line().raw() + offset);
+            }
+        }
+    }
 }
 
 /// A validated pointer into a [`RefRowTable`] (same contract as the
@@ -279,7 +329,7 @@ impl<R: Clone> RefRowTable<R> {
 #[derive(Debug, Clone)]
 pub struct RefBase {
     params: TableParams,
-    table: RefRowTable<MruList>,
+    table: RefRowTable<RefSuccList>,
     last: Option<RefRowPtr>,
 }
 
@@ -291,7 +341,7 @@ impl RefBase {
         assert_eq!(params.num_levels, 1);
         let row_bytes = params.flat_row_bytes();
         RefBase {
-            table: RefRowTable::new(&params, row_bytes, MruList::new(params.num_succ)),
+            table: RefRowTable::new(&params, row_bytes, RefSuccList::new(params.num_succ)),
             params,
             last: None,
         }
@@ -406,7 +456,7 @@ impl UlmtAlgorithm for RefBase {
 #[derive(Debug, Clone)]
 pub struct RefChain {
     params: TableParams,
-    table: RefRowTable<MruList>,
+    table: RefRowTable<RefSuccList>,
     last: Option<RefRowPtr>,
 }
 
@@ -417,7 +467,7 @@ impl RefChain {
         }
         let row_bytes = params.flat_row_bytes();
         RefChain {
-            table: RefRowTable::new(&params, row_bytes, MruList::new(params.num_succ)),
+            table: RefRowTable::new(&params, row_bytes, RefSuccList::new(params.num_succ)),
             params,
             last: None,
         }
@@ -550,13 +600,15 @@ impl UlmtAlgorithm for RefChain {
 /// One historical Replicated row: `NumLevels` heap-allocated MRU lists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RefReplRow {
-    levels: Vec<MruList>,
+    levels: Vec<RefSuccList>,
 }
 
 impl RefReplRow {
     fn new(num_levels: usize, num_succ: usize) -> Self {
         RefReplRow {
-            levels: (0..num_levels).map(|_| MruList::new(num_succ)).collect(),
+            levels: (0..num_levels)
+                .map(|_| RefSuccList::new(num_succ))
+                .collect(),
         }
     }
 }

@@ -356,6 +356,15 @@ impl MemProcessor {
         }
     }
 
+    /// Hands back a consumed [`UlmtStep::prefetches`] buffer, so the next
+    /// step fills it instead of allocating a fresh one.
+    pub fn recycle(&mut self, mut prefetches: Vec<LineAddr>) {
+        if prefetches.capacity() > self.step.prefetches.capacity() {
+            prefetches.clear();
+            self.step.prefetches = prefetches;
+        }
+    }
+
     /// Replays one phase's cost against the clock and the private cache.
     fn replay_cost(&mut self, cost: &Cost, t: &mut Cycle, mem: &mut dyn TableMemory) {
         let busy = cost.insns * self.cfg.cycles_per_insn;
@@ -412,6 +421,20 @@ mod tests {
                 mp.process(line(n), now, mem);
             }
         }
+    }
+
+    #[test]
+    fn a_recycled_prefetch_buffer_is_reused() {
+        let mut mp = MemProcessor::new(MemProcConfig::default(), AlgorithmSpec::repl(1024).build());
+        let mut mem = FixedLatencyMemory::new(MemProcLocation::InDram);
+        run_steps(&mut mp, &mut mem, &[1, 2, 3], 2);
+        mp.recycle(Vec::with_capacity(1000));
+        let step = mp.process(line(1), mp.busy_until(), &mut mem);
+        assert!(step.prefetches.contains(&line(2)));
+        assert!(
+            step.prefetches.capacity() >= 1000,
+            "the step filled the recycled buffer"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Service and tenant configuration.
 
 use ulmt_core::table::TableParams;
-use ulmt_simcore::{ConfigError, Cycle, TraceConfig};
+use ulmt_simcore::{ConfigError, Cycle};
 
 use crate::fault::ServiceFaultConfig;
 
@@ -247,20 +247,15 @@ pub struct ServiceConfig {
     /// clock; the shard's [`Server`](ulmt_simcore::Server) utilization is
     /// measured against this arrival rate.
     pub obs_cycles: Cycle,
-    /// Optional per-shard event tracing ([`TraceEvent::ShardBatch`] /
-    /// [`TraceEvent::ShardReject`] records).
-    ///
-    /// [`TraceEvent::ShardBatch`]: ulmt_simcore::TraceEvent::ShardBatch
-    /// [`TraceEvent::ShardReject`]: ulmt_simcore::TraceEvent::ShardReject
-    pub trace: Option<TraceConfig>,
     /// Supervision, checkpointing and degraded-mode policy.
     pub supervision: SupervisionConfig,
-    /// Deterministic service-level chaos injection (kill / slow faults),
-    /// for tests. `None` in production.
+    /// The targeted chaos kill ("kill shard S at its N-th accepted
+    /// batch"), for recovery tests. `None` in production.
     pub fault: Option<ServiceFaultConfig>,
-    /// The always-on metrics plane (see [`crate::MetricsReport`]):
-    /// per-shard counters and log2 histograms for batch size,
-    /// queue wait, ingest, checkpoint and recovery latency. On by default;
+    /// The always-on metrics plane (see [`crate::MetricsReport`]), the
+    /// one way to watch a running shard: per-shard counters and log2
+    /// histograms for batch size, queue wait, ingest, checkpoint and
+    /// recovery latency. On by default;
     /// switching it off removes every metrics-path clock read and
     /// leaves one untaken branch per batch — ingestion results are
     /// bit-identical either way (the metrics plane never touches the
@@ -276,7 +271,6 @@ impl Default for ServiceConfig {
             quantum_obs: 256,
             seed: 0x5EED,
             obs_cycles: 8,
-            trace: None,
             supervision: SupervisionConfig::default(),
             fault: None,
             metrics: true,

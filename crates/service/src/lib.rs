@@ -43,8 +43,13 @@
 //!   [`TenantStats::shed`]) or wait, per
 //!   [`SupervisionConfig::shed_when_down`]. A worker that hangs without
 //!   panicking is not replaced: its tenants' queues fill and their
-//!   control calls time out. Deterministic chaos faults
-//!   ([`ServiceFaultConfig`]) exercise recovery under test.
+//!   control calls time out. One chaos fault exercises recovery under
+//!   test: the targeted kill ([`ServiceFaultConfig::kill`]), fired once
+//!   when a chosen shard is about to accept a chosen batch;
+//! * a running shard is watched through one **metrics plane**
+//!   ([`PrefetchService::metrics`], a [`MetricsReport`]): per-shard
+//!   batch, observation, rejection and shed counters plus latency and
+//!   batch-size histograms. The service records no event trace.
 //!
 //! [`Base`]: ulmt_core::table::Base
 //! [`Chain`]: ulmt_core::table::Chain
@@ -66,7 +71,7 @@ pub use cancel::CancelToken;
 pub use config::{
     AdmissionQuota, NetConfig, ServiceConfig, SupervisionConfig, TableKind, TenantSpec,
 };
-pub use fault::{ServiceFault, ServiceFaultConfig, ServiceFaultPlan, ServiceFaultState};
+pub use fault::{ServiceFaultConfig, ServiceFaultState};
 pub use metrics::{MetricsReport, ShardMetrics};
 pub use net::{NetClient, NetServer, NetSubmit, WireError};
 pub use service::{
@@ -81,7 +86,7 @@ mod tests {
     use super::*;
     use ulmt_core::table::{Replicated, TableParams};
     use ulmt_core::UlmtAlgorithm;
-    use ulmt_simcore::{LineAddr, TraceConfig};
+    use ulmt_simcore::LineAddr;
 
     fn lines(ns: &[u64]) -> Vec<LineAddr> {
         ns.iter().map(|&n| LineAddr::new(n)).collect()
@@ -380,7 +385,6 @@ mod tests {
     fn shutdown_drains_and_reports() {
         let service = PrefetchService::start(ServiceConfig {
             shards: 2,
-            trace: Some(TraceConfig::with_capacity(1024)),
             ..ServiceConfig::default()
         });
         let mut a = service.open(0, TenantSpec::repl(256)).unwrap();
@@ -391,14 +395,6 @@ mod tests {
         assert_eq!(reports.len(), 2);
         let total: u64 = reports.iter().map(|r| r.stats.observed).sum();
         assert_eq!(total, 128, "shutdown processes everything still queued");
-        let traced: usize = reports
-            .iter()
-            .map(|r| r.trace.as_ref().map_or(0, |t| t.len()))
-            .sum();
-        assert!(
-            traced >= 2,
-            "each accepted batch leaves a shard_batch event"
-        );
         // Utilization is measured and sane.
         for r in &reports {
             if r.stats.observed > 0 {

@@ -1096,7 +1096,7 @@ mod tests {
             shed_when_down,
             ..fast
         };
-        let kill = || Some(ServiceFaultConfig::disabled(0x0D0E).kill(0, 1));
+        let kill = || Some(ServiceFaultConfig::kill(0, 1));
 
         // A full queue: the shard is paused with its depth-1 queue taken.
         let service = PrefetchService::start(cfg(fast, None));
@@ -1202,6 +1202,57 @@ mod tests {
                 ("Ok(shed)", true, 0, 1),
                 ("Enqueued(shed)", true, 0, 1),
             ],
+        );
+        service.shutdown();
+    }
+
+    #[test]
+    fn drr_serves_backlogged_tenants_in_weighted_round_robin_order() {
+        // One batch costs exactly one quantum, so a weight-1 tenant is
+        // served one batch per scheduler visit and a weight-w tenant w.
+        let service = PrefetchService::start(ServiceConfig {
+            shards: 1,
+            queue_depth: 16,
+            quantum_obs: LEN,
+            ..ServiceConfig::default()
+        });
+        let mut hot = service
+            .open(1, TenantSpec::repl(256).with_weight(2))
+            .unwrap();
+        let mut light1 = service.open(2, TenantSpec::repl(256)).unwrap();
+        let mut light2 = service.open(3, TenantSpec::repl(256)).unwrap();
+
+        // Build the whole backlog behind a paused worker so the drain
+        // order reflects the scheduler alone, not arrival timing.
+        let pause = service.pause_shard(0).unwrap();
+        let mut pending = Vec::new();
+        for (session, count) in [(&mut hot, 6), (&mut light1, 2), (&mut light2, 2)] {
+            for _ in 0..count {
+                match session.try_submit(obs()) {
+                    TrySubmit::Enqueued(p) => pending.push(p),
+                    other => panic!("expected Enqueued, got {other:?}"),
+                }
+            }
+        }
+        drop(pause);
+        for p in pending {
+            assert!(p.wait().unwrap().error.is_none());
+        }
+
+        // The journal holds the acked batches in the order the shard
+        // served them. Weight 2 earns the hot tenant two batches per
+        // visit; the weight-1 tenants get one each. Registration order
+        // fixes the visit order.
+        let served: Vec<u32> = lock(&service.slots[0].journal)
+            .replay_from(0)
+            .0
+            .iter()
+            .map(|e| e.tenant)
+            .collect();
+        assert_eq!(
+            served,
+            vec![1, 1, 2, 3, 1, 1, 2, 3, 1, 1],
+            "weighted round-robin drain order"
         );
         service.shutdown();
     }

@@ -39,11 +39,10 @@ use std::time::Instant;
 
 use ulmt_core::algorithm::{StepSink, UlmtAlgorithm};
 use ulmt_core::table::{CorrelationTable, SnapshotError, TableSnapshot};
-use ulmt_simcore::{Cycle, FxHashMap, LineAddr, Server, TraceBuffer, TraceEvent};
+use ulmt_simcore::{Cycle, FxHashMap, LineAddr, Server};
 
 use crate::cancel::CancelToken;
 use crate::config::{ServiceConfig, TenantSpec};
-use crate::fault::{ServiceFault, ServiceFaultPlan};
 use crate::ingress::{Control, Drained, Follows, Ingress, IngressBatch, Work};
 use crate::journal::{JournalCoverage, ObservationJournal};
 use crate::metrics::{MetricsRegistry, ShardMetrics};
@@ -179,10 +178,6 @@ impl ShardMsg {
 pub struct ShardReport {
     /// Final aggregate counters.
     pub stats: ShardStats,
-    /// The shard's trace buffer, if tracing was enabled. A restarted
-    /// shard's buffer starts empty at the restart (the buffer dies with
-    /// the worker thread; only table state and counters are recovered).
-    pub trace: Option<TraceBuffer>,
     /// Worker epoch that produced this report (0 = never restarted).
     pub epoch: u64,
     /// Every recovery this shard went through, oldest first. Attached by
@@ -344,25 +339,24 @@ pub(crate) fn rebuild_shard(
 }
 
 /// Merges a batch's piggybacked *cumulative* rejected/shed counters into
-/// the stats, returning the applied deltas. `saturating_sub` makes the
-/// merge idempotent: a resubmitted batch (at-least-once delivery after a
-/// crash) or a journal-replayed one carries the same cumulative values,
-/// so applying it again adds zero — the fix for the old delta scheme,
-/// which lost counts when a worker died between enqueue and ack, and
-/// would have double-counted them had the client re-carried its deltas.
+/// the stats. `saturating_sub` makes the merge idempotent: a resubmitted
+/// batch (at-least-once delivery after a crash) or a journal-replayed one
+/// carries the same cumulative values, so applying it again adds zero —
+/// the fix for the old delta scheme, which lost counts when a worker died
+/// between enqueue and ack, and would have double-counted them had the
+/// client re-carried its deltas.
 fn apply_piggyback(
     tenant: &mut TenantStats,
     shard: &mut ShardStats,
     rejected_cum: u64,
     shed_cum: u64,
-) -> (u64, u64) {
+) {
     let dr = rejected_cum.saturating_sub(tenant.rejected);
     let ds = shed_cum.saturating_sub(tenant.shed);
     tenant.rejected += dr;
     shard.rejected += dr;
     tenant.shed += ds;
     shard.shed += ds;
-    (dr, ds)
 }
 
 fn note_accepted(tenant: &mut TenantStats, shard: &mut ShardStats, observed: u64, prefetches: u64) {
@@ -384,19 +378,17 @@ struct WorkerLoop<'a> {
     slot: &'a ShardSlot,
     ingress: &'a Ingress,
     st: ShardInit,
-    trace: Option<TraceBuffer>,
     metrics: Option<MetricsRegistry>,
-    fault_plan: Option<ServiceFaultPlan>,
     since_checkpoint: u64,
 }
 
 impl WorkerLoop<'_> {
-    /// Processes one batch end-to-end: chaos hooks, piggyback merge,
+    /// Processes one batch end-to-end: chaos kill, piggyback merge,
     /// batch kernel, journal-before-ack, periodic checkpoint.
     ///
     /// # Panics
     ///
-    /// Panics when a chaos kill fault fires (caught by the spawn
+    /// Panics when the targeted kill fires (caught by the spawn
     /// wrapper; that is the fault's delivery mechanism).
     fn process_one(&mut self, batch: IngressBatch) {
         let IngressBatch {
@@ -434,43 +426,16 @@ impl WorkerLoop<'_> {
             let _ = reply.send(BatchReply::cancelled(obs));
             return;
         }
-        // Chaos hook: evaluated before the batch is journaled or
+        // Chaos kill: evaluated before the batch is journaled or
         // acknowledged, so a killed shard never acks the triggering
         // batch and the client can safely resubmit it.
-        if let Some(plan) = &mut self.fault_plan {
+        if let Some(kill) = &self.cfg.fault {
             let seq_next = lock(&self.slot.journal).next_seq();
-            match plan.on_batch(seq_next, &self.slot.fault_state) {
-                Some(ServiceFault::KillShard) => {
-                    panic!("chaos: kill-shard fault at batch seq {seq_next}");
-                }
-                Some(ServiceFault::SlowConsumer(extra)) => self.st.now += extra,
-                None => {}
+            if kill.fires(self.shard, seq_next, &self.slot.fault_state) {
+                panic!("chaos: kill-shard fault at batch seq {seq_next}");
             }
         }
-        let (dr, _ds) =
-            apply_piggyback(&mut state.stats, &mut self.st.stats, rejected_cum, shed_cum);
-        if dr > 0 {
-            if let Some(t) = &mut self.trace {
-                t.record(
-                    self.st.now,
-                    TraceEvent::ShardReject {
-                        shard: self.shard,
-                        tenant,
-                        count: dr.min(u32::MAX as u64) as u32,
-                    },
-                );
-            }
-        }
-        if let Some(t) = &mut self.trace {
-            t.record(
-                self.st.now,
-                TraceEvent::ShardBatch {
-                    shard: self.shard,
-                    tenant,
-                    len: obs.len() as u32,
-                },
-            );
-        }
+        apply_piggyback(&mut state.stats, &mut self.st.stats, rejected_cum, shed_cum);
         let mut prefetches = Vec::new();
         let observed = obs.len() as u64;
         let ingest_t0 = self.metrics.as_ref().map(|_| Instant::now());
@@ -657,7 +622,6 @@ impl WorkerLoop<'_> {
     fn finish(&mut self) -> ShardExit {
         ShardExit::Finished(Box::new(ShardReport {
             stats: finalize(&self.st),
-            trace: self.trace.take(),
             epoch: self.epoch,
             recoveries: Vec::new(),
         }))
@@ -715,9 +679,7 @@ pub(crate) fn run_worker(ctx: &WorkerCtx, init: Option<ShardInit>) -> ShardExit 
         slot,
         ingress,
         st,
-        trace: cfg.trace.map(TraceBuffer::new),
         metrics,
-        fault_plan: cfg.fault.map(|fc| ServiceFaultPlan::new(fc, shard, epoch)),
         since_checkpoint: 0,
     };
     loop {

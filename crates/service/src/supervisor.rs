@@ -530,7 +530,6 @@ impl Supervisor {
                             shard: slot.shard,
                             ..ShardStats::default()
                         }),
-                    trace: None,
                     epoch: self.workers[i].epoch,
                     recoveries: Vec::new(),
                 },

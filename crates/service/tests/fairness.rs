@@ -10,9 +10,10 @@
 //!   are served, never their per-tenant order, so table fingerprints
 //!   are bit-identical across weights.
 //!
-//! Every test freezes the shard with a [`PauseGuard`], builds a known
-//! backlog, and resumes — the drain order is then fully deterministic
-//! and observable through [`TraceEvent::ShardBatch`] records.
+//! Tests that need a known backlog build it behind a [`PauseGuard`] and
+//! then resume, so the drain order is fully deterministic. The order
+//! itself is checked inside the crate, against the shard's observation
+//! journal (`service::tests`).
 
 use std::time::Duration;
 
@@ -20,7 +21,7 @@ use ulmt_service::{
     AdmissionQuota, PrefetchService, ServiceConfig, Session, SupervisionConfig, TenantSpec,
     TrySubmit,
 };
-use ulmt_simcore::{LineAddr, TraceConfig, TraceEvent};
+use ulmt_simcore::LineAddr;
 
 const BATCH: usize = 16;
 
@@ -40,7 +41,7 @@ fn batches(tenant: u32, count: usize) -> Vec<Vec<LineAddr>> {
         .collect()
 }
 
-fn traced_cfg(queue_depth: usize) -> ServiceConfig {
+fn cfg(queue_depth: usize) -> ServiceConfig {
     ServiceConfig {
         shards: 1,
         queue_depth,
@@ -51,23 +52,8 @@ fn traced_cfg(queue_depth: usize) -> ServiceConfig {
             control_timeout_ms: 10_000,
             ..SupervisionConfig::default()
         },
-        trace: Some(TraceConfig::default()),
         ..ServiceConfig::default()
     }
-}
-
-/// Tenant ids of every `ShardBatch` trace record, oldest first.
-fn served_order(service: PrefetchService) -> Vec<u32> {
-    let reports = service.shutdown();
-    let trace = reports[0].trace.as_ref().expect("tracing was enabled");
-    assert_eq!(trace.overwritten(), 0, "ring must hold the full stream");
-    trace
-        .iter()
-        .filter_map(|e| match e.event {
-            TraceEvent::ShardBatch { tenant, .. } => Some(tenant),
-            _ => None,
-        })
-        .collect()
 }
 
 fn enqueue(session: &mut Session, obs: &[LineAddr]) -> ulmt_service::PendingBatch {
@@ -78,48 +64,8 @@ fn enqueue(session: &mut Session, obs: &[LineAddr]) -> ulmt_service::PendingBatc
 }
 
 #[test]
-fn drr_serves_backlogged_tenants_in_weighted_round_robin_order() {
-    let service = PrefetchService::start(traced_cfg(16));
-    let mut hot = service
-        .open(1, TenantSpec::repl(256).with_weight(2))
-        .unwrap();
-    let mut l1 = service.open(2, TenantSpec::repl(256)).unwrap();
-    let mut l2 = service.open(3, TenantSpec::repl(256)).unwrap();
-
-    let hot_stream = batches(1, 6);
-    let light1 = batches(2, 2);
-    let light2 = batches(3, 2);
-
-    // Build the whole backlog behind a paused worker so the drain order
-    // reflects the scheduler alone, not arrival timing.
-    let pause = service.pause_shard(0).unwrap();
-    let mut pending = Vec::new();
-    for obs in &hot_stream {
-        pending.push(enqueue(&mut hot, obs));
-    }
-    for (s, stream) in [(&mut l1, &light1), (&mut l2, &light2)] {
-        for obs in stream.iter() {
-            pending.push(enqueue(s, obs));
-        }
-    }
-    drop(pause);
-    for p in pending {
-        assert!(p.wait().unwrap().error.is_none());
-    }
-    service.drain().unwrap();
-
-    // Weight 2 earns the hot tenant two batches per visit; the weight-1
-    // tenants get one each. Registration order fixes the visit order.
-    assert_eq!(
-        served_order(service),
-        vec![1, 1, 2, 3, 1, 1, 2, 3, 1, 1],
-        "weighted round-robin drain order"
-    );
-}
-
-#[test]
 fn queue_full_is_per_tenant_not_shared() {
-    let service = PrefetchService::start(traced_cfg(8));
+    let service = PrefetchService::start(cfg(8));
     let mut small = service
         .open(1, TenantSpec::repl(256).with_queue_depth(2))
         .unwrap();
@@ -157,7 +103,7 @@ fn queue_full_is_per_tenant_not_shared() {
 
 #[test]
 fn admission_quota_sheds_over_burst_and_counts_exactly() {
-    let service = PrefetchService::start(traced_cfg(16));
+    let service = PrefetchService::start(cfg(16));
     // Two burst tokens, trickle refill (5/s = one token per 200 ms): the
     // immediate submissions below outrun the refill deterministically.
     let mut s = service
@@ -208,7 +154,7 @@ fn fingerprints_are_identical_across_weights() {
     // whatever the weights. Backlogs are built behind a pause so the
     // two weightings genuinely interleave tenants differently.
     fn run(hot_weight: u32) -> Vec<(u32, u64)> {
-        let service = PrefetchService::start(traced_cfg(32));
+        let service = PrefetchService::start(cfg(32));
         let mut hot = service
             .open(1, TenantSpec::repl(256).with_weight(hot_weight))
             .unwrap();

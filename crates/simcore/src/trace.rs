@@ -250,26 +250,6 @@ pub enum TraceEvent {
         /// Pushes dispatched to DRAM whose L2 arrival never happened.
         pushes_in_flight: u32,
     },
-    /// A prefetch-service shard processed one ingestion batch.
-    ShardBatch {
-        /// Shard that processed the batch.
-        shard: u32,
-        /// Tenant the batch belongs to.
-        tenant: u32,
-        /// Observations in the batch.
-        len: u32,
-    },
-    /// A prefetch-service shard learned of rejected submissions: the
-    /// tenant's session hit a full ingestion queue (`TrySubmit::Full`)
-    /// `count` times since its previous accepted batch.
-    ShardReject {
-        /// Shard whose queue was full.
-        shard: u32,
-        /// Tenant whose submission bounced.
-        tenant: u32,
-        /// Rejections since the last accepted batch.
-        count: u32,
-    },
 }
 
 impl TraceEvent {
@@ -300,8 +280,6 @@ impl TraceEvent {
             TraceEvent::DramAccess { .. } => "dram_access",
             TraceEvent::FsbTransfer { .. } => "fsb_transfer",
             TraceEvent::RunEnd { .. } => "run_end",
-            TraceEvent::ShardBatch { .. } => "shard_batch",
-            TraceEvent::ShardReject { .. } => "shard_reject",
         }
     }
 
@@ -332,7 +310,6 @@ impl TraceEvent {
             | TraceEvent::DemandOverflow { .. }
             | TraceEvent::DramAccess { .. }
             | TraceEvent::FsbTransfer { .. } => 3,
-            TraceEvent::ShardBatch { .. } | TraceEvent::ShardReject { .. } => 5,
         }
     }
 
@@ -424,19 +401,6 @@ impl TraceEvent {
                 let _ = write!(
                     out,
                     "\"queue2\":{queue2},\"queue3\":{queue3},\"pushes_in_flight\":{pushes_in_flight}"
-                );
-            }
-            TraceEvent::ShardBatch { shard, tenant, len } => {
-                let _ = write!(out, "\"shard\":{shard},\"tenant\":{tenant},\"len\":{len}");
-            }
-            TraceEvent::ShardReject {
-                shard,
-                tenant,
-                count,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"shard\":{shard},\"tenant\":{tenant},\"count\":{count}"
                 );
             }
         }
@@ -594,7 +558,6 @@ impl TraceBuffer {
             (1, "queue2 / ULMT"),
             (2, "filter / queue3"),
             (3, "NB / DRAM / FSB"),
-            (5, "service shards"),
         ];
         let mut out = String::with_capacity(self.events.len() * 96 + 512);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -845,16 +808,6 @@ mod tests {
                 queue2: 1,
                 queue3: 2,
                 pushes_in_flight: 3,
-            },
-            TraceEvent::ShardBatch {
-                shard: 0,
-                tenant: 7,
-                len: 64,
-            },
-            TraceEvent::ShardReject {
-                shard: 1,
-                tenant: 7,
-                count: 2,
             },
         ];
         let mut buf = TraceBuffer::new(TraceConfig::default());

@@ -360,7 +360,12 @@ impl SystemSim {
                 channel,
             } => self.dram_done(line, kind, channel, t),
             Event::ReplyAtL2 { line, kind } => self.reply_at_l2(line, kind, t),
-            Event::UlmtPrefetches { lines } => self.enqueue_prefetches(lines, t),
+            Event::UlmtPrefetches { lines } => {
+                self.enqueue_prefetches(&lines, t);
+                if let Some(mp) = self.memproc.as_mut() {
+                    mp.recycle(lines);
+                }
+            }
             Event::UlmtFree => self.ulmt_next(t),
             Event::ChannelFree { channel } => {
                 self.channel_busy[channel] = false;
@@ -940,7 +945,9 @@ impl SystemSim {
         };
         let start = t.max(mp.busy_until());
         let step = mp.process(miss, start, &mut self.table_mem);
-        if !step.prefetches.is_empty() {
+        if step.prefetches.is_empty() {
+            mp.recycle(step.prefetches);
+        } else {
             self.events.push(
                 step.response_done,
                 Event::UlmtPrefetches {
@@ -966,8 +973,8 @@ impl SystemSim {
     /// demand, duplicate, queue depth — enter queue 3 and count as
     /// `issued`; each squash stage has its own counter, so the stages
     /// partition the ULMT's raw request stream exactly.
-    fn enqueue_prefetches(&mut self, lines: Vec<LineAddr>, t: Cycle) {
-        for line in lines {
+    fn enqueue_prefetches(&mut self, lines: &[LineAddr], t: Cycle) {
+        for &line in lines {
             if !self.filter.admit(line) {
                 self.effect.squashed_filter += 1;
                 self.emit(t, TraceEvent::FilterDrop { line });
@@ -1241,7 +1248,7 @@ mod tests {
         sim.obs_q
             .extend([dup, LineAddr::new(7), dup, dup, LineAddr::new(9)]);
         sim.inflight_dram.insert(dup, ReqKind::Demand);
-        sim.enqueue_prefetches(vec![dup], 100);
+        sim.enqueue_prefetches(&[dup], 100);
         assert!(
             sim.obs_q.iter().all(|&o| o != dup),
             "stale duplicate observations left behind: {:?}",
@@ -1267,7 +1274,7 @@ mod tests {
         }
         sim.inflight_dram.insert(LineAddr::new(30), ReqKind::Demand);
         sim.enqueue_prefetches(
-            vec![
+            &[
                 LineAddr::new(10), // enqueued
                 LineAddr::new(10), // Filter drop
                 LineAddr::new(20), // enqueued
@@ -1283,7 +1290,7 @@ mod tests {
         assert_eq!(sim.prefetch_q_overflow, 1);
         // A second round: the queued lines are now duplicates.
         sim.filter = Filter::new(sim.cfg.filter_entries); // forget round 1
-        sim.enqueue_prefetches(vec![LineAddr::new(10), LineAddr::new(20)], 1);
+        sim.enqueue_prefetches(&[LineAddr::new(10), LineAddr::new(20)], 1);
         assert_eq!(sim.effect.squashed_duplicate, 2);
         assert_eq!(sim.effect.issued, 2, "duplicates must not count as issued");
     }
@@ -1297,7 +1304,7 @@ mod tests {
             *busy = true;
         }
         let lines: Vec<LineAddr> = (0..6).map(|n| LineAddr::new(n * 3)).collect();
-        sim.enqueue_prefetches(lines.clone(), 0);
+        sim.enqueue_prefetches(&lines, 0);
         assert_eq!(sim.prefetch_q.len(), lines.len());
         // An NB demand match removes the entry from both structures.
         sim.request_at_nb(lines[2], ReqKind::Demand, 5);

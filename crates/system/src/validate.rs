@@ -223,10 +223,6 @@ impl Tally {
                     t.run_ends += 1;
                     t.run_end = Some((queue2, queue3, pushes_in_flight));
                 }
-                // Prefetch-service shard events are produced by
-                // `ulmt_service`, never by a `SystemSim` run, so a system
-                // trace audit has nothing to cross-check them against.
-                TraceEvent::ShardBatch { .. } | TraceEvent::ShardReject { .. } => {}
             }
         }
         t

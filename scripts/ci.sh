@@ -49,8 +49,11 @@
 #                                references the removed pre-redesign
 #                                entry points, the removed sweep,
 #                                watchdog, twin-run and poison-pill API,
-#                                the removed wedge detection, or the
-#                                removed simulator fault injection
+#                                the removed wedge detection, the
+#                                removed simulator fault injection, the
+#                                removed service event trace and
+#                                slow-consumer fault, or the public
+#                                MruList (now a test-only oracle type)
 #
 # This wraps the canonical tier-1 verify from ROADMAP.md
 # (`cargo build --release && cargo test -q`) with the lint front-line so
@@ -125,8 +128,10 @@ echo "== deprecation audit"
 # may reference the removed pre-redesign entry points, nor the removed
 # sweep, watchdog, twin-run and poison-pill API, nor the removed wedge
 # detection and epoch fencing, nor the removed simulator fault
-# injection. perfbench/ is not scanned: its host descriptor still clears
-# ULMT_CYCLE_BUDGET and ULMT_FAULT_SEED.
+# injection, nor the service's removed shard trace events and
+# slow-consumer fault, nor the production MruList (its test oracle is
+# RefSuccList). perfbench/ is not scanned: its host descriptor still
+# clears ULMT_CYCLE_BUDGET and ULMT_FAULT_SEED.
 if grep -rn --include='*.rs' '#\[deprecated' src tests examples crates; then
     echo "deprecation audit: #[deprecated] items remain (above); the"
     echo "deprecation window is one release cycle -- remove, don't park"
@@ -139,6 +144,7 @@ removed_api+='|wedge_ticks|WedgeShard|wedge_scan|RecoveryCause|park_until_fenced
 removed_api+='|is_abandoned|abandoned_below|schedstat|thread-self'
 removed_api+='|FaultConfig|FaultPlan|FaultReport|FaultCounts|ObservationFault|FaultKind'
 removed_api+='|FaultInjected|set_faults|DelayedObservation|ULMT_FAULT_SEED'
+removed_api+='|ShardBatch|ShardReject|SlowConsumer|ServiceFaultPlan|slow_consumer|MruList'
 if grep -rn --include='*.rs' -E "\b($removed_api)\b" src tests examples crates; then
     echo "deprecation audit: references to removed APIs (above)"
     exit 1
