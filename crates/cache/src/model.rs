@@ -183,6 +183,8 @@ impl Way {
 pub struct Cache {
     cfg: CacheConfig,
     ways: Vec<Way>, // num_sets * assoc, row-major by set
+    /// `num_sets - 1`: a line's set is its low bits.
+    set_mask: usize,
     mshrs: MshrFile,
     wb: WriteBackQueue,
     stats: CacheStats,
@@ -199,6 +201,7 @@ impl Cache {
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         Cache {
             ways: vec![Way::invalid(); cfg.num_lines()],
+            set_mask: cfg.num_sets() - 1,
             mshrs: MshrFile::new(cfg.mshrs),
             wb: WriteBackQueue::new(cfg.wb_capacity),
             cfg,
@@ -262,23 +265,8 @@ impl Cache {
     ) -> AccessOutcome {
         self.lru_clock += 1;
         if let Some(idx) = self.find_valid(line) {
-            let clock = self.lru_clock;
-            let way = &mut self.ways[idx];
-            way.lru = clock;
-            if is_write {
-                way.dirty = true;
-            }
-            let first_touch = if demand { way.prefetched.take() } else { None };
-            match first_touch {
-                Some(PrefetchOrigin::Push) => self.stats.prefetch_first_touches += 1,
-                Some(PrefetchOrigin::CpuSide) => self.stats.cpu_prefetch_first_touches += 1,
-                None => {}
-            }
-            if demand {
-                self.stats.demand_hits += 1;
-            }
             return AccessOutcome::Hit {
-                first_touch_of_prefetch: first_touch,
+                first_touch_of_prefetch: self.hit(idx, is_write, demand),
             };
         }
 
@@ -331,6 +319,58 @@ impl Cache {
             evicted_dirty,
             evicted_prefetch,
         }
+    }
+
+    /// Demand access for a cache that waits out every miss (the in-order
+    /// memory processor's): a miss installs the line at once, leaving the
+    /// cache as [`Cache::access`] then [`Cache::fill`] would, without an
+    /// MSHR. Returns `true` on a hit.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if a fill is in flight.
+    pub fn access_install(&mut self, line: LineAddr, is_write: bool) -> bool {
+        debug_assert_eq!(self.mshrs.in_use(), 0, "a fill is in flight");
+        self.stats.demand_accesses += 1;
+        self.lru_clock += 1;
+        if let Some(idx) = self.find_valid(line) {
+            self.hit(idx, is_write, /*demand=*/ true);
+            return true;
+        }
+        let victim = self
+            .pick_victim(line)
+            .expect("no fill in flight, so no way is pending");
+        self.evict(victim);
+        self.ways[victim] = Way {
+            line,
+            state: WayState::Valid,
+            dirty: is_write,
+            prefetched: None,
+            lru: self.lru_clock,
+        };
+        self.stats.demand_misses += 1;
+        false
+    }
+
+    /// Records a hit on the valid way at `idx`; returns the origin of a
+    /// prefetched line's first demand touch.
+    fn hit(&mut self, idx: usize, is_write: bool, demand: bool) -> Option<PrefetchOrigin> {
+        let clock = self.lru_clock;
+        let way = &mut self.ways[idx];
+        way.lru = clock;
+        if is_write {
+            way.dirty = true;
+        }
+        let first_touch = if demand { way.prefetched.take() } else { None };
+        match first_touch {
+            Some(PrefetchOrigin::Push) => self.stats.prefetch_first_touches += 1,
+            Some(PrefetchOrigin::CpuSide) => self.stats.cpu_prefetch_first_touches += 1,
+            None => {}
+        }
+        if demand {
+            self.stats.demand_hits += 1;
+        }
+        first_touch
     }
 
     /// Completes the in-flight fill of `line`. Returns `true` if a demand
@@ -445,7 +485,7 @@ impl Cache {
     }
 
     fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let set = (line.raw() as usize) & (self.cfg.num_sets() - 1);
+        let set = (line.raw() as usize) & self.set_mask;
         let start = set * self.cfg.assoc;
         start..start + self.cfg.assoc
     }
@@ -460,11 +500,19 @@ impl Cache {
             .find(|&i| self.ways[i].state == WayState::Pending && self.ways[i].line == line)
     }
 
-    /// Picks the LRU way among non-pending ways of the target set.
+    /// Picks the victim among the non-pending ways of the target set: the
+    /// first invalid way, else the least recently used valid one (the
+    /// first of equals).
     fn pick_victim(&self, line: LineAddr) -> Option<usize> {
-        self.set_range(line)
-            .filter(|&i| self.ways[i].state != WayState::Pending)
-            .min_by_key(|&i| (self.ways[i].state == WayState::Valid, self.ways[i].lru))
+        let mut victim: Option<(usize, (bool, u64))> = None;
+        for i in self.set_range(line) {
+            let way = &self.ways[i];
+            let key = (way.state == WayState::Valid, way.lru);
+            if way.state != WayState::Pending && victim.is_none_or(|(_, best)| key < best) {
+                victim = Some((i, key));
+            }
+        }
+        victim.map(|(i, _)| i)
     }
 
     /// Evicts the way at `idx`, enqueueing a write-back if dirty. Returns

@@ -10,10 +10,13 @@ use ulmt_simcore::LineAddr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MshrId(pub(crate) usize);
 
-/// One in-flight miss.
-#[derive(Debug, Clone)]
+/// Tag of a free register: no line address reaches it (a line number is
+/// a byte address divided by the line size).
+const FREE: u64 = u64::MAX;
+
+/// Flags of one in-flight miss.
+#[derive(Debug, Clone, Copy, Default)]
 struct Mshr {
-    line: LineAddr,
     /// `true` if a demand access is waiting on this fill (as opposed to a
     /// fill initiated purely by a prefetch).
     demand_waiting: bool,
@@ -40,7 +43,11 @@ struct Mshr {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MshrFile {
-    slots: Vec<Option<Mshr>>,
+    /// Raw line tracked by each register, [`FREE`] if the register is
+    /// free; [`MshrFile::find`] scans this flat array only.
+    tags: Vec<u64>,
+    slots: Vec<Mshr>,
+    in_use: usize,
 }
 
 impl MshrFile {
@@ -52,7 +59,9 @@ impl MshrFile {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR capacity must be positive");
         MshrFile {
-            slots: vec![None; capacity],
+            tags: vec![FREE; capacity],
+            slots: vec![Mshr::default(); capacity],
+            in_use: 0,
         }
     }
 
@@ -61,30 +70,33 @@ impl MshrFile {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if an MSHR for `line` already exists; callers
-    /// must merge into the existing register instead (see [`MshrFile::find`]).
+    /// Panics if `line` is the reserved all-ones line number. Panics in
+    /// debug builds if an MSHR for `line` already exists; callers must
+    /// merge into the existing register instead (see [`MshrFile::find`]).
     pub fn allocate(
         &mut self,
         line: LineAddr,
         demand_waiting: bool,
         prefetch_initiated: bool,
     ) -> Option<MshrId> {
+        assert_ne!(line.raw(), FREE, "line {line} is not addressable");
         debug_assert!(self.find(line).is_none(), "duplicate MSHR for {line}");
-        let idx = self.slots.iter().position(Option::is_none)?;
-        self.slots[idx] = Some(Mshr {
-            line,
+        let idx = self.tags.iter().position(|&t| t == FREE)?;
+        self.tags[idx] = line.raw();
+        self.slots[idx] = Mshr {
             demand_waiting,
             prefetch_initiated,
-        });
+        };
+        self.in_use += 1;
         Some(MshrId(idx))
     }
 
     /// Finds the register tracking `line`, if any.
     pub fn find(&self, line: LineAddr) -> Option<MshrId> {
-        self.slots
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|m| m.line == line))
-            .map(MshrId)
+        if self.in_use == 0 {
+            return None;
+        }
+        self.tags.iter().position(|&t| t == line.raw()).map(MshrId)
     }
 
     /// Marks that a demand access is now waiting on the fill tracked by `id`.
@@ -109,7 +121,9 @@ impl MshrFile {
 
     /// Line tracked by `id`.
     pub fn line(&self, id: MshrId) -> LineAddr {
-        self.slot(id).line
+        let tag = self.tags[id.0];
+        assert!(tag != FREE, "stale MshrId");
+        LineAddr::new(tag)
     }
 
     /// Releases `id`, freeing the register.
@@ -118,31 +132,34 @@ impl MshrFile {
     ///
     /// Panics if `id` is not allocated.
     pub fn release(&mut self, id: MshrId) {
-        assert!(self.slots[id.0].is_some(), "releasing unallocated MSHR");
-        self.slots[id.0] = None;
+        assert!(self.tags[id.0] != FREE, "releasing unallocated MSHR");
+        self.tags[id.0] = FREE;
+        self.in_use -= 1;
     }
 
     /// Returns `true` if at least one register is free.
     pub fn has_free(&self) -> bool {
-        self.slots.iter().any(Option::is_none)
+        self.in_use < self.tags.len()
     }
 
     /// Number of registers currently allocated.
     pub fn in_use(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.in_use
     }
 
     /// Total number of registers.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.tags.len()
     }
 
     fn slot(&self, id: MshrId) -> &Mshr {
-        self.slots[id.0].as_ref().expect("stale MshrId")
+        assert!(self.tags[id.0] != FREE, "stale MshrId");
+        &self.slots[id.0]
     }
 
     fn slot_mut(&mut self, id: MshrId) -> &mut Mshr {
-        self.slots[id.0].as_mut().expect("stale MshrId")
+        assert!(self.tags[id.0] != FREE, "stale MshrId");
+        &mut self.slots[id.0]
     }
 }
 

@@ -8,9 +8,7 @@
 //! is dropped and the list is left unmodified. Otherwise, the address is
 //! added to the tail of the list."
 
-use std::collections::VecDeque;
-
-use ulmt_simcore::{FxHashSet, LineAddr};
+use ulmt_simcore::LineAddr;
 
 /// Fixed-size FIFO filter of recently-issued prefetch addresses.
 ///
@@ -28,11 +26,10 @@ use ulmt_simcore::{FxHashSet, LineAddr};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Filter {
-    entries: VecDeque<LineAddr>,
-    // Shadow of `entries` for O(1) membership checks. The FIFO list never
-    // holds duplicates (a present line is dropped, not re-added), so a
-    // set mirrors it exactly.
-    present: FxHashSet<LineAddr>,
+    /// The FIFO list as a ring, scanned flat: once it is full,
+    /// `entries[next]` is the oldest address and the next one replaced.
+    entries: Vec<LineAddr>,
+    next: usize,
     capacity: usize,
     admitted: u64,
     dropped: u64,
@@ -50,8 +47,8 @@ impl Filter {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "filter capacity must be positive");
         Filter {
-            entries: VecDeque::with_capacity(capacity),
-            present: FxHashSet::with_capacity_and_hasher(capacity, Default::default()),
+            entries: Vec::with_capacity(capacity),
+            next: 0,
             capacity,
             admitted: 0,
             dropped: 0,
@@ -61,17 +58,16 @@ impl Filter {
     /// Checks a prefetch request: returns `true` if it should be issued
     /// (and records it), `false` if it must be dropped (list unmodified).
     pub fn admit(&mut self, line: LineAddr) -> bool {
-        if self.present.contains(&line) {
+        if self.entries.contains(&line) {
             self.dropped += 1;
             return false;
         }
-        if self.entries.len() >= self.capacity {
-            let evicted = self.entries.pop_front().expect("capacity is positive");
-            self.present.remove(&evicted);
+        if self.entries.len() < self.capacity {
+            self.entries.push(line);
+        } else {
+            self.entries[self.next] = line;
+            self.next = (self.next + 1) % self.capacity;
         }
-        self.entries.push_back(line);
-        self.present.insert(line);
-        debug_assert_eq!(self.entries.len(), self.present.len());
         self.admitted += 1;
         true
     }
@@ -111,6 +107,7 @@ impl Default for Filter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn line(n: u64) -> LineAddr {
         LineAddr::new(n)
@@ -173,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_shadow_is_equivalent_to_linear_scan() {
+    fn ring_is_equivalent_to_fifo_scan() {
         // Drive both implementations with the same clustered random
         // stream (small line space forces heavy reuse, aging, and
         // drop-then-age-then-readmit interleavings) and require identical

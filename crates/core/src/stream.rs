@@ -12,7 +12,8 @@
 
 use std::collections::VecDeque;
 
-use ulmt_simcore::LineAddr;
+use ulmt_simcore::hash::fx_map_with_capacity;
+use ulmt_simcore::{FxHashMap, LineAddr};
 
 /// One stream register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +57,12 @@ pub struct StreamDetector {
     /// the processor prefetcher already covers.
     offset: i64,
     streams: Vec<Stream>,
-    /// Recent miss lines, for stream recognition.
+    /// The last [`RECENT_WINDOW`] miss lines, oldest first, for stream
+    /// recognition.
     recent: VecDeque<LineAddr>,
+    /// How often each line occurs in `recent`, so a membership test costs
+    /// one lookup instead of a scan of the window.
+    in_recent: FxHashMap<LineAddr, u32>,
     lru_clock: u64,
     /// Streams recognized so far (statistics).
     recognized: u64,
@@ -83,7 +88,8 @@ impl StreamDetector {
             num_pref,
             offset: 0,
             streams: Vec::with_capacity(num_seq),
-            recent: VecDeque::with_capacity(RECENT_WINDOW),
+            recent: VecDeque::with_capacity(RECENT_WINDOW + 1),
+            in_recent: fx_map_with_capacity(RECENT_WINDOW + 1),
             lru_clock: 0,
             recognized: 0,
         }
@@ -156,11 +162,18 @@ impl StreamDetector {
         }
 
         // 2. Third miss in a ±1 sequence recognizes a new stream.
-        let up = self.recent.contains(&miss.offset(-1)) && self.recent.contains(&miss.offset(-2));
-        let down = self.recent.contains(&miss.offset(1)) && self.recent.contains(&miss.offset(2));
+        let seen = |delta: i64| self.in_recent.contains_key(&miss.offset(delta));
+        let up = seen(-1) && seen(-2);
+        let down = seen(1) && seen(2);
         self.recent.push_back(miss);
+        *self.in_recent.entry(miss).or_insert(0) += 1;
         if self.recent.len() > RECENT_WINDOW {
-            self.recent.pop_front();
+            let oldest = self.recent.pop_front().expect("window is non-empty");
+            let count = self.in_recent.get_mut(&oldest).expect("counted on entry");
+            *count -= 1;
+            if *count == 0 {
+                self.in_recent.remove(&oldest);
+            }
         }
         if up || down {
             let stride: i64 = if up { 1 } else { -1 };
@@ -288,6 +301,28 @@ mod tests {
             assert!(d.observe(line(n)).is_empty());
         }
         assert_eq!(d.streams_recognized(), 0);
+    }
+
+    /// A line counts toward recognition for exactly the next
+    /// `RECENT_WINDOW` misses, and a line seen twice stays until its
+    /// later copy ages out.
+    #[test]
+    fn recent_window_ages_out_oldest_copy_first() {
+        let recognizes = |prefix: &[u64], unrelated: u64| {
+            let mut d = StreamDetector::new(4, 2);
+            for &n in prefix {
+                d.observe(line(n));
+            }
+            for i in 0..unrelated {
+                assert!(d.observe(line(1_000 + i * 1_000)).is_empty());
+            }
+            !d.observe(line(12)).is_empty()
+        };
+        let fill = RECENT_WINDOW as u64 - 2;
+        assert!(recognizes(&[10, 11], fill));
+        assert!(!recognizes(&[10, 11], fill + 1));
+        assert!(recognizes(&[10, 10, 11], fill));
+        assert!(!recognizes(&[10, 10, 11], fill + 1));
     }
 
     #[test]

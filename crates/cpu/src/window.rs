@@ -7,11 +7,15 @@
 //! classic behavior that makes L2 misses "usually the hardest to hide
 //! with out-of-order execution".
 
+use ulmt_simcore::LineAddr;
+
 /// One outstanding (missing) load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pending {
     id: u64,
     insn_idx: u64,
+    /// The line the load waits for.
+    line: LineAddr,
 }
 
 /// Why the processor cannot continue past the window.
@@ -23,12 +27,16 @@ pub enum WindowVerdict {
     StallFull {
         /// Identifier of the miss the processor must wait for.
         id: u64,
+        /// The line that miss waits for.
+        line: LineAddr,
     },
     /// The next instruction is further than the ROB allows from the oldest
     /// outstanding miss; wait for it.
     StallRob {
         /// Identifier of the miss the processor must wait for.
         id: u64,
+        /// The line that miss waits for.
+        line: LineAddr,
     },
 }
 
@@ -38,12 +46,16 @@ pub enum WindowVerdict {
 ///
 /// ```
 /// use ulmt_cpu::{MissWindow, WindowVerdict};
+/// use ulmt_simcore::LineAddr;
 ///
 /// let mut w = MissWindow::new(2, 128);
-/// w.issue(1, 0);
-/// w.issue(2, 10);
-/// // Both slots busy: the CPU must wait for miss 1.
-/// assert_eq!(w.check(20), WindowVerdict::StallFull { id: 1 });
+/// w.issue(1, 0, LineAddr::new(7));
+/// w.issue(2, 10, LineAddr::new(9));
+/// // Both slots busy: the CPU must wait for miss 1 and its line.
+/// assert_eq!(
+///     w.check(20),
+///     WindowVerdict::StallFull { id: 1, line: LineAddr::new(7) }
+/// );
 /// w.complete(1);
 /// assert_eq!(w.check(20), WindowVerdict::Proceed);
 /// ```
@@ -73,22 +85,24 @@ impl MissWindow {
         }
     }
 
-    /// Records a newly issued miss `id` at instruction index `insn_idx`.
+    /// Records a newly issued miss `id` at instruction index `insn_idx`,
+    /// waiting for `line`.
     ///
     /// # Panics
     ///
-    /// Panics if the window is already full or `id` is already present —
-    /// callers must consult [`MissWindow::check`] first.
-    pub fn issue(&mut self, id: u64, insn_idx: u64) {
+    /// Panics if the window is already full — callers must consult
+    /// [`MissWindow::check`] first — and, in debug builds, if `id` is
+    /// already present.
+    pub fn issue(&mut self, id: u64, insn_idx: u64, line: LineAddr) {
         assert!(
             self.pending.len() < self.max_pending,
             "issuing past a full window"
         );
-        assert!(
+        debug_assert!(
             self.pending.iter().all(|p| p.id != id),
             "duplicate outstanding miss id {id}"
         );
-        self.pending.push(Pending { id, insn_idx });
+        self.pending.push(Pending { id, insn_idx, line });
     }
 
     /// Marks miss `id` complete. Unknown ids are ignored (the fill may
@@ -103,11 +117,12 @@ impl MissWindow {
         let Some(oldest) = self.pending.iter().min_by_key(|p| p.insn_idx) else {
             return WindowVerdict::Proceed;
         };
+        let (id, line) = (oldest.id, oldest.line);
         if self.pending.len() >= self.max_pending {
-            return WindowVerdict::StallFull { id: oldest.id };
+            return WindowVerdict::StallFull { id, line };
         }
         if insn_count.saturating_sub(oldest.insn_idx) > self.rob_insns {
-            return WindowVerdict::StallRob { id: oldest.id };
+            return WindowVerdict::StallRob { id, line };
         }
         WindowVerdict::Proceed
     }
@@ -132,6 +147,10 @@ impl MissWindow {
 mod tests {
     use super::*;
 
+    fn line(n: u64) -> LineAddr {
+        LineAddr::new(n)
+    }
+
     #[test]
     fn empty_window_proceeds() {
         let w = MissWindow::new(8, 128);
@@ -143,10 +162,16 @@ mod tests {
     #[test]
     fn rob_limit_stalls_on_oldest() {
         let mut w = MissWindow::new(8, 128);
-        w.issue(7, 100);
-        w.issue(8, 150);
+        w.issue(7, 100, line(70));
+        w.issue(8, 150, line(80));
         assert_eq!(w.check(200), WindowVerdict::Proceed);
-        assert_eq!(w.check(229), WindowVerdict::StallRob { id: 7 });
+        assert_eq!(
+            w.check(229),
+            WindowVerdict::StallRob {
+                id: 7,
+                line: line(70)
+            }
+        );
         w.complete(7);
         // Now the oldest is id 8 at 150: 229 - 150 < 128.
         assert_eq!(w.check(229), WindowVerdict::Proceed);
@@ -155,16 +180,22 @@ mod tests {
     #[test]
     fn capacity_limit_stalls() {
         let mut w = MissWindow::new(2, 1_000_000);
-        w.issue(1, 0);
-        w.issue(2, 1);
-        assert_eq!(w.check(2), WindowVerdict::StallFull { id: 1 });
+        w.issue(1, 0, line(10));
+        w.issue(2, 1, line(20));
+        assert_eq!(
+            w.check(2),
+            WindowVerdict::StallFull {
+                id: 1,
+                line: line(10)
+            }
+        );
         assert_eq!(w.len(), 2);
     }
 
     #[test]
     fn complete_unknown_id_is_noop() {
         let mut w = MissWindow::new(2, 10);
-        w.issue(1, 0);
+        w.issue(1, 0, line(1));
         w.complete(42);
         assert_eq!(w.len(), 1);
     }
@@ -173,15 +204,17 @@ mod tests {
     #[should_panic(expected = "full window")]
     fn issue_past_capacity_panics() {
         let mut w = MissWindow::new(1, 10);
-        w.issue(1, 0);
-        w.issue(2, 1);
+        w.issue(1, 0, line(1));
+        w.issue(2, 1, line(2));
     }
 
+    // The duplicate check is a debug assertion.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "duplicate outstanding")]
     fn duplicate_id_panics() {
         let mut w = MissWindow::new(4, 10);
-        w.issue(1, 0);
-        w.issue(1, 5);
+        w.issue(1, 0, line(1));
+        w.issue(1, 5, line(1));
     }
 }

@@ -1,6 +1,6 @@
 //! The memory-processor execution model.
 
-use ulmt_cache::{AccessOutcome, Cache, CacheConfig};
+use ulmt_cache::{Cache, CacheConfig};
 use ulmt_core::algorithm::UlmtAlgorithm;
 use ulmt_core::cost::{Cost, StepResult};
 use ulmt_simcore::stats::Mean;
@@ -381,24 +381,16 @@ impl MemProcessor {
             for lineno in first..=last {
                 let line = LineAddr::new(lineno);
                 let before = *t;
-                match self.cache.access(line, touch.is_write) {
-                    AccessOutcome::Hit { .. } => {
-                        *t += self.cfg.l1_hit;
-                    }
-                    AccessOutcome::Miss { .. } | AccessOutcome::MissMerged { .. } => {
-                        *t = mem.fetch(line.byte_addr(line_size), *t);
-                        self.cache.fill(line, false);
-                    }
-                    AccessOutcome::Blocked => {
-                        // The simple in-order core never has more than one
-                        // outstanding fill; treat as a miss.
-                        *t = mem.fetch(line.byte_addr(line_size), *t);
-                    }
+                // The in-order core waits out every miss, so the line is
+                // installed as soon as it is fetched.
+                if self.cache.access_install(line, touch.is_write) {
+                    *t += self.cfg.l1_hit;
+                } else {
+                    *t = mem.fetch(line.byte_addr(line_size), *t);
                 }
                 self.stats.mem_cycles += *t - before;
-                // Fills complete immediately in this in-order model; drain
-                // any write-backs (they only cost bandwidth, modeled by
-                // the TableMemory implementation if it cares).
+                // Drain any write-backs (they only cost bandwidth, modeled
+                // by the TableMemory implementation if it cares).
                 while self.cache.writeback_queue_mut().pop().is_some() {}
             }
         }

@@ -2,11 +2,8 @@
 //!
 //! A discrete-event simulator is only reproducible if events scheduled for
 //! the same cycle are dispatched in a well-defined order. [`EventQueue`]
-//! guarantees FIFO order among same-cycle events by pairing every entry with
-//! a monotonically increasing sequence number.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! guarantees FIFO order among same-cycle events: a new event goes after
+//! every pending event of the same or an earlier cycle.
 
 use crate::Cycle;
 
@@ -15,6 +12,11 @@ use crate::Cycle;
 /// Events pushed for the same cycle are popped in push order. This makes
 /// whole-system simulations bit-reproducible across runs, which the test
 /// suite and the experiment harness rely on.
+///
+/// The queue is a vector sorted latest first, built for the handful of
+/// events a simulated machine keeps pending (on average one to seven, at
+/// most a few dozen): a pop takes the last entry, and a push scans from
+/// the front past the few later events and shifts the earlier ones.
 ///
 /// # Example
 ///
@@ -33,84 +35,50 @@ use crate::Cycle;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-    next_seq: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Entry<E> {
-    time: Cycle,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
+    /// Pending events, latest first; the next event is the last entry,
+    /// so equal times sit in reverse push order.
+    events: Vec<(Cycle, E)>,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue with space for `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-        }
+        EventQueue { events: Vec::new() }
     }
 
     /// Schedules `event` to fire at `time`.
     pub fn push(&mut self, time: Cycle, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Entry { time, seq, event }));
+        let at = self
+            .events
+            .iter()
+            .position(|&(t, _)| t <= time)
+            .unwrap_or(self.events.len());
+        self.events.insert(at, (time, event));
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        self.heap.pop().map(|Reverse(e)| (e.time, e.event))
+        self.events.pop()
     }
 
     /// Returns the firing time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.events.last().map(|&(t, _)| t)
     }
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.events.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.events.is_empty()
     }
 
     /// Removes all pending events.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.events.clear();
     }
 }
 

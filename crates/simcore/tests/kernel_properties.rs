@@ -34,6 +34,49 @@ fn event_queue_is_a_stable_priority_queue() {
     }
 }
 
+/// The event queue pops exactly what a `(time, seq)` binary heap pops,
+/// on seeded mixes of pushes and pops: pushes at the time just popped
+/// (which go after every pending same-time event), a few cycles ahead,
+/// and more than 1024 cycles ahead.
+#[test]
+fn event_queue_matches_a_sequenced_heap() {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let mut rng = Pcg32::seed_from_u64(0xe7e7);
+    for _ in 0..CASES {
+        let mut q = EventQueue::new();
+        let mut reference = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        for _ in 0..1_000 {
+            if rng.gen_range_u64(0..8) < 5 {
+                let ahead = match rng.gen_range_u64(0..4) {
+                    0 => 0,
+                    1 => rng.gen_range_u64(1..8),
+                    2 => rng.gen_range_u64(8..300),
+                    _ => rng.gen_range_u64(1025..5000),
+                };
+                q.push(now + ahead, seq);
+                reference.push(Reverse((now + ahead, seq)));
+                seq += 1;
+            } else {
+                let popped = q.pop();
+                assert_eq!(popped, reference.pop().map(|Reverse(e)| e));
+                if let Some((t, _)) = popped {
+                    now = t;
+                }
+            }
+            assert_eq!(q.len(), reference.len());
+            assert_eq!(q.peek_time(), reference.peek().map(|Reverse((t, _))| *t));
+        }
+        while let Some(Reverse(expected)) = reference.pop() {
+            assert_eq!(q.pop(), Some(expected));
+        }
+        assert!(q.is_empty());
+    }
+}
+
 /// A server never overlaps service intervals, never goes backwards, and
 /// its busy time equals the sum of durations.
 #[test]

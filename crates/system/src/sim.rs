@@ -15,12 +15,9 @@ use ulmt_cpu::conven::L1_LINE;
 use ulmt_cpu::{Conven4, MissWindow, ServiceLevel, StallBreakdown, WindowVerdict};
 use ulmt_dram::{Dram, Fsb, TrafficClass};
 use ulmt_memproc::{FixedLatencyMemory, MemProcConfig, MemProcessor};
-use ulmt_simcore::hash::{fx_map_with_capacity, fx_set_with_capacity};
 use ulmt_simcore::stats::BinnedHistogram;
 use ulmt_simcore::trace::PushRejectReason;
-use ulmt_simcore::{
-    ConfigError, Cycle, EventQueue, FxHashMap, FxHashSet, LineAddr, SharedTracer, TraceEvent,
-};
+use ulmt_simcore::{ConfigError, Cycle, EventQueue, LineAddr, SharedTracer, TraceEvent};
 use ulmt_workloads::{TraceRecord, WorkloadSpec};
 
 use crate::config::SystemConfig;
@@ -45,11 +42,7 @@ enum Event {
     /// A request arrived at the North Bridge.
     RequestAtNb { line: LineAddr, kind: ReqKind },
     /// A DRAM transaction produced its data at the memory controller.
-    DramDone {
-        line: LineAddr,
-        kind: ReqKind,
-        channel: usize,
-    },
+    DramDone { line: LineAddr, kind: ReqKind },
     /// Data arrived at the L2 cache (demand reply or push).
     ReplyAtL2 { line: LineAddr, kind: ReqKind },
     /// The ULMT's Prefetching step produced addresses.
@@ -80,8 +73,10 @@ enum LastRef {
     Outstanding { line: LineAddr },
 }
 
+/// An L2 line in flight and the accesses waiting on it.
 #[derive(Debug, Default)]
 struct OutstandingLine {
+    line: LineAddr,
     /// Miss-window ids of demand accesses waiting on this line.
     ids: Vec<u64>,
     /// L1 lines to fill when the data arrives.
@@ -101,7 +96,6 @@ pub struct SystemSim {
     window: MissWindow,
     breakdown: StallBreakdown,
     next_id: u64,
-    id_to_line: FxHashMap<u64, LineAddr>,
     pending_record: Option<TraceRecord>,
     pending_busy_done: bool,
     blocked: Option<BlockOn>,
@@ -113,25 +107,29 @@ pub struct SystemSim {
     cpu_prefetches: Vec<LineAddr>,
     l1: Cache,
     l2: Cache,
-    outstanding: FxHashMap<LineAddr, OutstandingLine>,
+    /// One entry per in-flight L2 line (at most one per L2 MSHR); the
+    /// sets are tiny, so they are scanned, not hashed.
+    outstanding: Vec<OutstandingLine>,
+    /// Completed entries, their buffers kept for reuse.
+    spare_outstanding: Vec<OutstandingLine>,
 
     // --- memory system ---
     fsb: Fsb,
     dram: Dram,
     demand_q: VecDeque<(LineAddr, ReqKind)>,
+    /// Queue 3; never holds duplicates (insertions are dup-checked).
     prefetch_q: VecDeque<LineAddr>,
-    /// O(1) membership shadow of `prefetch_q` (which never holds
-    /// duplicates: insertions are dup-checked, removals clear the set).
-    prefetch_q_set: FxHashSet<LineAddr>,
     /// Pushes dispatched to a DRAM channel whose L2 arrival has not
     /// happened yet.
     pushes_on_bus: u64,
     channel_busy: Vec<bool>,
-    inflight_dram: FxHashMap<LineAddr, ReqKind>,
-    /// Push replies between the memory controller and the L2; a matching
-    /// demand request is dropped and satisfied by the push stealing its
-    /// MSHR.
-    inflight_push_replies: FxHashSet<LineAddr>,
+    /// DRAM transactions dispatched and not yet done, at most one per
+    /// line.
+    inflight_dram: Vec<(LineAddr, ReqKind)>,
+    /// Push replies between the memory controller and the L2, each line
+    /// once; a matching demand request is dropped and satisfied by the
+    /// push stealing its MSHR.
+    inflight_push_replies: Vec<LineAddr>,
 
     // --- ULMT ---
     memproc: Option<MemProcessor>,
@@ -218,10 +216,11 @@ impl SystemSim {
     /// Builds a simulator from explicit parts: any workload trace, any
     /// (optional) memory processor. This is the hook for multiprogrammed
     /// runs and hand-rolled customizations that the [`PrefetchScheme`]
-    /// presets do not cover. `footprint_hint` (distinct lines the trace
-    /// is expected to touch, 0 for unknown) pre-sizes the event queue and
-    /// the hot-path address maps so the steady state allocates nothing.
-    /// An invalid configuration is a typed [`ConfigError`].
+    /// presets do not cover. `_footprint_hint` (distinct lines the trace
+    /// is expected to touch) sizes nothing: every in-flight structure is
+    /// bounded by the machine, not the footprint, and starts small. The
+    /// argument is kept for existing callers. An invalid configuration is
+    /// a typed [`ConfigError`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_from_parts_hinted(
         cfg: SystemConfig,
@@ -231,7 +230,7 @@ impl SystemSim {
         verbose: bool,
         scheme_label: String,
         app_label: String,
-        footprint_hint: u64,
+        _footprint_hint: u64,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let location = memproc
@@ -239,24 +238,14 @@ impl SystemSim {
             .map(|mp| mp.config().location)
             .unwrap_or_default();
         let table_mem = FixedLatencyMemory::new(location);
-        // The maps only ever hold in-flight state, so their steady-state
-        // sizes are bounded by the machine, not the footprint: the miss
-        // window caps demand ids, the L2 MSHRs cap outstanding lines, and
-        // the NB queues cap memory transactions. The event queue scales
-        // with concurrent activity; larger footprints sustain more of it,
-        // so let the hint raise its initial capacity (bounded — this is an
-        // optimization, never a multi-MB up-front allocation).
-        let inflight_cap = cfg.queues.demand + cfg.queues.prefetch + cfg.dram.channels;
-        let event_cap = 1024usize.max((footprint_hint as usize / 4).min(1 << 14));
         Ok(SystemSim {
             workload,
-            events: EventQueue::with_capacity(event_cap),
+            events: EventQueue::new(),
             cpu_cursor: 0,
             insn_count: 0,
             window: MissWindow::new(cfg.cpu.max_pending_loads, cfg.cpu.rob_insns),
             breakdown: StallBreakdown::new(),
             next_id: 0,
-            id_to_line: fx_map_with_capacity(cfg.cpu.max_pending_loads),
             pending_record: None,
             pending_busy_done: false,
             blocked: None,
@@ -266,16 +255,16 @@ impl SystemSim {
             cpu_prefetches: Vec::new(),
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
-            outstanding: fx_map_with_capacity(cfg.l2.mshrs),
+            outstanding: Vec::with_capacity(cfg.l2.mshrs),
+            spare_outstanding: Vec::new(),
             fsb: Fsb::new(cfg.fsb),
             dram: Dram::new(cfg.dram),
             demand_q: VecDeque::with_capacity(cfg.queues.demand),
             prefetch_q: VecDeque::with_capacity(cfg.queues.prefetch),
-            prefetch_q_set: fx_set_with_capacity(cfg.queues.prefetch),
             pushes_on_bus: 0,
             channel_busy: vec![false; cfg.dram.channels],
-            inflight_dram: fx_map_with_capacity(inflight_cap),
-            inflight_push_replies: fx_set_with_capacity(cfg.queues.prefetch),
+            inflight_dram: Vec::new(),
+            inflight_push_replies: Vec::new(),
             memproc,
             table_mem,
             obs_q: VecDeque::with_capacity(cfg.queues.observation),
@@ -354,11 +343,7 @@ impl SystemSim {
                 }
             }
             Event::RequestAtNb { line, kind } => self.request_at_nb(line, kind, t),
-            Event::DramDone {
-                line,
-                kind,
-                channel,
-            } => self.dram_done(line, kind, channel, t),
+            Event::DramDone { line, kind } => self.dram_done(line, kind, t),
             Event::ReplyAtL2 { line, kind } => self.reply_at_l2(line, kind, t),
             Event::UlmtPrefetches { lines } => {
                 self.enqueue_prefetches(&lines, t);
@@ -409,8 +394,7 @@ impl SystemSim {
             // 1. Miss-window limits.
             match self.window.check(self.insn_count) {
                 WindowVerdict::Proceed => {}
-                WindowVerdict::StallFull { id } | WindowVerdict::StallRob { id } => {
-                    let line = self.id_to_line[&id];
+                WindowVerdict::StallFull { line, .. } | WindowVerdict::StallRob { line, .. } => {
                     self.pending_record = Some(rec);
                     self.cpu_cursor = t;
                     self.block(BlockOn::Line(line), t);
@@ -544,7 +528,7 @@ impl SystemSim {
             }
             AccessOutcome::MissMerged { .. } => {
                 let id = self.new_window_id(l2_line);
-                let out = self.outstanding.entry(l2_line).or_default();
+                let out = self.outstanding_mut(l2_line);
                 out.ids.push(id);
                 if l1_allocated {
                     out.l1_fills.push(l1_line);
@@ -560,7 +544,7 @@ impl SystemSim {
                 self.push_replaced(evicted_prefetch, t);
                 self.send_writeback(evicted_dirty, t);
                 let id = self.new_window_id(l2_line);
-                let out = self.outstanding.entry(l2_line).or_default();
+                let out = self.outstanding_mut(l2_line);
                 out.ids.push(id);
                 if l1_allocated {
                     out.l1_fills.push(l1_line);
@@ -578,9 +562,23 @@ impl SystemSim {
     fn new_window_id(&mut self, line: LineAddr) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.window.issue(id, self.insn_count);
-        self.id_to_line.insert(id, line);
+        self.window.issue(id, self.insn_count, line);
         id
+    }
+
+    /// The outstanding entry of `line`, created (from the spare pool) if
+    /// the line has none.
+    fn outstanding_mut(&mut self, line: LineAddr) -> &mut OutstandingLine {
+        let idx = match self.outstanding.iter().position(|o| o.line == line) {
+            Some(idx) => idx,
+            None => {
+                let mut entry = self.spare_outstanding.pop().unwrap_or_default();
+                entry.line = line;
+                self.outstanding.push(entry);
+                self.outstanding.len() - 1
+            }
+        };
+        &mut self.outstanding[idx]
     }
 
     /// Issues one processor-side prefetch (to the L1, possibly walking
@@ -600,11 +598,7 @@ impl SystemSim {
             }
             AccessOutcome::MissMerged { .. } => {
                 if l1_allocated {
-                    self.outstanding
-                        .entry(l2_line)
-                        .or_default()
-                        .l1_fills
-                        .push(l1_line);
+                    self.outstanding_mut(l2_line).l1_fills.push(l1_line);
                 }
             }
             AccessOutcome::Miss {
@@ -615,11 +609,7 @@ impl SystemSim {
                 self.push_replaced(evicted_prefetch, t);
                 self.send_writeback(evicted_dirty, t);
                 if l1_allocated {
-                    self.outstanding
-                        .entry(l2_line)
-                        .or_default()
-                        .l1_fills
-                        .push(l1_line);
+                    self.outstanding_mut(l2_line).l1_fills.push(l1_line);
                 }
                 self.send_request(l2_line, ReqKind::CpuPrefetch, t);
             }
@@ -682,17 +672,12 @@ impl SystemSim {
         // Cross-queue squashing (Section 3.2): a miss matching a queued
         // ULMT prefetch removes the prefetch; a miss matching an in-flight
         // prefetch rides its reply.
-        if self.prefetch_q_set.remove(&line) {
-            let pos = self
-                .prefetch_q
-                .iter()
-                .position(|&p| p == line)
-                .expect("set shadows the queue");
+        if let Some(pos) = self.prefetch_q.iter().position(|&p| p == line) {
             self.prefetch_q.remove(pos);
             self.effect.squashed_at_nb += 1;
             self.emit(t, TraceEvent::Q3SquashByDemand { line });
         }
-        if self.inflight_dram.get(&line) == Some(&ReqKind::UlmtPush)
+        if self.inflight_dram.contains(&(line, ReqKind::UlmtPush))
             || self.inflight_push_replies.contains(&line)
         {
             // "If a memory-prefetched line matches a miss request from the
@@ -762,7 +747,6 @@ impl SystemSim {
                         .position(|&l| self.dram.channel_of(l) == c)
                         .map(|pos| {
                             let l = self.prefetch_q.remove(pos).expect("position is valid");
-                            self.prefetch_q_set.remove(&l);
                             (l, ReqKind::UlmtPush)
                         })
                 });
@@ -800,29 +784,27 @@ impl SystemSim {
                 + self.cfg.path.nb_to_dram
                 + access.latency
                 + self.cfg.dram.t_transfer;
-            self.inflight_dram.insert(line, kind);
+            match self.inflight_dram.iter_mut().find(|(l, _)| *l == line) {
+                Some(entry) => entry.1 = kind,
+                None => self.inflight_dram.push((line, kind)),
+            }
             // The channel's issue rate is bounded by its transfer time;
             // the bank access pipelines underneath earlier transfers.
             self.events.push(
                 t + self.cfg.dram.t_transfer,
                 Event::ChannelFree { channel: c },
             );
-            self.events.push(
-                data_at_controller,
-                Event::DramDone {
-                    line,
-                    kind,
-                    channel: c,
-                },
-            );
+            self.events
+                .push(data_at_controller, Event::DramDone { line, kind });
         }
     }
 
-    fn dram_done(&mut self, line: LineAddr, kind: ReqKind, channel: usize, t: Cycle) {
-        let _ = channel; // freed earlier by ChannelFree
-        self.inflight_dram.remove(&line);
-        if kind == ReqKind::UlmtPush {
-            self.inflight_push_replies.insert(line);
+    fn dram_done(&mut self, line: LineAddr, kind: ReqKind, t: Cycle) {
+        if let Some(pos) = self.inflight_dram.iter().position(|&(l, _)| l == line) {
+            self.inflight_dram.swap_remove(pos);
+        }
+        if kind == ReqKind::UlmtPush && !self.inflight_push_replies.contains(&line) {
+            self.inflight_push_replies.push(line);
         }
         let class = match kind {
             ReqKind::Demand => TrafficClass::Demand,
@@ -856,7 +838,9 @@ impl SystemSim {
                 self.complete_line(line, t);
             }
             ReqKind::UlmtPush => {
-                self.inflight_push_replies.remove(&line);
+                if let Some(pos) = self.inflight_push_replies.iter().position(|&l| l == line) {
+                    self.inflight_push_replies.swap_remove(pos);
+                }
                 self.pushes_on_bus -= 1;
                 match self.l2.push(line) {
                     PushOutcome::StoleMshr {
@@ -911,14 +895,15 @@ impl SystemSim {
     /// Completes every access waiting on `line`: retires window entries,
     /// fills the L1, updates the dependence tracker and wakes the CPU.
     fn complete_line(&mut self, line: LineAddr, t: Cycle) {
-        if let Some(out) = self.outstanding.remove(&line) {
-            for id in out.ids {
+        if let Some(pos) = self.outstanding.iter().position(|o| o.line == line) {
+            let mut out = self.outstanding.swap_remove(pos);
+            for id in out.ids.drain(..) {
                 self.window.complete(id);
-                self.id_to_line.remove(&id);
             }
-            for l1_line in out.l1_fills {
+            for l1_line in out.l1_fills.drain(..) {
                 self.l1.fill(l1_line, false);
             }
+            self.spare_outstanding.push(out);
         }
         if let LastRef::Outstanding { line: l } = self.last_ref {
             if l == line {
@@ -988,7 +973,7 @@ impl SystemSim {
             // reaches its earlier observation, and from CpuPrefetch
             // observation under verbose schemes.
             let demand_pending = self.demand_q.iter().any(|&(l, _)| l == line)
-                || self.inflight_dram.contains_key(&line);
+                || self.inflight_dram.iter().any(|&(l, _)| l == line);
             if demand_pending {
                 let before = self.obs_q.len();
                 self.obs_q.retain(|&o| o != line);
@@ -1000,7 +985,7 @@ impl SystemSim {
                 self.emit(t, TraceEvent::Q3SquashDemand { line });
                 continue;
             }
-            if self.prefetch_q_set.contains(&line) {
+            if self.prefetch_q.contains(&line) {
                 self.effect.squashed_duplicate += 1;
                 self.emit(t, TraceEvent::Q3SquashDuplicate { line });
                 continue;
@@ -1012,7 +997,6 @@ impl SystemSim {
             }
             self.effect.issued += 1;
             self.prefetch_q.push_back(line);
-            self.prefetch_q_set.insert(line);
             self.emit(t, TraceEvent::Q3Enqueue { line });
         }
         self.dispatch_channels(t);
@@ -1247,7 +1231,7 @@ mod tests {
         let dup = LineAddr::new(42);
         sim.obs_q
             .extend([dup, LineAddr::new(7), dup, dup, LineAddr::new(9)]);
-        sim.inflight_dram.insert(dup, ReqKind::Demand);
+        sim.inflight_dram.push((dup, ReqKind::Demand));
         sim.enqueue_prefetches(&[dup], 100);
         assert!(
             sim.obs_q.iter().all(|&o| o != dup),
@@ -1272,7 +1256,7 @@ mod tests {
         for busy in sim.channel_busy.iter_mut() {
             *busy = true;
         }
-        sim.inflight_dram.insert(LineAddr::new(30), ReqKind::Demand);
+        sim.inflight_dram.push((LineAddr::new(30), ReqKind::Demand));
         sim.enqueue_prefetches(
             &[
                 LineAddr::new(10), // enqueued
@@ -1295,28 +1279,47 @@ mod tests {
         assert_eq!(sim.effect.issued, 2, "duplicates must not count as issued");
     }
 
-    /// The hash-set shadow of queue 3 tracks the queue exactly through
-    /// enqueues, NB squashes, and channel dispatches.
+    /// Queue 3 holds exactly the admitted prefetches, in admission order,
+    /// through enqueues, a duplicate, an NB demand squash and a channel
+    /// dispatch.
     #[test]
-    fn prefetch_queue_set_stays_in_sync() {
+    fn queue3_contents_follow_enqueue_squash_and_dispatch() {
         let mut sim = white_box_sim(SystemConfig::small());
         for busy in sim.channel_busy.iter_mut() {
             *busy = true;
         }
+        let queue3 = |sim: &SystemSim| sim.prefetch_q.iter().copied().collect::<Vec<_>>();
         let lines: Vec<LineAddr> = (0..6).map(|n| LineAddr::new(n * 3)).collect();
         sim.enqueue_prefetches(&lines, 0);
-        assert_eq!(sim.prefetch_q.len(), lines.len());
-        // An NB demand match removes the entry from both structures.
-        sim.request_at_nb(lines[2], ReqKind::Demand, 5);
+        assert_eq!(queue3(&sim), lines);
+        // A queued line is a duplicate once the Filter has forgotten it.
+        sim.filter = Filter::new(sim.cfg.filter_entries);
+        sim.enqueue_prefetches(&lines[4..5], 1);
+        assert_eq!(sim.effect.squashed_duplicate, 1);
+        assert_eq!(queue3(&sim), lines);
+        // An NB demand match removes exactly its entry.
+        let demand = lines[2];
+        sim.request_at_nb(demand, ReqKind::Demand, 5);
         assert_eq!(sim.effect.squashed_at_nb, 1);
-        assert!(!sim.prefetch_q.contains(&lines[2]));
-        // Unfreeze one channel and let it dispatch.
-        sim.channel_busy[0] = false;
+        let mut expected: Vec<LineAddr> = lines.iter().copied().filter(|&l| l != demand).collect();
+        assert_eq!(queue3(&sim), expected);
+        // Free a channel the demand does not use: it dispatches the first
+        // queued prefetch it serves.
+        let channel = expected
+            .iter()
+            .map(|&l| sim.dram.channel_of(l))
+            .find(|&c| c != sim.dram.channel_of(demand))
+            .expect("the lines span two channels");
+        let pos = expected
+            .iter()
+            .position(|&l| sim.dram.channel_of(l) == channel)
+            .expect("found above");
+        let dispatched = expected.remove(pos);
+        sim.channel_busy[channel] = false;
         sim.dispatch_channels(10);
-        assert_eq!(sim.prefetch_q_set.len(), sim.prefetch_q.len());
-        for l in &sim.prefetch_q {
-            assert!(sim.prefetch_q_set.contains(l), "set lost {l}");
-        }
+        assert_eq!(queue3(&sim), expected);
+        assert_eq!(sim.inflight_dram, vec![(dispatched, ReqKind::UlmtPush)]);
+        assert_eq!(sim.pushes_on_bus, 1);
     }
 
     /// End-to-end accounting identity on a real run: every issued

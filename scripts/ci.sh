@@ -29,7 +29,11 @@
 #   8. trace validation       -- a traced Mcf/Repl run at small scale
 #                                whose counters must re-derive bit-exactly
 #                                from the event stream (inspect's `trace`
-#                                leg)
+#                                leg), and whose JSONL event stream must
+#                                match the digest in
+#                                tests/golden/trace_mcf_small.sha256, so
+#                                two same-cycle events that swap order
+#                                fail here even when every counter holds
 #   9. paper regeneration     -- every table, figure and the ablation
 #                                report at ULMT_SCALE=small through
 #                                `inspect -- figures` (~30 s on 2 cores),
@@ -52,8 +56,10 @@
 #                                the removed wedge detection, the
 #                                removed simulator fault injection, the
 #                                removed service event trace and
-#                                slow-consumer fault, or the public
-#                                MruList (now a test-only oracle type)
+#                                slow-consumer fault, the public
+#                                MruList (now a test-only oracle type),
+#                                or the simulator's removed hash shadows
+#                                (queue 3's set, the id-to-line map)
 #
 # This wraps the canonical tier-1 verify from ROADMAP.md
 # (`cargo build --release && cargo test -q`) with the lint front-line so
@@ -107,6 +113,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "== trace validation (Mcf / Repl, small)"
 ULMT_SCALE=small \
     cargo run -q --release -p ulmt-bench --bin inspect -- trace mcf target/traces
+# A change that reorders events on purpose regenerates the digest with
+# `sha256sum target/traces/mcf_repl.trace.jsonl` and says why.
+if ! sha256sum -c --quiet tests/golden/trace_mcf_small.sha256; then
+    echo "trace event stream differs from tests/golden/trace_mcf_small.sha256"
+    exit 1
+fi
 
 echo "== paper regeneration (small), diffed against tests/golden/figures_small.txt"
 # A change that moves results on purpose regenerates the golden file
@@ -130,7 +142,8 @@ echo "== deprecation audit"
 # detection and epoch fencing, nor the removed simulator fault
 # injection, nor the service's removed shard trace events and
 # slow-consumer fault, nor the production MruList (its test oracle is
-# RefSuccList). perfbench/ is not scanned: its host descriptor still
+# RefSuccList), nor the simulator's hash shadows of queue 3 and of the
+# miss window's lines. perfbench/ is not scanned: its host descriptor still
 # clears ULMT_CYCLE_BUDGET and ULMT_FAULT_SEED.
 if grep -rn --include='*.rs' '#\[deprecated' src tests examples crates; then
     echo "deprecation audit: #[deprecated] items remain (above); the"
@@ -145,6 +158,7 @@ removed_api+='|is_abandoned|abandoned_below|schedstat|thread-self'
 removed_api+='|FaultConfig|FaultPlan|FaultReport|FaultCounts|ObservationFault|FaultKind'
 removed_api+='|FaultInjected|set_faults|DelayedObservation|ULMT_FAULT_SEED'
 removed_api+='|ShardBatch|ShardReject|SlowConsumer|ServiceFaultPlan|slow_consumer|MruList'
+removed_api+='|prefetch_q_set|id_to_line'
 if grep -rn --include='*.rs' -E "\b($removed_api)\b" src tests examples crates; then
     echo "deprecation audit: references to removed APIs (above)"
     exit 1
