@@ -353,6 +353,71 @@ mod tests {
     }
 
     #[test]
+    fn capture_copies_dirty_sets_of_every_size() {
+        // Dirty sets around the capture's prefetch distances (8 and 16
+        // slots ahead), and one of thousands of slots: each capture must
+        // restore to the live table, and copy exactly the dirty slots.
+        let params = TableParams::base_default(4096);
+        let mut live = Base::new(params);
+        // Two of every set's four ways live, so a fresh tag fills an
+        // empty way and appends a record.
+        for n in 0..2048 {
+            live.rows.find_or_alloc(LineAddr::new(n));
+        }
+        let mut cp = live.checkpoint();
+        let (mut hit, mut fresh) = (0u64, 1 << 20);
+        let mut rng = Pcg32::seed_from_u64(3);
+        for size in [0, 1, 7, 8, 16, 17, 5000] {
+            let before = cp.clone();
+            let appended = if size < 1000 {
+                // Half hits on live rows (an LRU bump each), half fresh
+                // rows in distinct sets with a free way.
+                for _ in 0..size / 2 {
+                    live.rows.lookup(LineAddr::new(hit));
+                    hit += 1;
+                }
+                for _ in size / 2..size {
+                    live.rows.find_or_alloc(LineAddr::new(fresh));
+                    fresh += 1;
+                }
+                size - size / 2
+            } else {
+                prefetches(&mut live, &stream(&mut rng, size, 1 << 16));
+                live.occupancy() - before.records.len()
+            };
+            live.checkpoint_into(&mut cp);
+            assert_eq!(cp.records.len(), before.records.len() + appended);
+            let changed = before
+                .records
+                .iter()
+                .zip(&cp.records)
+                .filter(|(a, b)| (a.tag, a.lru, a.gen) != (b.tag, b.lru, b.gen))
+                .count();
+            if size < 1000 {
+                assert_eq!(changed, size / 2, "{size} dirty slots");
+            } else {
+                assert!(changed + appended > 1000, "{changed} + {appended} copied");
+            }
+            let mut rebuilt = Base::new(params);
+            rebuilt.restore_checkpoint(&cp).expect("same shape");
+            assert!(rebuilt.rows.same_slots(&live.rows), "{size}: slots");
+            assert_eq!(rebuilt.snapshot(), live.snapshot(), "{size}: snapshot");
+            // With no step in between, a second capture copies nothing: a
+            // record scribbled over in the copy stays scribbled.
+            let mut again = cp.clone();
+            for r in &mut again.records {
+                r.lru = u64::MAX;
+            }
+            live.checkpoint_into(&mut again);
+            assert!(again.records.iter().all(|r| r.lru == u64::MAX), "{size}");
+            for (r, kept) in again.records.iter_mut().zip(&cp.records) {
+                r.lru = kept.lru;
+            }
+            cp = again;
+        }
+    }
+
+    #[test]
     fn steady_state_capture_grows_no_buffer() {
         let mut live = Base::new(TableParams::base_default(1024));
         let warm: Vec<LineAddr> = (0..512).map(|n| LineAddr::new(n * 3 % 700)).collect();

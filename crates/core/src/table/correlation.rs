@@ -17,6 +17,12 @@
 //! away. The sink makes that choice, once per call: a batch through
 //! [`UlmtAlgorithm::process_misses`] asks it once, not once per miss, and
 //! a single step is a batch of one. The paths cannot drift apart.
+//!
+//! A batch runs through the kernel as a software pipeline, the paper's
+//! own remedy applied to the host: while miss `i` steps, the set of miss
+//! `i + HINT_AHEAD`, rows included, is already on its way into the cache
+//! (see the storage module's prefetch hints). Hints change no state, so
+//! a batch steps exactly as its misses one by one.
 
 use std::fmt;
 
@@ -102,6 +108,10 @@ impl Kind for ReplKind {
         fixed(ReplKind, TableKind::Repl, kind)
     }
 }
+
+/// How many misses ahead of the one it steps a batch hints a set: far
+/// enough for the lines to arrive, near enough for them to stay.
+const HINT_AHEAD: usize = 8;
 
 /// A sink seen without its touch methods: a kernel run through it has
 /// its table-touch calls compiled away.
@@ -326,22 +336,21 @@ impl<K: Kind> CorrelationTable<K> {
     /// or through `NoTouch`.
     fn run(&mut self, misses: &[LineAddr], sink: &mut dyn StepSink) {
         match sink.touches() {
-            Touches::Recorded(step) => {
-                for &miss in misses {
-                    self.kernel(miss, step);
-                }
+            Touches::Recorded(step) => self.pipeline(misses, step),
+            Touches::Reported => self.pipeline(misses, sink),
+            Touches::Ignored => self.pipeline(misses, &mut NoTouch(sink)),
+        }
+    }
+
+    /// Steps `misses` in order, hinting the set of the miss
+    /// [`HINT_AHEAD`] steps ahead. A batch of one hints nothing.
+    #[inline]
+    fn pipeline<S: StepSink + ?Sized>(&mut self, misses: &[LineAddr], sink: &mut S) {
+        for (i, &miss) in misses.iter().enumerate() {
+            if let Some(&ahead) = misses.get(i + HINT_AHEAD) {
+                self.rows.prefetch_set(ahead);
             }
-            Touches::Reported => {
-                for &miss in misses {
-                    self.kernel(miss, sink);
-                }
-            }
-            Touches::Ignored => {
-                let mut sink = NoTouch(sink);
-                for &miss in misses {
-                    self.kernel(miss, &mut sink);
-                }
-            }
+            self.kernel(miss, sink);
         }
     }
 
@@ -543,6 +552,14 @@ mod tests {
                 }
                 fast.process_misses(half, &mut log);
                 assert_eq!(fast.table_stats(), slow.table_stats(), "{label}: stats");
+                // The batch's prefetch hints move no slot, stamp or
+                // dirty bit.
+                assert!(fast.rows.same_slots(&slow.rows), "{label}: slots");
+                assert_eq!(
+                    fast.rows.dirty_words(),
+                    slow.rows.dirty_words(),
+                    "{label}: dirty bits"
+                );
                 replacements += slow.table_stats().replacements;
                 for t in [&slow, &fast] {
                     let bytes = t.snapshot().to_bytes();

@@ -32,7 +32,19 @@
 //! [`RowTable::remap_page`], and a snapshot restore, which builds a new
 //! table) unsync the table instead, forcing the next capture to copy
 //! every slot.
+//!
+//! # Prefetch hints
+//!
+//! At service table sizes every set probe, row read and checkpoint copy
+//! is likely a host cache miss on a random slot. [`prefetch`] asks the
+//! CPU to start loading a line early; [`RowTable::prefetch_set`] lets the
+//! batch kernel hint the sets of misses a few steps ahead, and the
+//! incremental capture hints the slots and records it will copy next. A
+//! hint reads nothing the program sees and writes nothing: no counter,
+//! LRU stamp or dirty bit moves, so a hinted run is bit for bit an
+//! unhinted one.
 
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ulmt_simcore::{Addr, LineAddr, PageAddr};
@@ -46,6 +58,42 @@ use super::TableParams;
 ///
 /// [`MAX_ARENA_BYTES`]: super::MAX_ARENA_BYTES
 pub(super) const NO_RECORD: u32 = u32::MAX;
+
+/// Asks the CPU to start loading the cache line that holds `r`, so a
+/// later access finds it there; on targets other than x86_64 it does
+/// nothing. A hint never changes program state.
+#[inline(always)]
+fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is only a hint: it never faults, not even on an
+    // unmapped address, and the pointer comes from a live reference.
+    unsafe {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((r as *const T).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}
+
+/// Hints every cache line of `run`: one element per 64 bytes from its
+/// start, then its last element, whose line the stride can skip.
+#[inline(always)]
+fn prefetch_run<T>(run: &[T]) {
+    for x in run.iter().step_by((64 / size_of::<T>()).max(1)) {
+        prefetch(x);
+    }
+    if let Some(last) = run.last() {
+        prefetch(last);
+    }
+}
+
+/// Slots the incremental capture hints its source lines ahead of the
+/// copy, and the slot index it reads for them.
+const CAPTURE_SOURCE_AHEAD: usize = 16;
+
+/// Slots the incremental capture hints its destination record ahead of
+/// the copy (its index entry was hinted at [`CAPTURE_SOURCE_AHEAD`]).
+const CAPTURE_RECORD_AHEAD: usize = 8;
 
 /// A sync token no table or checkpoint has used yet (never 0, which
 /// means "not synced").
@@ -231,6 +279,9 @@ pub struct RowTable {
     /// into or restored from; 0 when no copy plus the dirty slots equals
     /// the table.
     synced: u64,
+    /// Capture scratch: the dirty slots of the capture under way, in
+    /// ascending order. Empty between captures; its capacity is reused.
+    dirty_slots: Vec<u32>,
 }
 
 /// Default base address of the table in the memory processor's address
@@ -273,6 +324,7 @@ impl RowTable {
             stats: TableStats::default(),
             dirty: vec![0; rows.div_ceil(64)],
             synced: 0,
+            dirty_slots: Vec::new(),
         }
     }
 
@@ -386,6 +438,25 @@ impl RowTable {
             }
         }
         None
+    }
+
+    /// Hints every line a step on `line` reads or writes in its set: the
+    /// runs of `valid`, `tags`, `lrus` and `gens` a lookup or an
+    /// allocation scans, the level lengths, the dirty word, and the
+    /// successor region of every way, so the row that hits, or the one
+    /// allocated, is on its way whichever it is. Reads nothing the
+    /// program sees and changes nothing.
+    #[inline]
+    pub(super) fn prefetch_set(&self, line: LineAddr) {
+        let set = self.set_range(line);
+        let (levels, stride) = (self.levels, self.stride());
+        prefetch_run(&self.valid[set.clone()]);
+        prefetch_run(&self.tags[set.clone()]);
+        prefetch_run(&self.lrus[set.clone()]);
+        prefetch_run(&self.gens[set.clone()]);
+        prefetch_run(&self.lens[set.start * levels..set.end * levels]);
+        prefetch_run(&self.succ[set.start * stride..set.end * stride]);
+        prefetch(&self.dirty[set.start / 64]);
     }
 
     /// Non-mutating lookup (used by the Figure 5 prediction scorer).
@@ -614,17 +685,29 @@ impl RowTable {
         // Until the update completes, `cp` matches no table.
         cp.token = 0;
         if incremental {
-            for w in 0..self.dirty.len() {
-                let mut bits = std::mem::take(&mut self.dirty[w]);
+            // Drain the bits first, so the copy loop knows the slots it
+            // copies next and can hint their lines ahead of the copy.
+            for (w, word) in self.dirty.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
                 while bits != 0 {
-                    let slot = w * 64 + bits.trailing_zeros() as usize;
+                    self.dirty_slots
+                        .push((w * 64 + bits.trailing_zeros() as usize) as u32);
                     bits &= bits - 1;
-                    // Only rebuilding the arena (a resize or a
-                    // restore) un-stamps a slot, and it clears the bits.
-                    debug_assert!(self.stamped(slot));
-                    self.put_record(cp, slot);
                 }
             }
+            for (i, &slot) in self.dirty_slots.iter().enumerate() {
+                if let Some(&ahead) = self.dirty_slots.get(i + CAPTURE_SOURCE_AHEAD) {
+                    self.prefetch_source(cp, ahead as usize);
+                }
+                if let Some(&ahead) = self.dirty_slots.get(i + CAPTURE_RECORD_AHEAD) {
+                    self.prefetch_record(cp, ahead as usize);
+                }
+                // Only rebuilding the arena (a resize or a restore)
+                // un-stamps a slot, and it clears the bits.
+                debug_assert!(self.stamped(slot as usize));
+                self.put_record(cp, slot as usize);
+            }
+            self.dirty_slots.clear();
         } else {
             cp.records.clear();
             cp.lens.clear();
@@ -644,6 +727,33 @@ impl RowTable {
         let token = fresh_token();
         cp.token = token;
         self.synced = token;
+    }
+
+    /// Hints the lines [`RowTable::put_record`] reads for `slot`, and the
+    /// slot's entry in `cp`'s index.
+    #[inline]
+    fn prefetch_source(&self, cp: &TableCheckpoint, slot: usize) {
+        let (levels, stride) = (self.levels, self.stride());
+        prefetch(&self.valid[slot]);
+        prefetch(&self.tags[slot]);
+        prefetch(&self.lrus[slot]);
+        prefetch(&self.gens[slot]);
+        prefetch_run(&self.lens[slot * levels..(slot + 1) * levels]);
+        prefetch_run(&self.succ[slot * stride..(slot + 1) * stride]);
+        prefetch(&cp.index[slot]);
+    }
+
+    /// Hints the lines of `slot`'s record in `cp`, if it has one (a new
+    /// record is appended where the copy is already writing).
+    #[inline]
+    fn prefetch_record(&self, cp: &TableCheckpoint, slot: usize) {
+        let pos = cp.index[slot];
+        if pos != NO_RECORD {
+            let (pos, levels, stride) = (pos as usize, self.levels, self.stride());
+            prefetch(&cp.records[pos]);
+            prefetch_run(&cp.lens[pos * levels..(pos + 1) * levels]);
+            prefetch_run(&cp.succ[pos * stride..(pos + 1) * stride]);
+        }
     }
 
     /// Writes `slot` into its record in `cp`, appending one if it has
@@ -710,6 +820,12 @@ impl RowTable {
     #[cfg(test)]
     pub(super) fn synced_token(&self) -> u64 {
         self.synced
+    }
+
+    /// The dirty bitset, one bit per slot.
+    #[cfg(test)]
+    pub(super) fn dirty_words(&self) -> &[u64] {
+        &self.dirty
     }
 
     /// Whether `other` holds exactly this table's slots, clock, counters

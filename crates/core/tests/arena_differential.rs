@@ -13,9 +13,12 @@
 mod support;
 
 use support::reference::{RefBase, RefChain, RefReplicated};
-use ulmt_core::algorithm::{StepSink, UlmtAlgorithm};
-use ulmt_core::table::{Base, Chain, Replicated, TableParams, TableSnapshot};
-use ulmt_simcore::{LineAddr, PageAddr, Pcg32};
+use ulmt_core::algorithm::{StepSink, Touches, UlmtAlgorithm};
+use ulmt_core::cost::StepResult;
+use ulmt_core::table::{
+    Base, Chain, CorrelationTable, Kind, Replicated, TableParams, TableSnapshot, TableStats,
+};
+use ulmt_simcore::{Addr, LineAddr, PageAddr, Pcg32};
 
 /// A synthetic miss stream with enough temporal correlation to exercise
 /// hits, MRU rotations, replacements and multi-page remaps: a random
@@ -217,64 +220,160 @@ fn table_stats_track_reference_exactly() {
     assert_eq!(arena.occupancy(), reference.occupancy());
 }
 
+/// What a run over a miss stream shows: its steps summed into one
+/// `StepResult` (prefetches and table touches in order, instruction
+/// totals) and the table's end state.
+#[derive(Debug, Clone, PartialEq)]
+struct Outcome {
+    steps: StepResult,
+    stats: TableStats,
+    occupancy: usize,
+    fingerprint: u64,
+}
+
+/// How a batch sink takes table touches: the kernel's three arms.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Arm {
+    /// A `StepResult`, filled with static dispatch.
+    Recorded,
+    /// Through the sink's touch calls.
+    Reported,
+    /// Not at all: the kernel compiles touches away.
+    Ignored,
+}
+
+/// Sums steps into a `StepResult`, taking table touches through its
+/// touch calls (`Reported`) or not at all (`Ignored`).
+struct Summed {
+    steps: StepResult,
+    arm: Arm,
+}
+
+impl StepSink for Summed {
+    fn begin(&mut self, miss: LineAddr) {
+        self.steps.begin(miss);
+    }
+
+    fn prefetch(&mut self, addr: LineAddr) {
+        self.steps.prefetch(addr);
+    }
+
+    fn read(&mut self, addr: Addr, bytes: u64) {
+        self.steps.read(addr, bytes);
+    }
+
+    fn write(&mut self, addr: Addr, bytes: u64) {
+        self.steps.write(addr, bytes);
+    }
+
+    fn touches(&mut self) -> Touches<'_> {
+        if self.arm == Arm::Reported {
+            Touches::Reported
+        } else {
+            Touches::Ignored
+        }
+    }
+
+    fn end(&mut self, prefetch_insns: u64, learn_insns: u64) {
+        self.steps.end(prefetch_insns, learn_insns);
+    }
+}
+
+/// The reference layout's per-miss path over `misses`; `end` reads the
+/// table's stats, occupancy and fingerprint.
+fn per_miss<R: UlmtAlgorithm>(
+    mut alg: R,
+    misses: &[LineAddr],
+    end: impl Fn(&R) -> (TableStats, usize, u64),
+) -> Outcome {
+    let mut steps = StepResult::new();
+    for &m in misses {
+        alg.step(m, &mut steps);
+    }
+    let (stats, occupancy, fingerprint) = end(&alg);
+    Outcome {
+        steps,
+        stats,
+        occupancy,
+        fingerprint,
+    }
+}
+
+/// The arena's batch kernel over `misses` in chunks of `chunk`, into a
+/// sink of the given arm.
+fn batched<K: Kind>(
+    mut table: CorrelationTable<K>,
+    misses: &[LineAddr],
+    chunk: usize,
+    arm: Arm,
+) -> Outcome {
+    let mut sink = Summed {
+        steps: StepResult::new(),
+        arm,
+    };
+    for batch in misses.chunks(chunk) {
+        if arm == Arm::Recorded {
+            table.process_misses(batch, &mut sink.steps);
+        } else {
+            table.process_misses(batch, &mut sink);
+        }
+    }
+    Outcome {
+        steps: sink.steps,
+        stats: *table.table_stats(),
+        occupancy: table.occupancy(),
+        fingerprint: table.table_fingerprint(),
+    }
+}
+
+/// Runs `table` through every chunk size and every arm and compares each
+/// run with the per-miss oracle `expected`. The chunk sizes straddle
+/// the batch kernel's prefetch distance, so a hint that reads past a
+/// batch, or that moves a counter or an LRU stamp, fails.
+fn assert_batches_match<K: Kind>(
+    table: CorrelationTable<K>,
+    misses: &[LineAddr],
+    expected: &Outcome,
+    label: &str,
+) {
+    assert!(expected.stats.replacements > 0, "{label}: must evict");
+    assert!(
+        !expected.steps.prefetches.is_empty(),
+        "{label}: must prefetch"
+    );
+    let mut untouched = expected.clone();
+    untouched.steps.prefetch_cost.table_touches.clear();
+    untouched.steps.learn_cost.table_touches.clear();
+    for chunk in [1, 2, 3, 4, 5, 8, 9, 97, 256] {
+        for arm in [Arm::Recorded, Arm::Reported, Arm::Ignored] {
+            let want = if arm == Arm::Ignored {
+                &untouched
+            } else {
+                expected
+            };
+            let got = batched(table.clone(), misses, chunk, arm);
+            assert!(got == *want, "{label}: chunk {chunk}, {arm:?} sink");
+        }
+    }
+}
+
 #[test]
 fn batch_kernel_matches_reference_per_miss_path() {
-    // The batch fast path (no touch recording, hoisted probe costs) must
-    // produce the same prefetch stream and instruction totals as the
-    // reference layout's per-miss path — across all three algorithms.
+    // The batch kernel, with its prefetch hints, must produce the same
+    // prefetch stream, instruction totals, table touches and end state
+    // as the reference layout's per-miss path, for every way a sink
+    // takes touches and across all three algorithms.
     let misses = miss_stream(55, 2000, 8);
-
-    fn run_ref<R: UlmtAlgorithm>(mut alg: R, misses: &[LineAddr]) -> (Vec<LineAddr>, u64, u64) {
-        let (mut prefetches, mut p, mut l) = (Vec::new(), 0u64, 0u64);
-        for &m in misses {
-            let step = alg.process_miss(m);
-            prefetches.extend(step.prefetches.iter().copied());
-            p += step.prefetch_cost.insns;
-            l += step.learn_cost.insns;
-        }
-        (prefetches, p, l)
-    }
-
-    fn run_batch<A: UlmtAlgorithm>(mut alg: A, misses: &[LineAddr]) -> (Vec<LineAddr>, u64, u64) {
-        /// Sums a batch and wants no table touches, so the tables run
-        /// their touch-free kernel.
-        #[derive(Default)]
-        struct Totals(Vec<LineAddr>, u64, u64);
-
-        impl StepSink for Totals {
-            fn begin(&mut self, _miss: LineAddr) {}
-
-            fn prefetch(&mut self, addr: LineAddr) {
-                self.0.push(addr);
-            }
-
-            fn end(&mut self, prefetch_insns: u64, learn_insns: u64) {
-                self.1 += prefetch_insns;
-                self.2 += learn_insns;
-            }
-        }
-
-        let mut sink = Totals::default();
-        // Uneven chunks so batch boundaries can't hide state carryover.
-        for chunk in misses.chunks(97) {
-            alg.process_misses(chunk, &mut sink);
-        }
-        (sink.0, sink.1, sink.2)
-    }
-
-    assert_eq!(
-        run_batch(Base::new(params(1, 4)), &misses),
-        run_ref(RefBase::new(params(1, 4)), &misses),
-        "base"
-    );
-    assert_eq!(
-        run_batch(Chain::new(params(3, 2)), &misses),
-        run_ref(RefChain::new(params(3, 2)), &misses),
-        "chain"
-    );
-    assert_eq!(
-        run_batch(Replicated::new(params(3, 2)), &misses),
-        run_ref(RefReplicated::new(params(3, 2)), &misses),
-        "repl"
-    );
+    let base = per_miss(RefBase::new(params(1, 4)), &misses, |r| {
+        (*r.table_stats(), r.occupancy(), r.snapshot().fingerprint())
+    });
+    assert_batches_match(Base::new(params(1, 4)), &misses, &base, "base");
+    let chain = per_miss(RefChain::new(params(3, 2)), &misses, |r| {
+        (*r.table_stats(), r.occupancy(), r.snapshot().fingerprint())
+    });
+    assert_batches_match(Chain::new(params(3, 2)), &misses, &chain, "chain");
+    let repl = per_miss(RefReplicated::new(params(3, 2)), &misses, |r| {
+        (*r.table_stats(), r.occupancy(), r.snapshot().fingerprint())
+    });
+    assert_batches_match(Replicated::new(params(3, 2)), &misses, &repl, "repl");
 }

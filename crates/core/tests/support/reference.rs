@@ -347,6 +347,14 @@ impl RefBase {
         }
     }
 
+    pub fn table_stats(&self) -> &TableStats {
+        self.table.stats()
+    }
+
+    pub fn occupancy(&self) -> usize {
+        self.table.occupancy()
+    }
+
     pub fn resize(&mut self, num_rows: usize) {
         let new_params = TableParams {
             num_rows,
@@ -471,6 +479,14 @@ impl RefChain {
             params,
             last: None,
         }
+    }
+
+    pub fn table_stats(&self) -> &TableStats {
+        self.table.stats()
+    }
+
+    pub fn occupancy(&self) -> usize {
+        self.table.occupancy()
     }
 
     pub fn resize(&mut self, num_rows: usize) {

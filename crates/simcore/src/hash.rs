@@ -6,7 +6,7 @@
 //! used by rustc) hashes a `u64` in a handful of instructions. Simulator
 //! inputs are synthetic, so hash-flooding resistance buys nothing here.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-xor hasher (the `rustc-hash` algorithm, 64-bit variant).
@@ -71,17 +71,9 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` using [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
 /// An empty [`FxHashMap`] pre-sized for `cap` entries.
 pub fn fx_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
     FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
-/// An empty [`FxHashSet`] pre-sized for `cap` entries.
-pub fn fx_set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
-    FxHashSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
 }
 
 #[cfg(test)]
@@ -131,10 +123,5 @@ mod tests {
         }
         assert_eq!(m.len(), 1000);
         assert_eq!(m.get(&500), Some(&1000));
-        let mut s: FxHashSet<u64> = fx_set_with_capacity(16);
-        for i in 0..100 {
-            s.insert(i % 10);
-        }
-        assert_eq!(s.len(), 10);
     }
 }

@@ -47,7 +47,7 @@ pub mod trace;
 pub use addr::{Addr, LineAddr, PageAddr};
 pub use config::ConfigError;
 pub use event::EventQueue;
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use rng::Pcg32;
 pub use server::{Server, ServerState};
 pub use trace::{SharedTracer, TraceBuffer, TraceConfig, TraceEvent};

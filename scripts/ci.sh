@@ -59,7 +59,10 @@
 #                                slow-consumer fault, the public
 #                                MruList (now a test-only oracle type),
 #                                or the simulator's removed hash shadows
-#                                (queue 3's set, the id-to-line map)
+#                                (queue 3's set, the id-to-line map, the
+#                                FxHashSet alias); and `unsafe` occurs in
+#                                crates/ exactly once, in the table
+#                                storage's prefetch hint helper
 #
 # This wraps the canonical tier-1 verify from ROADMAP.md
 # (`cargo build --release && cargo test -q`) with the lint front-line so
@@ -143,8 +146,9 @@ echo "== deprecation audit"
 # injection, nor the service's removed shard trace events and
 # slow-consumer fault, nor the production MruList (its test oracle is
 # RefSuccList), nor the simulator's hash shadows of queue 3 and of the
-# miss window's lines. perfbench/ is not scanned: its host descriptor still
-# clears ULMT_CYCLE_BUDGET and ULMT_FAULT_SEED.
+# miss window's lines, nor the FxHashSet alias they used. perfbench/ is
+# not scanned: its host descriptor still clears ULMT_CYCLE_BUDGET and
+# ULMT_FAULT_SEED.
 if grep -rn --include='*.rs' '#\[deprecated' src tests examples crates; then
     echo "deprecation audit: #[deprecated] items remain (above); the"
     echo "deprecation window is one release cycle -- remove, don't park"
@@ -158,9 +162,19 @@ removed_api+='|is_abandoned|abandoned_below|schedstat|thread-self'
 removed_api+='|FaultConfig|FaultPlan|FaultReport|FaultCounts|ObservationFault|FaultKind'
 removed_api+='|FaultInjected|set_faults|DelayedObservation|ULMT_FAULT_SEED'
 removed_api+='|ShardBatch|ShardReject|SlowConsumer|ServiceFaultPlan|slow_consumer|MruList'
-removed_api+='|prefetch_q_set|id_to_line'
+removed_api+='|prefetch_q_set|id_to_line|FxHashSet|fx_set_with_capacity'
 if grep -rn --include='*.rs' -E "\b($removed_api)\b" src tests examples crates; then
     echo "deprecation audit: references to removed APIs (above)"
+    exit 1
+fi
+# The workspace's one `unsafe` block is the prefetch hint in the table
+# storage (a hint never faults, and it takes a live reference); any
+# other needs its own case made, and this count raised with it.
+unsafe_uses=$(grep -rnw --include='*.rs' unsafe src tests examples crates || true)
+if [ "$(printf '%s\n' "$unsafe_uses" | grep -c .)" -ne 1 ] ||
+    ! printf '%s\n' "$unsafe_uses" | grep -q '^crates/core/src/table/storage.rs:'; then
+    printf '%s\n' "$unsafe_uses"
+    echo "unsafe audit: expected exactly one unsafe, in the table storage's prefetch helper"
     exit 1
 fi
 
