@@ -214,12 +214,6 @@ impl SupervisionConfig {
         }
         Ok(())
     }
-
-    /// `true` if every crash inside this policy recovers cleanly
-    /// (journal window covers the checkpoint interval).
-    pub fn guarantees_clean_recovery(&self) -> bool {
-        self.journal_window as u64 >= self.checkpoint_every
-    }
 }
 
 /// Configuration of a [`PrefetchService`](crate::PrefetchService).
@@ -418,7 +412,7 @@ mod tests {
         let sup = SupervisionConfig::default();
         assert!(sup.validate().is_ok());
         assert!(
-            sup.guarantees_clean_recovery(),
+            sup.journal_window as u64 >= sup.checkpoint_every,
             "default window covers the gap"
         );
         let lossy = SupervisionConfig {
@@ -427,7 +421,7 @@ mod tests {
             ..sup
         };
         assert!(lossy.validate().is_ok());
-        assert!(!lossy.guarantees_clean_recovery());
+        assert!((lossy.journal_window as u64) < lossy.checkpoint_every);
         let bad = SupervisionConfig {
             journal_window: 0,
             ..sup

@@ -5,12 +5,13 @@
 //! triggering batch — which is what lets clients treat a lost reply as
 //! "safe to resubmit".
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// "Kill shard `shard` at its `batch`-th accepted batch", so recovery
-/// tests can place a crash at an exact point in the stream. Its
-/// once-only budget lives in the shard slot's [`ServiceFaultState`], so
-/// a restarted worker cannot re-fire the kill and crash-loop.
+/// tests can place a crash at an exact point in the stream. It fires at
+/// most once per shard: its budget is a flag on the shard's slot, which
+/// outlives every worker epoch, so a restarted worker cannot re-fire the
+/// kill and crash-loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceFaultConfig {
     shard: u32,
@@ -25,65 +26,42 @@ impl ServiceFaultConfig {
 
     /// Whether `shard` dies on the batch with absolute sequence number
     /// `seq` (the next batch it would accept, which the supervisor
-    /// restores across crashes). Spends `state`'s budget when it fires,
-    /// so the kill fires at most once per shard slot.
-    pub fn fires(&self, shard: u32, seq: u64, state: &ServiceFaultState) -> bool {
-        self.shard == shard && seq >= self.batch && state.try_fire()
-    }
-}
-
-/// The shared once-only budget of the targeted kill. One instance lives
-/// per shard *slot* (not per worker epoch), so it survives restarts: a
-/// kill that already fired stays fired for every later epoch.
-#[derive(Debug, Default)]
-pub struct ServiceFaultState {
-    kills: AtomicU64,
-}
-
-impl ServiceFaultState {
-    /// A fresh budget: nothing has fired yet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Kills fired so far (0 or 1).
-    pub fn kills_fired(&self) -> u64 {
-        self.kills.load(Ordering::SeqCst)
-    }
-
-    fn try_fire(&self) -> bool {
-        self.kills
-            .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
+    /// restores across crashes). Sets the slot's `fired` flag when it
+    /// fires, and never fires once the flag is set.
+    pub(crate) fn fires(&self, shard: u32, seq: u64, fired: &AtomicBool) -> bool {
+        self.shard == shard && seq >= self.batch && !fired.swap(true, Ordering::SeqCst)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServiceConfig;
+    use crate::supervisor::ShardSlot;
 
     #[test]
     fn targeted_kill_fires_once_across_epochs() {
+        let cfg = ServiceConfig::default();
         let kill = ServiceFaultConfig::kill(1, 5);
-        let state = ServiceFaultState::new();
+        let slot = ShardSlot::new(1, &cfg);
         // Epoch 0 reaches batch 5 and dies.
         for seq in 1..=4 {
-            assert!(!kill.fires(1, seq, &state));
+            assert!(!kill.fires(1, seq, &slot.kill_fired));
         }
-        assert!(kill.fires(1, 5, &state));
-        assert_eq!(state.kills_fired(), 1);
+        assert!(kill.fires(1, 5, &slot.kill_fired));
+        assert!(slot.kill_fired.load(Ordering::SeqCst));
         // Epoch 1 resumes at the same stream position against the same
-        // slot budget: it is spent, so the resubmitted batch does not
+        // slot flag: it is set, so the resubmitted batch does not
         // crash-loop the shard.
         for seq in 5..=20 {
-            assert!(!kill.fires(1, seq, &state));
+            assert!(!kill.fires(1, seq, &slot.kill_fired));
         }
-        assert_eq!(state.kills_fired(), 1);
+        assert!(slot.kill_fired.load(Ordering::SeqCst));
         // Other shards never fire it.
-        let other = ServiceFaultState::new();
+        let other = ShardSlot::new(0, &cfg);
         for seq in 1..=20 {
-            assert!(!kill.fires(0, seq, &other));
+            assert!(!kill.fires(0, seq, &other.kill_fired));
         }
-        assert_eq!(other.kills_fired(), 0);
+        assert!(!other.kill_fired.load(Ordering::SeqCst));
     }
 }

@@ -71,11 +71,6 @@ pub(crate) struct JournalCoverage {
     /// are gone); this is the count of *surviving* replayable
     /// observations, for conservation reporting.
     pub replayable_obs: u64,
-    /// True when the checkpoint claimed a seq *ahead* of everything the
-    /// journal ever acked — recovery state is corrupt (a checkpoint can
-    /// only ever cover acked batches). Distinct from the legitimate
-    /// zero-gap case where the checkpoint exactly matches `last_acked()`.
-    pub checkpoint_ahead: bool,
 }
 
 /// A bounded, seq-ordered ring of recently-acked observation batches.
@@ -154,12 +149,10 @@ impl ObservationJournal {
     /// the exact coverage accounting.
     pub fn replay_from(&self, checkpoint_seq: u64) -> (Vec<&JournalEntry>, JournalCoverage) {
         // A checkpoint is always taken at an acked seq, so a checkpoint
-        // ahead of `last_acked()` means the recovery state is corrupt.
-        // Flag it (and fail fast in debug builds) instead of letting a
-        // saturating subtraction quietly report a clean zero-batch gap.
-        let checkpoint_ahead = checkpoint_seq > self.last_acked();
+        // ahead of `last_acked()` means the recovery state is corrupt:
+        // fail fast in debug builds.
         debug_assert!(
-            !checkpoint_ahead,
+            checkpoint_seq <= self.last_acked(),
             "journal: checkpoint seq {checkpoint_seq} is ahead of last acked {}",
             self.last_acked()
         );
@@ -168,21 +161,24 @@ impl ObservationJournal {
             .iter()
             .filter(|e| e.seq > checkpoint_seq)
             .collect();
-        let oldest_needed = checkpoint_seq + 1;
-        let dropped_batches = match entries.first() {
-            Some(first) => first.seq - oldest_needed,
-            // Nothing retained past the checkpoint: everything acked
-            // after it (if anything) is gone.
-            None if !checkpoint_ahead => self.last_acked() - checkpoint_seq,
-            None => 0,
-        };
+        let first_retained = entries.first().map(|e| e.seq);
         let coverage = JournalCoverage {
             replayable: entries.len() as u64,
-            dropped_batches,
+            dropped_batches: evicted(first_retained, checkpoint_seq, self.last_acked()),
             replayable_obs: entries.iter().map(|e| e.obs.len() as u64).sum(),
-            checkpoint_ahead,
         };
         (entries, coverage)
+    }
+}
+
+/// Acked batches past `checkpoint_seq` that the journal no longer holds:
+/// the gap up to the oldest entry retained past it or, with none
+/// retained, everything acked after it. A checkpoint ahead of
+/// `last_acked` (corrupt state) drops nothing in a release build.
+fn evicted(first_retained: Option<u64>, checkpoint_seq: u64, last_acked: u64) -> u64 {
+    match first_retained {
+        Some(first) => first - (checkpoint_seq + 1),
+        None => last_acked.saturating_sub(checkpoint_seq),
     }
 }
 
@@ -259,21 +255,30 @@ mod tests {
         let (entries, cov) = j.replay_from(j.last_acked());
         assert!(entries.is_empty());
         assert_eq!(cov.dropped_batches, 0);
-        assert!(!cov.checkpoint_ahead);
     }
 
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "ahead of last acked"))]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "ahead of last acked")]
     fn checkpoint_ahead_of_acked_is_flagged_as_corrupt() {
+        // 9 batches acked, and a checkpoint one past the boundary that
+        // the shard never acked.
         let mut j = ObservationJournal::new(4);
-        j.set_next_seq(10); // 9 batches acked
-                            // One past the boundary: a checkpoint the shard never acked. In
-                            // debug builds the assertion fires; in release the coverage is
-                            // flagged instead of masquerading as a clean zero-batch gap.
-        let (entries, cov) = j.replay_from(10);
-        assert!(entries.is_empty());
-        assert!(cov.checkpoint_ahead, "corrupt state must be flagged");
-        assert_eq!(cov.dropped_batches, 0);
+        j.set_next_seq(10);
+        let _ = j.replay_from(10);
+    }
+
+    #[test]
+    fn a_checkpoint_ahead_of_acked_drops_nothing_in_release() {
+        // The count a release build reports past the debug assertion: no
+        // retained entry and a checkpoint (10) past the last ack (9).
+        assert_eq!(evicted(None, 10, 9), 0);
+        // The sound cases around it: the whole gap when nothing is
+        // retained, and the gap up to the oldest retained entry.
+        assert_eq!(evicted(None, 5, 9), 4);
+        assert_eq!(evicted(None, 9, 9), 0);
+        assert_eq!(evicted(Some(8), 5, 9), 2);
+        assert_eq!(evicted(Some(6), 5, 9), 0);
     }
 
     #[test]

@@ -30,8 +30,10 @@
 //!   bit-identical for 1, 2 or 4 shards;
 //! * shutdown is graceful ([`PrefetchService::shutdown`] drains every
 //!   queue, and anything racing in behind the drain is rejected with a
-//!   typed [`ServiceError::ShuttingDown`] — never silently dropped) and
-//!   cooperative cancellation uses a shared [`CancelToken`];
+//!   typed [`ServiceError::ShuttingDown`] — never silently dropped);
+//!   dropping the service without `shutdown` cancels every shard, which
+//!   then acknowledges further batches without learning
+//!   ([`BatchReply::cancelled`](BatchReply#structfield.cancelled));
 //! * the service is **self-healing**: a worker that panics is caught
 //!   by its spawn wrapper and reported to a supervisor thread, which
 //!   rebuilds the shard from its periodic checkpoint plus a bounded
@@ -56,7 +58,6 @@
 //! [`Replicated`]: ulmt_core::table::Replicated
 //! [`LineAddr`]: ulmt_simcore::LineAddr
 
-mod cancel;
 mod config;
 mod fault;
 mod ingress;
@@ -67,11 +68,10 @@ mod service;
 mod shard;
 mod supervisor;
 
-pub use cancel::CancelToken;
 pub use config::{
     AdmissionQuota, NetConfig, ServiceConfig, SupervisionConfig, TableKind, TenantSpec,
 };
-pub use fault::{ServiceFaultConfig, ServiceFaultState};
+pub use fault::ServiceFaultConfig;
 pub use metrics::{MetricsReport, ShardMetrics};
 pub use net::{NetClient, NetServer, NetSubmit, WireError};
 pub use service::{
@@ -353,7 +353,7 @@ mod tests {
         assert_eq!(reply.recycled.capacity(), cap);
 
         // Cancelled: same.
-        service.cancel_token().cancel();
+        service.cancel();
         let mut buf = reply.recycled;
         buf.extend_from_slice(&full_stream[..8]);
         let cap = buf.capacity();
@@ -369,7 +369,7 @@ mod tests {
         let mut session = service.open(5, TenantSpec::repl(256)).unwrap();
         session.submit(stream(5, 32)).unwrap().wait().unwrap();
         let fp = session.fingerprint().unwrap();
-        service.cancel_token().cancel();
+        service.cancel();
         let reply = session.submit(stream(5, 32)).unwrap().wait().unwrap();
         assert!(reply.cancelled);
         assert_eq!(reply.observed, 0);
@@ -377,6 +377,49 @@ mod tests {
             session.fingerprint().unwrap(),
             fp,
             "no learning after cancel"
+        );
+        service.shutdown();
+    }
+
+    #[test]
+    fn cancellation_reaches_a_replacement_worker() {
+        // The flag lives on the shard's slot, not on a worker epoch: set
+        // while the killed shard waits out its restart backoff, it holds
+        // for the worker that replaces it.
+        let service = PrefetchService::start(ServiceConfig {
+            shards: 1,
+            supervision: SupervisionConfig {
+                backoff_base_ms: 200,
+                backoff_max_ms: 200,
+                shed_when_down: false,
+                ..SupervisionConfig::default()
+            },
+            fault: Some(ServiceFaultConfig::kill(0, 1)),
+            ..ServiceConfig::default()
+        });
+        let mut session = service.open(5, TenantSpec::repl(256)).unwrap();
+        let tripwire = session.submit(stream(5, 32)).unwrap();
+        assert!(tripwire.wait().is_err(), "the killed batch is never acked");
+        // The dying epoch's ingress may still take a batch (and drop it)
+        // until the supervisor takes the shard down.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while service.shard_state(0) == ShardState::Up {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "shard never went down"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        service.cancel();
+        // Without shedding, `submit` waits for the replacement epoch.
+        let reply = session.submit(stream(5, 32)).unwrap().wait().unwrap();
+        assert!(reply.cancelled);
+        assert_eq!(reply.observed, 0);
+        assert_eq!(service.recovery_reports().len(), 1);
+        assert_eq!(
+            session.fingerprint().unwrap(),
+            Replicated::new(TableParams::repl_default(256)).table_fingerprint(),
+            "neither batch was learned"
         );
         service.shutdown();
     }

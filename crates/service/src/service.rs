@@ -13,6 +13,7 @@
 //! [`SupervisionConfig::shed_when_down`](crate::SupervisionConfig::shed_when_down).
 
 use std::hash::Hasher;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,7 +21,6 @@ use std::time::{Duration, Instant};
 use ulmt_core::table::{SnapshotError, TableSnapshot};
 use ulmt_simcore::{ConfigError, Cycle, FxHasher, LineAddr};
 
-use crate::cancel::CancelToken;
 use crate::config::{AdmissionQuota, ServiceConfig, TenantSpec};
 use crate::ingress::{Enqueue, Ingress, IngressBatch};
 use crate::metrics::MetricsReport;
@@ -198,8 +198,9 @@ pub struct BatchReply {
     pub observed: u64,
     /// Prefetch predictions, in emission order across the batch.
     pub prefetches: Vec<LineAddr>,
-    /// `true` if the service was cancelled and the batch was
-    /// acknowledged without learning.
+    /// `true` if the service was dropped without
+    /// [`PrefetchService::shutdown`] and the batch was acknowledged
+    /// without learning.
     pub cancelled: bool,
     /// `true` if the batch was shed: acknowledged without learning
     /// because its shard was down and the service's policy keeps the
@@ -210,8 +211,10 @@ pub struct BatchReply {
     /// The submitted observation buffer, cleared but with its capacity
     /// intact. Every ack path hands the batch `Vec` back (accepted,
     /// cancelled, shed and rejected alike), so a client that re-fills
-    /// the returned buffer for its next submission ingests in a steady
-    /// state with no allocation on either side of the queue.
+    /// the returned buffer for its next submission allocates no
+    /// observation buffer in a steady state (the shard's journal reuses
+    /// its evicted entries' buffers too). `prefetches` is not recycled:
+    /// the shard builds a fresh `Vec` for each accepted batch.
     pub recycled: Vec<LineAddr>,
 }
 
@@ -281,25 +284,11 @@ impl PendingBatch {
     }
 
     /// Blocks until the shard has processed the batch.
+    /// [`ServiceError::Closed`] means the worker died with the batch
+    /// unacknowledged: the observations were never journaled, so
+    /// resubmitting them is safe (at-least-once).
     pub fn wait(self) -> Result<BatchReply, ServiceError> {
         self.rx.recv().map_err(|_| ServiceError::Closed)
-    }
-
-    /// Waits up to `timeout` for the reply without consuming the handle:
-    /// [`ServiceError::Timeout`] means "not yet", and the handle stays
-    /// valid to wait on again. [`ServiceError::Closed`] means the worker
-    /// died with the batch unacknowledged — the observations were never
-    /// journaled, so resubmitting them is safe (at-least-once).
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<BatchReply, ServiceError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => ServiceError::Timeout,
-            RecvTimeoutError::Disconnected => ServiceError::Closed,
-        })
-    }
-
-    /// Returns the reply if the shard has already processed the batch.
-    pub fn poll(&self) -> Option<BatchReply> {
-        self.rx.try_recv().ok()
     }
 }
 
@@ -730,7 +719,6 @@ pub struct PrefetchService {
     cfg: ServiceConfig,
     slots: Vec<Arc<ShardSlot>>,
     supervisor: SupervisorHandle,
-    cancel: CancelToken,
 }
 
 impl PrefetchService {
@@ -742,16 +730,14 @@ impl PrefetchService {
     /// Panics if `cfg` is invalid (see [`ServiceConfig::validate`]).
     pub fn start(cfg: ServiceConfig) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-        let cancel = CancelToken::new();
         let slots: Vec<Arc<ShardSlot>> = (0..cfg.shards as u32)
             .map(|shard| Arc::new(ShardSlot::new(shard, &cfg)))
             .collect();
-        let supervisor = start_supervisor(cfg, cancel.clone(), slots.clone());
+        let supervisor = start_supervisor(cfg, slots.clone());
         PrefetchService {
             cfg,
             slots,
             supervisor,
-            cancel,
         }
     }
 
@@ -772,13 +758,6 @@ impl PrefetchService {
         h.write_u64(self.cfg.seed);
         h.write_u32(tenant);
         (h.finish() % self.slots.len() as u64) as u32
-    }
-
-    /// The service's cancellation token. Cancelling makes shards
-    /// acknowledge further batches without learning, so clients can
-    /// drain their pipelines and the service can shut down promptly.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
     }
 
     /// Current availability of one shard.
@@ -917,6 +896,15 @@ impl PrefetchService {
         Ok(waits)
     }
 
+    /// Makes every shard acknowledge further batches without learning,
+    /// in its current worker epoch and every later one, so clients
+    /// draining their pipelines do not hang. Only [`Drop`] cancels.
+    pub(crate) fn cancel(&self) {
+        for slot in &self.slots {
+            slot.cancelled.store(true, Ordering::Release);
+        }
+    }
+
     /// Starts the shutdown drain without consuming the service: a
     /// `Shutdown` marker is queued behind everything already submitted,
     /// and anything arriving after it is rejected with
@@ -965,13 +953,13 @@ fn recv_by<T>(
 }
 
 impl Drop for PrefetchService {
-    /// Dropping without [`PrefetchService::shutdown`] cancels the token
-    /// (so in-flight work winds down) and stops the supervisor without
-    /// joining anything: the supervisor closes every shard's ingress,
-    /// dropping what was queued, and each worker exits when it sees its
-    /// ingress closed, whether or not sessions are still alive.
+    /// Dropping without [`PrefetchService::shutdown`] cancels every
+    /// shard (so in-flight work winds down) and stops the supervisor
+    /// without joining anything: the supervisor closes every shard's
+    /// ingress, dropping what was queued, and each worker exits when it
+    /// sees its ingress closed, whether or not sessions are still alive.
     fn drop(&mut self) {
-        self.cancel.cancel();
+        self.cancel();
         if self.supervisor.thread.take().is_some() {
             let _ = self.supervisor.tx.send(SupervisorMsg::Stop { reply: None });
         }
@@ -1020,7 +1008,7 @@ mod tests {
     /// The label of an enqueued handle: the ack it already holds, if any,
     /// and whether that ack handed the buffer back.
     fn pending(p: &PendingBatch) -> (String, bool) {
-        match p.poll() {
+        match p.rx.try_recv().ok() {
             None => (String::new(), false),
             Some(reply) => {
                 let label = match &reply.error {

@@ -24,8 +24,9 @@
 //! is checkpointed every `checkpoint_every` accepted batches (in place,
 //! copying only the table slots changed since the last checkpoint), and a
 //! replacement worker can be rebuilt from checkpoint + journal replay
-//! through the same `process_misses` batch kernel — bit-identical to a
-//! worker that never died whenever the journal window covers the gap.
+//! through the same ingest step live batches take ([`ShardInit::ingest`])
+//! — bit-identical to a worker that never died whenever the journal
+//! window covers the gap.
 //! Queued ingress batches die with their worker epoch; their clients
 //! observe a dropped reply channel and resubmit (at-least-once), which
 //! is also why the piggybacked rejected/shed counters are *cumulative*:
@@ -33,6 +34,7 @@
 //! and a crash can never lose them.
 
 use std::collections::hash_map::Entry;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,7 +43,6 @@ use ulmt_core::algorithm::{StepSink, UlmtAlgorithm};
 use ulmt_core::table::{CorrelationTable, SnapshotError, TableSnapshot};
 use ulmt_simcore::{Cycle, FxHashMap, LineAddr, Server};
 
-use crate::cancel::CancelToken;
 use crate::config::{ServiceConfig, TenantSpec};
 use crate::ingress::{Control, Drained, Follows, Ingress, IngressBatch, Work};
 use crate::journal::{JournalCoverage, ObservationJournal};
@@ -57,8 +58,8 @@ use crate::supervisor::{
 /// as it is emitted, and occupy the shard's server for the step's
 /// instruction cost when it ends — 1 cycle/insn, like the memory
 /// processor, giving the utilization figure. Journal replay during
-/// recovery drives the *same* sink, which is why a clean recovery also
-/// reproduces the virtual clock and utilization bit-identically.
+/// recovery takes the *same* ingest step, which is why a clean recovery
+/// also reproduces the virtual clock and utilization bit-identically.
 struct IngestSink<'a> {
     now: &'a mut Cycle,
     obs_cycles: Cycle,
@@ -198,18 +199,76 @@ pub(crate) struct WorkerCtx {
     pub shard: u32,
     pub epoch: u64,
     pub cfg: ServiceConfig,
-    pub cancel: CancelToken,
     pub slot: Arc<ShardSlot>,
     pub ingress: Arc<Ingress>,
 }
 
-/// Prebuilt shard state a replacement worker resumes from; `None` means
-/// a fresh, empty shard (epoch 0).
+/// A shard's in-memory state: its tenants' tables and counters, and its
+/// virtual clock (`obs_cycles` per observation) with the utilization
+/// server. A replacement worker resumes from one [`rebuild_shard`] built.
 pub(crate) struct ShardInit {
     tenants: FxHashMap<u32, TenantState>,
     stats: ShardStats,
     now: Cycle,
+    obs_cycles: Cycle,
     server: Server,
+}
+
+impl ShardInit {
+    /// A shard with no tenants, at virtual time 0.
+    fn empty(shard: u32, obs_cycles: Cycle) -> Self {
+        ShardInit {
+            tenants: FxHashMap::default(),
+            stats: ShardStats {
+                shard,
+                ..ShardStats::default()
+            },
+            now: 0,
+            obs_cycles,
+            server: Server::new(),
+        }
+    }
+
+    /// The one ingest step, shared by live ingestion and journal replay:
+    /// merge the batch's piggybacked counters, run the batch kernel into
+    /// `prefetches` (cleared first), count the batch as accepted. A
+    /// tenant the shard does not hold learns nothing. The counters are
+    /// *cumulative*, so `saturating_sub` makes the merge idempotent: a
+    /// resubmitted or replayed batch carries the same values and adds
+    /// zero, and a worker that dies between enqueue and ack loses none.
+    fn ingest(
+        &mut self,
+        tenant: u32,
+        rejected_cum: u64,
+        shed_cum: u64,
+        obs: &[LineAddr],
+        prefetches: &mut Vec<LineAddr>,
+    ) {
+        let Some(state) = self.tenants.get_mut(&tenant) else {
+            return;
+        };
+        let dr = rejected_cum.saturating_sub(state.stats.rejected);
+        let ds = shed_cum.saturating_sub(state.stats.shed);
+        state.stats.rejected += dr;
+        self.stats.rejected += dr;
+        state.stats.shed += ds;
+        self.stats.shed += ds;
+        prefetches.clear();
+        let mut sink = IngestSink {
+            now: &mut self.now,
+            obs_cycles: self.obs_cycles,
+            server: &mut self.server,
+            prefetches,
+        };
+        state.table.process_misses(obs, &mut sink);
+        let (observed, emitted) = (obs.len() as u64, prefetches.len() as u64);
+        state.stats.batches += 1;
+        state.stats.observed += observed;
+        state.stats.prefetches += emitted;
+        self.stats.batches += 1;
+        self.stats.observed += observed;
+        self.stats.prefetches += emitted;
+    }
 }
 
 /// What [`rebuild_shard`] could reconstruct, for the recovery report.
@@ -243,7 +302,7 @@ impl RebuildSummary {
 
 /// Rebuilds a shard's in-memory state from its last checkpoint plus a
 /// replay of the journaled batches past it, through the same
-/// [`IngestSink`] cadence as live ingestion. The checkpoint's table
+/// [`ShardInit::ingest`] step as live ingestion. The checkpoint's table
 /// copies are written back slot for slot, so clean recovery (journal
 /// covers the whole gap) reproduces tables, per-tenant stats, the
 /// virtual clock and the utilization server bit-identically. An
@@ -255,28 +314,22 @@ pub(crate) fn rebuild_shard(
     checkpoint: Option<&ShardCheckpoint>,
     journal: &ObservationJournal,
 ) -> Result<(ShardInit, RebuildSummary), SnapshotError> {
-    let mut tenants: FxHashMap<u32, TenantState> = FxHashMap::default();
+    let mut st = ShardInit::empty(shard, cfg.obs_cycles);
     for &(tenant, ref spec) in specs {
-        tenants
+        st.tenants
             .entry(tenant)
             .or_insert_with(|| TenantState::new(tenant, spec));
     }
-    let mut stats = ShardStats {
-        shard,
-        ..ShardStats::default()
-    };
-    let mut now: Cycle = 0;
-    let mut server = Server::new();
     let mut checkpoint_seq = 0;
     let mut checkpoint_bytes = 0;
     let interrupted = checkpoint.is_some_and(|cp| !cp.complete);
     if let Some(cp) = checkpoint.filter(|cp| cp.complete) {
         checkpoint_seq = cp.seq;
-        stats = cp.stats;
-        now = cp.now;
-        server = Server::from_state(cp.server);
+        st.stats = cp.stats;
+        st.now = cp.now;
+        st.server = Server::from_state(cp.server);
         for tc in &cp.tenants {
-            if let Some(state) = tenants.get_mut(&tc.tenant) {
+            if let Some(state) = st.tenants.get_mut(&tc.tenant) {
                 state.table.restore_checkpoint(&tc.table)?;
                 state.stats = tc.stats;
             }
@@ -284,39 +337,13 @@ pub(crate) fn rebuild_shard(
         }
     }
 
+    // A journaled batch was accepted for a registered tenant; one the
+    // spec registry lost is skipped by `ingest` rather than poisoning
+    // recovery, and the session surfaces UnknownTenant loudly.
     let (entries, coverage) = journal.replay_from(checkpoint_seq);
-    let mut prefetches: Vec<LineAddr> = Vec::new();
-    for entry in &entries {
-        // A journaled batch was accepted for a registered tenant; a
-        // missing entry here would mean the spec registry lost a tenant
-        // the journal still references — skip rather than poison
-        // recovery, the session will surface UnknownTenant loudly.
-        let Some(state) = tenants.get_mut(&entry.tenant) else {
-            continue;
-        };
-        apply_piggyback(
-            &mut state.stats,
-            &mut stats,
-            entry.rejected_cum,
-            entry.shed_cum,
-        );
-        prefetches.clear();
-        let observed = entry.obs.len() as u64;
-        {
-            let mut sink = IngestSink {
-                now: &mut now,
-                obs_cycles: cfg.obs_cycles,
-                server: &mut server,
-                prefetches: &mut prefetches,
-            };
-            state.table.process_misses(&entry.obs, &mut sink);
-        }
-        note_accepted(
-            &mut state.stats,
-            &mut stats,
-            observed,
-            prefetches.len() as u64,
-        );
+    let mut out = Vec::new(); // a replayed batch's prefetches go nowhere
+    for e in &entries {
+        st.ingest(e.tenant, e.rejected_cum, e.shed_cum, &e.obs, &mut out);
     }
 
     let summary = RebuildSummary {
@@ -325,47 +352,9 @@ pub(crate) fn rebuild_shard(
         checkpoint_seq,
         resumed_seq: journal.last_acked(),
         checkpoint_bytes,
-        tenants_restored: tenants.len() as u32,
+        tenants_restored: st.tenants.len() as u32,
     };
-    Ok((
-        ShardInit {
-            tenants,
-            stats,
-            now,
-            server,
-        },
-        summary,
-    ))
-}
-
-/// Merges a batch's piggybacked *cumulative* rejected/shed counters into
-/// the stats. `saturating_sub` makes the merge idempotent: a resubmitted
-/// batch (at-least-once delivery after a crash) or a journal-replayed one
-/// carries the same cumulative values, so applying it again adds zero —
-/// the fix for the old delta scheme, which lost counts when a worker died
-/// between enqueue and ack, and would have double-counted them had the
-/// client re-carried its deltas.
-fn apply_piggyback(
-    tenant: &mut TenantStats,
-    shard: &mut ShardStats,
-    rejected_cum: u64,
-    shed_cum: u64,
-) {
-    let dr = rejected_cum.saturating_sub(tenant.rejected);
-    let ds = shed_cum.saturating_sub(tenant.shed);
-    tenant.rejected += dr;
-    shard.rejected += dr;
-    tenant.shed += ds;
-    shard.shed += ds;
-}
-
-fn note_accepted(tenant: &mut TenantStats, shard: &mut ShardStats, observed: u64, prefetches: u64) {
-    tenant.batches += 1;
-    tenant.observed += observed;
-    tenant.prefetches += prefetches;
-    shard.batches += 1;
-    shard.observed += observed;
-    shard.prefetches += prefetches;
+    Ok((st, summary))
 }
 
 /// The worker's whole mutable state, so the control handlers and the
@@ -374,7 +363,6 @@ struct WorkerLoop<'a> {
     shard: u32,
     epoch: u64,
     cfg: &'a ServiceConfig,
-    cancel: &'a CancelToken,
     slot: &'a ShardSlot,
     ingress: &'a Ingress,
     st: ShardInit,
@@ -383,8 +371,8 @@ struct WorkerLoop<'a> {
 }
 
 impl WorkerLoop<'_> {
-    /// Processes one batch end-to-end: chaos kill, piggyback merge,
-    /// batch kernel, journal-before-ack, periodic checkpoint.
+    /// Processes one batch end-to-end: chaos kill, the ingest step,
+    /// journal-before-ack, periodic checkpoint.
     ///
     /// # Panics
     ///
@@ -409,7 +397,7 @@ impl WorkerLoop<'_> {
         } else {
             None
         };
-        let Some(state) = self.st.tenants.get_mut(&tenant) else {
+        if !self.st.tenants.contains_key(&tenant) {
             // Defensive: the ingress only admits registered tenants, so
             // this means the registries diverged. Surface it loudly.
             obs.clear();
@@ -418,9 +406,9 @@ impl WorkerLoop<'_> {
                 obs,
             ));
             return;
-        };
-        if self.cancel.is_cancelled() {
-            // Graceful wind-down: acknowledge without learning so
+        }
+        if self.slot.cancelled.load(Ordering::Acquire) {
+            // The service was dropped: acknowledge without learning so
             // clients draining their pipelines don't hang.
             obs.clear();
             let _ = reply.send(BatchReply::cancelled(obs));
@@ -431,29 +419,15 @@ impl WorkerLoop<'_> {
         // batch and the client can safely resubmit it.
         if let Some(kill) = &self.cfg.fault {
             let seq_next = lock(&self.slot.journal).next_seq();
-            if kill.fires(self.shard, seq_next, &self.slot.fault_state) {
+            if kill.fires(self.shard, seq_next, &self.slot.kill_fired) {
                 panic!("chaos: kill-shard fault at batch seq {seq_next}");
             }
         }
-        apply_piggyback(&mut state.stats, &mut self.st.stats, rejected_cum, shed_cum);
         let mut prefetches = Vec::new();
         let observed = obs.len() as u64;
         let ingest_t0 = self.metrics.as_ref().map(|_| Instant::now());
-        {
-            let mut sink = IngestSink {
-                now: &mut self.st.now,
-                obs_cycles: self.cfg.obs_cycles,
-                server: &mut self.st.server,
-                prefetches: &mut prefetches,
-            };
-            state.table.process_misses(&obs, &mut sink);
-        }
-        note_accepted(
-            &mut state.stats,
-            &mut self.st.stats,
-            observed,
-            prefetches.len() as u64,
-        );
+        self.st
+            .ingest(tenant, rejected_cum, shed_cum, &obs, &mut prefetches);
         if let Some(m) = &mut self.metrics {
             let ingest_nanos = ingest_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
             m.note_batch(
@@ -469,7 +443,9 @@ impl WorkerLoop<'_> {
         lock(&self.slot.journal).push(tenant, rejected_cum, shed_cum, &obs);
         self.since_checkpoint += 1;
         // Hand the (cleared) batch buffer back so the client can refill
-        // it: steady-state ingestion allocates nothing.
+        // it; a full journal window reuses its evicted entry's buffer the
+        // same way. `prefetches` is not recycled: every accepted batch
+        // grows a fresh one from `Vec::new()`.
         obs.clear();
         let _ = reply.send(BatchReply::accepted(observed, prefetches, obs));
         if self.since_checkpoint >= self.cfg.supervision.checkpoint_every {
@@ -654,20 +630,11 @@ pub(crate) fn run_worker(ctx: &WorkerCtx, init: Option<ShardInit>) -> ShardExit 
         shard,
         epoch,
         cfg,
-        cancel,
         slot,
         ingress,
     } = ctx;
     let (shard, epoch) = (*shard, *epoch);
-    let st = init.unwrap_or_else(|| ShardInit {
-        tenants: FxHashMap::default(),
-        stats: ShardStats {
-            shard,
-            ..ShardStats::default()
-        },
-        now: 0,
-        server: Server::new(),
-    });
+    let st = init.unwrap_or_else(|| ShardInit::empty(shard, cfg.obs_cycles));
     // Counters resume from the rebuilt totals so `metrics == stats`
     // holds across restarts; histograms restart with the epoch.
     let metrics = cfg.metrics.then(|| MetricsRegistry::resumed(&st.stats));
@@ -675,7 +642,6 @@ pub(crate) fn run_worker(ctx: &WorkerCtx, init: Option<ShardInit>) -> ShardExit 
         shard,
         epoch,
         cfg,
-        cancel,
         slot,
         ingress,
         st,

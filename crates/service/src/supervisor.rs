@@ -5,7 +5,8 @@
 //! *survives* its worker thread: the link sessions resolve the live
 //! epoch's [`Ingress`] through, the shard's state and epoch, the
 //! observation journal and periodic checkpoint recovery rebuilds from,
-//! and the once-only chaos budget.
+//! and two flags that must outlive a restart: the service's cancellation
+//! and the targeted kill's once-only budget.
 //!
 //! The one worker failure supervision handles is a **panic**: the
 //! worker's spawn wrapper catches the unwind
@@ -37,7 +38,7 @@
 //! [`SupervisionConfig::shed_when_down`]: crate::SupervisionConfig::shed_when_down
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -46,9 +47,7 @@ use std::time::{Duration, Instant};
 use ulmt_core::table::TableCheckpoint;
 use ulmt_simcore::{Cycle, ServerState};
 
-use crate::cancel::CancelToken;
 use crate::config::{ServiceConfig, TenantSpec};
-use crate::fault::ServiceFaultState;
 use crate::ingress::Ingress;
 use crate::journal::ObservationJournal;
 use crate::service::{ServiceError, ShardStats, TenantStats};
@@ -172,8 +171,12 @@ pub(crate) struct ShardSlot {
     pub specs: Mutex<Vec<(u32, TenantSpec)>>,
     pub journal: Mutex<ObservationJournal>,
     pub checkpoint: Mutex<Option<ShardCheckpoint>>,
-    /// Once-only chaos budget (survives restarts by design).
-    pub fault_state: ServiceFaultState,
+    /// Set when the service is dropped without `shutdown`: every later
+    /// batch is acknowledged without learning, by any epoch.
+    pub cancelled: AtomicBool,
+    /// Set when the targeted kill fires, so it fires once per slot and a
+    /// restarted worker cannot crash-loop on it.
+    pub kill_fired: AtomicBool,
     pub recoveries: Mutex<Vec<RecoveryReport>>,
 }
 
@@ -199,7 +202,8 @@ impl ShardSlot {
             specs: Mutex::new(Vec::new()),
             journal: Mutex::new(ObservationJournal::new(cfg.supervision.journal_window)),
             checkpoint: Mutex::new(None),
-            fault_state: ServiceFaultState::new(),
+            cancelled: AtomicBool::new(false),
+            kill_fired: AtomicBool::new(false),
             recoveries: Mutex::new(Vec::new()),
         }
     }
@@ -367,7 +371,6 @@ fn spawn_worker(
     slot: &Arc<ShardSlot>,
     cfg: ServiceConfig,
     epoch: u64,
-    cancel: CancelToken,
     events: Sender<SupervisorMsg>,
     init: Option<crate::shard::ShardInit>,
 ) -> (Arc<Ingress>, JoinHandle<ShardExit>) {
@@ -389,7 +392,6 @@ fn spawn_worker(
                 shard,
                 epoch,
                 cfg,
-                cancel,
                 slot,
                 ingress: worker_ingress,
             };
@@ -409,7 +411,6 @@ fn spawn_worker(
 /// Everything the supervisor thread owns.
 struct Supervisor {
     cfg: ServiceConfig,
-    cancel: CancelToken,
     slots: Vec<Arc<ShardSlot>>,
     workers: Vec<Worker>,
     events_tx: Sender<SupervisorMsg>,
@@ -473,14 +474,8 @@ impl Supervisor {
             }
         };
         let epoch = old_epoch + 1;
-        let (ingress, handle) = spawn_worker(
-            &slot,
-            self.cfg,
-            epoch,
-            self.cancel.clone(),
-            self.events_tx.clone(),
-            Some(init),
-        );
+        let (ingress, handle) =
+            spawn_worker(&slot, self.cfg, epoch, self.events_tx.clone(), Some(init));
         self.workers[shard] = Worker {
             handle: Some(handle),
             epoch,
@@ -546,15 +541,11 @@ impl Supervisor {
 
 /// Spawns the initial worker epoch for every slot plus the supervisor
 /// thread that owns them from here on.
-pub(crate) fn start_supervisor(
-    cfg: ServiceConfig,
-    cancel: CancelToken,
-    slots: Vec<Arc<ShardSlot>>,
-) -> SupervisorHandle {
+pub(crate) fn start_supervisor(cfg: ServiceConfig, slots: Vec<Arc<ShardSlot>>) -> SupervisorHandle {
     let (events_tx, events_rx) = channel();
     let mut workers = Vec::with_capacity(slots.len());
     for slot in &slots {
-        let (ingress, handle) = spawn_worker(slot, cfg, 0, cancel.clone(), events_tx.clone(), None);
+        let (ingress, handle) = spawn_worker(slot, cfg, 0, events_tx.clone(), None);
         slot.publish(ingress, 0);
         workers.push(Worker {
             handle: Some(handle),
@@ -564,7 +555,6 @@ pub(crate) fn start_supervisor(
     let n = slots.len();
     let supervisor = Supervisor {
         cfg,
-        cancel,
         slots,
         workers,
         events_tx: events_tx.clone(),

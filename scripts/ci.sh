@@ -58,9 +58,13 @@
 #                                removed service event trace and
 #                                slow-consumer fault, the public
 #                                MruList (now a test-only oracle type),
-#                                or the simulator's removed hash shadows
+#                                the simulator's removed hash shadows
 #                                (queue 3's set, the id-to-line map, the
-#                                FxHashSet alias); and `unsafe` occurs in
+#                                FxHashSet alias), or the service API only
+#                                tests called (the cancel token, the
+#                                public kill budget, the clean-recovery
+#                                and checkpoint-ahead helpers); and
+#                                `unsafe` occurs in
 #                                crates/ exactly once, in the table
 #                                storage's prefetch hint helper
 #
@@ -146,7 +150,11 @@ echo "== deprecation audit"
 # injection, nor the service's removed shard trace events and
 # slow-consumer fault, nor the production MruList (its test oracle is
 # RefSuccList), nor the simulator's hash shadows of queue 3 and of the
-# miss window's lines, nor the FxHashSet alias they used. perfbench/ is
+# miss window's lines, nor the FxHashSet alias they used, nor the
+# service API only its own tests called (the cancel token, the public
+# kill budget, the clean-recovery and checkpoint-ahead helpers; the
+# removed PendingBatch::{poll, wait_timeout} are left to the compiler,
+# since ingress.rs rightly calls Condvar::wait_timeout). perfbench/ is
 # not scanned: its host descriptor still clears ULMT_CYCLE_BUDGET and
 # ULMT_FAULT_SEED.
 if grep -rn --include='*.rs' '#\[deprecated' src tests examples crates; then
@@ -163,6 +171,8 @@ removed_api+='|FaultConfig|FaultPlan|FaultReport|FaultCounts|ObservationFault|Fa
 removed_api+='|FaultInjected|set_faults|DelayedObservation|ULMT_FAULT_SEED'
 removed_api+='|ShardBatch|ShardReject|SlowConsumer|ServiceFaultPlan|slow_consumer|MruList'
 removed_api+='|prefetch_q_set|id_to_line|FxHashSet|fx_set_with_capacity'
+removed_api+='|cancel_token|CancelToken|ServiceFaultState|kills_fired'
+removed_api+='|guarantees_clean_recovery|checkpoint_ahead'
 if grep -rn --include='*.rs' -E "\b($removed_api)\b" src tests examples crates; then
     echo "deprecation audit: references to removed APIs (above)"
     exit 1

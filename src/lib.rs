@@ -78,14 +78,13 @@ pub mod prelude {
     //! tracing knob ([`TraceConfig`]).
     //!
     //! Online serving: [`PrefetchService`], [`ServiceConfig`], [`Session`],
-    //! [`TenantSpec`], [`TrySubmit`], the service's shutdown flag
-    //! ([`CancelToken`]), plus the network front-end
+    //! [`TenantSpec`], [`TrySubmit`], plus the network front-end
     //! ([`NetServer`], [`NetClient`], [`NetConfig`]) and the metrics plane
     //! ([`MetricsReport`], [`ShardMetrics`]).
 
     pub use ulmt_service::{
-        CancelToken, MetricsReport, NetClient, NetConfig, NetServer, NetSubmit, PrefetchService,
-        ServiceConfig, ServiceError, Session, ShardMetrics, TableKind, TenantSpec, TrySubmit,
+        MetricsReport, NetClient, NetConfig, NetServer, NetSubmit, PrefetchService, ServiceConfig,
+        ServiceError, Session, ShardMetrics, TableKind, TenantSpec, TrySubmit,
     };
     pub use ulmt_simcore::{LineAddr, TraceConfig};
     pub use ulmt_system::{
