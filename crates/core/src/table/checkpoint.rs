@@ -328,6 +328,110 @@ mod tests {
         }
     }
 
+    /// Checks that `t`'s dirty list holds exactly its set dirty bits,
+    /// each once, and returns the list's length.
+    fn list_is_bits<K: Kind>(t: &CorrelationTable<K>, label: &str) -> usize {
+        let mut listed = t.rows.dirty_list().to_vec();
+        listed.sort_unstable();
+        let len = listed.len();
+        listed.dedup();
+        assert_eq!(listed.len(), len, "{label}: a slot listed twice");
+        let bits: Vec<u32> = t
+            .rows
+            .dirty_words()
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                (0..64)
+                    .filter(move |b| word >> b & 1 == 1)
+                    .map(move |b| (w * 64 + b) as u32)
+            })
+            .collect();
+        assert_eq!(listed, bits, "{label}: dirty list against dirty bits");
+        len
+    }
+
+    #[test]
+    fn dirty_list_is_exactly_the_dirty_bits() {
+        let small = TableParams {
+            num_rows: 64,
+            assoc: 2,
+            num_succ: 2,
+            num_levels: 3,
+        };
+        let cases = [
+            (TableKind::Base, TableParams::base_default(64)),
+            (TableKind::Chain, small),
+            (TableKind::Repl, small),
+        ];
+        for (seed, (kind, params)) in cases.into_iter().enumerate() {
+            let mut rng = Pcg32::seed_from_u64(40 + seed as u64);
+            let mut live = CorrelationTable::with_kind(kind, params);
+            // Never captured, it gets every step `live` gets except a
+            // checkpoint restore, which would sync it.
+            let mut never = live.clone();
+            let mut cp = live.checkpoint();
+            let lines = 4 * params.num_rows as u64;
+            let (mut longest, mut captures, mut restores) = (0, 0, 0);
+            for round in 0..300 {
+                let label = format!("{} round {round}", kind.name());
+                let line = LineAddr::new(rng.gen_range_u64(0..lines));
+                match rng.gen_range_u64(0..14) {
+                    0..=3 => {
+                        let len = rng.gen_range_usize(1..64);
+                        let misses = stream(&mut rng, len, lines);
+                        prefetches(&mut live, &misses);
+                        prefetches(&mut never, &misses);
+                    }
+                    4 => {
+                        live.rows.lookup(line);
+                        never.rows.lookup(line);
+                    }
+                    5 => {
+                        let succ = LineAddr::new(rng.gen_range_u64(0..lines));
+                        for t in [&mut live, &mut never] {
+                            let (ptr, _) = t.rows.find_or_alloc(line);
+                            t.rows.insert_mru(ptr, 0, succ);
+                        }
+                    }
+                    6 => {
+                        let rows = [params.num_rows / 2, params.num_rows, params.num_rows * 2]
+                            [rng.gen_range_usize(0..3)];
+                        live.resize(rows);
+                        never.resize(rows);
+                    }
+                    7 => {
+                        let pages = lines.div_ceil(PageAddr::lines_per_page());
+                        let old = PageAddr::new(rng.gen_range_u64(0..pages));
+                        let new = PageAddr::new(rng.gen_range_u64(0..pages));
+                        live.remap_page(old, new);
+                        never.remap_page(old, new);
+                    }
+                    8 => {
+                        let snap = live.snapshot();
+                        live.restore(&snap).expect("same shape");
+                        never.restore(&snap).expect("same shape");
+                    }
+                    // A copy taken before a resize is rejected, and
+                    // leaves the table untouched.
+                    9 => restores += usize::from(live.restore_checkpoint(&cp).is_ok()),
+                    _ => {
+                        live.checkpoint_into(&mut cp);
+                        captures += 1;
+                        assert_eq!(list_is_bits(&live, &label), 0, "{label}: capture empties");
+                    }
+                }
+                longest = longest.max(list_is_bits(&live, &label));
+                assert_eq!(list_is_bits(&never, &label), 0, "{label}: never captured");
+            }
+            assert!(
+                captures > 20 && restores > 5 && longest > 10,
+                "{}: {captures}/{restores}/{longest}",
+                kind.name()
+            );
+        }
+    }
+
     #[test]
     fn capture_copies_only_the_dirty_slots() {
         let mut live = Base::new(TableParams::base_default(1024));

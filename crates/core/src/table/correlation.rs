@@ -30,7 +30,7 @@ use ulmt_simcore::{LineAddr, PageAddr};
 
 use crate::algorithm::{insn_cost, StepSink, Touches, UlmtAlgorithm};
 
-use super::snapshot::{RowSnapshot, SnapshotError, TableSnapshot};
+use super::snapshot::{fingerprint_of, Encoder, RowSnapshot, SnapshotError, TableSnapshot};
 use super::storage::{RowPtr, RowTable, TableStats};
 use super::{TableKind, TableParams};
 
@@ -311,9 +311,23 @@ impl<K: Kind> CorrelationTable<K> {
     }
 
     /// Fingerprint of the learned contents (see
-    /// [`TableSnapshot::fingerprint`]).
+    /// [`TableSnapshot::fingerprint`]): the same bytes
+    /// [`CorrelationTable::snapshot`] would encode, written straight from
+    /// the live rows into one buffer and hashed once.
     pub fn table_fingerprint(&self) -> u64 {
-        self.snapshot().fingerprint()
+        let rows = self.rows.live_rows_lru();
+        let mut enc = Encoder::new(self.kind(), &self.params, rows.len());
+        for (tag, row) in &rows {
+            enc.row(
+                tag.raw(),
+                (0..row.levels()).map(|level| row.level(level).iter().map(|s| s.raw())),
+            );
+        }
+        let ctx = self
+            .pointers
+            .iter()
+            .map(|&ptr| self.rows.tag_of(ptr).map(LineAddr::raw));
+        fingerprint_of(&enc.finish(ctx))
     }
 
     /// The step kernel: one trip around the ULMT loop of Figure 2 for
@@ -542,6 +556,9 @@ mod tests {
             let mut replacements = 0;
             let (first, second) = seq.split_at(seq.len() / 2);
             for (half, rows) in [(first, 64), (second, 128)] {
+                // Captured tables track their dirty slots; a resize
+                // unsyncs them, so each half starts with a capture.
+                let _ = (slow.checkpoint(), fast.checkpoint());
                 for &m in half {
                     let step = slow.process_miss(m);
                     expected.push((
@@ -552,14 +569,20 @@ mod tests {
                 }
                 fast.process_misses(half, &mut log);
                 assert_eq!(fast.table_stats(), slow.table_stats(), "{label}: stats");
-                // The batch's prefetch hints move no slot, stamp or
-                // dirty bit.
+                // The batch's prefetch hints move no slot, stamp, dirty
+                // bit or dirty-list entry.
                 assert!(fast.rows.same_slots(&slow.rows), "{label}: slots");
                 assert_eq!(
                     fast.rows.dirty_words(),
                     slow.rows.dirty_words(),
                     "{label}: dirty bits"
                 );
+                assert_eq!(
+                    fast.rows.dirty_list(),
+                    slow.rows.dirty_list(),
+                    "{label}: dirty list"
+                );
+                assert!(!slow.rows.dirty_list().is_empty(), "{label}: tracked");
                 replacements += slow.table_stats().replacements;
                 for t in [&slow, &fast] {
                     let bytes = t.snapshot().to_bytes();
@@ -596,6 +619,41 @@ mod tests {
                 params(3)
             };
             assert_paths_agree(CorrelationTable::with_kind(kind, p), kind.name());
+        }
+    }
+
+    #[test]
+    fn table_fingerprint_is_the_snapshot_fingerprint() {
+        for kind in [TableKind::Base, TableKind::Chain, TableKind::Repl] {
+            let p = if kind == TableKind::Base {
+                params(1)
+            } else {
+                params(3)
+            };
+            let mut table = CorrelationTable::with_kind(kind, p);
+            let check = |t: &CorrelationTable, when: &str| {
+                assert_eq!(
+                    t.table_fingerprint(),
+                    t.snapshot().fingerprint(),
+                    "{}: {when}",
+                    kind.name()
+                );
+            };
+            check(&table, "empty");
+            // Far more lines than rows: every set fills and replaces.
+            table.process_misses(&seeded_stream(11, 4000, 4096), &mut StepLog::default());
+            assert_eq!(table.occupancy(), p.num_rows, "{}: full", kind.name());
+            check(&table, "full");
+            let lpp = PageAddr::lines_per_page();
+            let moved = (0..4096 / lpp)
+                .map(|page| {
+                    table
+                        .rows
+                        .remap_page(PageAddr::new(page), PageAddr::new(page + 64))
+                })
+                .sum::<usize>();
+            assert!(moved > 0, "{}: the remap moved rows", kind.name());
+            check(&table, "after a remap");
         }
     }
 

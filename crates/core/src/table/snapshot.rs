@@ -113,6 +113,76 @@ const MAGIC: &[u8; 8] = b"ULMTSNAP";
 /// Current format version. Version 2 added the learning context.
 const VERSION: u16 = 2;
 
+/// The fingerprint of a canonical encoding (see
+/// [`TableSnapshot::fingerprint`]).
+pub(super) fn fingerprint_of(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Writes the canonical `ULMTSNAP` encoding into one buffer, row by row,
+/// so a live table can be encoded without first building a
+/// [`TableSnapshot`].
+pub(super) struct Encoder(Vec<u8>);
+
+impl Encoder {
+    /// Starts an encoding with its header: magic, version, algorithm,
+    /// geometry and row count.
+    pub(super) fn new(kind: TableKind, params: &TableParams, rows: usize) -> Self {
+        let mut out = Vec::with_capacity(32 + rows * 32);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.push(kind.code());
+        for dim in [
+            params.num_rows,
+            params.assoc,
+            params.num_succ,
+            params.num_levels,
+        ] {
+            out.extend_from_slice(&(dim as u32).to_le_bytes());
+        }
+        out.extend_from_slice(&(rows as u32).to_le_bytes());
+        Encoder(out)
+    }
+
+    /// Appends one row: its tag, then each level's length and
+    /// successors, MRU first.
+    pub(super) fn row<L>(&mut self, tag: u64, levels: impl ExactSizeIterator<Item = L>)
+    where
+        L: ExactSizeIterator<Item = u64>,
+    {
+        let out = &mut self.0;
+        out.extend_from_slice(&tag.to_le_bytes());
+        out.push(levels.len() as u8);
+        for level in levels {
+            out.push(level.len() as u8);
+            for succ in level {
+                out.extend_from_slice(&succ.to_le_bytes());
+            }
+        }
+    }
+
+    /// Appends the learning context and returns the encoding.
+    pub(super) fn finish(
+        mut self,
+        learn_ctx: impl ExactSizeIterator<Item = Option<u64>>,
+    ) -> Vec<u8> {
+        let out = &mut self.0;
+        out.push(learn_ctx.len() as u8);
+        for entry in learn_ctx {
+            match entry {
+                Some(tag) => {
+                    out.push(1);
+                    out.extend_from_slice(&tag.to_le_bytes());
+                }
+                None => out.push(0),
+            }
+        }
+        self.0
+    }
+}
+
 impl TableSnapshot {
     /// Returns `Ok(())` if the snapshot was produced by `expected`.
     pub fn expect_kind(&self, expected: TableKind) -> Result<(), SnapshotError> {
@@ -131,48 +201,17 @@ impl TableSnapshot {
     /// learned identical rows in an identical recency order — the
     /// property the service's determinism checks rely on.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FxHasher::default();
-        h.write(&self.to_bytes());
-        h.finish()
+        fingerprint_of(&self.to_bytes())
     }
 
     /// Serializes to the versioned binary format (little-endian, fully
     /// self-contained; no external dependencies).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.rows.len() * 32);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.push(self.kind.code());
-        for dim in [
-            self.params.num_rows,
-            self.params.assoc,
-            self.params.num_succ,
-            self.params.num_levels,
-        ] {
-            out.extend_from_slice(&(dim as u32).to_le_bytes());
-        }
-        out.extend_from_slice(&(self.rows.len() as u32).to_le_bytes());
+        let mut enc = Encoder::new(self.kind, &self.params, self.rows.len());
         for row in &self.rows {
-            out.extend_from_slice(&row.tag.to_le_bytes());
-            out.push(row.levels.len() as u8);
-            for level in &row.levels {
-                out.push(level.len() as u8);
-                for succ in level {
-                    out.extend_from_slice(&succ.to_le_bytes());
-                }
-            }
+            enc.row(row.tag, row.levels.iter().map(|l| l.iter().copied()));
         }
-        out.push(self.learn_ctx.len() as u8);
-        for entry in &self.learn_ctx {
-            match entry {
-                Some(tag) => {
-                    out.push(1);
-                    out.extend_from_slice(&tag.to_le_bytes());
-                }
-                None => out.push(0),
-            }
-        }
-        out
+        enc.finish(self.learn_ctx.iter().copied())
     }
 
     /// Decodes the binary format produced by [`TableSnapshot::to_bytes`].

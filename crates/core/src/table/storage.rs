@@ -21,17 +21,21 @@
 //!
 //! # Dirty slots
 //!
-//! A per-slot dirty bitset records which slots changed since the table
-//! was last captured into a [`TableCheckpoint`]: a lookup hit's LRU
-//! bump, an allocation's victim and a successful MRU insertion each set
-//! their slot's bit. The Learning step writes only the rows behind its
+//! While a table is synced with a [`TableCheckpoint`], it records which
+//! slots changed since the last capture: a lookup hit's LRU bump, an
+//! allocation's victim and a successful MRU insertion each append their
+//! slot to a dirty-slot list, and a per-slot bit keeps the list free of
+//! duplicates. The Learning step writes only the rows behind its
 //! retained pointers plus the miss's own row (Section 3.3.2), so the
 //! dirty set of a checkpoint interval is bounded by the observations in
 //! it, not by `NumRows`, and so is the cost of bringing a checkpoint up
-//! to date. Operations that move slots wholesale ([`RowTable::resize`],
+//! to date: the capture walks the list, never the bitset. Operations
+//! that move slots wholesale ([`RowTable::resize`],
 //! [`RowTable::remap_page`], and a snapshot restore, which builds a new
 //! table) unsync the table instead, forcing the next capture to copy
-//! every slot.
+//! every slot. An unsynced table tracks nothing, since that full capture
+//! would ignore what it tracked: a table that is never captured, like
+//! every table of the simulator, pays one predictable branch per write.
 //!
 //! # Prefetch hints
 //!
@@ -39,10 +43,10 @@
 //! is likely a host cache miss on a random slot. [`prefetch`] asks the
 //! CPU to start loading a line early; [`RowTable::prefetch_set`] lets the
 //! batch kernel hint the sets of misses a few steps ahead, and the
-//! incremental capture hints the slots and records it will copy next. A
-//! hint reads nothing the program sees and writes nothing: no counter,
-//! LRU stamp or dirty bit moves, so a hinted run is bit for bit an
-//! unhinted one.
+//! incremental capture hints the checkpoint index entries and records it
+//! will write next. A hint reads nothing the program sees and writes
+//! nothing: no counter, LRU stamp or dirty bit moves, so a hinted run is
+//! bit for bit an unhinted one.
 
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,12 +91,12 @@ fn prefetch_run<T>(run: &[T]) {
     }
 }
 
-/// Slots the incremental capture hints its source lines ahead of the
-/// copy, and the slot index it reads for them.
-const CAPTURE_SOURCE_AHEAD: usize = 16;
+/// Slots the incremental capture hints a slot's checkpoint index entry
+/// ahead of the copy.
+const CAPTURE_INDEX_AHEAD: usize = 16;
 
 /// Slots the incremental capture hints its destination record ahead of
-/// the copy (its index entry was hinted at [`CAPTURE_SOURCE_AHEAD`]).
+/// the copy (its index entry was hinted at [`CAPTURE_INDEX_AHEAD`]).
 const CAPTURE_RECORD_AHEAD: usize = 8;
 
 /// A sync token no table or checkpoint has used yet (never 0, which
@@ -273,14 +277,15 @@ pub struct RowTable {
     live: usize,
     lru_clock: u64,
     stats: TableStats,
-    /// One bit per slot: changed since the last capture (module docs).
+    /// One bit per slot: listed in `dirty_slots` (module docs).
     dirty: Vec<u64>,
     /// Token of the [`TableCheckpoint`] this table was last captured
     /// into or restored from; 0 when no copy plus the dirty slots equals
     /// the table.
     synced: u64,
-    /// Capture scratch: the dirty slots of the capture under way, in
-    /// ascending order. Empty between captures; its capacity is reused.
+    /// The slots changed since the last capture, in the order they first
+    /// changed: exactly the set bits of `dirty`. Empty after a capture;
+    /// its capacity is reused.
     dirty_slots: Vec<u32>,
 }
 
@@ -400,9 +405,18 @@ impl RowTable {
         self.levels * self.num_succ
     }
 
+    /// Lists `slot` as changed since the last capture, once; does
+    /// nothing while the table is unsynced (module docs).
     #[inline]
     fn mark_dirty(&mut self, slot: usize) {
-        self.dirty[slot / 64] |= 1 << (slot % 64);
+        if self.synced == 0 {
+            return;
+        }
+        let (word, bit) = (&mut self.dirty[slot / 64], 1 << (slot % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.dirty_slots.push(slot as u32);
+        }
     }
 
     #[inline]
@@ -575,10 +589,10 @@ impl RowTable {
     /// Rows whose target set is full replace that set's LRU row, exactly
     /// like a fresh insertion. Returns the number of rows relocated.
     pub fn remap_page(&mut self, old: PageAddr, new: PageAddr) -> usize {
-        // The lookups and allocations below mark every slot they write,
-        // so the dirty bits alone would cover a remap; unsyncing is a
-        // guard that keeps a remap, which moves rows between sets, from
-        // depending on that.
+        // The lookups and allocations below would list every slot they
+        // write, so the dirty slots alone could cover a remap; unsyncing
+        // keeps a remap, which moves rows between sets, from depending
+        // on that, and stops the tracking until the full recapture.
         self.synced = 0;
         let mut moved = 0;
         let stride = self.stride();
@@ -674,39 +688,39 @@ impl RowTable {
         self.valid[slot] || self.lrus[slot] != 0
     }
 
-    /// Brings `cp`'s slot records up to date and clears the dirty bits.
-    /// When `cp` plus the dirty slots equals this table (the sync tokens
-    /// match), only the dirty slots are copied; otherwise every stamped
-    /// slot is. Either way `cp` and this table share a fresh token
-    /// afterwards. The scalars (LRU clock, live count, stats) are copied
-    /// whole.
+    /// Brings `cp`'s slot records up to date and empties the dirty
+    /// slots. When `cp` plus the dirty slots equals this table (the sync
+    /// tokens match), only the listed slots are copied, so capturing a
+    /// clean table costs O(1); otherwise every stamped slot is. Either
+    /// way `cp` and this table share a fresh token afterwards. The
+    /// scalars (LRU clock, live count, stats) are copied whole.
     pub(super) fn capture_slots(&mut self, cp: &mut TableCheckpoint) {
         let incremental = self.synced != 0 && self.synced == cp.token;
         // Until the update completes, `cp` matches no table.
         cp.token = 0;
         if incremental {
-            // Drain the bits first, so the copy loop knows the slots it
-            // copies next and can hint their lines ahead of the copy.
-            for (w, word) in self.dirty.iter_mut().enumerate() {
-                let mut bits = std::mem::take(word);
-                while bits != 0 {
-                    self.dirty_slots
-                        .push((w * 64 + bits.trailing_zeros() as usize) as u32);
-                    bits &= bits - 1;
+            // The list names the slots copied next, so the loop hints
+            // their destination lines ahead of the copy. The source lines
+            // need no hint: the batch that dirtied a slot just touched
+            // them.
+            let slots = std::mem::take(&mut self.dirty_slots);
+            for (i, &slot) in slots.iter().enumerate() {
+                if let Some(&ahead) = slots.get(i + CAPTURE_INDEX_AHEAD) {
+                    prefetch(&cp.index[ahead as usize]);
                 }
-            }
-            for (i, &slot) in self.dirty_slots.iter().enumerate() {
-                if let Some(&ahead) = self.dirty_slots.get(i + CAPTURE_SOURCE_AHEAD) {
-                    self.prefetch_source(cp, ahead as usize);
-                }
-                if let Some(&ahead) = self.dirty_slots.get(i + CAPTURE_RECORD_AHEAD) {
+                if let Some(&ahead) = slots.get(i + CAPTURE_RECORD_AHEAD) {
                     self.prefetch_record(cp, ahead as usize);
                 }
+                let slot = slot as usize;
                 // Only rebuilding the arena (a resize or a restore)
-                // un-stamps a slot, and it clears the bits.
-                debug_assert!(self.stamped(slot as usize));
-                self.put_record(cp, slot as usize);
+                // un-stamps a slot, and it empties the list.
+                debug_assert!(self.stamped(slot));
+                // Every bit of the word is listed, so clearing the word
+                // clears only listed bits.
+                self.dirty[slot / 64] = 0;
+                self.put_record(cp, slot);
             }
+            self.dirty_slots = slots;
             self.dirty_slots.clear();
         } else {
             cp.records.clear();
@@ -720,6 +734,7 @@ impl RowTable {
                 }
             }
             self.dirty.fill(0);
+            self.dirty_slots.clear();
         }
         cp.live = self.live;
         cp.lru_clock = self.lru_clock;
@@ -727,20 +742,6 @@ impl RowTable {
         let token = fresh_token();
         cp.token = token;
         self.synced = token;
-    }
-
-    /// Hints the lines [`RowTable::put_record`] reads for `slot`, and the
-    /// slot's entry in `cp`'s index.
-    #[inline]
-    fn prefetch_source(&self, cp: &TableCheckpoint, slot: usize) {
-        let (levels, stride) = (self.levels, self.stride());
-        prefetch(&self.valid[slot]);
-        prefetch(&self.tags[slot]);
-        prefetch(&self.lrus[slot]);
-        prefetch(&self.gens[slot]);
-        prefetch_run(&self.lens[slot * levels..(slot + 1) * levels]);
-        prefetch_run(&self.succ[slot * stride..(slot + 1) * stride]);
-        prefetch(&cp.index[slot]);
     }
 
     /// Hints the lines of `slot`'s record in `cp`, if it has one (a new
@@ -798,6 +799,7 @@ impl RowTable {
         self.lens.fill(0);
         self.succ.fill(LineAddr::new(0));
         self.dirty.fill(0);
+        self.dirty_slots.clear();
         let (levels, stride) = (self.levels, self.stride());
         for (pos, r) in cp.records.iter().enumerate() {
             let slot = r.slot as usize;
@@ -826,6 +828,12 @@ impl RowTable {
     #[cfg(test)]
     pub(super) fn dirty_words(&self) -> &[u64] {
         &self.dirty
+    }
+
+    /// The dirty-slot list, in the order the slots first changed.
+    #[cfg(test)]
+    pub(super) fn dirty_list(&self) -> &[u32] {
+        &self.dirty_slots
     }
 
     /// Whether `other` holds exactly this table's slots, clock, counters

@@ -152,19 +152,24 @@ impl TenantSpec {
 /// [`PrefetchService`](crate::PrefetchService).
 ///
 /// The recovery window math: a shard
-/// checkpoints every [`checkpoint_every`](Self::checkpoint_every)
+/// checkpoints after every [`checkpoint_every`](Self::checkpoint_every)
 /// accepted batches and journals the last
-/// [`journal_window`](Self::journal_window) of them, so
-/// `journal_window >= checkpoint_every` guarantees every crash recovers
-/// **cleanly** (bit-identical tables, counters and virtual clock);
-/// a smaller window trades memory for a bounded lossy gap whose exact
-/// size every [`RecoveryReport`](crate::RecoveryReport) carries.
+/// [`journal_window`](Self::journal_window) of them, so at most
+/// `checkpoint_every - 1` acked batches sit past the checkpoint when the
+/// next batch starts, and `journal_window >= checkpoint_every` guarantees
+/// every crash recovers **cleanly** (bit-identical tables, counters and
+/// virtual clock); a smaller window trades memory for a bounded lossy gap
+/// whose exact size every [`RecoveryReport`](crate::RecoveryReport)
+/// carries. The default checkpoints after every batch, where each update
+/// copies only the table slots that batch changed, so a crash that
+/// strikes a batch before its ack replays nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisionConfig {
     /// Restarts a single shard may consume before it is parked in
     /// [`ShardState::Failed`](crate::ShardState::Failed) for good.
     pub max_restarts: u32,
-    /// Accepted batches between checkpoints of a shard's full state.
+    /// Accepted batches between checkpoints of a shard's full state
+    /// (1, the default: a checkpoint after every batch).
     pub checkpoint_every: u64,
     /// Acked batches the observation journal retains per shard.
     pub journal_window: usize,
@@ -192,7 +197,7 @@ impl Default for SupervisionConfig {
     fn default() -> Self {
         SupervisionConfig {
             max_restarts: 8,
-            checkpoint_every: 64,
+            checkpoint_every: 1,
             journal_window: 128,
             backoff_base_ms: 1,
             backoff_max_ms: 100,

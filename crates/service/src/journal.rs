@@ -32,7 +32,10 @@
 //! journals `W >= C` of them can always recover cleanly, because at most
 //! `C` acked batches ever sit past the newest checkpoint. `W < C` buys a
 //! smaller memory bound at the price of a lossy window of up to `C - W`
-//! batches. Batches that were *in the ingestion queue* (not yet acked) at
+//! batches. At the default `C = 1` only a crash between a batch's ack
+//! and the end of the checkpoint update that follows it leaves an acked
+//! batch past the checkpoint, so a clean recovery replays at most one
+//! entry. Batches that were *in the ingestion queue* (not yet acked) at
 //! the crash are not the journal's problem: their reply channels error
 //! out and the client resubmits — at-least-once delivery on top of an
 //! exactly-once journal.

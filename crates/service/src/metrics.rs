@@ -9,7 +9,8 @@
 //! wait (nanoseconds from enqueue to dequeue), ingest latency
 //! (nanoseconds inside the batch kernel) and checkpoint latency
 //! (nanoseconds to bring the shard's recovery checkpoint up to date,
-//! the stall every `checkpoint_every` batches). Everything is flat `u64`
+//! once every `checkpoint_every` accepted batches, which by default is
+//! after every batch). Everything is flat `u64`
 //! arrays: recording a batch never allocates, and snapshotting is a
 //! memcpy-sized clone.
 //!
@@ -163,9 +164,11 @@ pub struct ShardMetrics {
     pub queue_wait_nanos: Log2Histogram,
     /// Distribution of batch-kernel ingest latency, wall nanoseconds.
     pub ingest_nanos: Log2Histogram,
-    /// Distribution of checkpoint latency (one update of the shard's
-    /// recovery checkpoint, taken every `checkpoint_every` accepted
-    /// batches while the shard's queue waits), wall nanoseconds.
+    /// Distribution of checkpoint latency, wall nanoseconds: one sample
+    /// per update of the shard's recovery checkpoint, taken after every
+    /// `checkpoint_every`-th accepted batch (every batch by default) and
+    /// after a warm start, while the shard's queue waits. An update
+    /// copies the table slots changed since the previous one.
     pub checkpoint_nanos: Log2Histogram,
 }
 

@@ -1324,6 +1324,36 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_metrics_count_one_update_per_interval() {
+        // The default takes a checkpoint after every accepted batch; an
+        // interval of k takes one after every k-th.
+        for every in [SupervisionConfig::default().checkpoint_every, 4, 5] {
+            let sup = SupervisionConfig {
+                checkpoint_every: every,
+                ..SupervisionConfig::default()
+            };
+            let service = PrefetchService::start(ServiceConfig {
+                metrics: true,
+                ..cfg(sup, None)
+            });
+            let mut session = service.open(1, TenantSpec::repl(64)).unwrap();
+            let batches = 12;
+            for _ in 0..batches {
+                session.submit(obs()).unwrap().wait().unwrap();
+            }
+            let report = service.metrics().expect("metrics");
+            assert_eq!(report.shards[0].batches, batches);
+            assert_eq!(
+                report.shards[0].checkpoint_nanos.total(),
+                batches / every,
+                "checkpoint_every {every}"
+            );
+            service.shutdown();
+        }
+        assert_eq!(SupervisionConfig::default().checkpoint_every, 1);
+    }
+
+    #[test]
     fn dropping_the_service_ends_every_worker_while_a_session_lives() {
         let service = PrefetchService::start(ServiceConfig {
             shards: 2,

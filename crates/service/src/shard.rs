@@ -21,12 +21,12 @@
 //! Since the supervision layer (see [`crate::supervisor`]) the worker is
 //! also *recoverable*: every accepted batch is journaled before it is
 //! acknowledged, the whole shard state (tables, counters, virtual clock)
-//! is checkpointed every `checkpoint_every` accepted batches (in place,
-//! copying only the table slots changed since the last checkpoint), and a
-//! replacement worker can be rebuilt from checkpoint + journal replay
-//! through the same ingest step live batches take ([`ShardInit::ingest`])
-//! — bit-identical to a worker that never died whenever the journal
-//! window covers the gap.
+//! is checkpointed after every `checkpoint_every` accepted batches (by
+//! default after each one, right after its ack, copying in place only
+//! the table slots that batch changed), and a replacement worker can be
+//! rebuilt from checkpoint + journal replay through the same ingest step
+//! live batches take ([`ShardInit::ingest`]) — bit-identical to a worker
+//! that never died whenever the journal window covers the gap.
 //! Queued ingress batches die with their worker epoch; their clients
 //! observe a dropped reply channel and resubmit (at-least-once), which
 //! is also why the piggybacked rejected/shed counters are *cumulative*:
@@ -372,7 +372,8 @@ struct WorkerLoop<'a> {
 
 impl WorkerLoop<'_> {
     /// Processes one batch end-to-end: chaos kill, the ingest step,
-    /// journal-before-ack, periodic checkpoint.
+    /// journal-before-ack, then the checkpoint when one is due (after
+    /// every batch by default), with the seq the journal assigned.
     ///
     /// # Panics
     ///
@@ -440,7 +441,7 @@ impl WorkerLoop<'_> {
         // Journal the acked batch *before* replying: once the client
         // sees the ack, the batch is recoverable (within the journal
         // window) — the exactly-once half of the recovery contract.
-        lock(&self.slot.journal).push(tenant, rejected_cum, shed_cum, &obs);
+        let seq = lock(&self.slot.journal).push(tenant, rejected_cum, shed_cum, &obs);
         self.since_checkpoint += 1;
         // Hand the (cleared) batch buffer back so the client can refill
         // it; a full journal window reuses its evicted entry's buffer the
@@ -449,7 +450,7 @@ impl WorkerLoop<'_> {
         obs.clear();
         let _ = reply.send(BatchReply::accepted(observed, prefetches, obs));
         if self.since_checkpoint >= self.cfg.supervision.checkpoint_every {
-            self.checkpoint();
+            self.checkpoint(seq);
         }
     }
 
@@ -500,7 +501,8 @@ impl WorkerLoop<'_> {
                     // A warm start is control-plane state the journal
                     // never sees; checkpoint immediately so a crash can
                     // never silently roll the tenant back past it.
-                    self.checkpoint();
+                    let seq = lock(&self.slot.journal).last_acked();
+                    self.checkpoint(seq);
                 }
             }
             ShardMsg::Fingerprint { tenant, reply } => {
@@ -603,11 +605,12 @@ impl WorkerLoop<'_> {
         }))
     }
 
-    /// Brings the slot's checkpoint up to date with the shard, timed
-    /// into the metrics registry when metrics are on.
-    fn checkpoint(&mut self) {
+    /// Brings the slot's checkpoint up to date with the shard as of
+    /// journal seq `seq` (the last acked batch), timed into the metrics
+    /// registry when metrics are on.
+    fn checkpoint(&mut self, seq: u64) {
         let t0 = self.metrics.as_ref().map(|_| Instant::now());
-        take_checkpoint(self.slot, &mut self.st);
+        take_checkpoint(self.slot, &mut self.st, seq);
         self.since_checkpoint = 0;
         if let (Some(m), Some(t0)) = (&mut self.metrics, t0) {
             m.note_checkpoint(t0.elapsed().as_nanos() as u64);
@@ -661,12 +664,12 @@ pub(crate) fn run_worker(ctx: &WorkerCtx, init: Option<ShardInit>) -> ShardExit 
     }
 }
 
-/// Brings the slot's checkpoint up to the shard's current state, in
-/// place: each tenant's table copy takes only the slots changed since
-/// the last checkpoint. The update is bracketed by the checkpoint's
+/// Brings the slot's checkpoint up to the shard's current state, the
+/// one after journal seq `seq`, in place: each tenant's table copy takes
+/// only the slots changed since the last checkpoint, so a tenant no
+/// batch touched costs O(1). The update is bracketed by the checkpoint's
 /// `complete` flag, so one cut short is never restored.
-fn take_checkpoint(slot: &ShardSlot, st: &mut ShardInit) {
-    let seq = lock(&slot.journal).last_acked();
+fn take_checkpoint(slot: &ShardSlot, st: &mut ShardInit, seq: u64) {
     let mut cell = lock(&slot.checkpoint);
     let cp = cell.get_or_insert_with(|| ShardCheckpoint {
         complete: false,

@@ -19,13 +19,14 @@
 //! control calls.
 //!
 //! The checkpoint is one [`ShardCheckpoint`] per slot, updated in place:
-//! every `checkpoint_every` accepted batches the worker copies into each
-//! tenant's [`TableCheckpoint`] only the table slots that changed since
-//! the previous checkpoint (a table's dirty bitset tracks them), plus the
-//! shard's counters, virtual clock and journal seq. An update marks the
-//! checkpoint incomplete before it touches anything and complete when
-//! done, so one cut short by a panic is never restored: recovery treats
-//! it as absent and reports the recovery lossy.
+//! after every `checkpoint_every` accepted batches (by default after each
+//! one) the worker copies into each tenant's [`TableCheckpoint`] only the
+//! table slots that changed since the previous checkpoint (a table lists
+//! them as they change, so a tenant the batch did not touch costs O(1)),
+//! plus the shard's counters, virtual clock and journal seq. An update
+//! marks the checkpoint incomplete before it touches anything and
+//! complete when done, so one cut short by a panic is never restored:
+//! recovery treats it as absent and reports the recovery lossy.
 //!
 //! Recovery writes the last checkpoint's slots straight back into fresh
 //! tables, slot for slot, replays the journal through

@@ -17,9 +17,9 @@ use std::time::{Duration, Instant};
 
 use ulmt_service::{
     PrefetchService, RecoveryOutcome, ServiceConfig, ServiceError, ServiceFaultConfig, Session,
-    ShardState, SupervisionConfig, TenantSpec, TrySubmit,
+    ShardState, SupervisionConfig, TenantSpec, TenantStats, TrySubmit,
 };
-use ulmt_simcore::LineAddr;
+use ulmt_simcore::{LineAddr, Pcg32};
 
 const BATCH: usize = 16;
 
@@ -210,6 +210,97 @@ fn kill_recovery_is_bit_identical_within_journal_window() {
         final_reports[0].epoch, 1,
         "final report comes from the restarted epoch"
     );
+}
+
+/// Feeds two tenants' batch lists through a service ack by ack, in the
+/// interleave [`run_interleaved`] uses, but rides out a kill by waiting
+/// for the recovery before resubmitting the unacked batch: nothing is
+/// submitted while the shard is down, so nothing is shed even under a
+/// shedding policy. Returns each tenant's fingerprint and counters, and
+/// the shard's.
+fn run_patiently(
+    service: &PrefetchService,
+    streams: &[(u32, Vec<Vec<LineAddr>>)],
+) -> (Vec<(u64, TenantStats)>, ulmt_service::ShardStats) {
+    let mut sessions: Vec<Session> = streams
+        .iter()
+        .map(|&(t, _)| service.open(t, TenantSpec::repl(512)).expect("open"))
+        .collect();
+    let rounds = streams.iter().map(|(_, b)| b.len()).max().unwrap_or(0);
+    let mut recoveries = 0;
+    for round in 0..rounds {
+        for (session, (_, stream)) in sessions.iter_mut().zip(streams) {
+            let Some(obs) = stream.get(round) else {
+                continue;
+            };
+            loop {
+                let pending = ok(service, "submit", session.submit(obs.clone()));
+                match pending.wait() {
+                    Ok(reply) => {
+                        assert!(reply.error.is_none() && !reply.shed, "{reply:?}");
+                        break;
+                    }
+                    // Killed before the ack: wait out the recovery.
+                    Err(_) => {
+                        recoveries += 1;
+                        wait_for_recoveries(service, recoveries);
+                    }
+                }
+            }
+        }
+    }
+    let tenants = sessions
+        .iter_mut()
+        .map(|s| {
+            let fingerprint = ok(service, "fingerprint", s.fingerprint());
+            (fingerprint, ok(service, "stats", s.stats()))
+        })
+        .collect();
+    (tenants, ok(service, "shard stats", service.shard_stats(0)))
+}
+
+#[test]
+fn default_supervision_recovers_every_kill_from_the_last_batch() {
+    // The default policy checkpoints after every accepted batch, so a
+    // kill anywhere recovers from the batch just before it and replays
+    // nothing, bit-identical to a run that was never killed.
+    let streams = vec![(1u32, batches(1, 20)), (2u32, batches(2, 20))];
+    let start = |fault| {
+        PrefetchService::start(ServiceConfig {
+            shards: 1,
+            fault,
+            ..ServiceConfig::default()
+        })
+    };
+    let control_svc = start(None);
+    let control = run_patiently(&control_svc, &streams);
+    control_svc.shutdown();
+    assert_eq!(control.1.batches, 40);
+
+    let mut rng = Pcg32::seed_from_u64(27);
+    for _ in 0..4 {
+        let kill = rng.gen_range_u64(1..41);
+        let chaos_svc = start(Some(ServiceFaultConfig::kill(0, kill)));
+        let chaos = run_patiently(&chaos_svc, &streams);
+        let reports = chaos_svc.recovery_reports();
+        chaos_svc.shutdown();
+
+        assert_eq!(reports.len(), 1, "kill at {kill}: {reports:?}");
+        let r = &reports[0];
+        assert_eq!(
+            r.outcome,
+            RecoveryOutcome::Clean {
+                replayed_batches: 0
+            },
+            "kill at {kill}"
+        );
+        assert_eq!(
+            (r.checkpoint_seq, r.resumed_seq),
+            (kill - 1, kill - 1),
+            "kill at {kill}: the checkpoint holds every acked batch"
+        );
+        assert_eq!(chaos, control, "kill at {kill}: tables and counters");
+    }
 }
 
 /// Feeds `before` batches, warm-starts the tenant from `warm`, feeds
