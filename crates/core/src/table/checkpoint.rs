@@ -1,173 +1,71 @@
-//! Slot-exact, in-place checkpoints of a correlation table.
+//! Undo-log checkpoints of a correlation table.
 //!
-//! A [`TableCheckpoint`] is a copy of a table's live slots, kept in flat
-//! buffers that are updated in place: a `slot → position` index plus one
-//! record per slot (slot, tag, LRU stamp, generation, level lengths and
-//! successors), and the table's LRU clock, [`TableStats`] and retained
-//! learning pointers.
+//! [`CorrelationTable::commit`] marks the point a table can return to,
+//! and [`CorrelationTable::rollback`] returns to it exactly: slot for
+//! slot, with the same LRU clock, counters and learning pointers, so the
+//! table continues as it would have from the commit. In between, the
+//! table itself keeps what a rollback needs (see the [`RowTable`] docs):
+//! the pre-image of each slot written since the commit, logged before
+//! the write, or the whole table a resize or a snapshot restore replaced.
+//! A commit copies no slot, and a table that is never committed logs
+//! nothing.
 //!
-//! [`CorrelationTable::checkpoint_into`] drains the table's dirty slots
-//! (see the [`RowTable`](super::RowTable) docs) into the copy, so the
-//! cost of bringing a checkpoint up to date follows the rows changed
-//! since the last one, not the table size. The invariant is *copy +
-//! dirty slots == live table*. A resize, a page remap or a snapshot
-//! restore breaks it, and the next capture then copies every slot.
+//! Because every write is logged before it lands, a rollback also undoes
+//! a step cut short by a panic: the prefetch service keeps a shard's
+//! tables through a worker panic and rolls them back to the last
+//! checkpoint. The log lives in the table's memory, so it is no file or
+//! wire format; that remains [`TableSnapshot`](super::TableSnapshot)
+//! (`ULMTSNAP`).
 //!
-//! [`CorrelationTable::restore_checkpoint`] writes the records straight
-//! back to their slots, with no sort and no re-insertion: the restored
-//! table is slot for slot the captured one, and the copy is again *copy
-//! + no dirty slots*, so the invariant holds after recovery too.
-//!
-//! The portable format remains [`TableSnapshot`](super::TableSnapshot)
-//! (`ULMTSNAP`); a checkpoint is an in-memory recovery structure, not a
-//! wire or file format.
-
-use std::mem::size_of;
-
-use ulmt_simcore::LineAddr;
+//! [`RowTable`]: super::RowTable
 
 use super::correlation::{CorrelationTable, Kind};
-use super::snapshot::SnapshotError;
-use super::storage::{RowPtr, TableStats};
-use super::{TableKind, TableParams};
-
-/// One captured slot. Successors and level lengths live in the
-/// checkpoint's flat buffers at the record's position.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct SlotRecord {
-    pub(super) slot: u32,
-    pub(super) valid: bool,
-    pub(super) tag: LineAddr,
-    pub(super) lru: u64,
-    pub(super) gen: u64,
-}
-
-/// A slot-exact copy of a [`CorrelationTable`]'s live slots, updated in
-/// place (see the module docs).
-///
-/// # Example
-///
-/// ```
-/// use ulmt_core::algorithm::UlmtAlgorithm;
-/// use ulmt_core::table::{CorrelationTable, TableKind, TableParams};
-/// use ulmt_simcore::LineAddr;
-///
-/// let mut live = CorrelationTable::with_kind(TableKind::Repl, TableParams::repl_default(1024));
-/// live.process_misses(&[1, 2, 3].map(LineAddr::new), &mut ulmt_core::cost::StepResult::new());
-/// let mut cp = live.checkpoint();
-/// live.process_miss(LineAddr::new(1));
-/// live.checkpoint_into(&mut cp); // copies the two slots that changed
-///
-/// let mut rebuilt = CorrelationTable::with_kind(TableKind::Repl, TableParams::repl_default(1024));
-/// rebuilt.restore_checkpoint(&cp).unwrap();
-/// assert_eq!(rebuilt.snapshot(), live.snapshot());
-/// ```
-#[derive(Debug, Clone)]
-pub struct TableCheckpoint {
-    pub(super) kind: TableKind,
-    pub(super) params: TableParams,
-    /// Equals the captured table's sync token while this copy plus the
-    /// table's dirty slots equals the table; 0 while an update is under
-    /// way.
-    pub(super) token: u64,
-    /// `index[slot]` = position of the slot's record, or `NO_RECORD`.
-    pub(super) index: Vec<u32>,
-    pub(super) records: Vec<SlotRecord>,
-    /// `levels` length bytes per record.
-    pub(super) lens: Vec<u8>,
-    /// `levels * num_succ` successors per record (dead tails included).
-    pub(super) succ: Vec<LineAddr>,
-    pub(super) live: usize,
-    pub(super) lru_clock: u64,
-    pub(super) stats: TableStats,
-    /// The learning pointers, a pointer to a since-replaced row stored as
-    /// [`RowPtr::dangling`] (it can never resolve again either way).
-    pub(super) pointers: Vec<RowPtr>,
-}
-
-impl TableCheckpoint {
-    /// Bytes of captured state: the slot index, the records and the
-    /// learning pointers.
-    pub fn bytes(&self) -> u64 {
-        (self.index.len() * size_of::<u32>()
-            + self.records.len() * size_of::<SlotRecord>()
-            + self.lens.len()
-            + self.succ.len() * size_of::<LineAddr>()
-            + self.pointers.len() * size_of::<RowPtr>()) as u64
-    }
-}
 
 impl<K: Kind> CorrelationTable<K> {
-    /// A new checkpoint holding every live slot of this table, which is
-    /// synced with it from here on (see
-    /// [`CorrelationTable::checkpoint_into`]).
-    pub fn checkpoint(&mut self) -> TableCheckpoint {
-        let mut cp = TableCheckpoint {
-            kind: self.kind(),
-            params: self.params,
-            token: 0,
-            index: Vec::new(),
-            records: Vec::new(),
-            lens: Vec::new(),
-            succ: Vec::new(),
-            live: 0,
-            lru_clock: 0,
-            stats: TableStats::default(),
-            pointers: Vec::new(),
-        };
-        self.checkpoint_into(&mut cp);
-        cp
+    /// Commits the table as it is now (see the module docs): a later
+    /// [`CorrelationTable::rollback`] returns to this point. Costs the
+    /// slots logged since the previous commit, not the table size.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use ulmt_core::algorithm::UlmtAlgorithm;
+    /// use ulmt_core::table::{CorrelationTable, TableKind, TableParams};
+    /// use ulmt_simcore::LineAddr;
+    ///
+    /// let mut table = CorrelationTable::with_kind(TableKind::Repl, TableParams::repl_default(1024));
+    /// table.process_misses(&[1, 2, 3].map(LineAddr::new), &mut ulmt_core::cost::StepResult::new());
+    /// table.commit();
+    /// let committed = table.table_fingerprint();
+    /// table.process_miss(LineAddr::new(1)); // logs the slots it writes
+    /// assert_ne!(table.table_fingerprint(), committed);
+    /// assert!(table.rollback().is_some());
+    /// assert_eq!(table.table_fingerprint(), committed);
+    /// ```
+    pub fn commit(&mut self) {
+        self.rows.commit(&self.pointers);
     }
 
-    /// Brings `cp` up to date with this table in place. When `cp` was
-    /// last captured from (or restored into) this table, and nothing
-    /// since moved slots wholesale, only the slots changed in between are
-    /// copied; otherwise every live slot is. Clears the dirty slots.
-    pub fn checkpoint_into(&mut self, cp: &mut TableCheckpoint) {
-        cp.kind = self.kind();
-        cp.params = self.params;
-        self.rows.capture_slots(cp);
-        let rows = &self.rows;
-        cp.pointers.clear();
-        cp.pointers.extend(self.pointers.iter().map(|&ptr| {
-            if rows.get(ptr).is_some() {
-                ptr
-            } else {
-                RowPtr::dangling()
-            }
-        }));
-    }
-
-    /// Makes this table slot for slot the one `cp` was captured from,
-    /// learning pointers and counters included, so it continues exactly
-    /// as that table would. A checkpoint of another algorithm or
-    /// geometry is rejected and the table left untouched.
-    pub fn restore_checkpoint(&mut self, cp: &TableCheckpoint) -> Result<(), SnapshotError> {
-        if cp.kind != self.kind() {
-            return Err(SnapshotError::KindMismatch {
-                expected: self.kind(),
-                found: cp.kind,
-            });
-        }
-        if cp.params != self.params {
-            return Err(SnapshotError::ParamsMismatch {
-                expected: self.params,
-                found: cp.params,
-            });
-        }
-        self.rows.restore_slots(cp);
-        self.pointers.clear();
-        self.pointers.extend_from_slice(&cp.pointers);
-        Ok(())
+    /// Returns the table exactly to its last commit, learning pointers,
+    /// counters and geometry included; it stays committed there. Returns
+    /// the bytes rolled back (the logged pre-images, or the table a
+    /// resize or a restore replaced), or `None`, leaving the table
+    /// untouched, if it was never committed.
+    pub fn rollback(&mut self) -> Option<u64> {
+        let bytes = self.rows.rollback(&mut self.pointers)?;
+        self.params.num_rows = self.rows.num_rows();
+        Some(bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
     use super::*;
-    use crate::algorithm::{StepSink, UlmtAlgorithm};
-    use crate::table::{Base, Chain};
-    use ulmt_simcore::{PageAddr, Pcg32};
+    use crate::algorithm::{StepSink, Touches, UlmtAlgorithm};
+    use crate::table::{Base, TableKind, TableParams};
+    use ulmt_simcore::{Addr, LineAddr, PageAddr, Pcg32};
 
     /// Collects every prefetch, in order.
     #[derive(Default)]
@@ -181,6 +79,49 @@ mod tests {
         }
 
         fn end(&mut self, _prefetch_insns: u64, _learn_insns: u64) {}
+    }
+
+    /// Panics at its `at`-th callback. It takes table touches, so the
+    /// callbacks fall between the writes of a step: a row's LRU bump,
+    /// each learning insertion and the allocation of the miss's row.
+    struct PanicAt {
+        at: usize,
+        calls: usize,
+    }
+
+    impl PanicAt {
+        fn tick(&mut self) {
+            self.calls += 1;
+            if self.calls == self.at {
+                panic!("seeded panic at callback {}", self.at);
+            }
+        }
+    }
+
+    impl StepSink for PanicAt {
+        fn begin(&mut self, _miss: LineAddr) {
+            self.tick();
+        }
+
+        fn prefetch(&mut self, _addr: LineAddr) {
+            self.tick();
+        }
+
+        fn read(&mut self, _addr: Addr, _bytes: u64) {
+            self.tick();
+        }
+
+        fn write(&mut self, _addr: Addr, _bytes: u64) {
+            self.tick();
+        }
+
+        fn touches(&mut self) -> Touches<'_> {
+            Touches::Reported
+        }
+
+        fn end(&mut self, _prefetch_insns: u64, _learn_insns: u64) {
+            self.tick();
+        }
     }
 
     /// A stream over `lines` distinct lines, clustered in a few pages so
@@ -208,134 +149,45 @@ mod tests {
         sink.0
     }
 
-    /// Restores `cp` into a fresh table shaped like `live` and checks the
-    /// result is `live`: slot for slot, by snapshot bytes and
-    /// fingerprint, and by the prefetches both issue over `probe`.
-    fn assert_restores<K: Kind>(
-        live: &CorrelationTable<K>,
-        cp: &TableCheckpoint,
+    /// Checks that `t` is `committed`: slot for slot, by pointers,
+    /// geometry, counters and fingerprint, and by the prefetches both
+    /// issue over `probe`; then that a second rollback after the probe
+    /// returns to it again.
+    fn assert_is<K: Kind>(
+        t: &CorrelationTable<K>,
+        committed: &CorrelationTable<K>,
         probe: &[LineAddr],
         label: &str,
     ) {
-        let mut rebuilt = CorrelationTable::with_kind(live.kind, live.params);
-        rebuilt.restore_checkpoint(cp).expect("same shape");
-        assert!(rebuilt.rows.same_slots(&live.rows), "{label}: slots");
-        let canonical: Vec<RowPtr> = live
-            .pointers
-            .iter()
-            .map(|&p| live.rows.get(p).map_or(RowPtr::dangling(), |_| p))
-            .collect();
-        assert_eq!(rebuilt.pointers, canonical, "{label}: pointers");
+        assert!(t.rows.same_slots(&committed.rows), "{label}: slots");
+        assert_eq!(t.pointers, committed.pointers, "{label}: pointers");
+        assert_eq!(t.params, committed.params, "{label}: params");
+        assert_eq!(t.table_stats(), committed.table_stats(), "{label}: stats");
         assert_eq!(
-            rebuilt.snapshot().to_bytes(),
-            live.snapshot().to_bytes(),
-            "{label}: snapshot bytes"
-        );
-        assert_eq!(
-            rebuilt.table_fingerprint(),
-            live.table_fingerprint(),
+            t.table_fingerprint(),
+            committed.table_fingerprint(),
             "{label}: fingerprint"
         );
-        let mut twin = live.clone();
-        assert!(rebuilt.rows_synced_with(cp), "{label}: synced by restore");
+        let (mut a, mut b) = (t.clone(), committed.clone());
         assert_eq!(
-            prefetches(&mut rebuilt, probe),
-            prefetches(&mut twin, probe),
-            "{label}: prefetches after restore"
+            prefetches(&mut a, probe),
+            prefetches(&mut b, probe),
+            "{label}: prefetches"
         );
-        assert!(rebuilt.rows.same_slots(&twin.rows), "{label}: continues");
-        // The next checkpoint after a recovery copies only what changed
-        // since the restore, and restores to the table again.
-        let mut next = cp.clone();
-        rebuilt.checkpoint_into(&mut next);
-        let mut again = CorrelationTable::with_kind(live.kind, live.params);
-        again.restore_checkpoint(&next).expect("same shape");
-        assert!(again.rows.same_slots(&rebuilt.rows), "{label}: recapture");
+        assert!(a.rows.same_slots(&b.rows), "{label}: continues");
+        a.rollback().expect("still committed");
+        assert!(a.rows.same_slots(&committed.rows), "{label}: again");
+        assert_eq!(a.pointers, committed.pointers, "{label}: pointers again");
     }
 
-    /// Random streams that force replacements, with resizes, page remaps
-    /// and checkpoints at random points: after every capture, restoring
-    /// the copy gives back the live table exactly.
-    fn property<K: Kind>(kind: K, params: TableParams, seed: u64) {
-        let mut rng = Pcg32::seed_from_u64(seed);
-        let mut live = CorrelationTable::with_kind(kind, params);
-        let mut cp = live.checkpoint();
-        let lines = 4 * params.num_rows as u64;
-        let (mut captures, mut incremental, mut replaced) = (0, 0, false);
-        for round in 0..60 {
-            let len = rng.gen_range_usize(1..200);
-            let misses = stream(&mut rng, len, lines);
-            prefetches(&mut live, &misses);
-            match rng.gen_range_u64(0..10) {
-                0 => {
-                    let rows = [params.num_rows / 2, params.num_rows, params.num_rows * 2]
-                        [rng.gen_range_usize(0..3)];
-                    live.resize(rows);
-                }
-                1 => {
-                    let pages = lines.div_ceil(PageAddr::lines_per_page());
-                    let old = PageAddr::new(rng.gen_range_u64(0..pages));
-                    let new = PageAddr::new(rng.gen_range_u64(0..pages));
-                    live.remap_page(old, new);
-                }
-                _ => {}
-            }
-            replaced |= live.table_stats().replacements > 0;
-            if rng.gen_bool(0.5) {
-                let synced = live.rows_synced_with(&cp);
-                live.checkpoint_into(&mut cp);
-                captures += 1;
-                incremental += usize::from(synced);
-                let probe = stream(&mut rng, 64, lines);
-                assert_restores(&live, &cp, &probe, &format!("seed {seed} round {round}"));
-            }
-        }
-        assert!(replaced, "seed {seed}: the streams must force replacements");
-        assert!(
-            captures > 10 && incremental > 5,
-            "seed {seed}: {captures}/{incremental}"
-        );
-    }
-
-    /// Bytes the copy's buffers have reserved.
-    fn capacity_bytes(cp: &TableCheckpoint) -> usize {
-        cp.index.capacity() * size_of::<u32>()
-            + cp.records.capacity() * size_of::<SlotRecord>()
-            + cp.lens.capacity()
-            + cp.succ.capacity() * size_of::<LineAddr>()
-            + cp.pointers.capacity() * size_of::<RowPtr>()
-    }
-
-    impl<K: Kind> CorrelationTable<K> {
-        /// Whether the next capture into `cp` copies only dirty slots.
-        fn rows_synced_with(&self, cp: &TableCheckpoint) -> bool {
-            cp.token != 0 && self.rows.synced_token() == cp.token
-        }
-    }
-
-    #[test]
-    fn restore_from_the_copy_is_the_live_table() {
-        let small = |num_levels| TableParams {
-            num_rows: 64,
-            assoc: 2,
-            num_succ: 2,
-            num_levels,
-        };
-        for seed in 0..6 {
-            property(TableKind::Repl, small(3), seed);
-            property(TableKind::Chain, small(3), 100 + seed);
-            property(TableKind::Base, TableParams::base_default(64), 200 + seed);
-        }
-    }
-
-    /// Checks that `t`'s dirty list holds exactly its set dirty bits,
-    /// each once, and returns the list's length.
+    /// Checks that `t`'s log holds exactly its set dirty bits, each slot
+    /// once, and returns the log's length.
     fn list_is_bits<K: Kind>(t: &CorrelationTable<K>, label: &str) -> usize {
-        let mut listed = t.rows.dirty_list().to_vec();
+        let mut listed = t.rows.logged_slots();
         listed.sort_unstable();
         let len = listed.len();
         listed.dedup();
-        assert_eq!(listed.len(), len, "{label}: a slot listed twice");
+        assert_eq!(listed.len(), len, "{label}: a slot logged twice");
         let bits: Vec<u32> = t
             .rows
             .dirty_words()
@@ -347,8 +199,103 @@ mod tests {
                     .map(move |b| (w * 64 + b) as u32)
             })
             .collect();
-        assert_eq!(listed, bits, "{label}: dirty list against dirty bits");
+        assert_eq!(listed, bits, "{label}: log against dirty bits");
         len
+    }
+
+    /// Random streams that force replacements, committed every 1 to 4
+    /// batches; inside an interval, resizes, page remaps, snapshot
+    /// restores and a sink that panics in the middle of a step. Every
+    /// rollback gives back the table of the last commit exactly.
+    fn property<K: Kind>(kind: K, params: TableParams, seed: u64) {
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let mut live = CorrelationTable::with_kind(kind, params);
+        let lines = 4 * params.num_rows as u64;
+        // A donor whose snapshots the restores load.
+        let mut donor = CorrelationTable::with_kind(kind, params);
+        prefetches(&mut donor, &stream(&mut rng, 300, lines));
+        live.commit();
+        let mut committed = live.clone();
+        let (mut rollbacks, mut panics, mut rebuilt, mut remaps) = (0, 0, 0, 0);
+        let mut replaced = false;
+        for round in 0..80 {
+            let label = format!("seed {seed} round {round}");
+            let mut panicked = false;
+            for _ in 0..rng.gen_range_usize(1..5) {
+                let len = rng.gen_range_usize(1..200);
+                let misses = stream(&mut rng, len, lines);
+                match rng.gen_range_u64(0..12) {
+                    0 => {
+                        let rows = [params.num_rows / 2, params.num_rows, params.num_rows * 2]
+                            [rng.gen_range_usize(0..3)];
+                        live.resize(rows);
+                        rebuilt += 1;
+                    }
+                    1 => {
+                        let pages = lines.div_ceil(PageAddr::lines_per_page());
+                        let old = PageAddr::new(rng.gen_range_u64(0..pages));
+                        let new = PageAddr::new(rng.gen_range_u64(0..pages));
+                        live.remap_page(old, new);
+                        remaps += 1;
+                    }
+                    2 if live.params == donor.params => {
+                        live.restore(&donor.snapshot()).expect("same shape");
+                        rebuilt += 1;
+                    }
+                    3 => {
+                        let mut sink = PanicAt {
+                            at: rng.gen_range_usize(1..8 * len),
+                            calls: 0,
+                        };
+                        let run = catch_unwind(AssertUnwindSafe(|| {
+                            live.process_misses(&misses, &mut sink)
+                        }));
+                        if run.is_err() {
+                            panicked = true;
+                            panics += 1;
+                            break;
+                        }
+                    }
+                    _ => {
+                        prefetches(&mut live, &misses);
+                    }
+                }
+                list_is_bits(&live, &label);
+            }
+            replaced |= live.table_stats().replacements > 0;
+            // A step cut short leaves a torn table: roll it back.
+            if panicked || rng.gen_bool(0.5) {
+                live.rollback().expect("committed");
+                rollbacks += 1;
+                assert_eq!(list_is_bits(&live, &label), 0, "{label}: rollback empties");
+                let probe = stream(&mut rng, 64, lines);
+                assert_is(&live, &committed, &probe, &label);
+            } else {
+                live.commit();
+                assert_eq!(list_is_bits(&live, &label), 0, "{label}: commit empties");
+                committed = live.clone();
+            }
+        }
+        assert!(replaced, "seed {seed}: the streams must force replacements");
+        assert!(
+            rollbacks > 20 && panics > 3 && rebuilt > 5 && remaps > 3,
+            "seed {seed}: {rollbacks}/{panics}/{rebuilt}/{remaps}"
+        );
+    }
+
+    #[test]
+    fn rollback_is_the_table_at_the_last_commit() {
+        let small = |num_levels| TableParams {
+            num_rows: 64,
+            assoc: 2,
+            num_succ: 2,
+            num_levels,
+        };
+        for seed in 0..6 {
+            property(TableKind::Repl, small(3), seed);
+            property(TableKind::Chain, small(3), 100 + seed);
+            property(TableKind::Base, TableParams::base_default(64), 200 + seed);
+        }
     }
 
     #[test]
@@ -367,12 +314,12 @@ mod tests {
         for (seed, (kind, params)) in cases.into_iter().enumerate() {
             let mut rng = Pcg32::seed_from_u64(40 + seed as u64);
             let mut live = CorrelationTable::with_kind(kind, params);
-            // Never captured, it gets every step `live` gets except a
-            // checkpoint restore, which would sync it.
+            // Never committed, it gets every step `live` gets except the
+            // commits and rollbacks.
             let mut never = live.clone();
-            let mut cp = live.checkpoint();
+            live.commit();
             let lines = 4 * params.num_rows as u64;
-            let (mut longest, mut captures, mut restores) = (0, 0, 0);
+            let (mut longest, mut commits, mut rollbacks) = (0, 0, 0);
             for round in 0..300 {
                 let label = format!("{} round {round}", kind.name());
                 let line = LineAddr::new(rng.gen_range_u64(0..lines));
@@ -399,6 +346,7 @@ mod tests {
                             [rng.gen_range_usize(0..3)];
                         live.resize(rows);
                         never.resize(rows);
+                        assert_eq!(list_is_bits(&live, &label), 0, "{label}: held whole");
                     }
                     7 => {
                         let pages = lines.div_ceil(PageAddr::lines_per_page());
@@ -408,25 +356,38 @@ mod tests {
                         never.remap_page(old, new);
                     }
                     8 => {
-                        let snap = live.snapshot();
-                        live.restore(&snap).expect("same shape");
-                        never.restore(&snap).expect("same shape");
+                        // A rollback of a resize sets the two apart.
+                        for t in [&mut live, &mut never] {
+                            let snap = t.snapshot();
+                            t.restore(&snap).expect("same shape");
+                        }
+                        assert_eq!(list_is_bits(&live, &label), 0, "{label}: held whole");
                     }
-                    // A copy taken before a resize is rejected, and
-                    // leaves the table untouched.
-                    9 => restores += usize::from(live.restore_checkpoint(&cp).is_ok()),
+                    9 => {
+                        live.rollback().expect("committed");
+                        rollbacks += 1;
+                        assert_eq!(list_is_bits(&live, &label), 0, "{label}: rollback empties");
+                    }
                     _ => {
-                        live.checkpoint_into(&mut cp);
-                        captures += 1;
-                        assert_eq!(list_is_bits(&live, &label), 0, "{label}: capture empties");
+                        live.commit();
+                        commits += 1;
+                        assert_eq!(list_is_bits(&live, &label), 0, "{label}: commit empties");
+                        assert!(!live.rows.holds_whole(), "{label}: commit drops");
                     }
                 }
                 longest = longest.max(list_is_bits(&live, &label));
-                assert_eq!(list_is_bits(&never, &label), 0, "{label}: never captured");
+                assert_eq!(list_is_bits(&never, &label), 0, "{label}: never committed");
+                assert!(never.rows.dirty_words().iter().all(|&w| w == 0), "{label}");
             }
+            assert_eq!(
+                never.rollback(),
+                None,
+                "{}: nothing to roll back",
+                kind.name()
+            );
             assert!(
-                captures > 20 && restores > 5 && longest > 10,
-                "{}: {captures}/{restores}/{longest}",
+                commits > 20 && rollbacks > 5 && longest > 10,
+                "{}: {commits}/{rollbacks}/{longest}",
                 kind.name()
             );
         }
@@ -434,90 +395,70 @@ mod tests {
 
     #[test]
     fn capture_copies_only_the_dirty_slots() {
+        // A commit logs nothing; one hit on an existing row, learned into
+        // the previous miss's row, logs those two slots and nothing else.
         let mut live = Base::new(TableParams::base_default(1024));
         let mut rng = Pcg32::seed_from_u64(7);
         prefetches(&mut live, &stream(&mut rng, 2000, 4096));
-        let mut cp = live.checkpoint();
-        assert_eq!(cp.records.len(), live.occupancy());
-        // One hit on an existing row, inserted into the previous miss's
-        // row: both are dirty, and nothing else is.
+        live.commit();
+        assert!(live.rows.logged_slots().is_empty());
+        let committed = live.clone();
         let row = live.snapshot().rows[0].tag;
-        let before = cp.clone();
         prefetches(&mut live, &[LineAddr::new(row)]);
-        live.checkpoint_into(&mut cp);
-        let changed = (0..cp.records.len())
-            .filter(|&i| {
-                let (a, b) = (&before.records[i], &cp.records[i]);
-                (a.tag, a.lru, a.gen) != (b.tag, b.lru, b.gen)
-                    || before.succ[4 * i..4 * i + 4] != cp.succ[4 * i..4 * i + 4]
-            })
-            .count();
-        assert_eq!(cp.records.len(), before.records.len());
-        assert!((1..=2).contains(&changed), "{changed} records changed");
+        let logged = live.rows.logged_slots().len();
+        assert!((1..=2).contains(&logged), "{logged} slots logged");
+        let bytes = live.rollback().expect("committed");
+        assert!(bytes > 0 && bytes < 256, "{bytes} bytes rolled back");
+        assert_is(&live, &committed, &[LineAddr::new(row)], "one hit");
     }
 
     #[test]
     fn capture_copies_dirty_sets_of_every_size() {
-        // Dirty sets around the capture's prefetch distances (8 and 16
-        // slots ahead), and one of thousands of slots: each capture must
-        // restore to the live table, and copy exactly the dirty slots.
+        // Intervals that write from none to thousands of slots: each logs
+        // exactly the distinct slots it writes, and rolls back to the
+        // commit.
         let params = TableParams::base_default(4096);
         let mut live = Base::new(params);
         // Two of every set's four ways live, so a fresh tag fills an
-        // empty way and appends a record.
+        // empty way.
         for n in 0..2048 {
             live.rows.find_or_alloc(LineAddr::new(n));
         }
-        let mut cp = live.checkpoint();
+        live.commit();
         let (mut hit, mut fresh) = (0u64, 1 << 20);
         let mut rng = Pcg32::seed_from_u64(3);
         for size in [0, 1, 7, 8, 16, 17, 5000] {
-            let before = cp.clone();
-            let appended = if size < 1000 {
-                // Half hits on live rows (an LRU bump each), half fresh
-                // rows in distinct sets with a free way.
-                for _ in 0..size / 2 {
-                    live.rows.lookup(LineAddr::new(hit));
-                    hit += 1;
+            let committed = live.clone();
+            let interval = |live: &mut Base, hit: &mut u64, fresh: &mut u64, rng: &mut Pcg32| {
+                if size < 1000 {
+                    // Half hits on live rows (an LRU bump each), half
+                    // fresh rows in distinct sets with a free way.
+                    for _ in 0..size / 2 {
+                        live.rows.lookup(LineAddr::new(*hit));
+                        *hit += 1;
+                    }
+                    for _ in size / 2..size {
+                        live.rows.find_or_alloc(LineAddr::new(*fresh));
+                        *fresh += 1;
+                    }
+                } else {
+                    prefetches(live, &stream(rng, size, 1 << 16));
                 }
-                for _ in size / 2..size {
-                    live.rows.find_or_alloc(LineAddr::new(fresh));
-                    fresh += 1;
-                }
-                size - size / 2
-            } else {
-                prefetches(&mut live, &stream(&mut rng, size, 1 << 16));
-                live.occupancy() - before.records.len()
             };
-            live.checkpoint_into(&mut cp);
-            assert_eq!(cp.records.len(), before.records.len() + appended);
-            let changed = before
-                .records
-                .iter()
-                .zip(&cp.records)
-                .filter(|(a, b)| (a.tag, a.lru, a.gen) != (b.tag, b.lru, b.gen))
-                .count();
+            let (h, f, r) = (hit, fresh, rng.clone());
+            interval(&mut live, &mut hit, &mut fresh, &mut rng);
+            let logged = live.rows.logged_slots().len();
             if size < 1000 {
-                assert_eq!(changed, size / 2, "{size} dirty slots");
+                assert_eq!(logged, size, "{size} slots written");
             } else {
-                assert!(changed + appended > 1000, "{changed} + {appended} copied");
+                assert!(logged > 1000, "{logged} slots logged");
             }
-            let mut rebuilt = Base::new(params);
-            rebuilt.restore_checkpoint(&cp).expect("same shape");
-            assert!(rebuilt.rows.same_slots(&live.rows), "{size}: slots");
-            assert_eq!(rebuilt.snapshot(), live.snapshot(), "{size}: snapshot");
-            // With no step in between, a second capture copies nothing: a
-            // record scribbled over in the copy stays scribbled.
-            let mut again = cp.clone();
-            for r in &mut again.records {
-                r.lru = u64::MAX;
-            }
-            live.checkpoint_into(&mut again);
-            assert!(again.records.iter().all(|r| r.lru == u64::MAX), "{size}");
-            for (r, kept) in again.records.iter_mut().zip(&cp.records) {
-                r.lru = kept.lru;
-            }
-            cp = again;
+            live.rollback().expect("committed");
+            assert_is(&live, &committed, &[], &format!("{size} slots"));
+            // The same interval again, committed this time.
+            (hit, fresh, rng) = (h, f, r);
+            interval(&mut live, &mut hit, &mut fresh, &mut rng);
+            live.commit();
         }
     }
 
@@ -526,57 +467,60 @@ mod tests {
         let mut live = Base::new(TableParams::base_default(1024));
         let warm: Vec<LineAddr> = (0..512).map(|n| LineAddr::new(n * 3 % 700)).collect();
         prefetches(&mut live, &warm);
-        let mut cp = live.checkpoint();
-        let (reserved, rows) = (capacity_bytes(&cp), cp.records.len());
-        // Revisiting the same lines adds no live slot: the second capture
-        // updates records in place.
+        live.commit();
         prefetches(&mut live, &warm);
-        live.checkpoint_into(&mut cp);
-        assert_eq!(cp.records.len(), rows);
-        assert_eq!(capacity_bytes(&cp), reserved);
-        // A full recapture (a same-size resize rebuilds the arena) reuses
-        // the buffers too.
+        live.commit();
+        let reserved = live.rows.log_capacity();
+        assert!(reserved > 0);
+        // Revisiting the same lines logs the same slots: the buffers are
+        // reused, not grown, across commits and rollbacks.
+        for round in 0..4 {
+            prefetches(&mut live, &warm);
+            if round % 2 == 0 {
+                live.commit();
+            } else {
+                live.rollback().expect("committed");
+            }
+            assert_eq!(live.rows.log_capacity(), reserved, "round {round}");
+        }
+        // A same-size resize holds the replaced table whole and carries
+        // the log's buffers over to the rebuilt one.
         live.resize(1024);
-        live.checkpoint_into(&mut cp);
-        assert_eq!(cp.records.len(), rows);
-        assert_eq!(capacity_bytes(&cp), reserved);
-    }
-
-    #[test]
-    fn restore_rejects_other_kinds_and_geometries_untouched() {
-        let mut repl = CorrelationTable::with_kind(TableKind::Repl, TableParams::repl_default(64));
-        prefetches(&mut repl, &[1, 2, 3].map(LineAddr::new));
-        let before = repl.snapshot();
-        let mut chain = Chain::new(TableParams::chain_default(64));
-        assert!(matches!(
-            repl.restore_checkpoint(&chain.checkpoint()),
-            Err(SnapshotError::KindMismatch { .. })
-        ));
-        let mut bigger =
-            CorrelationTable::with_kind(TableKind::Repl, TableParams::repl_default(128));
-        assert!(matches!(
-            repl.restore_checkpoint(&bigger.checkpoint()),
-            Err(SnapshotError::ParamsMismatch { .. })
-        ));
-        assert_eq!(repl.snapshot(), before);
+        assert!(live.rows.holds_whole());
+        live.commit();
+        assert!(!live.rows.holds_whole());
+        assert_eq!(live.rows.log_capacity(), reserved);
     }
 
     #[test]
     fn a_stale_copy_does_not_survive_a_snapshot_restore() {
-        // Capture, then replace the table wholesale from a snapshot: the
-        // next capture must copy every slot, not just the dirty ones.
+        // A restore inside an interval keeps the replaced table whole: a
+        // rollback returns it, nothing of the restored one left. After a
+        // commit the replaced table is gone, and a rollback returns to
+        // the restored table plus what it learned before that commit.
         let params = TableParams::repl_default(256);
         let mut live = CorrelationTable::with_kind(TableKind::Repl, params);
         prefetches(&mut live, &(0..300).map(LineAddr::new).collect::<Vec<_>>());
-        let mut cp = live.checkpoint();
+        live.commit();
+        let committed = live.clone();
         let mut other = CorrelationTable::with_kind(TableKind::Repl, params);
         prefetches(
             &mut other,
             &(1000..1100).map(LineAddr::new).collect::<Vec<_>>(),
         );
+        let probe = [1000, 1001, 5].map(LineAddr::new);
         live.restore(&other.snapshot()).unwrap();
         prefetches(&mut live, &[LineAddr::new(5)]);
-        live.checkpoint_into(&mut cp);
-        assert_restores(&live, &cp, &[1000, 1001, 5].map(LineAddr::new), "restore");
+        assert!(live.rollback().expect("committed") > 0);
+        assert_is(&live, &committed, &probe, "replaced whole");
+
+        live.restore(&other.snapshot()).unwrap();
+        prefetches(&mut live, &[LineAddr::new(5)]);
+        live.commit();
+        let restored = live.clone();
+        prefetches(&mut live, &(6..40).map(LineAddr::new).collect::<Vec<_>>());
+        live.rollback().expect("committed");
+        assert_is(&live, &restored, &probe, "restored, then committed");
+        assert_ne!(live.table_fingerprint(), committed.table_fingerprint());
     }
 }

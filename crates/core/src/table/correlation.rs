@@ -297,7 +297,8 @@ impl<K: Kind> CorrelationTable<K> {
     /// Replaces the learned state with `snap`'s, keeping this table's
     /// algorithm and geometry. A snapshot of another algorithm or another
     /// geometry is rejected before anything is allocated, and the table
-    /// is left untouched.
+    /// is left untouched. A committed table keeps the table it replaced,
+    /// whole, until the next commit.
     pub fn restore(&mut self, snap: &TableSnapshot) -> Result<(), SnapshotError> {
         snap.expect_kind(self.kind())?;
         if snap.params != self.params {
@@ -306,7 +307,8 @@ impl<K: Kind> CorrelationTable<K> {
                 found: snap.params,
             });
         }
-        *self = Self::from_snapshot(snap)?;
+        let old = std::mem::replace(self, Self::from_snapshot(snap)?);
+        self.rows.keep_whole(old.rows);
         Ok(())
     }
 
@@ -556,9 +558,10 @@ mod tests {
             let mut replacements = 0;
             let (first, second) = seq.split_at(seq.len() / 2);
             for (half, rows) in [(first, 64), (second, 128)] {
-                // Captured tables track their dirty slots; a resize
-                // unsyncs them, so each half starts with a capture.
-                let _ = (slow.checkpoint(), fast.checkpoint());
+                // Committed tables log; a resize holds the replaced
+                // table whole instead, so each half starts with a commit.
+                slow.commit();
+                fast.commit();
                 for &m in half {
                     let step = slow.process_miss(m);
                     expected.push((
@@ -570,7 +573,7 @@ mod tests {
                 fast.process_misses(half, &mut log);
                 assert_eq!(fast.table_stats(), slow.table_stats(), "{label}: stats");
                 // The batch's prefetch hints move no slot, stamp, dirty
-                // bit or dirty-list entry.
+                // bit or log entry.
                 assert!(fast.rows.same_slots(&slow.rows), "{label}: slots");
                 assert_eq!(
                     fast.rows.dirty_words(),
@@ -578,11 +581,11 @@ mod tests {
                     "{label}: dirty bits"
                 );
                 assert_eq!(
-                    fast.rows.dirty_list(),
-                    slow.rows.dirty_list(),
-                    "{label}: dirty list"
+                    fast.rows.logged_slots(),
+                    slow.rows.logged_slots(),
+                    "{label}: log"
                 );
-                assert!(!slow.rows.dirty_list().is_empty(), "{label}: tracked");
+                assert!(!slow.rows.logged_slots().is_empty(), "{label}: logged");
                 replacements += slow.table_stats().replacements;
                 for t in [&slow, &fast] {
                     let bytes = t.snapshot().to_bytes();

@@ -19,7 +19,6 @@ use ulmt_simcore::ConfigError;
 
 pub use base::Base;
 pub use chain::Chain;
-pub use checkpoint::TableCheckpoint;
 pub use correlation::{BaseKind, ChainKind, CorrelationTable, Kind, ReplKind};
 pub use replicated::Replicated;
 pub use snapshot::{RowSnapshot, SnapshotError, TableSnapshot};

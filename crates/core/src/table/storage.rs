@@ -19,49 +19,46 @@
 //! layout, list type included, survives only as a differential-testing
 //! oracle in the crate's integration tests (`tests/support/reference.rs`).
 //!
-//! # Dirty slots
+//! # Undo log
 //!
-//! While a table is synced with a [`TableCheckpoint`], it records which
-//! slots changed since the last capture: a lookup hit's LRU bump, an
-//! allocation's victim and a successful MRU insertion each append their
-//! slot to a dirty-slot list, and a per-slot bit keeps the list free of
-//! duplicates. The Learning step writes only the rows behind its
-//! retained pointers plus the miss's own row (Section 3.3.2), so the
-//! dirty set of a checkpoint interval is bounded by the observations in
-//! it, not by `NumRows`, and so is the cost of bringing a checkpoint up
-//! to date: the capture walks the list, never the bitset. Operations
-//! that move slots wholesale ([`RowTable::resize`],
-//! [`RowTable::remap_page`], and a snapshot restore, which builds a new
-//! table) unsync the table instead, forcing the next capture to copy
-//! every slot. An unsynced table tracks nothing, since that full capture
-//! would ignore what it tracked: a table that is never captured, like
-//! every table of the simulator, pays one predictable branch per write.
+//! The service keeps every table recoverable without a second copy of
+//! it. Once a table is committed ([`RowTable::commit`]), the first write
+//! to a slot in each checkpoint interval first saves that slot's old
+//! value, its pre-image, to a small log: tag, valid flag, generation,
+//! LRU stamp, level lengths and successors. A lookup hit's LRU bump, an
+//! allocation's victim and an MRU insertion each log before they write,
+//! and a per-slot dirty bit keeps each slot to one entry per interval.
+//! The Learning step writes only the rows behind its retained pointers
+//! plus the miss's own row (Section 3.3.2), so the log of an interval is
+//! bounded by the observations in it, not by `NumRows`, and it is
+//! written while the slot's lines are in cache for the write anyway.
+//!
+//! A commit saves the scalars (LRU clock, live count, [`TableStats`] and
+//! the owner's learning pointers), clears the listed dirty bits and
+//! truncates the log; it copies no slot. [`RowTable::rollback`] writes
+//! the pre-images back and restores the scalars, which is exactly the
+//! table at the last commit, even after a panic in the middle of a step.
+//! A page remap logs every slot it writes, through the lookups and
+//! allocations it is made of. The operations that rebuild the arena, a
+//! resize and a snapshot restore, keep the table they replaced, whole,
+//! until the next commit instead, and log nothing while they hold it. A
+//! table that is never committed, like every table of the simulator,
+//! logs nothing and pays one predictable branch per write.
 //!
 //! # Prefetch hints
 //!
-//! At service table sizes every set probe, row read and checkpoint copy
-//! is likely a host cache miss on a random slot. [`prefetch`] asks the
-//! CPU to start loading a line early; [`RowTable::prefetch_set`] lets the
-//! batch kernel hint the sets of misses a few steps ahead, and the
-//! incremental capture hints the checkpoint index entries and records it
-//! will write next. A hint reads nothing the program sees and writes
-//! nothing: no counter, LRU stamp or dirty bit moves, so a hinted run is
-//! bit for bit an unhinted one.
+//! At service table sizes every set probe and row read is likely a host
+//! cache miss on a random slot. [`prefetch`] asks the CPU to start
+//! loading a line early; [`RowTable::prefetch_set`] lets the batch kernel
+//! hint the sets of misses a few steps ahead. A hint reads nothing the
+//! program sees and writes nothing: no counter, LRU stamp, dirty bit or
+//! log entry moves, so a hinted run is bit for bit an unhinted one.
 
-use std::mem::size_of;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::mem::{size_of, size_of_val};
 
 use ulmt_simcore::{Addr, LineAddr, PageAddr};
 
-use super::checkpoint::{SlotRecord, TableCheckpoint};
 use super::TableParams;
-
-/// [`TableCheckpoint`] index entry of a slot without a record. Slot
-/// indices fit a `u32` with room to spare: [`MAX_ARENA_BYTES`] bounds a
-/// table to fewer than 2^25 rows.
-///
-/// [`MAX_ARENA_BYTES`]: super::MAX_ARENA_BYTES
-pub(super) const NO_RECORD: u32 = u32::MAX;
 
 /// Asks the CPU to start loading the cache line that holds `r`, so a
 /// later access finds it there; on targets other than x86_64 it does
@@ -89,21 +86,6 @@ fn prefetch_run<T>(run: &[T]) {
     if let Some(last) = run.last() {
         prefetch(last);
     }
-}
-
-/// Slots the incremental capture hints a slot's checkpoint index entry
-/// ahead of the copy.
-const CAPTURE_INDEX_AHEAD: usize = 16;
-
-/// Slots the incremental capture hints its destination record ahead of
-/// the copy (its index entry was hinted at [`CAPTURE_INDEX_AHEAD`]).
-const CAPTURE_RECORD_AHEAD: usize = 8;
-
-/// A sync token no table or checkpoint has used yet (never 0, which
-/// means "not synced").
-fn fresh_token() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Rewrites every line of `old` page in `items` to the corresponding
@@ -277,16 +259,44 @@ pub struct RowTable {
     live: usize,
     lru_clock: u64,
     stats: TableStats,
-    /// One bit per slot: listed in `dirty_slots` (module docs).
+    /// One bit per slot: logged since the last commit (module docs).
     dirty: Vec<u64>,
-    /// Token of the [`TableCheckpoint`] this table was last captured
-    /// into or restored from; 0 when no copy plus the dirty slots equals
-    /// the table.
-    synced: u64,
-    /// The slots changed since the last capture, in the order they first
-    /// changed: exactly the set bits of `dirty`. Empty after a capture;
-    /// its capacity is reused.
-    dirty_slots: Vec<u32>,
+    /// What a rollback returns to; `None` until the first commit.
+    undo: Option<Box<UndoLog>>,
+}
+
+/// Words of an [`UndoLog`] entry ahead of its level lengths: the slot
+/// index with the valid flag, the tag, the LRU stamp and the generation.
+const HEAD_WORDS: usize = 4;
+
+/// Packs up to eight level lengths into one log word, first level in
+/// the low byte.
+#[inline]
+fn pack_lens(lens: &[u8]) -> u64 {
+    lens.iter()
+        .rev()
+        .fold(0, |word, &len| word << 8 | u64::from(len))
+}
+
+/// The state of a table at its last commit (module docs): the scalars,
+/// plus either the pre-image of every slot written since, or the whole
+/// table a rebuilt arena replaced.
+#[derive(Debug, Clone, Default)]
+struct UndoLog {
+    live: usize,
+    lru_clock: u64,
+    stats: TableStats,
+    /// The owner's learning pointers at the commit.
+    pointers: Vec<RowPtr>,
+    /// The table at the commit, when a resize or a restore has rebuilt
+    /// the arena since; nothing is logged while it is held.
+    whole: Option<RowTable>,
+    /// One fixed-size entry per logged slot ([`RowTable::entry_words`]),
+    /// in the order the slots were first written: exactly the set bits
+    /// of the table's `dirty`. An entry is [`HEAD_WORDS`] words, then
+    /// the level lengths eight to a word, then every successor of the
+    /// slot (dead tails included).
+    entries: Vec<u64>,
 }
 
 /// Default base address of the table in the memory processor's address
@@ -328,8 +338,7 @@ impl RowTable {
             lru_clock: 0,
             stats: TableStats::default(),
             dirty: vec![0; rows.div_ceil(64)],
-            synced: 0,
-            dirty_slots: Vec::new(),
+            undo: None,
         }
     }
 
@@ -405,18 +414,42 @@ impl RowTable {
         self.levels * self.num_succ
     }
 
-    /// Lists `slot` as changed since the last capture, once; does
-    /// nothing while the table is unsynced (module docs).
+    /// Words of one [`UndoLog`] entry at this table's geometry.
+    fn entry_words(&self) -> usize {
+        HEAD_WORDS + self.levels.div_ceil(8) + self.stride()
+    }
+
+    /// Saves `slot`'s pre-image on its first write since the commit;
+    /// called *before* the write. Does nothing on a table that was never
+    /// committed or that holds a replaced table whole (module docs).
     #[inline]
-    fn mark_dirty(&mut self, slot: usize) {
-        if self.synced == 0 {
+    fn log(&mut self, slot: usize) {
+        let Some(log) = self.undo.as_deref_mut() else {
+            return;
+        };
+        let (word, bit) = (&mut self.dirty[slot / 64], 1 << (slot % 64));
+        if *word & bit != 0 || log.whole.is_some() {
             return;
         }
-        let (word, bit) = (&mut self.dirty[slot / 64], 1 << (slot % 64));
-        if *word & bit == 0 {
-            *word |= bit;
-            self.dirty_slots.push(slot as u32);
-        }
+        *word |= bit;
+        let (levels, stride) = (self.levels, self.levels * self.num_succ);
+        let entry = &mut log.entries;
+        entry.extend_from_slice(&[
+            slot as u64 | u64::from(self.valid[slot]) << 32,
+            self.tags[slot].raw(),
+            self.lrus[slot],
+            self.gens[slot],
+        ]);
+        entry.extend(
+            self.lens[slot * levels..(slot + 1) * levels]
+                .chunks(8)
+                .map(pack_lens),
+        );
+        entry.extend(
+            self.succ[slot * stride..(slot + 1) * stride]
+                .iter()
+                .map(|s| s.raw()),
+        );
     }
 
     #[inline]
@@ -442,8 +475,8 @@ impl RowTable {
         let clock = self.lru_clock;
         for i in self.set_range(line) {
             if self.valid[i] && self.tags[i] == line {
+                self.log(i);
                 self.lrus[i] = clock;
-                self.mark_dirty(i);
                 self.stats.hits += 1;
                 return Some(RowPtr {
                     slot: i,
@@ -522,11 +555,11 @@ impl RowTable {
             self.stats.replacements += 1;
         }
         self.lru_clock += 1;
+        self.log(victim);
         self.tags[victim] = line;
         self.valid[victim] = true;
         self.gens[victim] += 1;
         self.lrus[victim] = self.lru_clock;
-        self.mark_dirty(victim);
         // Re-initializing the row is zeroing its length bytes — the old
         // layout's `template.clone()` heap allocation is gone.
         self.lens[victim * self.levels..(victim + 1) * self.levels].fill(0);
@@ -550,8 +583,8 @@ impl RowTable {
         self.ptr_live(ptr).then(|| self.row_ref(ptr.slot))
     }
 
-    /// Inserts `x` as the MRU successor of `ptr`'s row at `level` and
-    /// marks the slot dirty. Returns `false` (and does nothing) if the
+    /// Inserts `x` as the MRU successor of `ptr`'s row at `level`, after
+    /// logging the slot. Returns `false` (and does nothing) if the
     /// pointer is stale.
     ///
     /// The rotation happens directly on the row's inline arena slice.
@@ -560,12 +593,12 @@ impl RowTable {
         if !self.ptr_live(ptr) {
             return false;
         }
+        self.log(ptr.slot);
         let start = ptr.slot * self.stride() + level * self.num_succ;
         let len_at = ptr.slot * self.levels + level;
         let len = self.lens[len_at] as usize;
         self.lens[len_at] =
             slice_insert_mru(&mut self.succ[start..start + self.num_succ], len, x) as u8;
-        self.mark_dirty(ptr.slot);
         true
     }
 
@@ -589,11 +622,8 @@ impl RowTable {
     /// Rows whose target set is full replace that set's LRU row, exactly
     /// like a fresh insertion. Returns the number of rows relocated.
     pub fn remap_page(&mut self, old: PageAddr, new: PageAddr) -> usize {
-        // The lookups and allocations below would list every slot they
-        // write, so the dirty slots alone could cover a remap; unsyncing
-        // keeps a remap, which moves rows between sets, from depending
-        // on that, and stops the tracking until the full recapture.
-        self.synced = 0;
+        // Every slot written below was logged first: the source row by
+        // its lookup hit, the destination by `find_or_alloc`.
         let mut moved = 0;
         let stride = self.stride();
         // One scratch row reused across the whole page walk — the only
@@ -653,7 +683,8 @@ impl RowTable {
     /// Only the slot *indices* are sorted; each surviving row's successor
     /// region is copied exactly once, old arena to new (the historical
     /// implementation cloned every row into a scratch vector and then
-    /// again into the new table).
+    /// again into the new table). A committed table keeps the table it
+    /// replaced, whole, until the next commit (module docs).
     pub fn resize(&mut self, new_params: &TableParams) {
         new_params.validate().unwrap_or_else(|e| panic!("{e}"));
         let order = self.live_slots_lru();
@@ -677,151 +708,107 @@ impl RowTable {
             self.lens[d * old.levels..(d + 1) * old.levels]
                 .copy_from_slice(&old.lens[src * old.levels..(src + 1) * old.levels]);
         }
+        self.keep_whole(old);
     }
 
-    /// Whether `slot` differs from a freshly built table's: valid, or
-    /// invalidated by [`RowTable::remap_page`] with its LRU stamp (which
-    /// still steers victim choice) left behind. Only these slots need a
-    /// checkpoint record.
-    #[inline]
-    fn stamped(&self, slot: usize) -> bool {
-        self.valid[slot] || self.lrus[slot] != 0
-    }
-
-    /// Brings `cp`'s slot records up to date and empties the dirty
-    /// slots. When `cp` plus the dirty slots equals this table (the sync
-    /// tokens match), only the listed slots are copied, so capturing a
-    /// clean table costs O(1); otherwise every stamped slot is. Either
-    /// way `cp` and this table share a fresh token afterwards. The
-    /// scalars (LRU clock, live count, stats) are copied whole.
-    pub(super) fn capture_slots(&mut self, cp: &mut TableCheckpoint) {
-        let incremental = self.synced != 0 && self.synced == cp.token;
-        // Until the update completes, `cp` matches no table.
-        cp.token = 0;
-        if incremental {
-            // The list names the slots copied next, so the loop hints
-            // their destination lines ahead of the copy. The source lines
-            // need no hint: the batch that dirtied a slot just touched
-            // them.
-            let slots = std::mem::take(&mut self.dirty_slots);
-            for (i, &slot) in slots.iter().enumerate() {
-                if let Some(&ahead) = slots.get(i + CAPTURE_INDEX_AHEAD) {
-                    prefetch(&cp.index[ahead as usize]);
-                }
-                if let Some(&ahead) = slots.get(i + CAPTURE_RECORD_AHEAD) {
-                    self.prefetch_record(cp, ahead as usize);
-                }
-                let slot = slot as usize;
-                // Only rebuilding the arena (a resize or a restore)
-                // un-stamps a slot, and it empties the list.
-                debug_assert!(self.stamped(slot));
-                // Every bit of the word is listed, so clearing the word
-                // clears only listed bits.
-                self.dirty[slot / 64] = 0;
-                self.put_record(cp, slot);
-            }
-            self.dirty_slots = slots;
-            self.dirty_slots.clear();
-        } else {
-            cp.records.clear();
-            cp.lens.clear();
-            cp.succ.clear();
-            cp.index.clear();
-            cp.index.resize(self.num_rows(), NO_RECORD);
-            for slot in 0..self.num_rows() {
-                if self.stamped(slot) {
-                    self.put_record(cp, slot);
-                }
-            }
-            self.dirty.fill(0);
-            self.dirty_slots.clear();
+    /// Commits the table as it is now: a later [`RowTable::rollback`]
+    /// returns to it, and to `pointers`, which the owner hands back
+    /// then. Saves the scalars, clears the listed dirty bits, truncates
+    /// the log and drops a replaced table; copies no slot. From here on
+    /// every first write to a slot logs its pre-image.
+    pub(super) fn commit(&mut self, pointers: &[RowPtr]) {
+        let words = self.entry_words();
+        let log = self.undo.get_or_insert_with(Box::default);
+        for entry in log.entries.chunks_exact(words) {
+            // Every set bit is listed, so clearing the whole word clears
+            // only listed bits.
+            self.dirty[entry[0] as u32 as usize / 64] = 0;
         }
-        cp.live = self.live;
-        cp.lru_clock = self.lru_clock;
-        cp.stats = self.stats;
-        let token = fresh_token();
-        cp.token = token;
-        self.synced = token;
+        log.entries.clear();
+        log.whole = None;
+        log.live = self.live;
+        log.lru_clock = self.lru_clock;
+        log.stats = self.stats;
+        log.pointers.clear();
+        log.pointers.extend_from_slice(pointers);
     }
 
-    /// Hints the lines of `slot`'s record in `cp`, if it has one (a new
-    /// record is appended where the copy is already writing).
-    #[inline]
-    fn prefetch_record(&self, cp: &TableCheckpoint, slot: usize) {
-        let pos = cp.index[slot];
-        if pos != NO_RECORD {
-            let (pos, levels, stride) = (pos as usize, self.levels, self.stride());
-            prefetch(&cp.records[pos]);
-            prefetch_run(&cp.lens[pos * levels..(pos + 1) * levels]);
-            prefetch_run(&cp.succ[pos * stride..(pos + 1) * stride]);
-        }
-    }
-
-    /// Writes `slot` into its record in `cp`, appending one if it has
-    /// none yet.
-    fn put_record(&self, cp: &mut TableCheckpoint, slot: usize) {
-        let record = SlotRecord {
-            slot: slot as u32,
-            valid: self.valid[slot],
-            tag: self.tags[slot],
-            lru: self.lrus[slot],
-            gen: self.gens[slot],
+    /// Returns the table to its last commit, exactly, and `pointers` to
+    /// the ones committed with it; the table stays committed there.
+    /// Returns the bytes rolled back (the logged pre-images, or the
+    /// replaced table), or `None`, touching nothing, if the table was
+    /// never committed.
+    pub(super) fn rollback(&mut self, pointers: &mut Vec<RowPtr>) -> Option<u64> {
+        let mut log = self.undo.take()?;
+        let bytes = match log.whole.take() {
+            Some(whole) => {
+                *self = whole;
+                self.arena_bytes()
+            }
+            None => self.undo_slots(&mut log),
         };
-        let (levels, stride) = (self.levels, self.stride());
-        let lens = &self.lens[slot * levels..(slot + 1) * levels];
-        let succ = &self.succ[slot * stride..(slot + 1) * stride];
-        match cp.index[slot] {
-            NO_RECORD => {
-                cp.index[slot] = cp.records.len() as u32;
-                cp.records.push(record);
-                cp.lens.extend_from_slice(lens);
-                cp.succ.extend_from_slice(succ);
-            }
-            pos => {
-                let pos = pos as usize;
-                cp.records[pos] = record;
-                cp.lens[pos * levels..(pos + 1) * levels].copy_from_slice(lens);
-                cp.succ[pos * stride..(pos + 1) * stride].copy_from_slice(succ);
-            }
-        }
+        pointers.clear();
+        pointers.extend_from_slice(&log.pointers);
+        self.undo = Some(log);
+        Some(bytes)
     }
 
-    /// Makes this table slot-for-slot the one `cp` was captured from: no
-    /// sort and no re-insertion, every record written straight back to
-    /// its slot and every other slot reset to a fresh table's. `cp` must
-    /// hold this table's geometry. The table is then synced with `cp`,
-    /// so the next capture into it copies only what changes from here.
-    pub(super) fn restore_slots(&mut self, cp: &TableCheckpoint) {
-        self.tags.fill(LineAddr::new(0));
-        self.valid.fill(false);
-        self.gens.fill(0);
-        self.lrus.fill(0);
-        self.lens.fill(0);
-        self.succ.fill(LineAddr::new(0));
-        self.dirty.fill(0);
-        self.dirty_slots.clear();
-        let (levels, stride) = (self.levels, self.stride());
-        for (pos, r) in cp.records.iter().enumerate() {
-            let slot = r.slot as usize;
-            self.tags[slot] = r.tag;
-            self.valid[slot] = r.valid;
-            self.gens[slot] = r.gen;
-            self.lrus[slot] = r.lru;
-            self.lens[slot * levels..(slot + 1) * levels]
-                .copy_from_slice(&cp.lens[pos * levels..(pos + 1) * levels]);
-            self.succ[slot * stride..(slot + 1) * stride]
-                .copy_from_slice(&cp.succ[pos * stride..(pos + 1) * stride]);
+    /// Writes `log`'s pre-images back to their slots, clears their dirty
+    /// bits, restores the committed scalars and empties the log. Returns
+    /// the bytes of pre-images written back.
+    fn undo_slots(&mut self, log: &mut UndoLog) -> u64 {
+        let (levels, stride, words) = (self.levels, self.stride(), self.entry_words());
+        for entry in log.entries.chunks_exact(words) {
+            let slot = entry[0] as u32 as usize;
+            self.valid[slot] = entry[0] >> 32 != 0;
+            self.tags[slot] = LineAddr::new(entry[1]);
+            self.lrus[slot] = entry[2];
+            self.gens[slot] = entry[3];
+            let (lens, succ) = entry[HEAD_WORDS..].split_at(levels.div_ceil(8));
+            let row_lens = self.lens[slot * levels..(slot + 1) * levels].chunks_mut(8);
+            for (run, &word) in row_lens.zip(lens) {
+                for (i, len) in run.iter_mut().enumerate() {
+                    *len = (word >> (8 * i)) as u8;
+                }
+            }
+            let row = &mut self.succ[slot * stride..(slot + 1) * stride];
+            for (dst, &raw) in row.iter_mut().zip(succ) {
+                *dst = LineAddr::new(raw);
+            }
+            self.dirty[slot / 64] = 0;
         }
-        self.live = cp.live;
-        self.lru_clock = cp.lru_clock;
-        self.stats = cp.stats;
-        self.synced = cp.token;
+        self.live = log.live;
+        self.lru_clock = log.lru_clock;
+        self.stats = log.stats;
+        let bytes = size_of_val(&log.entries[..]) as u64;
+        log.entries.clear();
+        bytes
     }
 
-    /// The token of the checkpoint this table is synced with (0: none).
-    #[cfg(test)]
-    pub(super) fn synced_token(&self) -> u64 {
-        self.synced
+    /// Takes over `old`'s commit after a resize or a restore rebuilt the
+    /// arena into this table: `old`, rolled back to that commit, is kept
+    /// whole until the next one (the first replacement's, if `old` held
+    /// one already). Does nothing if `old` was never committed.
+    pub(super) fn keep_whole(&mut self, mut old: RowTable) {
+        let Some(mut log) = old.undo.take() else {
+            return;
+        };
+        if log.whole.is_none() {
+            old.undo_slots(&mut log);
+            log.whole = Some(old);
+        }
+        self.undo = Some(log);
+    }
+
+    /// Host bytes of the table's slot arrays and dirty bits.
+    fn arena_bytes(&self) -> u64 {
+        (size_of_val(&self.tags[..])
+            + size_of_val(&self.valid[..])
+            + size_of_val(&self.gens[..])
+            + size_of_val(&self.lrus[..])
+            + self.lens.len()
+            + size_of_val(&self.succ[..])
+            + size_of_val(&self.dirty[..])) as u64
     }
 
     /// The dirty bitset, one bit per slot.
@@ -830,10 +817,31 @@ impl RowTable {
         &self.dirty
     }
 
-    /// The dirty-slot list, in the order the slots first changed.
+    /// The logged slots, in the order they were first written (empty on
+    /// a table that was never committed).
     #[cfg(test)]
-    pub(super) fn dirty_list(&self) -> &[u32] {
-        &self.dirty_slots
+    pub(super) fn logged_slots(&self) -> Vec<u32> {
+        self.undo.as_ref().map_or_else(Vec::new, |log| {
+            let words = self.entry_words();
+            log.entries
+                .chunks_exact(words)
+                .map(|e| e[0] as u32)
+                .collect()
+        })
+    }
+
+    /// Whether the table holds a replaced table whole.
+    #[cfg(test)]
+    pub(super) fn holds_whole(&self) -> bool {
+        self.undo.as_ref().is_some_and(|log| log.whole.is_some())
+    }
+
+    /// Bytes the log's buffers have reserved.
+    #[cfg(test)]
+    pub(super) fn log_capacity(&self) -> usize {
+        self.undo
+            .as_ref()
+            .map_or(0, |log| log.entries.capacity() * size_of::<u64>())
     }
 
     /// Whether `other` holds exactly this table's slots, clock, counters

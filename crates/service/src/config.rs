@@ -160,9 +160,11 @@ impl TenantSpec {
 /// every crash recovers **cleanly** (bit-identical tables, counters and
 /// virtual clock); a smaller window trades memory for a bounded lossy gap
 /// whose exact size every [`RecoveryReport`](crate::RecoveryReport)
-/// carries. The default checkpoints after every batch, where each update
-/// copies only the table slots that batch changed, so a crash that
-/// strikes a batch before its ack replays nothing.
+/// carries. The default checkpoints after every batch. A checkpoint is
+/// a commit that copies no slot: each table logged the pre-image of
+/// every slot the batch wrote, and recovery rolls the surviving tables
+/// back to the commit, so a crash that strikes a batch before its ack
+/// replays nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisionConfig {
     /// Restarts a single shard may consume before it is parked in

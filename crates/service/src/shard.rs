@@ -20,13 +20,16 @@
 //!
 //! Since the supervision layer (see [`crate::supervisor`]) the worker is
 //! also *recoverable*: every accepted batch is journaled before it is
-//! acknowledged, the whole shard state (tables, counters, virtual clock)
-//! is checkpointed after every `checkpoint_every` accepted batches (by
-//! default after each one, right after its ack, copying in place only
-//! the table slots that batch changed), and a replacement worker can be
-//! rebuilt from checkpoint + journal replay through the same ingest step
-//! live batches take ([`ShardInit::ingest`]) — bit-identical to a worker
-//! that never died whenever the journal window covers the gap.
+//! acknowledged, and the whole shard state (tables, counters, virtual
+//! clock) is checkpointed after every `checkpoint_every` accepted batches
+//! (by default after each one, right after its ack). A checkpoint is a
+//! commit: each table already logged the pre-image of every slot it
+//! wrote since the last one, so the commit saves only scalars and copies
+//! no slot. The state itself, a [`ShardInit`], outlives a worker panic,
+//! and a replacement worker resumes from it rolled back to the last
+//! checkpoint plus a journal replay through the same ingest step live
+//! batches take ([`ShardInit::ingest`]) — bit-identical to a worker that
+//! never died whenever the journal window covers the gap.
 //! Queued ingress batches die with their worker epoch; their clients
 //! observe a dropped reply channel and resubmit (at-least-once), which
 //! is also why the piggybacked rejected/shed counters are *cumulative*:
@@ -40,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ulmt_core::algorithm::{StepSink, UlmtAlgorithm};
-use ulmt_core::table::{CorrelationTable, SnapshotError, TableSnapshot};
+use ulmt_core::table::{CorrelationTable, TableSnapshot};
 use ulmt_simcore::{Cycle, FxHashMap, LineAddr, Server};
 
 use crate::config::{ServiceConfig, TenantSpec};
@@ -49,7 +52,7 @@ use crate::journal::{JournalCoverage, ObservationJournal};
 use crate::metrics::{MetricsRegistry, ShardMetrics};
 use crate::service::{BatchReply, ServiceError, ShardStats, TenantStats};
 use crate::supervisor::{
-    lock, RecoveryOutcome, RecoveryReport, ShardCheckpoint, ShardSlot, ShardState, TenantCheckpoint,
+    lock, RecoveryOutcome, RecoveryReport, ShardCheckpoint, ShardSlot, ShardState,
 };
 
 /// Receives the per-step effects of one batch straight from the table's
@@ -86,16 +89,24 @@ impl StepSink for IngestSink<'_> {
 struct TenantState {
     table: CorrelationTable,
     stats: TenantStats,
+    /// `stats` at the last checkpoint, which committed `table`.
+    committed: TenantStats,
+    /// Prefetches of the tenant's last accepted batch: the capacity the
+    /// next batch's reply buffer starts with.
+    reply_hint: usize,
 }
 
 impl TenantState {
     fn new(tenant: u32, spec: &TenantSpec) -> Self {
+        let stats = TenantStats {
+            tenant,
+            ..TenantStats::default()
+        };
         TenantState {
             table: CorrelationTable::with_kind(spec.kind, spec.params),
-            stats: TenantStats {
-                tenant,
-                ..TenantStats::default()
-            },
+            stats,
+            committed: stats,
+            reply_hint: 0,
         }
     }
 }
@@ -190,8 +201,9 @@ pub struct ShardReport {
 pub(crate) enum ShardExit {
     /// Graceful shutdown after draining the queue.
     Finished(Box<ShardReport>),
-    /// The worker panicked; the panic was caught by the spawn wrapper.
-    Panicked,
+    /// The worker panicked; the panic was caught by the spawn wrapper,
+    /// which hands back the shard's state as the panic left it.
+    Panicked(Box<ShardInit>),
 }
 
 /// Everything a (re)spawned worker needs besides its receiving queue.
@@ -205,7 +217,9 @@ pub(crate) struct WorkerCtx {
 
 /// A shard's in-memory state: its tenants' tables and counters, and its
 /// virtual clock (`obs_cycles` per observation) with the utilization
-/// server. A replacement worker resumes from one [`rebuild_shard`] built.
+/// server. The spawn wrapper owns it, so it survives a worker panic, and
+/// a replacement worker resumes from it once [`rebuild_shard`] has
+/// rolled it back.
 pub(crate) struct ShardInit {
     tenants: FxHashMap<u32, TenantState>,
     stats: ShardStats,
@@ -216,7 +230,7 @@ pub(crate) struct ShardInit {
 
 impl ShardInit {
     /// A shard with no tenants, at virtual time 0.
-    fn empty(shard: u32, obs_cycles: Cycle) -> Self {
+    pub(crate) fn empty(shard: u32, obs_cycles: Cycle) -> Self {
         ShardInit {
             tenants: FxHashMap::default(),
             stats: ShardStats {
@@ -262,6 +276,7 @@ impl ShardInit {
         };
         state.table.process_misses(obs, &mut sink);
         let (observed, emitted) = (obs.len() as u64, prefetches.len() as u64);
+        state.reply_hint = prefetches.len();
         state.stats.batches += 1;
         state.stats.observed += observed;
         state.stats.prefetches += emitted;
@@ -275,11 +290,12 @@ impl ShardInit {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RebuildSummary {
     pub coverage: JournalCoverage,
-    /// The last checkpoint update was cut short, so recovery started
-    /// without one.
+    /// The last checkpoint update was cut short, or the dead worker's
+    /// state was lost, so recovery started without a checkpoint.
     pub interrupted: bool,
     pub checkpoint_seq: u64,
     pub resumed_seq: u64,
+    /// Bytes of pre-images (and replaced tables) the rollback wrote back.
     pub checkpoint_bytes: u64,
     pub tenants_restored: u32,
 }
@@ -300,41 +316,47 @@ impl RebuildSummary {
     }
 }
 
-/// Rebuilds a shard's in-memory state from its last checkpoint plus a
-/// replay of the journaled batches past it, through the same
-/// [`ShardInit::ingest`] step as live ingestion. The checkpoint's table
-/// copies are written back slot for slot, so clean recovery (journal
-/// covers the whole gap) reproduces tables, per-tenant stats, the
-/// virtual clock and the utilization server bit-identically. An
-/// incomplete checkpoint counts as none.
+/// Rebuilds a shard's in-memory state from the state `dead` its
+/// panicked worker left, rolled back to the last checkpoint, plus a
+/// replay of the journaled batches past it through the same
+/// [`ShardInit::ingest`] step as live ingestion. Each table writes its
+/// logged pre-images back, and the counters, virtual clock and
+/// utilization server return to their checkpointed values, so a clean
+/// recovery (journal covers the whole gap) is bit-identical to a worker
+/// that never died. A tenant opened after the checkpoint starts empty. An
+/// incomplete checkpoint counts as none, and so does a complete one
+/// without the dead worker's state: recovery then starts from empty
+/// tables.
 pub(crate) fn rebuild_shard(
     shard: u32,
     cfg: &ServiceConfig,
     specs: &[(u32, TenantSpec)],
     checkpoint: Option<&ShardCheckpoint>,
     journal: &ObservationJournal,
-) -> Result<(ShardInit, RebuildSummary), SnapshotError> {
+    dead: Option<ShardInit>,
+) -> (ShardInit, RebuildSummary) {
     let mut st = ShardInit::empty(shard, cfg.obs_cycles);
-    for &(tenant, ref spec) in specs {
-        st.tenants
-            .entry(tenant)
-            .or_insert_with(|| TenantState::new(tenant, spec));
-    }
-    let mut checkpoint_seq = 0;
-    let mut checkpoint_bytes = 0;
-    let interrupted = checkpoint.is_some_and(|cp| !cp.complete);
-    if let Some(cp) = checkpoint.filter(|cp| cp.complete) {
+    let base = checkpoint.filter(|cp| cp.complete).zip(dead);
+    let interrupted = checkpoint.is_some() && base.is_none();
+    let (mut checkpoint_seq, mut checkpoint_bytes) = (0, 0);
+    let mut survivors = FxHashMap::default();
+    if let Some((cp, dead)) = base {
         checkpoint_seq = cp.seq;
         st.stats = cp.stats;
         st.now = cp.now;
         st.server = Server::from_state(cp.server);
-        for tc in &cp.tenants {
-            if let Some(state) = st.tenants.get_mut(&tc.tenant) {
-                state.table.restore_checkpoint(&tc.table)?;
-                state.stats = tc.stats;
-            }
-            checkpoint_bytes += tc.table.bytes();
-        }
+        survivors = dead.tenants;
+    }
+    for &(tenant, ref spec) in specs {
+        let state = survivors
+            .remove(&tenant)
+            .and_then(|mut state| {
+                checkpoint_bytes += state.table.rollback()?;
+                state.stats = state.committed;
+                Some(state)
+            })
+            .unwrap_or_else(|| TenantState::new(tenant, spec));
+        st.tenants.insert(tenant, state);
     }
 
     // A journaled batch was accepted for a registered tenant; one the
@@ -354,7 +376,7 @@ pub(crate) fn rebuild_shard(
         checkpoint_bytes,
         tenants_restored: st.tenants.len() as u32,
     };
-    Ok((st, summary))
+    (st, summary)
 }
 
 /// The worker's whole mutable state, so the control handlers and the
@@ -365,7 +387,7 @@ struct WorkerLoop<'a> {
     cfg: &'a ServiceConfig,
     slot: &'a ShardSlot,
     ingress: &'a Ingress,
-    st: ShardInit,
+    st: &'a mut ShardInit,
     metrics: Option<MetricsRegistry>,
     since_checkpoint: u64,
 }
@@ -424,7 +446,8 @@ impl WorkerLoop<'_> {
                 panic!("chaos: kill-shard fault at batch seq {seq_next}");
             }
         }
-        let mut prefetches = Vec::new();
+        // Sized from the tenant's last batch, so the reply rarely grows.
+        let mut prefetches = Vec::with_capacity(self.st.tenants[&tenant].reply_hint);
         let observed = obs.len() as u64;
         let ingest_t0 = self.metrics.as_ref().map(|_| Instant::now());
         self.st
@@ -445,8 +468,7 @@ impl WorkerLoop<'_> {
         self.since_checkpoint += 1;
         // Hand the (cleared) batch buffer back so the client can refill
         // it; a full journal window reuses its evicted entry's buffer the
-        // same way. `prefetches` is not recycled: every accepted batch
-        // grows a fresh one from `Vec::new()`.
+        // same way. `prefetches` goes to the client.
         obs.clear();
         let _ = reply.send(BatchReply::accepted(observed, prefetches, obs));
         if self.since_checkpoint >= self.cfg.supervision.checkpoint_every {
@@ -517,7 +539,7 @@ impl WorkerLoop<'_> {
                 }));
             }
             ShardMsg::ShardStats { reply } => {
-                let _ = reply.send(finalize(&self.st));
+                let _ = reply.send(finalize(self.st));
             }
             ShardMsg::Metrics { reply } => {
                 let _ = reply.send(self.snapshot_metrics());
@@ -583,7 +605,7 @@ impl WorkerLoop<'_> {
                     let _ = reply.send(Err(ServiceError::ShuttingDown));
                 }
                 ShardMsg::ShardStats { reply } => {
-                    let _ = reply.send(finalize(&self.st));
+                    let _ = reply.send(finalize(self.st));
                 }
                 ShardMsg::Metrics { reply } => {
                     let _ = reply.send(self.snapshot_metrics());
@@ -599,7 +621,7 @@ impl WorkerLoop<'_> {
     /// The worker's final report.
     fn finish(&mut self) -> ShardExit {
         ShardExit::Finished(Box::new(ShardReport {
-            stats: finalize(&self.st),
+            stats: finalize(self.st),
             epoch: self.epoch,
             recoveries: Vec::new(),
         }))
@@ -610,7 +632,7 @@ impl WorkerLoop<'_> {
     /// registry when metrics are on.
     fn checkpoint(&mut self, seq: u64) {
         let t0 = self.metrics.as_ref().map(|_| Instant::now());
-        take_checkpoint(self.slot, &mut self.st, seq);
+        take_checkpoint(self.slot, self.st, seq);
         self.since_checkpoint = 0;
         if let (Some(m), Some(t0)) = (&mut self.metrics, t0) {
             m.note_checkpoint(t0.elapsed().as_nanos() as u64);
@@ -622,13 +644,14 @@ impl WorkerLoop<'_> {
     fn snapshot_metrics(&self) -> Option<ShardMetrics> {
         self.metrics
             .as_ref()
-            .map(|m| m.snapshot(self.shard, self.epoch, &finalize(&self.st), self.st.now))
+            .map(|m| m.snapshot(self.shard, self.epoch, &finalize(self.st), self.st.now))
     }
 }
 
-/// The worker entry point the spawn wrapper calls inside `catch_unwind`.
-/// Runs until [`ShardMsg::Shutdown`] or until its ingress is closed.
-pub(crate) fn run_worker(ctx: &WorkerCtx, init: Option<ShardInit>) -> ShardExit {
+/// The worker entry point the spawn wrapper calls inside `catch_unwind`,
+/// on the shard state `st` the wrapper owns. Runs until
+/// [`ShardMsg::Shutdown`] or until its ingress is closed.
+pub(crate) fn run_worker(ctx: &WorkerCtx, st: &mut ShardInit) -> ShardExit {
     let WorkerCtx {
         shard,
         epoch,
@@ -637,7 +660,6 @@ pub(crate) fn run_worker(ctx: &WorkerCtx, init: Option<ShardInit>) -> ShardExit 
         ingress,
     } = ctx;
     let (shard, epoch) = (*shard, *epoch);
-    let st = init.unwrap_or_else(|| ShardInit::empty(shard, cfg.obs_cycles));
     // Counters resume from the rebuilt totals so `metrics == stats`
     // holds across restarts; histograms restart with the epoch.
     let metrics = cfg.metrics.then(|| MetricsRegistry::resumed(&st.stats));
@@ -664,11 +686,11 @@ pub(crate) fn run_worker(ctx: &WorkerCtx, init: Option<ShardInit>) -> ShardExit 
     }
 }
 
-/// Brings the slot's checkpoint up to the shard's current state, the
-/// one after journal seq `seq`, in place: each tenant's table copy takes
-/// only the slots changed since the last checkpoint, so a tenant no
-/// batch touched costs O(1). The update is bracketed by the checkpoint's
-/// `complete` flag, so one cut short is never restored.
+/// Checkpoints the shard's current state, the one after journal seq
+/// `seq`: commits every tenant's table (clearing what it logged since the
+/// last checkpoint, copying no slot) and saves the counters, clock and
+/// seq. A tenant no batch touched costs O(1). The commit is bracketed by
+/// the checkpoint's `complete` flag, so one cut short is never restored.
 fn take_checkpoint(slot: &ShardSlot, st: &mut ShardInit, seq: u64) {
     let mut cell = lock(&slot.checkpoint);
     let cp = cell.get_or_insert_with(|| ShardCheckpoint {
@@ -677,28 +699,11 @@ fn take_checkpoint(slot: &ShardSlot, st: &mut ShardInit, seq: u64) {
         now: 0,
         server: Server::new().state(),
         stats: ShardStats::default(),
-        tenants: Vec::new(),
     });
     cp.complete = false;
     for state in st.tenants.values_mut() {
-        let tenant = state.stats.tenant;
-        // Kept sorted by tenant ID, so the contents do not depend on
-        // hash map iteration order.
-        match cp.tenants.binary_search_by_key(&tenant, |t| t.tenant) {
-            Ok(i) => {
-                let tc = &mut cp.tenants[i];
-                state.table.checkpoint_into(&mut tc.table);
-                tc.stats = state.stats;
-            }
-            Err(i) => cp.tenants.insert(
-                i,
-                TenantCheckpoint {
-                    tenant,
-                    table: state.table.checkpoint(),
-                    stats: state.stats,
-                },
-            ),
-        }
+        state.table.commit();
+        state.committed = state.stats;
     }
     cp.seq = seq;
     cp.now = st.now;
@@ -739,24 +744,31 @@ mod tests {
         let obs = lines(0..40);
         let mut journal = ObservationJournal::new(16);
         journal.push(1, 0, 0, &obs);
-        // A checkpoint at seq 1 whose copy differs from what the journal
-        // replays, so the test can tell which one recovery used.
+        // The state a worker left: its table committed at seq 1 with
+        // what differs from what the journal replays, so the test can
+        // tell which one recovery used, then written past the commit.
+        let dead = || {
+            let mut st = ShardInit::empty(0, cfg.obs_cycles);
+            let mut state = TenantState::new(1, &spec);
+            state.table = learned(&spec, &lines(100..140));
+            state.table.commit();
+            state
+                .table
+                .process_misses(&lines(200..230), &mut ulmt_core::cost::StepResult::new());
+            state.stats.observed = 30;
+            st.tenants.insert(1, state);
+            Some(st)
+        };
         let mut checkpoint = Some(ShardCheckpoint {
             complete: false,
             seq: 1,
             now: 0,
             server: Server::new().state(),
             stats: ShardStats::default(),
-            tenants: vec![TenantCheckpoint {
-                tenant: 1,
-                table: learned(&spec, &lines(100..140)).checkpoint(),
-                stats: TenantStats::default(),
-            }],
         });
         let fingerprint = |init: &ShardInit| init.tenants[&1].table.table_fingerprint();
 
-        let (init, summary) =
-            rebuild_shard(0, &cfg, &specs, checkpoint.as_ref(), &journal).unwrap();
+        let (init, summary) = rebuild_shard(0, &cfg, &specs, checkpoint.as_ref(), &journal, dead());
         assert!(summary.interrupted);
         assert_eq!((summary.checkpoint_seq, summary.checkpoint_bytes), (0, 0));
         assert_eq!(fingerprint(&init), learned(&spec, &obs).table_fingerprint());
@@ -770,8 +782,7 @@ mod tests {
         );
 
         checkpoint.as_mut().unwrap().complete = true;
-        let (init, summary) =
-            rebuild_shard(0, &cfg, &specs, checkpoint.as_ref(), &journal).unwrap();
+        let (init, summary) = rebuild_shard(0, &cfg, &specs, checkpoint.as_ref(), &journal, dead());
         assert!(!summary.interrupted);
         assert_eq!(summary.checkpoint_seq, 1);
         assert!(summary.checkpoint_bytes > 0);
@@ -779,6 +790,7 @@ mod tests {
             fingerprint(&init),
             learned(&spec, &lines(100..140)).table_fingerprint()
         );
+        assert_eq!(init.tenants[&1].stats.observed, 0, "stats rolled back");
         assert_eq!(
             summary.outcome(),
             RecoveryOutcome::Clean {

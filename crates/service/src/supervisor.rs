@@ -18,20 +18,23 @@
 //! stays in place, and its tenants see full queues and timed-out
 //! control calls.
 //!
-//! The checkpoint is one [`ShardCheckpoint`] per slot, updated in place:
-//! after every `checkpoint_every` accepted batches (by default after each
-//! one) the worker copies into each tenant's [`TableCheckpoint`] only the
-//! table slots that changed since the previous checkpoint (a table lists
-//! them as they change, so a tenant the batch did not touch costs O(1)),
-//! plus the shard's counters, virtual clock and journal seq. An update
-//! marks the checkpoint incomplete before it touches anything and
-//! complete when done, so one cut short by a panic is never restored:
-//! recovery treats it as absent and reports the recovery lossy.
+//! The checkpoint is one [`ShardCheckpoint`] per slot. After every
+//! `checkpoint_every` accepted batches (by default after each one) the
+//! worker commits each tenant's table and saves the shard's counters,
+//! virtual clock and journal seq. A commit copies no slot: between
+//! commits a table logs the pre-image of each slot before its first
+//! write (`ulmt_core::table::checkpoint`), so a tenant the batch did not
+//! touch costs O(1). An update marks the checkpoint incomplete before it
+//! commits anything and complete when done, so one cut short by a panic
+//! is never restored: recovery treats it as absent, starts from empty
+//! tables and reports the recovery lossy.
 //!
-//! Recovery writes the last checkpoint's slots straight back into fresh
-//! tables, slot for slot, replays the journal through
-//! the live batch kernel ([`crate::shard::rebuild_shard`]), bumps the
-//! worker **epoch**, and publishes a fresh link. Sessions re-resolve on
+//! The shard's state itself, tables and logs included, is owned by the
+//! worker's spawn wrapper outside `catch_unwind`, so it outlives the
+//! panic and comes back in [`ShardExit::Panicked`]. Recovery rolls each
+//! table back to the last checkpoint, replays the journal through the
+//! live batch kernel ([`crate::shard::rebuild_shard`]), bumps the worker
+//! **epoch**, and publishes a fresh link. Sessions re-resolve on
 //! demand; while the slot is down they shed (acknowledge-without-learn)
 //! or wait, per [`SupervisionConfig::shed_when_down`]. The whole story
 //! is written up in `DESIGN.md` §14.
@@ -45,14 +48,15 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ulmt_core::table::TableCheckpoint;
 use ulmt_simcore::{Cycle, ServerState};
 
 use crate::config::{ServiceConfig, TenantSpec};
 use crate::ingress::Ingress;
 use crate::journal::ObservationJournal;
-use crate::service::{ServiceError, ShardStats, TenantStats};
-use crate::shard::{rebuild_shard, run_worker, ShardExit, ShardMsg, ShardReport, WorkerCtx};
+use crate::service::{ServiceError, ShardStats};
+use crate::shard::{
+    rebuild_shard, run_worker, ShardExit, ShardInit, ShardMsg, ShardReport, WorkerCtx,
+};
 
 /// Locks a mutex, recovering the data if a previous holder panicked.
 /// Shard state must stay reachable after a worker dies mid-anything —
@@ -132,22 +136,15 @@ impl ShardHealth {
     }
 }
 
-/// One tenant's contribution to a checkpoint.
-#[derive(Debug)]
-pub(crate) struct TenantCheckpoint {
-    pub tenant: u32,
-    /// Slot-exact copy of the tenant's table, updated in place.
-    pub table: TableCheckpoint,
-    pub stats: TenantStats,
-}
-
-/// A capture of a shard at an accepted-batch boundary, updated in place
-/// by each checkpoint.
+/// The scalars of a shard at its last checkpoint, an accepted-batch
+/// boundary. The tables themselves were committed there and roll back
+/// to it (module docs).
 #[derive(Debug)]
 pub(crate) struct ShardCheckpoint {
     /// `false` while an update is under way. An update cut short (its
-    /// worker panicked mid-way) leaves a mix of two boundaries, which
-    /// recovery must never restore: it treats the checkpoint as absent.
+    /// worker panicked mid-way) leaves tables committed at two
+    /// boundaries, which recovery must never restore: it treats the
+    /// checkpoint as absent.
     pub complete: bool,
     /// Last acked batch seq included in this checkpoint.
     pub seq: u64,
@@ -157,8 +154,6 @@ pub(crate) struct ShardCheckpoint {
     pub server: ServerState,
     /// Aggregate counters at the boundary.
     pub stats: ShardStats,
-    /// Every tenant's table and counters, sorted by tenant ID.
-    pub tenants: Vec<TenantCheckpoint>,
 }
 
 /// The crash-surviving half of a shard. Sessions, the service front end,
@@ -314,9 +309,10 @@ pub struct RecoveryReport {
     pub checkpoint_seq: u64,
     /// Last acked seq the rebuilt shard resumed after.
     pub resumed_seq: u64,
-    /// Bytes of the checkpoint recovery restored: every tenant's
-    /// slot-exact table copy (slot index, slot records and learning
-    /// pointers). 0 when recovery started without one.
+    /// Bytes the rollback to the checkpoint wrote back: every tenant's
+    /// logged slot pre-images, plus any table a resize or a snapshot
+    /// restore replaced since. 0 when recovery started without a
+    /// checkpoint.
     pub checkpoint_bytes: u64,
     /// Wall-clock nanoseconds from taking the dead epoch down to
     /// publishing the replacement link.
@@ -373,7 +369,7 @@ fn spawn_worker(
     cfg: ServiceConfig,
     epoch: u64,
     events: Sender<SupervisorMsg>,
-    init: Option<crate::shard::ShardInit>,
+    init: ShardInit,
 ) -> (Arc<Ingress>, JoinHandle<ShardExit>) {
     let ingress = Arc::new(Ingress::with_stamp(
         cfg.quantum_obs,
@@ -396,12 +392,13 @@ fn spawn_worker(
                 slot,
                 ingress: worker_ingress,
             };
+            // Owned out here, the state outlives a panic in the worker.
             let mut init = init;
-            match catch_unwind(AssertUnwindSafe(|| run_worker(&ctx, init.take()))) {
+            match catch_unwind(AssertUnwindSafe(|| run_worker(&ctx, &mut init))) {
                 Ok(exit) => exit,
                 Err(_) => {
                     let _ = events.send(SupervisorMsg::Panicked { shard });
-                    ShardExit::Panicked
+                    ShardExit::Panicked(Box::new(init))
                 }
             }
         })
@@ -429,7 +426,8 @@ impl Supervisor {
     }
 
     /// Takes the panicked epoch of `shard` down, joins its thread,
-    /// rebuilds its state from checkpoint + journal, spawns a replacement
+    /// rolls the state it hands back to the last checkpoint and replays
+    /// the journal past it, spawns a replacement
     /// epoch, and publishes the new link. Exhausting the restart budget
     /// parks the shard in [`ShardState::Failed`] instead.
     fn restart(&mut self, shard: usize) {
@@ -438,10 +436,11 @@ impl Supervisor {
         let old_epoch = self.workers[shard].epoch;
         slot.take_down(ShardState::Down);
         // The spawn wrapper reports a panic after the unwind, so the
-        // thread is already on its way out.
-        if let Some(handle) = self.workers[shard].handle.take() {
-            let _ = handle.join();
-        }
+        // thread is already on its way out, with the shard's state.
+        let dead = match self.workers[shard].handle.take().map(JoinHandle::join) {
+            Some(Ok(ShardExit::Panicked(init))) => Some(*init),
+            _ => None,
+        };
         if self.restarts[shard] >= self.cfg.supervision.max_restarts {
             slot.take_down(ShardState::Failed);
             return;
@@ -459,24 +458,19 @@ impl Supervisor {
 
         let specs = lock(&slot.specs).clone();
         let (init, summary) = {
-            // The copy is borrowed, not cloned: both locks are held for
-            // the rebuild.
             let checkpoint = lock(&slot.checkpoint);
             let journal = lock(&slot.journal);
-            match rebuild_shard(slot.shard, &self.cfg, &specs, checkpoint.as_ref(), &journal) {
-                Ok(built) => built,
-                Err(_) => {
-                    // A checkpoint that no longer restores is a bug, not
-                    // a transient: keep the shard down rather than serve
-                    // a half-rebuilt table.
-                    slot.take_down(ShardState::Failed);
-                    return;
-                }
-            }
+            rebuild_shard(
+                slot.shard,
+                &self.cfg,
+                &specs,
+                checkpoint.as_ref(),
+                &journal,
+                dead,
+            )
         };
         let epoch = old_epoch + 1;
-        let (ingress, handle) =
-            spawn_worker(&slot, self.cfg, epoch, self.events_tx.clone(), Some(init));
+        let (ingress, handle) = spawn_worker(&slot, self.cfg, epoch, self.events_tx.clone(), init);
         self.workers[shard] = Worker {
             handle: Some(handle),
             epoch,
@@ -546,7 +540,8 @@ pub(crate) fn start_supervisor(cfg: ServiceConfig, slots: Vec<Arc<ShardSlot>>) -
     let (events_tx, events_rx) = channel();
     let mut workers = Vec::with_capacity(slots.len());
     for slot in &slots {
-        let (ingress, handle) = spawn_worker(slot, cfg, 0, events_tx.clone(), None);
+        let init = ShardInit::empty(slot.shard, cfg.obs_cycles);
+        let (ingress, handle) = spawn_worker(slot, cfg, 0, events_tx.clone(), init);
         slot.publish(ingress, 0);
         workers.push(Worker {
             handle: Some(handle),

@@ -63,7 +63,10 @@
 #                                FxHashSet alias), or the service API only
 #                                tests called (the cancel token, the
 #                                public kill budget, the clean-recovery
-#                                and checkpoint-ahead helpers); and
+#                                and checkpoint-ahead helpers), or the
+#                                table checkpoint copy the undo log
+#                                replaced (TableCheckpoint and its
+#                                capture and restore calls); and
 #                                `unsafe` occurs in
 #                                crates/ exactly once, in the table
 #                                storage's prefetch hint helper
@@ -173,6 +176,7 @@ removed_api+='|ShardBatch|ShardReject|SlowConsumer|ServiceFaultPlan|slow_consume
 removed_api+='|prefetch_q_set|id_to_line|FxHashSet|fx_set_with_capacity'
 removed_api+='|cancel_token|CancelToken|ServiceFaultState|kills_fired'
 removed_api+='|guarantees_clean_recovery|checkpoint_ahead'
+removed_api+='|TableCheckpoint|checkpoint_into|restore_checkpoint|capture_slots|restore_slots|prefetch_record'
 if grep -rn --include='*.rs' -E "\b($removed_api)\b" src tests examples crates; then
     echo "deprecation audit: references to removed APIs (above)"
     exit 1
