@@ -1,8 +1,17 @@
 //! The set-associative cache model.
 //!
 //! State transitions only — timing lives in the system simulator. A way is
-//! `Invalid`, `Valid`, or `Pending` (reserved by an MSHR for an in-flight
-//! fill, the paper's "transaction-pending state").
+//! invalid, valid, or pending (reserved by an MSHR for an in-flight fill,
+//! the paper's "transaction-pending state").
+//!
+//! The ways are stored as three flat arrays: tags, stamps and flags. The
+//! stamp word carries the state as well as the LRU order: 0 is invalid,
+//! `u64::MAX` is pending, and any other value is the `lru_clock` reading
+//! of the way's last touch. A lookup is then one scan of a set's tags,
+//! each checked against its stamp, and the replacement victim is the first
+//! minimum stamp, or none if that minimum is `u64::MAX`. The flags byte
+//! holds the dirty bit and the prefetched bit with its origin, so a hit on
+//! or an eviction of an unflagged line does no accounting.
 
 use ulmt_simcore::LineAddr;
 
@@ -145,44 +154,64 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WayState {
-    Invalid,
-    Valid,
-    /// Reserved by an MSHR; data in flight.
-    Pending,
+/// Stamp of a way that holds nothing.
+const INVALID: u64 = 0;
+/// Stamp of a way reserved by an MSHR, its data in flight.
+const PENDING: u64 = u64::MAX;
+
+/// Flag bit: the line is dirty.
+const DIRTY: u8 = 1;
+/// Flag bit: the line was pushed by the ULMT and not yet demanded.
+const PUSHED: u8 = 2;
+/// Flag bit: the line was fetched by the processor-side prefetcher and
+/// not yet demanded.
+const CPU_PREFETCHED: u8 = 4;
+/// Either prefetched bit.
+const PREFETCHED: u8 = PUSHED | CPU_PREFETCHED;
+
+/// `true` for the stamp of a valid way: neither [`INVALID`] nor
+/// [`PENDING`].
+#[inline]
+fn is_valid(stamp: u64) -> bool {
+    stamp.wrapping_sub(1) < PENDING - 1
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    line: LineAddr,
-    state: WayState,
-    dirty: bool,
-    /// Line was installed by a prefetch and not yet demanded.
-    prefetched: Option<PrefetchOrigin>,
-    lru: u64,
+/// The prefetched bit of `origin`.
+fn prefetch_bit(origin: PrefetchOrigin) -> u8 {
+    match origin {
+        PrefetchOrigin::Push => PUSHED,
+        PrefetchOrigin::CpuSide => CPU_PREFETCHED,
+    }
 }
 
-impl Way {
-    fn invalid() -> Self {
-        Way {
-            line: LineAddr::new(0),
-            state: WayState::Invalid,
-            dirty: false,
-            prefetched: None,
-            lru: 0,
-        }
+/// The origin named by a way's prefetched bits, if any.
+fn prefetch_origin(flags: u8) -> Option<PrefetchOrigin> {
+    if flags & PUSHED != 0 {
+        Some(PrefetchOrigin::Push)
+    } else if flags & CPU_PREFETCHED != 0 {
+        Some(PrefetchOrigin::CpuSide)
+    } else {
+        None
     }
 }
 
 /// A set-associative, write-back cache with MSHRs, a write-back queue, LRU
 /// replacement and push-prefetch support.
 ///
+/// The ways live in three flat arrays, `num_sets * assoc` long and
+/// row-major by set; the [module documentation](self) gives the stamp
+/// encoding.
+///
 /// See the [crate documentation](crate) for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    ways: Vec<Way>, // num_sets * assoc, row-major by set
+    /// Line address held by each way (meaningless while invalid).
+    tags: Vec<u64>,
+    /// State and LRU stamp of each way.
+    stamps: Vec<u64>,
+    /// [`DIRTY`] and at most one prefetched bit per way.
+    flags: Vec<u8>,
     /// `num_sets - 1`: a line's set is its low bits.
     set_mask: usize,
     mshrs: MshrFile,
@@ -199,8 +228,11 @@ impl Cache {
     /// Panics if the geometry is invalid (see [`CacheConfig::validate`]).
     pub fn new(cfg: CacheConfig) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+        let lines = cfg.num_lines();
         Cache {
-            ways: vec![Way::invalid(); cfg.num_lines()],
+            tags: vec![0; lines],
+            stamps: vec![INVALID; lines],
+            flags: vec![0; lines],
             set_mask: cfg.num_sets() - 1,
             mshrs: MshrFile::new(cfg.mshrs),
             wb: WriteBackQueue::new(cfg.wb_capacity),
@@ -278,7 +310,7 @@ impl Cache {
             }
             if is_write {
                 if let Some(idx) = self.find_pending(line) {
-                    self.ways[idx].dirty = true;
+                    self.flags[idx] |= DIRTY;
                 }
             }
             return AccessOutcome::MissMerged {
@@ -301,16 +333,8 @@ impl Cache {
             .mshrs
             .allocate(line, demand, prefetch)
             .expect("free MSHR checked above");
-        let clock = self.lru_clock;
-        let way = &mut self.ways[victim];
-        *way = Way {
-            line,
-            state: WayState::Pending,
-            // A write miss dirties the line as soon as the fill lands.
-            dirty: is_write,
-            prefetched: None,
-            lru: clock,
-        };
+        // A write miss dirties the line as soon as the fill lands.
+        self.install(victim, line, PENDING, if is_write { DIRTY } else { 0 });
         if demand {
             self.stats.demand_misses += 1;
         }
@@ -322,9 +346,10 @@ impl Cache {
     }
 
     /// Demand access for a cache that waits out every miss (the in-order
-    /// memory processor's): a miss installs the line at once, leaving the
-    /// cache as [`Cache::access`] then [`Cache::fill`] would, without an
-    /// MSHR. Returns `true` on a hit.
+    /// memory processor's, and the state-only miss-stream extractor's): a
+    /// miss installs the line at once, leaving the cache as
+    /// [`Cache::access`] then [`Cache::fill`] would, without an MSHR.
+    /// Returns `true` on a hit.
     ///
     /// # Panics
     ///
@@ -341,36 +366,34 @@ impl Cache {
             .pick_victim(line)
             .expect("no fill in flight, so no way is pending");
         self.evict(victim);
-        self.ways[victim] = Way {
-            line,
-            state: WayState::Valid,
-            dirty: is_write,
-            prefetched: None,
-            lru: self.lru_clock,
-        };
+        let clock = self.lru_clock;
+        self.install(victim, line, clock, if is_write { DIRTY } else { 0 });
         self.stats.demand_misses += 1;
         false
     }
 
     /// Records a hit on the valid way at `idx`; returns the origin of a
     /// prefetched line's first demand touch.
+    #[inline]
     fn hit(&mut self, idx: usize, is_write: bool, demand: bool) -> Option<PrefetchOrigin> {
-        let clock = self.lru_clock;
-        let way = &mut self.ways[idx];
-        way.lru = clock;
-        if is_write {
-            way.dirty = true;
+        self.stamps[idx] = self.lru_clock;
+        let flags = self.flags[idx] | if is_write { DIRTY } else { 0 };
+        self.flags[idx] = flags;
+        if !demand {
+            return None;
         }
-        let first_touch = if demand { way.prefetched.take() } else { None };
-        match first_touch {
+        self.stats.demand_hits += 1;
+        if flags & PREFETCHED == 0 {
+            return None;
+        }
+        self.flags[idx] = flags & !PREFETCHED;
+        let origin = prefetch_origin(flags);
+        match origin {
             Some(PrefetchOrigin::Push) => self.stats.prefetch_first_touches += 1,
             Some(PrefetchOrigin::CpuSide) => self.stats.cpu_prefetch_first_touches += 1,
             None => {}
         }
-        if demand {
-            self.stats.demand_hits += 1;
-        }
-        first_touch
+        origin
     }
 
     /// Completes the in-flight fill of `line`. Returns `true` if a demand
@@ -385,24 +408,17 @@ impl Cache {
         let demand_waiting = self.mshrs.demand_waiting(mshr);
         let prefetch_initiated = self.mshrs.prefetch_initiated(mshr);
         self.mshrs.release(mshr);
-        let idx = self
-            .find_pending(line)
-            .expect("MSHR existed, so a pending way must be reserved");
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let way = &mut self.ways[idx];
-        way.state = WayState::Valid;
-        way.lru = clock;
         // A line fetched purely by a prefetch (no demand merged in yet)
         // carries the prefetched bit so a later eviction without a touch
         // counts as Replaced.
-        way.prefetched = if install_as_prefetched {
-            Some(PrefetchOrigin::Push)
+        let prefetched = if install_as_prefetched {
+            PUSHED
         } else if prefetch_initiated && !demand_waiting {
-            Some(PrefetchOrigin::CpuSide)
+            CPU_PREFETCHED
         } else {
-            None
+            0
         };
+        self.complete_pending(line, prefetched);
         demand_waiting
     }
 
@@ -415,17 +431,8 @@ impl Cache {
             let demand_was_waiting = self.mshrs.demand_waiting(mshr);
             let prefetch_initiated = self.mshrs.prefetch_initiated(mshr);
             self.mshrs.release(mshr);
-            let idx = self
-                .find_pending(line)
-                .expect("MSHR existed, so a pending way must be reserved");
-            self.lru_clock += 1;
-            let clock = self.lru_clock;
-            let way = &mut self.ways[idx];
-            way.state = WayState::Valid;
-            way.lru = clock;
-            way.prefetched =
-                (!demand_was_waiting && prefetch_initiated).then_some(PrefetchOrigin::Push);
-            let installed_as_prefetch = way.prefetched.is_some();
+            let installed_as_prefetch = !demand_was_waiting && prefetch_initiated;
+            self.complete_pending(line, if installed_as_prefetch { PUSHED } else { 0 });
             self.stats.pushes_stole_mshr += 1;
             return PushOutcome::StoleMshr {
                 demand_was_waiting,
@@ -451,14 +458,7 @@ impl Cache {
         let (evicted_dirty, evicted_prefetch) = self.evict(victim);
         self.lru_clock += 1;
         let clock = self.lru_clock;
-        let way = &mut self.ways[victim];
-        *way = Way {
-            line,
-            state: WayState::Valid,
-            dirty: false,
-            prefetched: Some(PrefetchOrigin::Push),
-            lru: clock,
-        };
+        self.install(victim, line, clock, PUSHED);
         self.stats.pushes_accepted += 1;
         PushOutcome::Accepted {
             evicted_dirty,
@@ -468,74 +468,116 @@ impl Cache {
 
     /// Number of valid lines currently carrying the prefetched bit.
     pub fn prefetched_lines(&self) -> usize {
-        self.ways
-            .iter()
-            .filter(|w| w.state == WayState::Valid && w.prefetched.is_some())
-            .count()
+        self.count_valid_flagged(PREFETCHED)
     }
 
     /// Number of valid lines carrying the prefetched bit of one origin —
     /// e.g. pushed lines still resident and untouched at end of run, the
     /// residual term of the push-accounting identity.
     pub fn prefetched_lines_of(&self, origin: PrefetchOrigin) -> usize {
-        self.ways
+        self.count_valid_flagged(prefetch_bit(origin))
+    }
+
+    fn count_valid_flagged(&self, mask: u8) -> usize {
+        self.stamps
             .iter()
-            .filter(|w| w.state == WayState::Valid && w.prefetched == Some(origin))
+            .zip(&self.flags)
+            .filter(|&(&stamp, &flags)| is_valid(stamp) && flags & mask != 0)
             .count()
     }
 
-    fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let set = (line.raw() as usize) & self.set_mask;
-        let start = set * self.cfg.assoc;
-        start..start + self.cfg.assoc
+    /// The first way of `line`'s set.
+    #[inline]
+    fn set_start(&self, line: LineAddr) -> usize {
+        ((line.raw() as usize) & self.set_mask) * self.cfg.assoc
     }
 
+    /// The first way of `line`'s set whose tag is `line` and whose stamp
+    /// passes `state`.
+    #[inline]
+    fn find(&self, line: LineAddr, state: impl Fn(u64) -> bool) -> Option<usize> {
+        let start = self.set_start(line);
+        let end = start + self.cfg.assoc;
+        let tags = &self.tags[start..end];
+        let stamps = &self.stamps[start..end];
+        tags.iter()
+            .zip(stamps)
+            .position(|(&tag, &stamp)| tag == line.raw() && state(stamp))
+            .map(|i| start + i)
+    }
+
+    #[inline]
     fn find_valid(&self, line: LineAddr) -> Option<usize> {
-        self.set_range(line)
-            .find(|&i| self.ways[i].state == WayState::Valid && self.ways[i].line == line)
+        self.find(line, is_valid)
     }
 
     fn find_pending(&self, line: LineAddr) -> Option<usize> {
-        self.set_range(line)
-            .find(|&i| self.ways[i].state == WayState::Pending && self.ways[i].line == line)
+        self.find(line, |stamp| stamp == PENDING)
     }
 
     /// Picks the victim among the non-pending ways of the target set: the
-    /// first invalid way, else the least recently used valid one (the
+    /// first minimum stamp, unless that minimum is [`PENDING`]. That is
+    /// the first invalid way, else the least recently used valid one (the
     /// first of equals).
+    #[inline]
     fn pick_victim(&self, line: LineAddr) -> Option<usize> {
-        let mut victim: Option<(usize, (bool, u64))> = None;
-        for i in self.set_range(line) {
-            let way = &self.ways[i];
-            let key = (way.state == WayState::Valid, way.lru);
-            if way.state != WayState::Pending && victim.is_none_or(|(_, best)| key < best) {
-                victim = Some((i, key));
+        let start = self.set_start(line);
+        let stamps = &self.stamps[start..start + self.cfg.assoc];
+        let mut best = 0;
+        for (i, &stamp) in stamps.iter().enumerate().skip(1) {
+            if stamp < stamps[best] {
+                best = i;
             }
         }
-        victim.map(|(i, _)| i)
+        (stamps[best] != PENDING).then_some(start + best)
     }
 
-    /// Evicts the way at `idx`, enqueueing a write-back if dirty. Returns
-    /// the evicted dirty line (if any) and a never-touched prefetched
-    /// victim with its origin (if any).
+    /// Overwrites the way at `idx` with `line`.
+    #[inline]
+    fn install(&mut self, idx: usize, line: LineAddr, stamp: u64, flags: u8) {
+        self.tags[idx] = line.raw();
+        self.stamps[idx] = stamp;
+        self.flags[idx] = flags;
+    }
+
+    /// Turns `line`'s pending way valid and most recently used, keeping
+    /// its dirty bit and setting the `prefetched` bit (if any).
+    fn complete_pending(&mut self, line: LineAddr, prefetched: u8) {
+        let idx = self
+            .find_pending(line)
+            .expect("MSHR existed, so a pending way must be reserved");
+        self.lru_clock += 1;
+        self.stamps[idx] = self.lru_clock;
+        self.flags[idx] = (self.flags[idx] & DIRTY) | prefetched;
+    }
+
+    /// Evicts the victim way at `idx` (invalid or valid, never pending),
+    /// enqueueing a write-back if dirty. Returns the evicted dirty line
+    /// (if any) and a never-touched prefetched victim with its origin (if
+    /// any).
+    #[inline]
     fn evict(&mut self, idx: usize) -> (Option<LineAddr>, Option<(LineAddr, PrefetchOrigin)>) {
-        let way = self.ways[idx];
-        if way.state != WayState::Valid {
+        debug_assert_ne!(self.stamps[idx], PENDING, "a pending way is never a victim");
+        // An invalid way has no flags: it was never written.
+        let flags = self.flags[idx];
+        if flags == 0 {
             return (None, None);
         }
-        match way.prefetched {
+        let line = LineAddr::new(self.tags[idx]);
+        let origin = prefetch_origin(flags);
+        match origin {
             Some(PrefetchOrigin::Push) => self.stats.prefetch_replaced_untouched += 1,
             Some(PrefetchOrigin::CpuSide) => self.stats.cpu_prefetch_replaced_untouched += 1,
             None => {}
         }
-        let dirty = if way.dirty {
+        let dirty = if flags & DIRTY != 0 {
             self.stats.writebacks += 1;
-            self.wb.enqueue(way.line);
-            Some(way.line)
+            self.wb.enqueue(line);
+            Some(line)
         } else {
             None
         };
-        (dirty, way.prefetched.map(|origin| (way.line, origin)))
+        (dirty, origin.map(|origin| (line, origin)))
     }
 }
 

@@ -66,7 +66,10 @@ impl Filter {
             self.entries.push(line);
         } else {
             self.entries[self.next] = line;
-            self.next = (self.next + 1) % self.capacity;
+            self.next += 1;
+            if self.next == self.capacity {
+                self.next = 0;
+            }
         }
         self.admitted += 1;
         true

@@ -33,17 +33,19 @@ impl Addr {
         self.0
     }
 
-    /// Returns the cache-line address for a given line size.
+    /// Returns the cache-line address for a given line size: a shift, not
+    /// a division, since the size is a power of two.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `line_size` is not a power of two.
+    /// Panics in debug builds if `line_size` is not a power of two. A
+    /// release build silently shifts by its trailing zeros instead.
     pub fn line(self, line_size: u64) -> LineAddr {
         debug_assert!(
             line_size.is_power_of_two(),
             "line size must be a power of two"
         );
-        LineAddr(self.0 / line_size)
+        LineAddr(self.0 >> line_size.trailing_zeros())
     }
 
     /// Returns the page address of this byte address.

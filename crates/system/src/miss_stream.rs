@@ -3,10 +3,15 @@
 //! The prediction experiment of Figure 5 and the table sizing of Table 2
 //! operate on "all L2 cache miss addresses", independent of timing. This
 //! module filters a workload's reference stream through the L1 and L2
-//! cache *state* (immediate fills, no MSHR timing) and yields the L2 miss
-//! lines in order.
+//! cache *state* and yields the L2 miss lines in order.
+//!
+//! Nothing is ever in flight here: each level is driven with
+//! [`Cache::access_install`], which installs a missing line at once and
+//! leaves the cache exactly as an access followed by its fill would,
+//! without allocating and releasing an MSHR. So no access blocks or
+//! merges, and every L2 miss is one element of the stream.
 
-use ulmt_cache::{AccessOutcome, Cache, CacheConfig};
+use ulmt_cache::{Cache, CacheConfig};
 use ulmt_simcore::LineAddr;
 use ulmt_workloads::WorkloadSpec;
 
@@ -35,22 +40,11 @@ where
 
     fn filter_one(&mut self, rec: &ulmt_workloads::TraceRecord) -> Option<LineAddr> {
         let l1_line = rec.addr.line(self.l1_line);
-        match self.l1.access(l1_line, rec.is_write) {
-            AccessOutcome::Hit { .. } => return None,
-            AccessOutcome::Miss { .. } | AccessOutcome::MissMerged { .. } => {
-                self.l1.fill(l1_line, false);
-            }
-            AccessOutcome::Blocked => {}
+        if self.l1.access_install(l1_line, rec.is_write) {
+            return None;
         }
         let l2_line = rec.addr.line(LineAddr::L2_LINE);
-        match self.l2.access(l2_line, rec.is_write) {
-            AccessOutcome::Hit { .. } => None,
-            AccessOutcome::Miss { .. } | AccessOutcome::MissMerged { .. } => {
-                self.l2.fill(l2_line, false);
-                Some(l2_line)
-            }
-            AccessOutcome::Blocked => None,
-        }
+        (!self.l2.access_install(l2_line, rec.is_write)).then_some(l2_line)
     }
 }
 
